@@ -18,7 +18,6 @@ from .discretization import (
     discrete_fast_potential,
     discrete_kinetic,
     discrete_lagrangian,
-    discrete_momenta,
     discrete_slow_potential,
     grad_discrete_lagrangian,
     interp_slow,

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -244,7 +243,10 @@ def _parse_float_list(text: str, name: str):
 
 
 def _parse_int_list(text: str, name: str):
-    return [int(v) for v in _parse_float_list(text, name)]
+    vals = _parse_float_list(text, name)
+    if not all(v.is_integer() for v in vals):
+        raise ConfigurationError(f"{name} list must hold integers, got {text!r}")
+    return [int(v) for v in vals]
 
 
 def cmd_converge(args) -> int:
@@ -306,19 +308,12 @@ def cmd_stability(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    points = [(dT, p) for p in p_list for dT in dT_list]
-
-    def row(point):
-        dT, p = point
-        rep = analysis.stability_report(args.omega_s, dT, p, args.rule)
-        return [_fmt(rep.omega_dT), _fmt(args.omega_s * dT / p), p, _fmt(rep.trace),
-                int(rep.stable), _fmt(rep.analytic_bound)]
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(row, points))
-    else:
-        rows = [row(pt) for pt in points]
+    rows = []
+    for p in p_list:
+        for dT in dT_list:
+            rep = analysis.stability_report(args.omega_s, dT, p, args.rule)
+            rows.append([_fmt(rep.omega_dT), _fmt(args.omega_s * dT / p), p, _fmt(rep.trace),
+                         int(rep.stable), _fmt(rep.analytic_bound)])
 
     path = out / "stability.csv"
     _write_csv(path, ["omega_dT", "omega_dt", "p", "trace", "stable", "analytic_bound"], rows)

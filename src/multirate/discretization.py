@@ -6,26 +6,33 @@ variables between macro nodes, piecewise-linear fast variables on the micro
 grid, and affine quadrature rules per potential (see
 :class:`multirate.model.QuadratureSpec`).
 
-Every potential contribution is represented uniformly as a list of
-quadrature terms.  A term evaluates the potential at a point that is an
-affine combination of the two nodes bounding micro interval ``m``:
+Every potential contribution is represented uniformly as quadrature terms.
+A term evaluates the potential at a point that is an affine combination of
+the two nodes bounding micro interval ``m``:
 
 * fast component: ``u_l * f[m] + u_r * f[m+1]`` with ``u_l + u_r = 1``
 * slow component: ``c0 * q_s_k + c1 * q_s_next`` (interpolation folded in)
 
 Macro-node-only placement of the slow potential is expressed in the same
-representation with weights attached to the first and last micro interval,
-so all derivative formulas below have a single code path.
+representation with weights attached to the first and last micro interval.
+The term geometry is cached as arrays per (quadrature, dT, p) in one
+interval kernel, which gathers all quadrature points with one matrix product,
+requests each potential's gradients (or Hessians) once per batch of points
+and scatters the results back to the nodes by matrix products.  The discrete
+momenta, the Lagrangian gradient, the DEL residual and the Newton Jacobian
+of :mod:`multirate.solver` all derive from it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError
-from .model import MultirateSystem, QuadratureSpec, SlowPlacement, TimeGrid, Trajectory
+from .model import MultirateSystem, QuadratureSpec, SlowPlacement, TimeGrid
 
 __all__ = [
     "MacroStepUnknowns",
@@ -38,8 +45,6 @@ __all__ = [
     "grad_discrete_lagrangian",
     "IntervalMomenta",
     "interval_momenta",
-    "NodeMomenta",
-    "discrete_momenta",
 ]
 
 
@@ -96,38 +101,145 @@ def _slow_coeffs(u_l: float, m: int, p: int) -> tuple[float, float]:
     return 1.0 - c1, c1
 
 
-def _v_term_geometry(quad: QuadratureSpec, grid: TimeGrid):
-    """Static geometry of the slow-potential terms: (m, weight, c0, c1, u_l, u_r)."""
-    p = grid.micro_per_macro
-    if quad.slow_placement is SlowPlacement.MACRO_NODES_ONLY:
-        terms = []
-        if quad.alpha_V != 0.0:
-            terms.append((0, grid.dT * quad.alpha_V, 1.0, 0.0, 1.0, 0.0))
-        if quad.alpha_V != 1.0:
-            terms.append((p - 1, grid.dT * (1.0 - quad.alpha_V), 0.0, 1.0, 0.0, 1.0))
-        return terms
-    dt = grid.dt
-    terms = []
-    for m in range(p):
-        for w, u_l in _branches(quad.alpha_V, quad.gamma_V):
-            c0, c1 = _slow_coeffs(u_l, m, p)
-            terms.append((m, dt * w, c0, c1, u_l, 1.0 - u_l))
-    return terms
+def _contract(C: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Weighted sums over the term axis: ``C (..., k)`` against ``H (k, a, b)``."""
+    k = H.shape[0]
+    return (C @ H.reshape(k, math.prod(H.shape[1:]))).reshape(C.shape[:-1] + H.shape[1:])
 
 
-def _w_term_geometry(quad: QuadratureSpec, grid: TimeGrid):
-    """Static geometry of the fast-potential terms: (m, weight, u_l, u_r)."""
-    dt = grid.dt
-    return [
-        (m, dt * w, u_l, 1.0 - u_l)
-        for m in range(grid.micro_per_macro)
-        for w, u_l in _branches(quad.alpha_W, quad.gamma_W)
-    ]
+def _check_finite(values, terms: "_Terms", what: str):
+    """Raise naming the micro interval of the first point with a non-finite value."""
+    if all(np.isfinite(a).all() for a in values):
+        return
+    bad = np.zeros(values[0].shape[0], dtype=bool)
+    for a in values:
+        bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    m = int(terms.m[int(np.argmax(bad)) % terms.m.size])
+    raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
 
 
-def _check_finite(arr, m, what):
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
+class _Terms:
+    """Quadrature terms of one potential on a macro interval, as arrays.
+
+    Term t evaluates the potential at ``gather[t] @ fast`` (fast nodes of
+    shape (p+1, n_fast)) on micro interval ``m[t]`` with weight ``w[t]``.
+    ``left``/``right`` (p, k) carry ``w*u_l``/``w*u_r`` to the left and right
+    node of each micro interval; ``second`` (3p, k) stacks the weights
+    ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian blocks.
+    """
+
+    def __init__(self, m, w, u_l, p: int):
+        self.m = np.asarray(m, dtype=int)
+        self.w = w = np.asarray(w, dtype=float)
+        u_l = np.asarray(u_l, dtype=float)
+        u_r = 1.0 - u_l
+        rows = np.arange(self.m.size)
+        self.gather = np.zeros((self.m.size, p + 1))
+        self.gather[rows, self.m] = u_l
+        self.gather[rows, self.m + 1] = u_r
+        onto = np.zeros((p, self.m.size))
+        onto[self.m, rows] = w
+        self.left = onto * u_l
+        self.right = onto * u_r
+        self.second = np.vstack([self.left * u_l, self.left * u_r, self.right * u_r])
+
+
+class _IntervalKernel:
+    """Batched quadrature sums of one macro interval for fixed (quad, dT, p).
+
+    The slow potential V is evaluated at the terms of ``V`` with slow point
+    ``c0 * q_s_k + c1 * q_s_next`` (``c0``, ``c1`` as (k, 1) columns), the
+    fast potential W at the terms of ``W``.  Each potential's gradients (or Hessians) are requested once per
+    batch of points through :meth:`MultirateSystem.evaluate_batch`.
+    """
+
+    def __init__(self, quad: QuadratureSpec, dT: float, p: int):
+        self.p = p
+        self.dT = dT
+        self.dt = dT / p
+        if quad.slow_placement is SlowPlacement.MACRO_NODES_ONLY:
+            v_terms = []
+            if quad.alpha_V != 0.0:
+                v_terms.append((0, dT * quad.alpha_V, 1.0, 0.0, 1.0))
+            if quad.alpha_V != 1.0:
+                v_terms.append((p - 1, dT * (1.0 - quad.alpha_V), 0.0, 1.0, 0.0))
+        else:
+            v_terms = [(m, self.dt * w, *_slow_coeffs(u_l, m, p), u_l)
+                       for m in range(p) for w, u_l in _branches(quad.alpha_V, quad.gamma_V)]
+        m, w, c0, c1, u_l = (np.array(col) for col in zip(*v_terms))
+        self.V = _Terms(m, w, u_l, p)
+        self.c0, self.c1 = c0[:, None], c1[:, None]
+        self.w_c0, self.w_c1, self.w_c0c1 = w * c0, w * c1, w * c0 * c1
+        # Jacobian weights of H_sf, stacked: the slow equation against fast
+        # nodes 1..p, then the equations of fast nodes 0..p-1 against the
+        # next slow node
+        self.border = np.vstack([self.w_c0 * self.V.gather[:, 1:].T,
+                                 self.w_c1 * self.V.gather[:, :-1].T])
+        w_terms = [(m, self.dt * w, u_l)
+                   for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
+        self.W = _Terms(*zip(*w_terms), p)
+
+    def points(self, q0, q1, fast):
+        """Slow and fast quadrature points; arguments may carry leading batch axes."""
+        Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
+        return Qs, self.V.gather @ fast, self.W.gather @ fast
+
+    def momenta(self, q0, q1, fast, sys: MultirateSystem):
+        """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``.
+
+        ``q0``/``q1`` have shape (..., n_slow) and ``fast`` (..., p+1, n_fast);
+        leading axes index independent intervals, whose points all go to the
+        callbacks in one batch.
+        """
+        Qs, QfV, QfW = self.points(q0, q1, fast)
+        lead = Qs.shape[:-1]
+        g_s, g_fV = sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV))
+        _check_finite((g_s, g_fV), self.V, "slow-potential gradient")
+        g_W = sys.evaluate_batch("fast_potential_grad", _rows(QfW))
+        _check_finite((g_W,), self.W, "fast-potential gradient")
+        g_s = g_s.reshape(lead + (sys.n_slow,))
+        g_fV = g_fV.reshape(lead + (sys.n_fast,))
+        g_W = g_W.reshape(QfW.shape)
+
+        Mv_s = ((q1 - q0) / self.dT) @ sys.mass_slow.T
+        Mv_f = ((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt) @ sys.mass_fast.T
+        return (Mv_s + self.w_c0 @ g_s,
+                Mv_s - self.w_c1 @ g_s,
+                Mv_f + (self.V.left @ g_fV + self.W.left @ g_W),
+                Mv_f - (self.V.right @ g_fV + self.W.right @ g_W))
+
+    def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem):
+        """Potential second-derivative sums of one interval, for the Newton Jacobian.
+
+        Returns ``(ss, border, ff)``: ``ss`` = sum of w*c0*c1*H_ss;
+        ``border[0, j-1]`` (n_slow, n_fast) couples the slow equation to fast
+        node j = 1..p, ``border[1, i]`` the equation of fast node i = 0..p-1
+        to the next slow node (to be transposed); ``ff`` (3, p, n_fast,
+        n_fast) holds the left-left, left-right and right-right blocks of
+        each micro interval.
+        """
+        Qs, QfV, QfW = self.points(q0, q1, fast)
+        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
+        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+        border = _contract(self.border, H_sf)
+        ff = _contract(self.V.second, H_ff) + _contract(self.W.second, H_W)
+        return (_contract(self.w_c0c1, H_ss), border.reshape((2, self.p) + border.shape[1:]),
+                ff.reshape((3, self.p) + ff.shape[1:]))
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Stack all leading axes into one row axis."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(quad: QuadratureSpec, dT: float, p: int) -> _IntervalKernel:
+    return _IntervalKernel(quad, dT, p)
+
+
+def interval_kernel(quad: QuadratureSpec, grid: TimeGrid) -> _IntervalKernel:
+    """Quadrature kernel of one macro interval, cached per (quad, dT, p)."""
+    return _kernel(quad, grid.dT, grid.micro_per_macro)
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +270,34 @@ def discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
     return total
 
 
+def _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid):
+    """(micro interval, weighted value) of every slow-potential term."""
+    kern = interval_kernel(quad, grid)
+    Qs, QfV, _ = kern.points(np.asarray(q_slow_k, dtype=float),
+                             np.asarray(q_slow_next, dtype=float),
+                             np.asarray(fast_nodes, dtype=float))
+    return [(m, w * float(sys.slow_potential(qs, qf)))
+            for m, w, qs, qf in zip(kern.V.m, kern.V.w, Qs, QfV)]
+
+
+def _fast_potential_terms(fast_nodes, sys, quad, grid):
+    """(micro interval, weighted value) of every fast-potential term."""
+    kern = interval_kernel(quad, grid)
+    QfW = kern.W.gather @ np.asarray(fast_nodes, dtype=float)
+    return [(m, w * float(sys.fast_potential(qf))) for m, w, qf in zip(kern.W.m, kern.W.w, QfW)]
+
+
 def discrete_slow_potential(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
                             quad: QuadratureSpec, grid: TimeGrid) -> float:
     """Quadrature approximation of the slow-potential action contribution."""
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    fast = np.asarray(fast_nodes, dtype=float)
-    total = 0.0
-    for m, w, c0, c1, u_l, u_r in _v_term_geometry(quad, grid):
-        qs = c0 * q0 + c1 * q1
-        qf = u_l * fast[m] + u_r * fast[m + 1]
-        total += w * float(sys.slow_potential(qs, qf))
-    return total
+    return sum(val for _, val in _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes,
+                                                       sys, quad, grid))
 
 
 def discrete_fast_potential(fast_nodes, sys: MultirateSystem, quad: QuadratureSpec,
                             grid: TimeGrid) -> float:
     """Quadrature approximation of the fast-potential action contribution."""
-    fast = np.asarray(fast_nodes, dtype=float)
-    total = 0.0
-    for m, w, u_l, u_r in _w_term_geometry(quad, grid):
-        total += w * float(sys.fast_potential(u_l * fast[m] + u_r * fast[m + 1]))
-    return total
+    return sum(val for _, val in _fast_potential_terms(fast_nodes, sys, quad, grid))
 
 
 def discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
@@ -209,92 +327,17 @@ def discrete_lagrangian_micro(q_slow_k, q_slow_next, fast_nodes, sys: MultirateS
     v_f = (fast[m + 1] - fast[m]) / dt
     val = 0.5 * dt * float(v_s @ (sys.mass_slow @ v_s))
     val += 0.5 * dt * float(v_f @ (sys.mass_fast @ v_f))
-    for mm, w, c0, c1, u_l, u_r in _v_term_geometry(quad, grid):
+    for mm, term in _slow_potential_terms(q0, q1, fast, sys, quad, grid):
         if mm == m:
-            val -= w * float(sys.slow_potential(c0 * q0 + c1 * q1, u_l * fast[m] + u_r * fast[m + 1]))
-    for mm, w, u_l, u_r in _w_term_geometry(quad, grid):
+            val -= term
+    for mm, term in _fast_potential_terms(fast, sys, quad, grid):
         if mm == m:
-            val -= w * float(sys.fast_potential(u_l * fast[m] + u_r * fast[m + 1]))
+            val -= term
     return val
 
 
 # ---------------------------------------------------------------------------
-# gradients and momenta (closed form)
-
-
-def _eval_v_terms(q0, q1, fast, sys, quad, grid, hessian=False):
-    """Evaluate slow-potential gradients (and optionally Hessians) per term."""
-    out = []
-    for m, w, c0, c1, u_l, u_r in _v_term_geometry(quad, grid):
-        qs = c0 * q0 + c1 * q1
-        qf = u_l * fast[m] + u_r * fast[m + 1]
-        g_s, g_f = sys.slow_potential_grad(qs, qf)
-        g_s = np.asarray(g_s, dtype=float)
-        g_f = np.asarray(g_f, dtype=float)
-        _check_finite(g_s, m, "slow-potential gradient")
-        _check_finite(g_f, m, "slow-potential gradient")
-        if hessian:
-            H_ss, H_sf, H_ff = sys.slow_potential_hessian(qs, qf)
-            out.append((m, w, c0, c1, u_l, u_r, g_s, g_f,
-                        np.asarray(H_ss, dtype=float),
-                        np.asarray(H_sf, dtype=float),
-                        np.asarray(H_ff, dtype=float)))
-        else:
-            out.append((m, w, c0, c1, u_l, u_r, g_s, g_f, None, None, None))
-    return out
-
-
-def _eval_w_terms(fast, sys, quad, grid, hessian=False):
-    """Evaluate fast-potential gradients (and optionally Hessians) per term."""
-    out = []
-    for m, w, u_l, u_r in _w_term_geometry(quad, grid):
-        qf = u_l * fast[m] + u_r * fast[m + 1]
-        g = np.asarray(sys.fast_potential_grad(qf), dtype=float)
-        _check_finite(g, m, "fast-potential gradient")
-        if hessian:
-            out.append((m, w, u_l, u_r, g, np.asarray(sys.fast_potential_hessian(qf), dtype=float)))
-        else:
-            out.append((m, w, u_l, u_r, g, None))
-    return out
-
-
-def grad_discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                             quad: QuadratureSpec, grid: TimeGrid):
-    """Closed-form partial derivatives of the discrete Lagrangian.
-
-    Returns ``(g_s0, g_s1, g_f)`` where ``g_s0``/``g_s1`` are the derivatives
-    with respect to the slow configuration at the interval start/end and
-    ``g_f`` has shape (p+1, n_fast) with the derivative per fast micro node.
-    """
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    fast = np.asarray(fast_nodes, dtype=float)
-    p = grid.micro_per_macro
-    dt = grid.dt
-
-    v_s = (q1 - q0) / grid.dT
-    Mv_s = sys.mass_slow @ v_s
-    g_s0 = -Mv_s.copy()
-    g_s1 = Mv_s.copy()
-    g_f = np.zeros((p + 1, sys.n_fast))
-    for m in range(p):
-        Mv_f = sys.mass_fast @ ((fast[m + 1] - fast[m]) / dt)
-        g_f[m] -= Mv_f
-        g_f[m + 1] += Mv_f
-
-    for m, w, c0, c1, u_l, u_r, g_s, g_fV, _, _, _ in _eval_v_terms(q0, q1, fast, sys, quad, grid):
-        g_s0 -= (w * c0) * g_s
-        g_s1 -= (w * c1) * g_s
-        if u_l:
-            g_f[m] -= (w * u_l) * g_fV
-        if u_r:
-            g_f[m + 1] -= (w * u_r) * g_fV
-    for m, w, u_l, u_r, g, _ in _eval_w_terms(fast, sys, quad, grid):
-        if u_l:
-            g_f[m] -= (w * u_l) * g
-        if u_r:
-            g_f[m + 1] -= (w * u_r) * g
-    return g_s0, g_s1, g_f
+# momenta and gradients (closed form)
 
 
 @dataclass
@@ -316,66 +359,24 @@ class IntervalMomenta:
 def interval_momenta(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
                      quad: QuadratureSpec, grid: TimeGrid) -> IntervalMomenta:
     """Closed-form discrete momenta of one macro interval."""
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    fast = np.asarray(fast_nodes, dtype=float)
-    p = grid.micro_per_macro
-    dt = grid.dt
-
-    v_s = (q1 - q0) / grid.dT
-    Mv_s = sys.mass_slow @ v_s
-    p_s_minus = Mv_s.copy()
-    p_s_plus = Mv_s.copy()
-    p_f_minus = np.zeros((p, sys.n_fast))
-    p_f_plus = np.zeros((p, sys.n_fast))
-    for m in range(p):
-        Mv_f = sys.mass_fast @ ((fast[m + 1] - fast[m]) / dt)
-        p_f_minus[m] = Mv_f
-        p_f_plus[m] = Mv_f
-
-    for m, w, c0, c1, u_l, u_r, g_s, g_fV, _, _, _ in _eval_v_terms(q0, q1, fast, sys, quad, grid):
-        p_s_minus += (w * c0) * g_s
-        p_s_plus -= (w * c1) * g_s
-        if u_l:
-            p_f_minus[m] += (w * u_l) * g_fV
-        if u_r:
-            p_f_plus[m] -= (w * u_r) * g_fV
-    for m, w, u_l, u_r, g, _ in _eval_w_terms(fast, sys, quad, grid):
-        if u_l:
-            p_f_minus[m] += (w * u_l) * g
-        if u_r:
-            p_f_plus[m] -= (w * u_r) * g
-    return IntervalMomenta(p_s_minus, p_s_plus, p_f_minus, p_f_plus)
+    return IntervalMomenta(*interval_kernel(quad, grid).momenta(
+        np.asarray(q_slow_k, dtype=float), np.asarray(q_slow_next, dtype=float),
+        np.asarray(fast_nodes, dtype=float), sys))
 
 
-@dataclass
-class NodeMomenta:
-    """Left/right discrete momenta meeting at macro node k plus the micro pairs
-    of the following interval; converged trajectories match minus and plus
-    values up to the solver tolerance."""
+def grad_discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
+                             quad: QuadratureSpec, grid: TimeGrid):
+    """Closed-form partial derivatives of the discrete Lagrangian.
 
-    p_s_minus: np.ndarray       # slow, from interval k
-    p_s_plus: np.ndarray        # slow, from interval k-1
-    p_f0_minus: np.ndarray      # fast at the shared node, from interval k
-    p_fp_plus: np.ndarray       # fast at the shared node, from interval k-1
-    p_f_minus: np.ndarray       # interval k, micro nodes 0..p-1
-    p_f_plus: np.ndarray        # interval k, micro nodes 1..p
-
-
-def discrete_momenta(traj: Trajectory, k: int, sys: MultirateSystem, quad: QuadratureSpec,
-                     grid: TimeGrid) -> NodeMomenta:
-    """Discrete momenta at interior macro node k from two consecutive intervals."""
-    if not 1 <= k <= grid.n_macro - 1:
-        raise ValueError(f"need an interior macro node, got k={k}")
-    prev = interval_momenta(traj.slow_q[k - 1], traj.slow_q[k], traj.interval_fast(k - 1),
-                            sys, quad, grid)
-    cur = interval_momenta(traj.slow_q[k], traj.slow_q[k + 1], traj.interval_fast(k),
-                           sys, quad, grid)
-    return NodeMomenta(
-        p_s_minus=cur.p_s_minus,
-        p_s_plus=prev.p_s_plus,
-        p_f0_minus=cur.p_f_minus[0],
-        p_fp_plus=prev.p_f_plus[-1],
-        p_f_minus=cur.p_f_minus,
-        p_f_plus=cur.p_f_plus,
-    )
+    Returns ``(g_s0, g_s1, g_f)`` where ``g_s0``/``g_s1`` are the derivatives
+    with respect to the slow configuration at the interval start/end and
+    ``g_f`` has shape (p+1, n_fast) with the derivative per fast micro node.
+    These are the discrete Legendre transforms read backwards: ``-p_minus``
+    at the left end of each (macro or micro) interval, ``p_plus`` at the
+    right end.
+    """
+    mom = interval_momenta(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid)
+    g_f = np.zeros((grid.micro_per_macro + 1, sys.n_fast))
+    g_f[:-1] -= mom.p_f_minus
+    g_f[1:] += mom.p_f_plus
+    return -mom.p_s_minus, mom.p_s_plus, g_f

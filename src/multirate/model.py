@@ -303,6 +303,14 @@ class MultirateSystem:
     are optional; when present they enable analytic Newton Jacobians
     (``slow_potential_hessian`` returns (H_ss, H_sf, H_ff)).
 
+    The integrators evaluate gradients and Hessians at k quadrature points
+    at once through :meth:`evaluate_batch`.  With ``batched=True`` the four
+    gradient and Hessian callables must also accept stacked points: inputs
+    of shape (k, n_slow) and (k, n_fast) map to gradients of shape
+    (k, n_slow) and (k, n_fast) and to Hessians of shape (k, n, n), row i
+    being the value at point i.  Otherwise :meth:`evaluate_batch` loops over
+    the points and stacks the per-point results.
+
     All callables must be re-entrant: they are invoked concurrently when
     independent integrations run in parallel.
     """
@@ -319,6 +327,7 @@ class MultirateSystem:
     fast_potential_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     oscillatory_energy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "system"
+    batched: bool = False
     mass_slow_inv: np.ndarray = field(init=False, repr=False)
     mass_fast_inv: np.ndarray = field(init=False, repr=False)
 
@@ -340,6 +349,23 @@ class MultirateSystem:
 
     def potential(self, q_slow: np.ndarray, q_fast: np.ndarray) -> float:
         return float(self.slow_potential(q_slow, q_fast)) + float(self.fast_potential(q_fast))
+
+    def evaluate_batch(self, name: str, *points: np.ndarray):
+        """Gradient or Hessian callable ``name`` at k points stacked along axis 0.
+
+        Returns float arrays with a leading axis of length k (a tuple of them
+        for the ``slow_*`` callables).
+        """
+        fn = getattr(self, name)
+        if self.batched:
+            out = fn(*points)
+            if name.startswith("slow"):
+                return tuple(np.asarray(a, dtype=float) for a in out)
+            return np.asarray(out, dtype=float)
+        rows = [fn(*pt) for pt in zip(*points)]
+        if name.startswith("slow"):
+            return tuple(np.array(col, dtype=float) for col in zip(*rows))
+        return np.array(rows, dtype=float)
 
 
 def momenta_from_velocities(sys: MultirateSystem, v_slow, v_fast) -> tuple[np.ndarray, np.ndarray]:

@@ -136,6 +136,11 @@ def _slow_nodes(s0, s1, p):
     return s0[None, :] + frac * (s1 - s0)[None, :]
 
 
+def _fast_momenta(p0, decrements):
+    # p0, p0 - d[0], (p0 - d[0]) - d[1], ...: shape (p+1, n_fast)
+    return np.subtract.accumulate(np.vstack([p0[None, :], decrements]), axis=0)
+
+
 def _solve_pq(state, sys, grid, config, evaluate):
     """Newton-solve a transformed update map.
 
@@ -168,20 +173,11 @@ def pq_step_midmid(state: State, sys: MultirateSystem, grid: TimeGrid,
         qs = _slow_nodes(s0, s1, p)
         qs_bar = 0.5 * (qs[:-1] + qs[1:])
         qf_bar = 0.5 * (fast[:-1] + fast[1:])
-        G_s = np.empty((p, sys.n_slow))
-        G_f = np.empty((p, sys.n_fast))
-        GW = np.empty((p, sys.n_fast))
-        for m in range(p):
-            gs, gf = sys.slow_potential_grad(qs_bar[m], qf_bar[m])
-            G_s[m] = gs
-            G_f[m] = gf
-            GW[m] = sys.fast_potential_grad(qf_bar[m])
+        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs_bar, qf_bar)
+        GW = sys.evaluate_batch("fast_potential_grad", qf_bar)
         p_tilde = state.p_slow - dt * ((1.0 - a) @ G_s)
         p_s_next = p_tilde - dt * (a @ G_s)
-        pf = np.empty((p + 1, sys.n_fast))
-        pf[0] = state.p_fast
-        for m in range(p):
-            pf[m + 1] = pf[m] - dt * (G_f[m] + GW[m])
+        pf = _fast_momenta(state.p_fast, dt * (G_f + GW))
         res = np.empty_like(x)
         res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ (0.5 * (p_tilde + p_s_next)))
         r_f = fast[1:] - fast[:-1] - dt * (0.5 * (pf[:-1] + pf[1:]) @ sys.mass_fast_inv.T)
@@ -213,22 +209,15 @@ def pq_step_trapmid(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V:
         s1, f_in = _split(x, sys, p)
         fast = np.vstack([f0[None, :], f_in])
         qs = _slow_nodes(s0, s1, p)
-        G_s = np.empty((p + 1, sys.n_slow))
-        G_f = np.empty((p + 1, sys.n_fast))
-        for m in range(p + 1):
-            gs, gf = sys.slow_potential_grad(qs[m], fast[m])
-            G_s[m] = gs
-            G_f[m] = gf
+        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs, fast)
         p_tilde = state.p_slow - dt * (((p - m_idx) / p) @ G_s[1:p] + alpha_V * G_s[0])
         p_s_next = p_tilde - dt * ((m_idx / p) @ G_s[1:p] + (1.0 - alpha_V) * G_s[p])
-        pf = np.empty((p + 1, sys.n_fast))
-        pf[0] = state.p_fast
-        r_f = np.empty((p, sys.n_fast))
-        for m in range(p):
-            pf_kick = pf[m] - alpha_V * dt * G_f[m]
-            pf_osc = pf_kick - dt * sys.fast_potential_grad(0.5 * (fast[m] + fast[m + 1]))
-            r_f[m] = fast[m + 1] - fast[m] - dt * (sys.mass_fast_inv @ (0.5 * (pf_kick + pf_osc)))
-            pf[m + 1] = pf_osc - (1.0 - alpha_V) * dt * G_f[m + 1]
+        kick = alpha_V * dt * G_f[:-1]
+        osc = dt * sys.evaluate_batch("fast_potential_grad", 0.5 * (fast[:-1] + fast[1:]))
+        pf = _fast_momenta(state.p_fast, kick + osc + (1.0 - alpha_V) * dt * G_f[1:])
+        pf_kick = pf[:-1] - kick
+        pf_osc = pf_kick - osc
+        r_f = fast[1:] - fast[:-1] - dt * ((0.5 * (pf_kick + pf_osc)) @ sys.mass_fast_inv.T)
         res = np.empty_like(x)
         res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ p_tilde)
         res[sys.n_slow :] = r_f.ravel()
@@ -260,24 +249,14 @@ def pq_step_traptrap(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V
         s1, f_in = _split(x, sys, p)
         fast = np.vstack([f0[None, :], f_in])
         qs = _slow_nodes(s0, s1, p)
-        G_s = np.empty((p + 1, sys.n_slow))
-        G_f = np.empty((p + 1, sys.n_fast))
-        GW = np.empty((p + 1, sys.n_fast))
-        for m in range(p + 1):
-            gs, gf = sys.slow_potential_grad(qs[m], fast[m])
-            G_s[m] = gs
-            G_f[m] = gf
-            GW[m] = sys.fast_potential_grad(fast[m])
+        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs, fast)
+        GW = sys.evaluate_batch("fast_potential_grad", fast)
         p_tilde = state.p_slow - dt * (((p - m_idx) / p) @ G_s[1:p] + alpha_V * G_s[0])
         p_s_next = p_tilde - dt * ((m_idx / p) @ G_s[1:p] + (1.0 - alpha_V) * G_s[p])
-        pf = np.empty((p + 1, sys.n_fast))
-        pf[0] = state.p_fast
-        r_f = np.empty((p, sys.n_fast))
-        for m in range(p):
-            force_l = alpha_V * G_f[m] + alpha_W * GW[m]
-            force_r = (1.0 - alpha_V) * G_f[m + 1] + (1.0 - alpha_W) * GW[m + 1]
-            r_f[m] = fast[m + 1] - fast[m] - dt * (sys.mass_fast_inv @ (pf[m] - dt * force_l))
-            pf[m + 1] = pf[m] - dt * (force_l + force_r)
+        force_l = alpha_V * G_f[:-1] + alpha_W * GW[:-1]
+        force_r = (1.0 - alpha_V) * G_f[1:] + (1.0 - alpha_W) * GW[1:]
+        pf = _fast_momenta(state.p_fast, dt * (force_l + force_r))
+        r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ sys.mass_fast_inv.T)
         res = np.empty_like(x)
         res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ p_tilde)
         res[sys.n_slow :] = r_f.ravel()

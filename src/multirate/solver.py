@@ -10,19 +10,14 @@ interior fast stationarity equations; its Jacobian has arrowhead structure
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .discretization import (
-    IntervalMomenta,
-    MacroStepUnknowns,
-    _eval_v_terms,
-    _eval_w_terms,
-    interval_momenta,
-)
+from .discretization import IntervalMomenta, MacroStepUnknowns, interval_kernel, interval_momenta
 from .errors import (
     AbortedStepError,
     ConfigurationError,
@@ -165,91 +160,57 @@ class MacroStep:
 # residual and Jacobian
 
 
+def _interval_fast(fast0, unknowns: MacroStepUnknowns) -> np.ndarray:
+    """Fast nodes 0..p of the interval, shape (p+1, n_fast)."""
+    return np.concatenate([fast0[None, :], unknowns.q_fast_micro])
+
+
 def _stacked_residual(q_slow_k, fast0, p_slow_in, p_fast_in, unknowns: MacroStepUnknowns,
                       sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
-    """Stacked step equations; zero when the incoming momenta are matched."""
-    p = grid.micro_per_macro
-    dt = grid.dt
-    q0 = q_slow_k
-    q1 = unknowns.q_slow_next
-    fast = np.vstack([fast0[None, :], unknowns.q_fast_micro]) if sys.n_fast else np.zeros((p + 1, 0))
+    """Stacked step equations; zero when the incoming momenta are matched.
 
-    v_s = (q1 - q0) / grid.dT
-    g_s0 = -(sys.mass_slow @ v_s)
-    g_f = np.zeros((p + 1, sys.n_fast))
-    for m in range(p):
-        Mv_f = sys.mass_fast @ ((fast[m + 1] - fast[m]) / dt)
-        g_f[m] -= Mv_f
-        g_f[m + 1] += Mv_f
-
-    for m, w, c0, c1, u_l, u_r, g_s, g_fV, _, _, _ in _eval_v_terms(q0, q1, fast, sys, quad, grid):
-        if c0:
-            g_s0 -= (w * c0) * g_s
-        if u_l:
-            g_f[m] -= (w * u_l) * g_fV
-        if u_r:
-            g_f[m + 1] -= (w * u_r) * g_fV
-    for m, w, u_l, u_r, g, _ in _eval_w_terms(fast, sys, quad, grid):
-        if u_l:
-            g_f[m] -= (w * u_l) * g
-        if u_r:
-            g_f[m + 1] -= (w * u_r) * g
-
-    res = np.empty(sys.n_slow + p * sys.n_fast)
-    res[: sys.n_slow] = g_s0 + p_slow_in
-    if sys.n_fast:
-        res[sys.n_slow : sys.n_slow + sys.n_fast] = g_f[0] + p_fast_in
-        if p > 1:
-            res[sys.n_slow + sys.n_fast :] = g_f[1:p].ravel()
-    return res
+    Each equation is a momentum mismatch: incoming minus left momenta at the
+    slow node and at fast node 0, right minus left momenta at the interior
+    fast nodes.
+    """
+    p_s_minus, _, p_f_minus, p_f_plus = interval_kernel(quad, grid).momenta(
+        q_slow_k, unknowns.q_slow_next, _interval_fast(fast0, unknowns), sys)
+    return np.concatenate([p_slow_in - p_s_minus, p_fast_in - p_f_minus[0],
+                           (p_f_plus[:-1] - p_f_minus[1:]).ravel()])
 
 
 def _assemble_jacobian(q_slow_k, fast0, unknowns: MacroStepUnknowns, sys: MultirateSystem,
-                       quad: QuadratureSpec, grid: TimeGrid, kin: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the stacked residual with respect to the unknowns."""
+                       quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
+    """Analytic Jacobian of the stacked residual with respect to the unknowns.
+
+    Written block by block: the slow border, then the block-tridiagonal fast
+    chain in one assignment through a (p, n_fast, p, n_fast) view, whose row
+    block i is the equation of fast node i and column block j the unknown
+    fast node j+1.
+    The kinetic energy contributes the constant blocks -M_s/dT, 2 M_f/dt
+    (diagonal) and -M_f/dt (off-diagonal).
+    """
     p = grid.micro_per_macro
     n_s, n_f = sys.n_slow, sys.n_fast
-    q0 = q_slow_k
-    q1 = unknowns.q_slow_next
-    fast = np.vstack([fast0[None, :], unknowns.q_fast_micro]) if n_f else np.zeros((p + 1, 0))
-
-    J = kin.copy()
-
-    def fast_col(i):
-        # column slice of fast node i (i >= 1)
-        lo = n_s + (i - 1) * n_f
-        return slice(lo, lo + n_f)
-
-    def fast_row(i):
-        # residual row slice of fast node i (0 <= i <= p-1)
-        lo = n_s + i * n_f
-        return slice(lo, lo + n_f)
-
-    for m, w, c0, c1, u_l, u_r, _, _, H_ss, H_sf, H_ff in _eval_v_terms(
-            q0, q1, fast, sys, quad, grid, hessian=True):
-        nodes = ((m, u_l), (m + 1, u_r))
-        if c0 and c1:
-            J[:n_s, :n_s] -= (w * c0 * c1) * H_ss
-        for i, u in nodes:
-            if not u:
-                continue
-            if c0 and i >= 1:
-                J[:n_s, fast_col(i)] -= (w * c0 * u) * H_sf
-            if i <= p - 1 and c1:
-                J[fast_row(i), :n_s] -= (w * u * c1) * H_sf.T
-            if i <= p - 1:
-                for i2, u2 in nodes:
-                    if u2 and i2 >= 1:
-                        J[fast_row(i), fast_col(i2)] -= (w * u * u2) * H_ff
-    for m, w, u_l, u_r, _, H in _eval_w_terms(fast, sys, quad, grid, hessian=True):
-        nodes = ((m, u_l), (m + 1, u_r))
-        for i, u in nodes:
-            if not u or i > p - 1:
-                continue
-            for i2, u2 in nodes:
-                if u2 and i2 >= 1:
-                    J[fast_row(i), fast_col(i2)] -= (w * u * u2) * H
+    ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
+        q_slow_k, unknowns.q_slow_next, _interval_fast(fast0, unknowns), sys)
+    J = np.zeros((n_s + p * n_f, n_s + p * n_f))
+    J[:n_s, :n_s] = -sys.mass_slow / grid.dT - ss
+    J[:n_s, n_s:] = -row.transpose(1, 0, 2).reshape(n_s, p * n_f)
+    J[n_s:, :n_s] = -col.transpose(0, 2, 1).reshape(p * n_f, n_s)
+    M_dt = sys.mass_fast / grid.dt
+    rows, cols = _chain_band(p)
+    J[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = np.concatenate(
+        [-M_dt - lr, 2.0 * M_dt - ll[1:] - rr[:-1], -M_dt - lr[1:-1]])
     return J
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_band(p: int):
+    """Row and column blocks of the fast chain's nonzero blocks, in the order
+    (row i, node i+1), (row i, node i), (row i, node i-1)."""
+    i = np.arange(p)
+    return np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]])
 
 
 def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
@@ -268,42 +229,13 @@ def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
     """Jacobian of :func:`del_residual` with respect to the stacked unknowns."""
     mode = config.resolve_jacobian_mode(sys)
     if mode is JacobianMode.ANALYTIC:
-        kin = _build_kinetic_jacobian_full(sys, grid)
-        return _assemble_jacobian(prev.q_slow_end, prev.fast[-1], unknowns, sys, quad, grid, kin)
+        return _assemble_jacobian(prev.q_slow_end, prev.fast[-1], unknowns, sys, quad, grid)
     return _fd_jacobian(
         lambda x: _stacked_residual(
             prev.q_slow_end, prev.fast[-1], prev.p_slow_end, prev.p_fast_end,
             MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, grid.micro_per_macro),
             sys, quad, grid),
         unknowns.pack(), config.fd_step)
-
-
-def _build_kinetic_jacobian_full(sys: MultirateSystem, grid: TimeGrid) -> np.ndarray:
-    """Constant kinetic part of the Jacobian (mass-scaled difference operator)."""
-    p = grid.micro_per_macro
-    n_s, n_f = sys.n_slow, sys.n_fast
-    dim = n_s + p * n_f
-    J = np.zeros((dim, dim))
-    if n_s:
-        J[:n_s, :n_s] = -sys.mass_slow / grid.dT
-    if n_f:
-        Mdt = sys.mass_fast / grid.dt
-
-        def row(i):
-            return slice(n_s + i * n_f, n_s + (i + 1) * n_f)
-
-        def col(i):
-            return slice(n_s + (i - 1) * n_f, n_s + i * n_f)
-
-        # node-0 matching equation: d/d f_1 of -M (f_1 - f_0)/dt
-        J[row(0), col(1)] = -Mdt
-        for m in range(1, p):
-            J[row(m), col(m)] = 2.0 * Mdt
-            if m - 1 >= 1:
-                J[row(m), col(m - 1)] = -Mdt
-            if m + 1 <= p:
-                J[row(m), col(m + 1)] = -Mdt
-    return J
 
 
 def _fd_jacobian(residual, x0: np.ndarray, fd_step: float) -> np.ndarray:
@@ -369,18 +301,16 @@ def _solve_step(index: int, q_slow_k, fast0, p_slow_in, p_fast_in, guess: MacroS
         return _stacked_residual(q_slow_k, fast0, p_slow_in, p_fast_in, u, sys, quad, grid)
 
     if mode is JacobianMode.ANALYTIC:
-        kin = _build_kinetic_jacobian_full(sys, grid)
-
         def jacobian(x):
             u = MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, p)
-            return _assemble_jacobian(q_slow_k, fast0, u, sys, quad, grid, kin)
+            return _assemble_jacobian(q_slow_k, fast0, u, sys, quad, grid)
     else:
         def jacobian(x):
             return _fd_jacobian(residual, x, config.fd_step)
 
     x, stats = _newton(residual, jacobian, guess.pack(), config)
     u = MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, p)
-    fast = np.vstack([fast0[None, :], u.q_fast_micro]) if sys.n_fast else np.zeros((p + 1, 0))
+    fast = _interval_fast(fast0, u)
     mom = interval_momenta(q_slow_k, u.q_slow_next, fast, sys, quad, grid)
     return MacroStep(index, np.asarray(q_slow_k, dtype=float).copy(), u.q_slow_next, fast, mom), stats
 
@@ -565,42 +495,37 @@ class TrajectoryCertificate:
         )
 
 
+# intervals per kernel call in verify_trajectory; bounds its temporaries
+_VERIFY_CHUNK = 64
+
+
 def verify_trajectory(traj: Trajectory, q0: State, sys: MultirateSystem, quad: QuadratureSpec,
                       grid: TimeGrid) -> TrajectoryCertificate:
     """Recompute the discrete equations along a trajectory.
 
     The stacked residual at each interior macro node equals the mismatch of
     left and right discrete momenta, so the certificate reports both the
-    residual norm and the per-node matching norms.
+    residual norm and the per-node matching norms.  The momenta of up to
+    ``_VERIFY_CHUNK`` intervals come from one kernel call; consecutive chunks
+    overlap by one interval so that every macro node is checked.
     """
-    N = grid.n_macro
-    moms = [
-        interval_momenta(traj.slow_q[k], traj.slow_q[k + 1], traj.interval_fast(k),
-                         sys, quad, grid)
-        for k in range(N)
-    ]
-    residual_max = 0.0
-    match_macro = 0.0
-    match_micro = 0.0
+    N, p = grid.n_macro, grid.micro_per_macro
+    kern = interval_kernel(quad, grid)
 
     def inf(a):
         return float(np.max(np.abs(a))) if a.size else 0.0
 
-    initial_max = 0.0
-    if N >= 1:
-        initial_max = max(inf(moms[0].p_s_minus - q0.p_slow),
-                          inf(moms[0].p_f_minus[0] - q0.p_fast) if sys.n_fast else 0.0)
-    for k in range(1, N):
-        r_s = moms[k - 1].p_s_plus - moms[k].p_s_minus
-        parts = [inf(r_s)]
-        if sys.n_fast:
-            parts.append(inf(moms[k - 1].p_f_plus[-1] - moms[k].p_f_minus[0]))
-        residual_here = max(parts)
-        match_macro = max(match_macro, residual_here)
-        residual_max = max(residual_max, residual_here)
-    for k in range(N):
-        for m in range(1, grid.micro_per_macro):
-            mism = inf(moms[k].p_f_plus[m - 1] - moms[k].p_f_minus[m])
-            match_micro = max(match_micro, mism)
-            residual_max = max(residual_max, mism)
-    return TrajectoryCertificate(residual_max, match_macro, match_micro, initial_max)
+    initial_max = match_macro = match_micro = 0.0
+    starts = range(0, N - 1, _VERIFY_CHUNK - 1) if N > 1 else range(N)
+    for lo in starts:
+        hi = min(N, lo + _VERIFY_CHUNK)
+        nodes = np.arange(lo, hi)[:, None] * p + np.arange(p + 1)
+        p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta(
+            traj.slow_q[lo:hi], traj.slow_q[lo + 1:hi + 1], traj.fast_q[nodes], sys)
+        if lo == 0:
+            initial_max = max(inf(p_s_minus[0] - q0.p_slow), inf(p_f_minus[0, 0] - q0.p_fast))
+        match_macro = max(match_macro, inf(p_s_plus[:-1] - p_s_minus[1:]),
+                          inf(p_f_plus[:-1, -1] - p_f_minus[1:, 0]))
+        match_micro = max(match_micro, inf(p_f_plus[:, :-1] - p_f_minus[:, 1:]))
+    return TrajectoryCertificate(max(match_macro, match_micro), match_macro, match_micro,
+                                 initial_max)

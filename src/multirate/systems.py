@@ -9,7 +9,9 @@ Both systems split into soft (slow) and stiff (fast) parts:
   by alternating soft and stiff radial springs, under gravity.
 
 Analytic gradients and Hessians are supplied so the Newton solver can run
-with exact Jacobians.
+with exact Jacobians.  They are written for stacked points as well
+(``batched=True``, see :class:`multirate.model.MultirateSystem`): every
+configuration argument may carry leading batch axes.
 """
 
 from __future__ import annotations
@@ -79,19 +81,23 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
     mass_slow = np.diag(cfg.masses[:l])
     mass_fast = np.diag(cfg.masses[l:])
 
+    # configurations are row vectors, so leading batch axes pass through
+    def elongations(q_s, q_f):
+        return q_s @ D_s.T + q_f @ D_f.T
+
     def slow_potential(q_s, q_f):
-        d = D_s @ q_s + D_f @ q_f
-        return 0.25 * float(np.sum(d ** 4))
+        return 0.25 * float(np.sum(elongations(q_s, q_f) ** 4))
 
     def slow_potential_grad(q_s, q_f):
-        d3 = (D_s @ q_s + D_f @ q_f) ** 3
-        return D_s.T @ d3, D_f.T @ d3
+        d3 = elongations(q_s, q_f) ** 3
+        return d3 @ D_s, d3 @ D_f
+
+    D = np.hstack([D_s, D_f])
 
     def slow_potential_hessian(q_s, q_f):
-        w = 3.0 * (D_s @ q_s + D_f @ q_f) ** 2
-        WD_s = w[:, None] * D_s
-        WD_f = w[:, None] * D_f
-        return D_s.T @ WD_s, D_s.T @ WD_f, D_f.T @ WD_f
+        # the full (2l, 2l) Hessian D^T diag(w) D in one product, then its blocks
+        H = D.T @ (3.0 * elongations(q_s, q_f)[..., :, None] ** 2 * D)
+        return H[..., :l, :l], H[..., :l, l:], H[..., l:, l:]
 
     def fast_potential(q_f):
         return 0.5 * omega_sq * float(q_f @ q_f)
@@ -102,7 +108,7 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
     eye_f = omega_sq * np.eye(l)
 
     def fast_potential_hessian(q_f):
-        return eye_f
+        return np.zeros(q_f.shape[:-1] + eye_f.shape) + eye_f
 
     fast_masses = cfg.masses[l:]
 
@@ -122,6 +128,7 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
         fast_potential_hessian=fast_potential_hessian,
         oscillatory_energy=oscillatory_energy,
         name="fpu",
+        batched=True,
     )
 
     omega = float(np.sqrt(omega_sq))
@@ -193,13 +200,14 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
     eye3 = np.eye(3)
 
     def assemble(q_s, q_f):
-        Q = np.empty((n_masses, 3))
-        Q[slow_mass_idx] = q_s.reshape(l, 3)
-        Q[fast_mass_idx] = q_f.reshape(l, 3)
+        lead = q_s.shape[:-1]
+        Q = np.empty(lead + (n_masses, 3))
+        Q[..., slow_mass_idx, :] = q_s.reshape(lead + (l, 3))
+        Q[..., fast_mass_idx, :] = q_f.reshape(lead + (l, 3))
         return Q
 
     def ring_edges(Q):
-        return Q[next_idx] - Q
+        return Q[..., next_idx, :] - Q
 
     def slow_potential(q_s, q_f):
         Q = assemble(q_s, q_f)
@@ -210,33 +218,36 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
         return radial + ring + gravity
 
     def slow_potential_grad(q_s, q_f):
+        lead = q_s.shape[:-1]
         Q = assemble(q_s, q_f)
         u = ring_edges(Q)
-        su = np.sum(u * u, axis=1)[:, None] * u      # |u_j|^2 u_j per edge
-        dQ = eps * (su[prev_idx] - su)               # edge j-1 pulls, edge j pushes
-        g_s = dQ[slow_mass_idx].ravel() + cfg.omega1 * q_s + grav_slow
-        g_f = dQ[fast_mass_idx].ravel() + grav_fast
+        su = np.sum(u * u, axis=-1)[..., None] * u       # |u_j|^2 u_j per edge
+        dQ = eps * (su[..., prev_idx, :] - su)           # edge j-1 pulls, edge j pushes
+        g_s = dQ[..., slow_mass_idx, :].reshape(lead + (n,)) + cfg.omega1 * q_s + grav_slow
+        g_f = dQ[..., fast_mass_idx, :].reshape(lead + (n,)) + grav_fast
         return g_s, g_f
 
     def _block_view(B, rows, cols):
-        # (n_masses, n_masses, 3, 3) block tensor -> dense submatrix
-        sub = B[np.ix_(rows, cols)]
-        n_r, n_c = len(rows), len(cols)
-        return sub.transpose(0, 2, 1, 3).reshape(3 * n_r, 3 * n_c)
+        # (..., n_masses, n_masses, 3, 3) block tensor -> dense submatrix
+        sub = B[..., rows[:, None], cols[None, :], :, :]
+        lead = sub.shape[:-4]
+        return np.swapaxes(sub, -3, -2).reshape(lead + (3 * len(rows), 3 * len(cols)))
+
+    diag_s = np.arange(n)
 
     def slow_potential_hessian(q_s, q_f):
         Q = assemble(q_s, q_f)
         u = ring_edges(Q)
-        Bedge = eps * (2.0 * u[:, :, None] * u[:, None, :]
-                       + np.sum(u * u, axis=1)[:, None, None] * eye3)
-        B = np.zeros((n_masses, n_masses, 3, 3))
+        Bedge = eps * (2.0 * u[..., :, None] * u[..., None, :]
+                       + np.sum(u * u, axis=-1)[..., None, None] * eye3)
+        B = np.zeros(Q.shape[:-2] + (n_masses, n_masses, 3, 3))
         j = np.arange(n_masses)
-        B[j, j] += Bedge
-        B[next_idx, next_idx] += Bedge
-        B[j, next_idx] -= Bedge
-        B[next_idx, j] -= Bedge
+        B[..., j, j, :, :] += Bedge
+        B[..., next_idx, next_idx, :, :] += Bedge
+        B[..., j, next_idx, :, :] -= Bedge
+        B[..., next_idx, j, :, :] -= Bedge
         H_ss = _block_view(B, slow_mass_idx, slow_mass_idx)
-        H_ss[np.diag_indices_from(H_ss)] += cfg.omega1
+        H_ss[..., diag_s, diag_s] += cfg.omega1
         return (H_ss,
                 _block_view(B, slow_mass_idx, fast_mass_idx),
                 _block_view(B, fast_mass_idx, fast_mass_idx))
@@ -250,7 +261,7 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
     eye_f = cfg.omega2 * np.eye(n)
 
     def fast_potential_hessian(q_f):
-        return eye_f
+        return np.zeros(q_f.shape[:-1] + eye_f.shape) + eye_f
 
     sys = MultirateSystem(
         n_slow=n,
@@ -264,6 +275,7 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
         slow_potential_hessian=slow_potential_hessian,
         fast_potential_hessian=fast_potential_hessian,
         name="spring-ring",
+        batched=True,
     )
 
     # circle positions; mass i (1-based) sits at angle (i-1)*pi/l

@@ -159,6 +159,14 @@ class TestStability:
         _, rows = read_csv(out / "stability.csv")
         assert all(int(r[4]) == 1 for r in rows)
 
+    @pytest.mark.parametrize("p_list", ["2.5", "1,2.5", "inf"])
+    def test_non_integer_p_is_config_error(self, tmp_path, p_list):
+        out = tmp_path / "stabp"
+        code = run("stability", "--rule", "trapezoidal", "--omega-s", "1.0",
+                   "--dT-list", "0.5", "--p-list", p_list, "--out", str(out))
+        assert code == 2
+        assert not (out / "stability.csv").exists()
+
 
 class TestBench:
     def test_rows_and_columns(self, tmp_path):

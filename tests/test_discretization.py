@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,20 @@ class TestEvaluationErrors:
         assert info.value.node_index is not None
         assert info.value.node_index >= 1
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_first_bad_micro_interval_is_named(self, batched):
+        # midpoints 0.125, 0.375, 0.625, 0.875: intervals 2 and 3 go bad
+        sys = dataclasses.replace(
+            scalar_system(gradV=lambda qs, qf: (np.zeros_like(qs), np.zeros_like(qf)),
+                          W=lambda qf: 0.0, gradW=lambda qf: np.where(qf > 0.5, np.inf, 0.0)),
+            batched=batched)
+        grid = build_time_grid(1.0, 4, 1)
+        fast = np.linspace(0.0, 1.0, 5)[:, None]
+        with pytest.raises(EvaluationError) as info:
+            interval_momenta(np.zeros(1), np.ones(1), fast, sys, QuadratureSpec.midpoint_midpoint(),
+                             grid)
+        assert info.value.node_index == 2
+
 
 class TestMacroStepUnknowns:
     def test_pack_round_trip(self):
@@ -332,3 +348,38 @@ class TestDerivativeConsistencyProperty:
                     return discrete_lagrangian(s0, s1, ff, sys, quad, grid)
                 fd = central_diff(f, fast[m].copy(), h)
                 assert np.max(np.abs(g_f[m] - fd)) < 1e-6 * (1.0 + np.max(np.abs(g_f[m])))
+
+
+class TestBatchedCallbacks:
+    CALLBACKS = ("slow_potential_grad", "fast_potential_grad",
+                 "slow_potential_hessian", "fast_potential_hessian")
+
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_batched_callbacks_match_per_point(self, request, system):
+        sys, q0 = request.getfixturevalue(system)
+        assert sys.batched
+        rng = np.random.default_rng(3)
+        Qs = q0.q_slow + rng.uniform(-0.3, 0.3, (7, sys.n_slow))
+        Qf = q0.q_fast + rng.uniform(-0.3, 0.3, (7, sys.n_fast))
+        looped = dataclasses.replace(sys, batched=False)
+        for name in self.CALLBACKS:
+            args = (Qs, Qf) if name.startswith("slow") else (Qf,)
+            batch = sys.evaluate_batch(name, *args)
+            per_point = looped.evaluate_batch(name, *args)
+            if not name.startswith("slow"):
+                batch, per_point = (batch,), (per_point,)
+            for b, ref in zip(batch, per_point):
+                assert b.shape == ref.shape and b.shape[0] == 7
+                assert np.max(np.abs(b - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+    def test_loop_adapter_stacks_per_point_results(self, toy_coupled):
+        sys = toy_coupled
+        assert not sys.batched
+        Qs = np.array([[0.1], [0.4], [-0.2]])
+        Qf = np.array([[0.0], [0.3], [0.5]])
+        g_s, g_f = sys.evaluate_batch("slow_potential_grad", Qs, Qf)
+        for i in range(3):
+            ref_s, ref_f = sys.slow_potential_grad(Qs[i], Qf[i])
+            assert np.array_equal(g_s[i], ref_s) and np.array_equal(g_f[i], ref_f)
+        H = sys.evaluate_batch("fast_potential_hessian", Qf)
+        assert H.shape == (3, 1, 1)

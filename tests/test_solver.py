@@ -13,16 +13,20 @@ from multirate import (
     SolverConfig,
     State,
     TimeGrid,
+    Trajectory,
     build_time_grid,
     del_jacobian,
     del_residual,
     explicit_macro_step,
     initial_step,
     integrate,
+    interval_momenta,
     macro_flow_map,
     macro_step,
     verify_trajectory,
 )
+
+from multirate.solver import _VERIFY_CHUNK
 
 from _oracles import (
     block_mass_inv,
@@ -87,6 +91,28 @@ class TestJacobian:
         Ja = del_jacobian(step, unk, sys, MIDMID, grid,
                           SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
         Jf = del_jacobian(step, unk, sys, MIDMID, grid,
+                          SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE, fd_step=1e-7))
+        assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("quad", [
+        QuadratureSpec.midpoint_midpoint(),
+        QuadratureSpec.trapezoidal_midpoint(1.0),
+        QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
+        QuadratureSpec.explicit(),
+    ], ids=["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal", "explicit"])
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_analytic_matches_finite_difference_per_quadrature(self, request, system, quad, p,
+                                                              config):
+        sys, q0 = request.getfixturevalue(system)
+        grid = build_time_grid(0.02, p, 2)
+        step, _ = initial_step(q0, sys, quad, grid, config)
+        rng = np.random.default_rng(5)
+        unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
+                                step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
+        Ja = del_jacobian(step, unk, sys, quad, grid,
+                          SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
+        Jf = del_jacobian(step, unk, sys, quad, grid,
                           SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE, fd_step=1e-7))
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
@@ -171,6 +197,29 @@ class TestMacroStep:
             traj, _ = integrate(q0, sys, MIDMID, grid, cfg)
             cert = verify_trajectory(traj, q0, sys, MIDMID, grid)
             assert cert.ok(1e-10)
+
+    def test_certificate_checks_every_node_across_chunks(self, fpu):
+        # verify_trajectory batches intervals in chunks; a defect planted at
+        # any node, chunk boundaries included, must show as it does in a
+        # one-interval-at-a-time recomputation
+        sys, q0 = fpu
+        C = _VERIFY_CHUNK
+        cfg = SolverConfig(newton_tol=1e-10)
+        grid = build_time_grid(0.3, 2, 2 * C + 8)
+        traj, _ = integrate(q0, sys, MIDMID, grid, cfg)
+        for k in (1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, grid.n_macro - 1):
+            bad = Trajectory(grid, traj.slow_q.copy(), traj.slow_p, traj.fast_q, traj.fast_p)
+            bad.slow_q[k] += 1e-6
+            cert = verify_trajectory(bad, q0, sys, MIDMID, grid)
+            moms = [interval_momenta(bad.slow_q[j], bad.slow_q[j + 1], bad.interval_fast(j),
+                                     sys, MIDMID, grid) for j in range(grid.n_macro)]
+            macro = max(max(np.max(np.abs(a.p_s_plus - b.p_s_minus)),
+                            np.max(np.abs(a.p_f_plus[-1] - b.p_f_minus[0])))
+                        for a, b in zip(moms, moms[1:]))
+            micro = max(np.max(np.abs(m.p_f_plus[:-1] - m.p_f_minus[1:])) for m in moms)
+            assert cert.matching_macro_max == pytest.approx(macro, rel=1e-12)
+            assert cert.matching_micro_max == pytest.approx(micro, rel=1e-12)
+            assert cert.matching_macro_max > 1e-6
 
     def test_divergence_reports_partial_trajectory(self, fpu):
         sys, q0 = fpu
