@@ -4,7 +4,6 @@ orders and linear stability of the interpolated-slow-variable schemes."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -199,8 +198,10 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
 
     If no reference trajectory is supplied, one is computed at ``ref_dT``
     with one micro step per macro step using the same quadrature.  Sweep rows
-    are independent and may run on a thread pool; failures are recorded per
-    row instead of aborting the study.
+    run one after another; failures are recorded per row instead of aborting
+    the study.  ``workers`` is accepted for compatibility and has no effect:
+    threads only slowed the sweep down, and the systems' closures cannot be
+    sent to worker processes.
     """
     dT_values = np.asarray(list(dT_list), dtype=float)
     if np.any(np.diff(dT_values) >= 0):
@@ -215,31 +216,18 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
     errs = np.full((4, len(dT_values)), np.nan)
     notes = [""] * len(dT_values)
 
-    def run_row(i):
-        dT = dT_values[i]
-        n_macro = round(t_end / dT)
-        if abs(n_macro * dT - t_end) > 1e-9 * max(1.0, t_end):
-            raise ValueError(f"dT={dT} does not divide t_end={t_end}")
-        grid = TimeGrid(dT=dT, micro_per_macro=p_ratio, n_macro=int(n_macro), t0=0.0)
-        traj, _ = integrate(q0, sys, quad, grid, config, mode)
-        return error_norms(traj, reference, include_micro=include_micro)
-
-    def safe_row(i):
+    for i, dT in enumerate(dT_values):
         try:
-            return run_row(i), ""
+            n_macro = round(t_end / dT)
+            if abs(n_macro * dT - t_end) > 1e-9 * max(1.0, t_end):
+                raise ValueError(f"dT={dT} does not divide t_end={t_end}")
+            grid = TimeGrid(dT=dT, micro_per_macro=p_ratio, n_macro=int(n_macro), t0=0.0)
+            traj, _ = integrate(q0, sys, quad, grid, config, mode)
+            en = error_norms(traj, reference, include_micro=include_micro)
         except (IntegrationError, AlignmentError, ValueError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe_row, range(len(dT_values))))
-    else:
-        results = [safe_row(i) for i in range(len(dT_values))]
-
-    for i, (en, note) in enumerate(results):
-        notes[i] = note
-        if en is not None:
-            errs[:, i] = (en.e_q_mac, en.e_p_mac, en.e_q_mic, en.e_p_mic)
+            notes[i] = f"{type(exc).__name__}: {exc}"
+            continue
+        errs[:, i] = (en.e_q_mac, en.e_p_mac, en.e_q_mic, en.e_p_mic)
 
     table = ConvergenceTable(dT_values, errs[0], errs[1], errs[2], errs[3], notes=notes)
     for name, row in zip(ConvergenceTable.SERIES, errs):

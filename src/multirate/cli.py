@@ -123,45 +123,39 @@ def _resolved_params(args, extra=None) -> dict:
     return params
 
 
-def _trajectory_rows(traj, sys):
-    grid = traj.grid
-    p = grid.micro_per_macro
-    n_nodes = grid.n_macro * p + 1
-    rows = []
-    for i in range(n_nodes):
-        k, m = divmod(i, p)
-        if i == n_nodes - 1 and grid.n_macro > 0:
-            k, m = grid.n_macro - 1, p
-        t = grid.micro_time(k, m) if grid.n_macro else grid.t0
-        macro_node = grid.n_macro and (m == 0 or m == p)
-        macro_idx = k + 1 if m == p else k
-        row = [_fmt(t), k, m]
-        if macro_node or grid.n_macro == 0:
-            idx = macro_idx if grid.n_macro else 0
-            row += [_fmt(v) for v in traj.slow_q[idx]]
-        else:
-            row += [""] * sys.n_slow
-        row += [_fmt(v) for v in traj.fast_q[i]]
-        if macro_node or grid.n_macro == 0:
-            idx = macro_idx if grid.n_macro else 0
-            row += [_fmt(v) for v in traj.slow_p[idx]]
-        else:
-            row += [""] * sys.n_slow
-        row += [_fmt(v) for v in traj.fast_p[i]]
-        rows.append(row)
-    return rows
-
-
 def _write_trajectory(out: Path, traj, sys) -> dict:
+    """Write trajectory.csv row by row, one row per micro node.
+
+    Slow columns are filled at macro nodes only (at node 0 alone when the
+    grid has no interval); ``%.17g`` formats as ``_fmt`` does.
+    """
+    grid = traj.grid
+    p, N = grid.micro_per_macro, grid.n_macro
     header = (["t", "k", "m"]
               + [f"qs_{i}" for i in range(sys.n_slow)]
               + [f"qf_{i}" for i in range(sys.n_fast)]
               + [f"ps_{i}" for i in range(sys.n_slow)]
               + [f"pf_{i}" for i in range(sys.n_fast)])
-    rows = _trajectory_rows(traj, sys)
+    slow, fast = ["%.17g"] * sys.n_slow, ["%.17g"] * sys.n_fast
+    macro_row = ",".join(["%.17g", "%d", "%d"] + slow + fast + slow + fast) + "\r\n"
+    micro_row = ",".join(["%.17g", "%d", "%d"] + [""] * sys.n_slow + fast
+                         + [""] * sys.n_slow + fast) + "\r\n"
+    times = grid.micro_times()
     path = out / "trajectory.csv"
-    _write_csv(path, header, rows)
-    return {"trajectory.csv": _manifest_entry(path, len(rows))}
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(times.size):
+            k, m = divmod(i, p)
+            if k == N > 0:  # the end node closes the last interval
+                k, m = N - 1, p
+            q_f, p_f = traj.fast_q[i].tolist(), traj.fast_p[i].tolist()
+            if m == 0 or m == p:
+                j = k + 1 if m == p else k
+                fh.write(macro_row % (times[i], k, m, *traj.slow_q[j].tolist(), *q_f,
+                                      *traj.slow_p[j].tolist(), *p_f))
+            else:
+                fh.write(micro_row % (times[i], k, m, *q_f, *p_f))
+    return {"trajectory.csv": _manifest_entry(path, times.size)}
 
 
 def _write_energy(out: Path, traj, sys) -> dict:
@@ -408,7 +402,8 @@ def _add_common(sp):
     sp.add_argument("--tol", type=float, default=None, help="Newton tolerance (infinity norm)")
     sp.add_argument("--mode", choices=("del", "pq", "explicit"), default=None)
     sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--config", default=None, help="JSON file with option defaults")
 
 

@@ -95,6 +95,11 @@ def _branches(alpha: float, gamma: float):
     return tuple(out)
 
 
+def _left_weight(alpha: float, gamma: float) -> float:
+    """Total weight of the left node in a trapezoidal-family rule (gamma in {0, 1})."""
+    return alpha * gamma + (1.0 - alpha) * (1.0 - gamma)
+
+
 def _slow_coeffs(u_l: float, m: int, p: int) -> tuple[float, float]:
     """Coefficients (c0, c1) of the macro nodes in the slow evaluation point."""
     c1 = u_l * (m / p) + (1.0 - u_l) * ((m + 1) / p)

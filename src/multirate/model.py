@@ -311,8 +311,8 @@ class MultirateSystem:
     being the value at point i.  Otherwise :meth:`evaluate_batch` loops over
     the points and stacks the per-point results.
 
-    All callables must be re-entrant: they are invoked concurrently when
-    independent integrations run in parallel.
+    The package calls them from one thread at a time; it runs independent
+    integrations one after another.
     """
 
     n_slow: int

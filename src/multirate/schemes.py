@@ -10,19 +10,22 @@ cross-checks of each other.
 All three maps remain implicit because the interpolated slow values at the
 micro nodes depend on the unknown next slow configuration; the coupled
 unknowns are solved with the shared Newton driver and a finite-difference
-Jacobian.
+Jacobian.  Trajectories run through the one integration loop of
+:func:`multirate.solver.integrate`, which turns each :func:`pq_step` into the
+step record (:class:`multirate.solver.MacroStep`) shared by all modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationError
+from .discretization import _left_weight
+from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid, Trajectory
-from .solver import IntegrationStats, SolverConfig, StepStats, _fd_jacobian, _newton
+from .solver import (IntegrationStats, IntegratorMode, SolverConfig, StepStats, _drift_guess,
+                     _fd_jacobian, _newton, integrate)
 
 __all__ = [
     "PQSchemeKind",
@@ -73,11 +76,6 @@ class PQSchemeKind:
         return cls("trapezoidal-trapezoidal", alpha_V=alpha_V, alpha_W=alpha_W)
 
 
-def _left_weight(alpha: float, gamma: float) -> float:
-    # total quadrature weight of the left node for gamma in {0, 1}
-    return alpha * gamma + (1.0 - alpha) * (1.0 - gamma)
-
-
 def quad_to_scheme_kind(quad: QuadratureSpec) -> PQSchemeKind:
     """Classify a quadrature choice as one of the closed-form schemes."""
     if quad.slow_placement is not SlowPlacement.MICRO_GRID:
@@ -118,14 +116,6 @@ class PQStepResult:
     stats: StepStats
 
 
-def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarray:
-    p = grid.micro_per_macro
-    s1 = state.q_slow + grid.dT * (sys.mass_slow_inv @ state.p_slow)
-    v_f = sys.mass_fast_inv @ state.p_fast
-    fast = state.q_fast[None, :] + grid.dt * np.arange(1, p + 1)[:, None] * v_f[None, :]
-    return np.concatenate([s1, fast.ravel()])
-
-
 def _split(x, sys, p):
     return x[: sys.n_slow], x[sys.n_slow :].reshape(p, sys.n_fast)
 
@@ -141,21 +131,19 @@ def _fast_momenta(p0, decrements):
     return np.subtract.accumulate(np.vstack([p0[None, :], decrements]), axis=0)
 
 
-def _solve_pq(state, sys, grid, config, evaluate):
+def _solve_pq(state, sys, grid, config, evaluate) -> PQStepResult:
     """Newton-solve a transformed update map.
 
     ``evaluate(x)`` returns (residual, aux) where aux carries the update's
-    derived quantities; the final aux is re-evaluated at the solution.
+    derived quantities ``(s1, fast, pf, p_tilde, p_s_next)``; the aux of the
+    last evaluation is the one at the solution.
     """
-    def residual(x):
-        return evaluate(x)[0]
+    def jacobian(x, F):
+        return _fd_jacobian(evaluate, x, F, config.fd_step)
 
-    def jacobian(x):
-        return _fd_jacobian(residual, x, config.fd_step)
-
-    x, stats = _newton(residual, jacobian, _drift_guess(state, sys, grid), config)
-    _, aux = evaluate(x)
-    return x, aux, stats
+    _, aux, stats = _newton(evaluate, jacobian, _drift_guess(state, sys, grid), config)
+    s1, fast, pf, p_tilde, p_s_next = aux
+    return PQStepResult(State(s1, fast[-1], p_s_next, pf[-1]), fast, pf, p_tilde, stats)
 
 
 def pq_step_midmid(state: State, sys: MultirateSystem, grid: TimeGrid,
@@ -184,9 +172,7 @@ def pq_step_midmid(state: State, sys: MultirateSystem, grid: TimeGrid,
         res[sys.n_slow :] = r_f.ravel()
         return res, (s1, fast, pf, p_tilde, p_s_next)
 
-    x, aux, stats = _solve_pq(state, sys, grid, config, evaluate)
-    s1, fast, pf, p_tilde, p_s_next = aux
-    return PQStepResult(State(s1, fast[-1], p_s_next, pf[-1]), fast, pf, p_tilde, stats)
+    return _solve_pq(state, sys, grid, config, evaluate)
 
 
 def pq_step_trapmid(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V: float,
@@ -223,9 +209,7 @@ def pq_step_trapmid(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V:
         res[sys.n_slow :] = r_f.ravel()
         return res, (s1, fast, pf, p_tilde, p_s_next)
 
-    x, aux, stats = _solve_pq(state, sys, grid, config, evaluate)
-    s1, fast, pf, p_tilde, p_s_next = aux
-    return PQStepResult(State(s1, fast[-1], p_s_next, pf[-1]), fast, pf, p_tilde, stats)
+    return _solve_pq(state, sys, grid, config, evaluate)
 
 
 def pq_step_traptrap(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V: float,
@@ -262,9 +246,7 @@ def pq_step_traptrap(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V
         res[sys.n_slow :] = r_f.ravel()
         return res, (s1, fast, pf, p_tilde, p_s_next)
 
-    x, aux, stats = _solve_pq(state, sys, grid, config, evaluate)
-    s1, fast, pf, p_tilde, p_s_next = aux
-    return PQStepResult(State(s1, fast[-1], p_s_next, pf[-1]), fast, pf, p_tilde, stats)
+    return _solve_pq(state, sys, grid, config, evaluate)
 
 
 def pq_step(state: State, sys: MultirateSystem, grid: TimeGrid, kind: PQSchemeKind,
@@ -279,33 +261,4 @@ def pq_step(state: State, sys: MultirateSystem, grid: TimeGrid, kind: PQSchemeKi
 def integrate_pq(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
                  config: SolverConfig) -> tuple[Trajectory, IntegrationStats]:
     """Integrate with the closed-form map matching the given quadrature."""
-    kind = quad_to_scheme_kind(quad)
-    N, p = grid.n_macro, grid.micro_per_macro
-    slow_q = np.zeros((N + 1, sys.n_slow))
-    slow_p = np.zeros((N + 1, sys.n_slow))
-    fast_q = np.zeros((N * p + 1, sys.n_fast))
-    fast_p = np.zeros((N * p + 1, sys.n_fast))
-    traj = Trajectory(grid, slow_q, slow_p, fast_q, fast_p)
-    slow_q[0] = q0.q_slow
-    slow_p[0] = q0.p_slow
-    fast_q[0] = q0.q_fast
-    fast_p[0] = q0.p_fast
-
-    stats = IntegrationStats()
-    t0 = time.perf_counter()
-    state = q0
-    for k in range(N):
-        try:
-            step = pq_step(state, sys, grid, kind, config)
-        except Exception as exc:
-            stats.wall_time_total = time.perf_counter() - t0
-            raise IntegrationError(f"macro step {k} failed: {exc}",
-                                   partial_trajectory=traj, step_index=k, cause=exc) from exc
-        state = step.state
-        slow_q[k + 1] = state.q_slow
-        slow_p[k + 1] = state.p_slow
-        fast_q[k * p + 1 : (k + 1) * p + 1] = step.fast_q[1:]
-        fast_p[k * p + 1 : (k + 1) * p + 1] = step.fast_p[1:]
-        stats.add(step.stats)
-    stats.wall_time_total = time.perf_counter() - t0
-    return traj, stats
+    return integrate(q0, sys, quad, grid, config, IntegratorMode.CLOSED_FORM_PQ)

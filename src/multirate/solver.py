@@ -5,6 +5,10 @@ nodes of the interval simultaneously.  The residual stacks the slow
 stationarity equation, the matching equation at the shared fast node and the
 interior fast stationarity equations; its Jacobian has arrowhead structure
 (dense slow row/column borders, block-tridiagonal fast chain).
+
+All integrator modes (this implicit DEL solve, the explicit recurrence and
+the closed-form p/q maps of :mod:`multirate.schemes`) share one step record,
+:class:`MacroStep`, and one integration loop, :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import enum
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .discretization import IntervalMomenta, MacroStepUnknowns, interval_kernel, interval_momenta
+from .discretization import MacroStepUnknowns, _left_weight, interval_kernel, interval_momenta
 from .errors import (
     AbortedStepError,
     ConfigurationError,
@@ -136,51 +139,91 @@ class IntegrationStats:
 
 @dataclass
 class MacroStep:
-    """Solution data of one macro interval, including its right momenta."""
+    """Trajectory rows of one macro interval: the step record of every mode.
+
+    ``fast`` and ``p_fast`` hold the fast configurations and momenta at micro
+    nodes 0..p, ``p_slow`` the slow momenta at the start and the end node.
+    The momenta at the start and interior nodes are the matched values; the
+    end momenta are provisional until the next step's start momenta replace
+    them.
+    """
 
     index: int
     q_slow_start: np.ndarray
     q_slow_end: np.ndarray
-    fast: np.ndarray                 # (p+1, n_fast)
-    momenta: IntervalMomenta = field(repr=False)
+    fast: np.ndarray                            # (p+1, n_fast)
+    p_fast: np.ndarray = field(repr=False)      # (p+1, n_fast)
+    p_slow: np.ndarray = field(repr=False)      # (2, n_slow)
 
     @property
     def p_slow_end(self) -> np.ndarray:
-        return self.momenta.p_s_plus
+        return self.p_slow[1]
 
     @property
     def p_fast_end(self) -> np.ndarray:
-        return self.momenta.p_f_plus[-1]
+        return self.p_fast[-1]
 
     def end_state(self) -> State:
         return State(self.q_slow_end, self.fast[-1], self.p_slow_end, self.p_fast_end)
+
+
+def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroStep:
+    """Step record of an interval from its discrete momenta
+    ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``: the left values at nodes
+    0..p-1 and the right values at the end node."""
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = momenta
+    return MacroStep(index, q_slow_k, q_slow_next, fast,
+                     np.concatenate([p_f_minus, p_f_plus[-1:]]), np.stack([p_s_minus, p_s_plus]))
 
 
 # ---------------------------------------------------------------------------
 # residual and Jacobian
 
 
-def _interval_fast(fast0, unknowns: MacroStepUnknowns) -> np.ndarray:
-    """Fast nodes 0..p of the interval, shape (p+1, n_fast)."""
-    return np.concatenate([fast0[None, :], unknowns.q_fast_micro])
+def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
+    """Next slow node and fast nodes 0..p, read from the stacked unknowns
+    ``x`` (order of :class:`MacroStepUnknowns`) without copying them."""
+    n_s = sys.n_slow
+    return x[:n_s], np.concatenate([start.q_fast[None, :], x[n_s:].reshape(p, sys.n_fast)])
 
 
-def _stacked_residual(q_slow_k, fast0, p_slow_in, p_fast_in, unknowns: MacroStepUnknowns,
-                      sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
-    """Stacked step equations; zero when the incoming momenta are matched.
+def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+    """Stacked equations of the interval that begins at ``start``.
 
-    Each equation is a momentum mismatch: incoming minus left momenta at the
-    slow node and at fast node 0, right minus left momenta at the interior
-    fast nodes.
+    ``residual(x)`` returns ``(F, (fast, momenta))``.  Each entry of F is a
+    momentum mismatch: incoming minus left momenta at the slow node and at
+    fast node 0, right minus left momenta at the interior fast nodes.
     """
-    p_s_minus, _, p_f_minus, p_f_plus = interval_kernel(quad, grid).momenta(
-        q_slow_k, unknowns.q_slow_next, _interval_fast(fast0, unknowns), sys)
-    return np.concatenate([p_slow_in - p_s_minus, p_fast_in - p_f_minus[0],
-                           (p_f_plus[:-1] - p_f_minus[1:]).ravel()])
+    kern = interval_kernel(quad, grid)
+    p = grid.micro_per_macro
+
+    def residual(x):
+        q_slow_next, fast = _step_nodes(start, x, sys, p)
+        mom = kern.momenta(start.q_slow, q_slow_next, fast, sys)
+        p_s_minus, _, p_f_minus, p_f_plus = mom
+        F = np.concatenate([start.p_slow - p_s_minus, start.p_fast - p_f_minus[0],
+                            (p_f_plus[:-1] - p_f_minus[1:]).ravel()])
+        return F, (fast, mom)
+
+    return residual
 
 
-def _assemble_jacobian(q_slow_k, fast0, unknowns: MacroStepUnknowns, sys: MultirateSystem,
-                       quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
+def _step_jacobian(start: State, residual, sys: MultirateSystem, quad: QuadratureSpec,
+                   grid: TimeGrid, config: SolverConfig):
+    """``jacobian(x, F)`` of :func:`_step_residual`, where F is the residual at x."""
+    if config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
+        p = grid.micro_per_macro
+
+        def jacobian(x, F):
+            return _assemble_jacobian(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
+    else:
+        def jacobian(x, F):
+            return _fd_jacobian(residual, x, F, config.fd_step)
+    return jacobian
+
+
+def _assemble_jacobian(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: QuadratureSpec,
+                       grid: TimeGrid) -> np.ndarray:
     """Analytic Jacobian of the stacked residual with respect to the unknowns.
 
     Written block by block: the slow border, then the block-tridiagonal fast
@@ -193,7 +236,7 @@ def _assemble_jacobian(q_slow_k, fast0, unknowns: MacroStepUnknowns, sys: Multir
     p = grid.micro_per_macro
     n_s, n_f = sys.n_slow, sys.n_fast
     ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
-        q_slow_k, unknowns.q_slow_next, _interval_fast(fast0, unknowns), sys)
+        q_slow_k, q_slow_next, fast, sys)
     J = np.zeros((n_s + p * n_f, n_s + p * n_f))
     J[:n_s, :n_s] = -sys.mass_slow / grid.dT - ss
     J[:n_s, n_s:] = -row.transpose(1, 0, 2).reshape(n_s, p * n_f)
@@ -220,33 +263,29 @@ def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
     ``prev`` supplies the configuration history (previous interval) whose
     right discrete momenta enter the matching equations.
     """
-    return _stacked_residual(prev.q_slow_end, prev.fast[-1], prev.p_slow_end,
-                             prev.p_fast_end, unknowns, sys, quad, grid)
+    return _step_residual(prev.end_state(), sys, quad, grid)(unknowns.pack())[0]
 
 
 def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
                  quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig) -> np.ndarray:
     """Jacobian of :func:`del_residual` with respect to the stacked unknowns."""
-    mode = config.resolve_jacobian_mode(sys)
-    if mode is JacobianMode.ANALYTIC:
-        return _assemble_jacobian(prev.q_slow_end, prev.fast[-1], unknowns, sys, quad, grid)
-    return _fd_jacobian(
-        lambda x: _stacked_residual(
-            prev.q_slow_end, prev.fast[-1], prev.p_slow_end, prev.p_fast_end,
-            MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, grid.micro_per_macro),
-            sys, quad, grid),
-        unknowns.pack(), config.fd_step)
+    start = prev.end_state()
+    residual = _step_residual(start, sys, quad, grid)
+    x = unknowns.pack()
+    return _step_jacobian(start, residual, sys, quad, grid, config)(x, residual(x)[0])
 
 
-def _fd_jacobian(residual, x0: np.ndarray, fd_step: float) -> np.ndarray:
-    """Forward-difference Jacobian with componentwise steps."""
-    r0 = residual(x0)
+def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray, fd_step: float) -> np.ndarray:
+    """Forward-difference Jacobian with componentwise steps.
+
+    ``residual(x)`` returns ``(F, aux)``; ``r0`` is F at ``x0``.
+    """
     J = np.empty((r0.size, x0.size))
     for i in range(x0.size):
         h = fd_step * (1.0 + abs(x0[i]))
         xp = x0.copy()
         xp[i] += h
-        J[:, i] = (residual(xp) - r0) / h
+        J[:, i] = (residual(xp)[0] - r0) / h
     return J
 
 
@@ -255,9 +294,14 @@ def _fd_jacobian(residual, x0: np.ndarray, fd_step: float) -> np.ndarray:
 
 
 def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig):
-    x = x0.copy()
+    """Newton iteration on ``residual(x) -> (F, aux)``.
+
+    Returns the solution, the aux of the last residual evaluation (which is
+    at the solution) and the step's work record.
+    """
+    x = x0
     stats = StepStats()
-    F = residual(x)
+    F, aux = residual(x)
     norm = float(np.max(np.abs(F))) if F.size else 0.0
     polish_left = config.polish_iters
     while True:
@@ -271,7 +315,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig):
                 f"{config.max_newton_iters} iterations (residual {norm:.3e})",
                 residual_norm=norm, iterations=stats.newton_iters)
         t0 = time.perf_counter()
-        J = jacobian(x)
+        J = jacobian(x, F)
         stats.jacobian_time += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
@@ -283,36 +327,29 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig):
         x = x + dx
         if not np.all(np.isfinite(x)):
             raise AbortedStepError("Newton iterate became non-finite")
-        F = residual(x)
+        F, aux = residual(x)
         stats.newton_iters += 1
         norm = float(np.max(np.abs(F))) if F.size else 0.0
     stats.residual_norm = norm
-    return x, stats
+    return x, aux, stats
 
 
-def _solve_step(index: int, q_slow_k, fast0, p_slow_in, p_fast_in, guess: MacroStepUnknowns,
-                sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                config: SolverConfig) -> tuple[MacroStep, StepStats]:
-    mode = config.resolve_jacobian_mode(sys)
+def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarray:
+    """Free-drift prediction of the stacked unknowns of the interval after ``state``."""
     p = grid.micro_per_macro
+    s1 = state.q_slow + grid.dT * (sys.mass_slow_inv @ state.p_slow)
+    v_f = sys.mass_fast_inv @ state.p_fast
+    fast = state.q_fast[None, :] + grid.dt * np.arange(1, p + 1)[:, None] * v_f[None, :]
+    return np.concatenate([s1, fast.ravel()])
 
-    def residual(x):
-        u = MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, p)
-        return _stacked_residual(q_slow_k, fast0, p_slow_in, p_fast_in, u, sys, quad, grid)
 
-    if mode is JacobianMode.ANALYTIC:
-        def jacobian(x):
-            u = MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, p)
-            return _assemble_jacobian(q_slow_k, fast0, u, sys, quad, grid)
-    else:
-        def jacobian(x):
-            return _fd_jacobian(residual, x, config.fd_step)
-
-    x, stats = _newton(residual, jacobian, guess.pack(), config)
-    u = MacroStepUnknowns.unpack(x, sys.n_slow, sys.n_fast, p)
-    fast = _interval_fast(fast0, u)
-    mom = interval_momenta(q_slow_k, u.q_slow_next, fast, sys, quad, grid)
-    return MacroStep(index, np.asarray(q_slow_k, dtype=float).copy(), u.q_slow_next, fast, mom), stats
+def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSystem,
+                quad: QuadratureSpec, grid: TimeGrid,
+                config: SolverConfig) -> tuple[MacroStep, StepStats]:
+    residual = _step_residual(start, sys, quad, grid)
+    jacobian = _step_jacobian(start, residual, sys, quad, grid, config)
+    x, (fast, mom), stats = _newton(residual, jacobian, guess, config)
+    return _interval_record(index, start.q_slow, x[:sys.n_slow], fast, mom), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
@@ -324,53 +361,42 @@ def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Ti
     """
     if not q0.finite:
         raise ValueError("initial state contains non-finite entries")
-    p = grid.micro_per_macro
-    # free-drift prediction
-    s1 = q0.q_slow + grid.dT * (sys.mass_slow_inv @ q0.p_slow)
-    v_f = sys.mass_fast_inv @ q0.p_fast
-    fast_guess = q0.q_fast[None, :] + grid.dt * np.arange(1, p + 1)[:, None] * v_f[None, :]
-    guess = MacroStepUnknowns(s1, fast_guess)
-    return _solve_step(0, q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast, guess,
-                       sys, quad, grid, config)
+    return _solve_step(0, q0, _drift_guess(q0, sys, grid), sys, quad, grid, config)
 
 
 def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
                config: SolverConfig) -> tuple[MacroStep, StepStats]:
     """Advance one macro interval given the completed previous interval."""
-    p = grid.micro_per_macro
     # linear extrapolation for the slow node, constant continuation for fast
-    s1_guess = 2.0 * prev.q_slow_end - prev.q_slow_start
-    fast_guess = np.repeat(prev.fast[-1][None, :], p, axis=0)
-    guess = MacroStepUnknowns(s1_guess, fast_guess)
-    return _solve_step(prev.index + 1, prev.q_slow_end, prev.fast[-1],
-                       prev.p_slow_end, prev.p_fast_end, guess, sys, quad, grid, config)
+    guess = np.concatenate([2.0 * prev.q_slow_end - prev.q_slow_start,
+                            np.tile(prev.fast[-1], grid.micro_per_macro)])
+    return _solve_step(prev.index + 1, prev.end_state(), guess, sys, quad, grid, config)
 
 
-def _explicit_step(index: int, q_slow_k, fast0, p_slow_in, p_fast_in, sys: MultirateSystem,
-                   quad: QuadratureSpec, grid: TimeGrid) -> MacroStep:
+def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,
+                   grid: TimeGrid) -> MacroStep:
     p = grid.micro_per_macro
     dt = grid.dt
-    q0 = np.asarray(q_slow_k, dtype=float)
-    f0 = np.asarray(fast0, dtype=float)
+    q0, f0 = start.q_slow, start.q_fast
 
     g_s, g_f = sys.slow_potential_grad(q0, f0)
     g_s = np.asarray(g_s, dtype=float)
     g_f = np.asarray(g_f, dtype=float)
-    # total weight of the left node in the fast quadrature (gamma_W in {0,1})
-    w_left = quad.alpha_W * quad.gamma_W + (1.0 - quad.alpha_W) * (1.0 - quad.gamma_W)
+    w_left = _left_weight(quad.alpha_W, quad.gamma_W)
 
     fast = np.empty((p + 1, sys.n_fast))
     fast[0] = f0
-    kick0 = p_fast_in - grid.dT * quad.alpha_V * g_f - dt * w_left * np.asarray(
+    kick0 = start.p_fast - grid.dT * quad.alpha_V * g_f - dt * w_left * np.asarray(
         sys.fast_potential_grad(f0), dtype=float)
     fast[1] = f0 + dt * (sys.mass_fast_inv @ kick0)
     for m in range(1, p):
         gw = np.asarray(sys.fast_potential_grad(fast[m]), dtype=float)
         fast[m + 1] = 2.0 * fast[m] - fast[m - 1] - dt * dt * (sys.mass_fast_inv @ gw)
-    q1 = q0 + grid.dT * (sys.mass_slow_inv @ (p_slow_in - grid.dT * quad.alpha_V * g_s))
+    q1 = q0 + grid.dT * (sys.mass_slow_inv @ (start.p_slow - grid.dT * quad.alpha_V * g_s))
 
     mom = interval_momenta(q0, q1, fast, sys, quad, grid)
-    return MacroStep(index, q0.copy(), q1, fast, mom)
+    return _interval_record(index, q0, q1, fast,
+                            (mom.p_s_minus, mom.p_s_plus, mom.p_f_minus, mom.p_f_plus))
 
 
 def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec,
@@ -385,12 +411,41 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
         raise ConfigurationError(
             "explicit stepping requires macro-node slow placement and a "
             "trapezoidal-family fast quadrature (gamma_W in {0, 1})")
-    return _explicit_step(prev.index + 1, prev.q_slow_end, prev.fast[-1],
-                          prev.p_slow_end, prev.p_fast_end, sys, quad, grid)
+    return _explicit_step(prev.index + 1, prev.end_state(), sys, quad, grid)
 
 
 # ---------------------------------------------------------------------------
 # trajectory integration
+
+
+def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
+                    config: SolverConfig, mode: IntegratorMode):
+    """``(first, advance)`` of an integrator mode.
+
+    ``first(q0)`` steps from the initial State, ``advance(prev)`` from the
+    previous MacroStep; both return ``(MacroStep, StepStats)``.  Except for
+    the explicit first step, they call the public step functions through
+    their module attributes, so that a wrapper installed on one sees every
+    call.
+    """
+    if mode is IntegratorMode.CLOSED_FORM_PQ:
+        from . import schemes
+        kind = schemes.quad_to_scheme_kind(quad)
+
+        def pq(index, state):
+            res = schemes.pq_step(state, sys, grid, kind, config)
+            end = res.state
+            return MacroStep(index, state.q_slow, end.q_slow, res.fast_q, res.fast_p,
+                             np.stack([state.p_slow, end.p_slow])), res.stats
+
+        return (lambda q0: pq(0, q0)), (lambda prev: pq(prev.index + 1, prev.end_state()))
+    if mode is IntegratorMode.EXPLICIT:
+        if not quad.explicit_solvable:
+            raise ConfigurationError("quadrature is not explicit-solvable")
+        return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), StepStats())),
+                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())))
+    return ((lambda q0: initial_step(q0, sys, quad, grid, config)),
+            (lambda prev: macro_step(prev, sys, quad, grid, config)))
 
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:
@@ -407,19 +462,17 @@ def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajec
 
 
 def _store_step(traj: Trajectory, step: MacroStep):
-    k = step.index
-    p = traj.grid.micro_per_macro
+    """Write the rows of one step record.
+
+    Its start momenta replace the previous step's provisional end momenta;
+    row 0 keeps the given initial state.
+    """
+    k, p = step.index, traj.grid.micro_per_macro
+    lo = 1 if k == 0 else 0
     traj.slow_q[k + 1] = step.q_slow_end
     traj.fast_q[k * p + 1 : (k + 1) * p + 1] = step.fast[1:]
-    # matched momenta: store the left value at every node it is defined on
-    if k > 0:
-        traj.slow_p[k] = step.momenta.p_s_minus
-        traj.fast_p[k * p] = step.momenta.p_f_minus[0]
-    for m in range(1, p):
-        traj.fast_p[k * p + m] = step.momenta.p_f_minus[m]
-    # provisional right values at the interval end; overwritten by the next step
-    traj.slow_p[k + 1] = step.momenta.p_s_plus
-    traj.fast_p[(k + 1) * p] = step.momenta.p_f_plus[-1]
+    traj.slow_p[k + lo : k + 2] = step.p_slow[lo:]
+    traj.fast_p[k * p + lo : (k + 1) * p + 1] = step.p_fast[lo:]
 
 
 def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
@@ -427,40 +480,27 @@ def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeG
               ) -> tuple[Trajectory, IntegrationStats]:
     """Integrate the full trajectory over ``grid.n_macro`` macro steps.
 
+    Every mode runs through this loop: its step functions return one
+    :class:`MacroStep` record per interval, stored the same way.
     Deterministic: identical inputs produce bit-identical trajectories.  On a
     step failure an :class:`IntegrationError` carrying the partial trajectory
     is raised.
     """
-    if mode is IntegratorMode.CLOSED_FORM_PQ:
-        from . import schemes
-        return schemes.integrate_pq(q0, sys, quad, grid, config)
-    if mode is IntegratorMode.EXPLICIT and not quad.explicit_solvable:
-        raise ConfigurationError("quadrature is not explicit-solvable")
-
+    step_fn, advance = _step_functions(sys, quad, grid, config, mode)
     traj = _empty_trajectory(q0, grid, sys)
     stats = IntegrationStats()
     t_wall = time.perf_counter()
-    step: Optional[MacroStep] = None
+    prev = q0
     for k in range(grid.n_macro):
         try:
-            if mode is IntegratorMode.EXPLICIT:
-                if step is None:
-                    step = _explicit_step(0, q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast,
-                                          sys, quad, grid)
-                else:
-                    step = explicit_macro_step(step, sys, quad, grid)
-                sstats = StepStats()
-            else:
-                if step is None:
-                    step, sstats = initial_step(q0, sys, quad, grid, config)
-                else:
-                    step, sstats = macro_step(step, sys, quad, grid, config)
+            step, sstats = step_fn(prev)
         except Exception as exc:
             stats.wall_time_total = time.perf_counter() - t_wall
             raise IntegrationError(f"macro step {k} failed: {exc}",
                                    partial_trajectory=traj, step_index=k, cause=exc) from exc
         _store_step(traj, step)
         stats.add(sstats)
+        prev, step_fn = step, advance
     stats.wall_time_total = time.perf_counter() - t_wall
     return traj, stats
 

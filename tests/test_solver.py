@@ -232,6 +232,22 @@ class TestMacroStep:
         assert err.partial_trajectory is not None
         assert err.step_index is not None
 
+    def test_divergence_reports_partial_trajectory_pq(self, fpu):
+        # the closed-form path fails at the same first step as the DEL path
+        sys, q0 = fpu
+        cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=8)
+        grid = build_time_grid(0.3, 5, 50)
+        quad = QuadratureSpec.trapezoidal_trapezoidal(1.0, 1.0)
+        with pytest.raises(IntegrationError) as exc_info:
+            integrate(q0, sys, quad, grid, cfg, IntegratorMode.CLOSED_FORM_PQ)
+        err = exc_info.value
+        assert err.step_index == 0
+        traj = err.partial_trajectory
+        assert np.array_equal(traj.slow_q[0], q0.q_slow)
+        assert np.array_equal(traj.fast_q[0], q0.q_fast)
+        assert np.array_equal(traj.slow_p[0], q0.p_slow)
+        assert np.array_equal(traj.fast_p[0], q0.p_fast)
+
 
 class TestExplicitStep:
     def test_rejects_non_explicit_quadrature(self, fpu, config):
@@ -275,6 +291,33 @@ class TestIntegrate:
         assert np.array_equal(traj.slow_q[0], q0.q_slow)
         assert np.array_equal(traj.fast_p[0], q0.p_fast)
         assert stats.n_steps == 0
+
+    @pytest.mark.parametrize("mode,quad", [
+        (IntegratorMode.CLOSED_FORM_PQ, MIDMID),
+        (IntegratorMode.EXPLICIT, QuadratureSpec.explicit()),
+    ], ids=["pq", "explicit"])
+    def test_zero_intervals_returns_initial_state_other_modes(self, fpu, config, mode, quad):
+        sys, q0 = fpu
+        grid = TimeGrid(dT=0.3, micro_per_macro=5, n_macro=0)
+        traj, stats = integrate(q0, sys, quad, grid, config, mode)
+        assert traj.slow_q.shape == (1, 3)
+        assert np.array_equal(traj.slow_q[0], q0.q_slow)
+        assert np.array_equal(traj.fast_p[0], q0.p_fast)
+        assert stats.n_steps == 0
+
+    @pytest.mark.parametrize("mode,quad", [
+        (IntegratorMode.IMPLICIT_DEL, MIDMID),
+        (IntegratorMode.CLOSED_FORM_PQ, MIDMID),
+        (IntegratorMode.EXPLICIT, QuadratureSpec.explicit()),
+    ], ids=["del", "pq", "explicit"])
+    def test_row_zero_keeps_initial_state(self, fpu, config, mode, quad):
+        # the first step's left momenta match q0 only to the tolerance; the
+        # stored row 0 is q0 itself
+        sys, q0 = fpu
+        traj, _ = integrate(q0, sys, quad, build_time_grid(0.01, 5, 3), config, mode)
+        for stored, given in zip((traj.slow_q, traj.fast_q, traj.slow_p, traj.fast_p),
+                                 (q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast)):
+            assert np.array_equal(stored[0], given)
 
     def test_deterministic(self, fpu):
         sys, q0 = fpu
