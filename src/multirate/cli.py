@@ -54,9 +54,16 @@ def _write_csv(path: Path, header, rows):
             w.writerow(row)
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def _sha256(path: Path) -> str:
+    """sha256 of a file, read in chunks so that large outputs are never held
+    in memory whole."""
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -218,6 +225,7 @@ def cmd_simulate(args) -> int:
             "solve_time_total": stats.solve_time_total,
             "jacobian_time_total": stats.jacobian_time_total,
             "residual_max": stats.residual_max,
+            "linear_solver": stats.linear_solver,
         },
         "certificate": cert,
         "outputs": outputs,
@@ -341,12 +349,13 @@ def cmd_bench(args) -> int:
             _, stats = integrate(q0, sysm, quad, grid, config)
             wall = time.perf_counter() - t0
             rows.append([p, _fmt(dT), n_macro, _fmt(wall), stats.newton_iters_total,
-                         _fmt(stats.solve_time_per_step), _fmt(stats.jacobian_time_per_step), ""])
+                         _fmt(stats.solve_time_per_step), _fmt(stats.jacobian_time_per_step), "",
+                         stats.linear_solver])
         except IntegrationError as exc:
-            rows.append([p, _fmt(dT), n_macro, "", "", "", "", f"failed: {exc.cause}"])
+            rows.append([p, _fmt(dT), n_macro, "", "", "", "", f"failed: {exc.cause}", ""])
     path = out / "bench.csv"
     _write_csv(path, ["p", "dT", "n_macro", "t_cpu_total", "newton_iters_total",
-                      "t_dx_per_step", "t_jacobi_per_step", "note"], rows)
+                      "t_dx_per_step", "t_jacobi_per_step", "note", "linear_solver"], rows)
     _write_manifest(out, {
         "command": "bench",
         "params": _resolved_params(args, {"newton_tol": config.newton_tol}),

@@ -3,8 +3,11 @@
 One macro step solves for the next slow configuration and all fast micro
 nodes of the interval simultaneously.  The residual stacks the slow
 stationarity equation, the matching equation at the shared fast node and the
-interior fast stationarity equations; its Jacobian has arrowhead structure
-(dense slow row/column borders, block-tridiagonal fast chain).
+interior fast stationarity equations.  Its Jacobian is an arrowhead: dense
+slow row/column borders around a fast part that is block lower-triangular
+with two sub-diagonals (the equation of fast node i couples the unknown
+nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
+block elimination, the others by dense LU (:func:`_linear_solver`).
 
 All integrator modes (this implicit DEL solve, the explicit recurrence and
 the closed-form p/q maps of :mod:`multirate.schemes`) share one step record,
@@ -54,6 +57,23 @@ class JacobianMode(enum.Enum):
     AUTO = "auto"
 
 
+# Unknowns n_slow + p*n_fast from which an analytic Newton system is solved
+# by blocks (_linear_solver).  One Newton iteration's assembly plus solve on
+# FPU chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, medians in ms,
+# dense vs blocks with one BLAS thread | with OpenBLAS's default two:
+#   l=3,  p=10,   33 unknowns: 0.066 vs 0.152 | 0.066 vs 0.155
+#   l=5,  p=20,  105 unknowns: 0.182 vs 0.213 | 0.214 vs 0.215
+#   l=3,  p=40,  123 unknowns: 0.228 vs 0.278 | 0.266 vs 0.275
+#   l=10, p=12,  130 unknowns: 0.257 vs 0.260 | 0.298 vs 0.266
+#   l=3,  p=50,  153 unknowns: 0.358 vs 0.342 | 0.392 vs 0.347
+#   l=10, p=20,  210 unknowns: 0.890 vs 0.390 | 0.942 vs 0.394
+#   l=30, p=50, 1530 unknowns: 78.4  vs 4.92  | 58.4  vs 4.75
+# The crossover lies near 130 unknowns with either thread count.  Other
+# machines, BLAS builds or potentials may place it elsewhere.  The cases of
+# tests/test_linear_solver_bench.py straddle it.
+_STRUCTURED_MIN_UNKNOWNS = 128
+
+
 class IntegratorMode(enum.Enum):
     IMPLICIT_DEL = "del"
     EXPLICIT = "explicit"
@@ -74,6 +94,13 @@ class SolverConfig:
     ``newton_tol``, so long-run conservation certificates are limited by the
     discretization instead of the stopping rule; set ``polish_iters=0`` for
     the bare stopping rule.
+
+    The implicit DEL step solves each Newton iteration's linear system by
+    block elimination when the Jacobian is analytic and the step has at
+    least ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast,
+    and by dense LU otherwise.  Elimination's cost grows linearly in p,
+    LU's as p^3; around 130 unknowns the two take the same time.
+    ``IntegrationStats.linear_solver`` records which ran.
     """
 
     newton_tol: float = 1e-9
@@ -100,6 +127,16 @@ class SolverConfig:
         return self.jacobian_mode
 
 
+def _linear_solver(sys: MultirateSystem, grid: TimeGrid, config: SolverConfig) -> str:
+    """How a DEL Newton step solves for its update: ``"structured"`` (block
+    elimination) for an analytic Jacobian with at least
+    ``_STRUCTURED_MIN_UNKNOWNS`` unknowns, ``"dense"`` (LU) otherwise."""
+    large = sys.n_slow + grid.micro_per_macro * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS
+    if large and config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
+        return "structured"
+    return "dense"
+
+
 @dataclass
 class StepStats:
     """Work and timing record of one macro step."""
@@ -120,6 +157,9 @@ class IntegrationStats:
     jacobian_time_total: float = 0.0
     wall_time_total: float = 0.0
     residual_max: float = 0.0
+    # "dense" or "structured" (see _linear_solver); None where no Newton
+    # solve runs
+    linear_solver: str | None = None
 
     def add(self, step: StepStats):
         self.n_steps += 1
@@ -208,44 +248,84 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
     return residual
 
 
-def _step_jacobian(start: State, residual, sys: MultirateSystem, quad: QuadratureSpec,
-                   grid: TimeGrid, config: SolverConfig):
-    """``jacobian(x, F)`` of :func:`_step_residual`, where F is the residual at x."""
-    if config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
-        p = grid.micro_per_macro
+def _step_linearization(start: State, residual, sys: MultirateSystem, quad: QuadratureSpec,
+                        grid: TimeGrid, config: SolverConfig, structured: bool):
+    """``(jacobian, solve)`` of :func:`_step_residual`.
 
+    ``jacobian(x, F)``, F being the residual at x, builds the Newton matrix:
+    analytic blocks if ``structured``, else a dense analytic or
+    finite-difference matrix; ``solve(J, b)`` solves with it.
+    """
+    p = grid.micro_per_macro
+
+    def jacobian_blocks(x, F):
+        return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
+
+    if structured:
+        return jacobian_blocks, _solve_blocks
+    if config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
         def jacobian(x, F):
-            return _assemble_jacobian(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
+            return _assemble_jacobian(jacobian_blocks(x, F))
     else:
         def jacobian(x, F):
             return _fd_jacobian(residual, x, F, config.fd_step)
-    return jacobian
+    return jacobian, np.linalg.solve
 
 
-def _assemble_jacobian(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: QuadratureSpec,
-                       grid: TimeGrid) -> np.ndarray:
-    """Analytic Jacobian of the stacked residual with respect to the unknowns.
+@dataclass
+class _JacobianBlocks:
+    """Analytic Newton matrix of one macro step, kept as its nonzero blocks.
 
-    Written block by block: the slow border, then the block-tridiagonal fast
-    chain in one assignment through a (p, n_fast, p, n_fast) view, whose row
-    block i is the equation of fast node i and column block j the unknown
-    fast node j+1.
+    ``slow`` (A), ``row`` (B) and ``col`` (C) form the dense slow border: the
+    slow equation against the next slow node and against fast nodes 1..p,
+    and the fast equations against the next slow node.  In the fast part,
+    row block i is the equation of fast node i and column block j the
+    unknown fast node j+1, so it is block lower-triangular with two
+    sub-diagonals.  ``band`` stacks its blocks in :func:`_chain_band` order:
+    D_i = -M_f/dt - lr_i (node i+1) for i = 0..p-1, then
+    E_i = 2 M_f/dt - ll_i - rr_{i-1} (node i) for i = 1..p-1, then
+    G_i = -M_f/dt - lr_{i-1} (node i-1) for i = 2..p-1.
+    """
+
+    p: int
+    slow: np.ndarray    # (n_slow, n_slow)
+    row: np.ndarray     # (n_slow, p*n_fast)
+    col: np.ndarray     # (p*n_fast, n_slow)
+    band: np.ndarray    # (blocks, n_fast, n_fast)
+
+
+def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: QuadratureSpec,
+                     grid: TimeGrid) -> _JacobianBlocks:
+    """Blocks of the analytic Jacobian of the stacked residual.
+
     The kinetic energy contributes the constant blocks -M_s/dT, 2 M_f/dt
-    (diagonal) and -M_f/dt (off-diagonal).
+    and -M_f/dt; the potentials their second-derivative sums from
+    :meth:`~multirate.discretization._IntervalKernel.hessian_blocks`.
     """
     p = grid.micro_per_macro
     n_s, n_f = sys.n_slow, sys.n_fast
     ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
         q_slow_k, q_slow_next, fast, sys)
-    J = np.zeros((n_s + p * n_f, n_s + p * n_f))
-    J[:n_s, :n_s] = -sys.mass_slow / grid.dT - ss
-    J[:n_s, n_s:] = -row.transpose(1, 0, 2).reshape(n_s, p * n_f)
-    J[n_s:, :n_s] = -col.transpose(0, 2, 1).reshape(p * n_f, n_s)
     M_dt = sys.mass_fast / grid.dt
+    return _JacobianBlocks(
+        p,
+        -sys.mass_slow / grid.dT - ss,
+        -row.transpose(1, 0, 2).reshape(n_s, p * n_f),
+        -col.transpose(0, 2, 1).reshape(p * n_f, n_s),
+        np.concatenate([-M_dt - lr, 2.0 * M_dt - ll[1:] - rr[:-1], -M_dt - lr[1:-1]]))
+
+
+def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
+    """Dense matrix of the blocks; the fast band goes in with one assignment
+    through a (p, n_fast, p, n_fast) view."""
+    p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
+    A = np.zeros((n_s + p * n_f, n_s + p * n_f))
+    A[:n_s, :n_s] = J.slow
+    A[:n_s, n_s:] = J.row
+    A[n_s:, :n_s] = J.col
     rows, cols = _chain_band(p)
-    J[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = np.concatenate(
-        [-M_dt - lr, 2.0 * M_dt - ll[1:] - rr[:-1], -M_dt - lr[1:-1]])
-    return J
+    A[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = J.band
+    return A
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,6 +334,79 @@ def _chain_band(p: int):
     (row i, node i+1), (row i, node i), (row i, node i-1)."""
     i = np.arange(p)
     return np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]])
+
+
+def _eliminate(J: _JacobianBlocks, b: np.ndarray) -> np.ndarray:
+    """Solve ``J x = b`` by block elimination, without pivoting across blocks.
+
+    With y_i the update of fast node i+1 and s that of the slow node, row
+    block i reads D_i y_i + E_i y_{i-1} + G_i y_{i-2} + C_i s = b_i.  Forward
+    substitution writes every y_i as a_i - Z_i s, carrying [Z_i | a_i] as
+    n_slow + 1 right-hand sides; the slow row then gives the Schur complement
+    (A - B Z) s = b_s - B a, and back-substitution the fast update.
+    """
+    p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
+    k = n_s + 1
+    # D_i^-1 [G_i | E_i | C_i | b_i] for every row block, batched.  Inverting
+    # the D_i and multiplying takes a third of the time of a batched
+    # np.linalg.solve with these 2 n_fast + n_slow + 1 right-hand sides (2.1
+    # vs 6.0 ms for 50 blocks of 30 x 30, single-threaded OpenBLAS).
+    R = np.zeros((p, n_f, 2 * n_f + k))
+    R[2:, :, :n_f] = J.band[2 * p - 1:]
+    R[1:, :, n_f:2 * n_f] = J.band[p:2 * p - 1]
+    R[:, :, 2 * n_f:-1] = J.col.reshape(p, n_f, n_s)
+    R[:, :, -1] = b[n_s:].reshape(p, n_f)
+    X = np.linalg.inv(J.band[:p]) @ R
+    # [Z_i | a_i] after two leading zero blocks, so that every row block
+    # subtracts [G_i | E_i] times the two blocks before it in one product
+    Y = np.zeros((p + 2, n_f, k))
+    Y[2:] = X[:, :, 2 * n_f:]
+    for i in range(p):
+        Y[i + 2] -= X[i, :, :2 * n_f] @ Y[i:i + 2].reshape(2 * n_f, k)
+    Y = Y[2:].reshape(p * n_f, k)
+    BY = J.row @ Y
+    s = np.linalg.solve(J.slow - BY[:, :n_s], b[:n_s] - BY[:, n_s])
+    return np.concatenate([s, Y[:, n_s] - Y[:, :n_s] @ s])
+
+
+def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
+    """``J @ x`` from the blocks."""
+    p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
+    s, y = x[:n_s], x[n_s:].reshape(p, n_f)
+    fast = (J.col @ s).reshape(p, n_f) + np.einsum("ijk,ik->ij", J.band[:p], y)
+    fast[1:] += np.einsum("ijk,ik->ij", J.band[p:2 * p - 1], y[:-1])
+    fast[2:] += np.einsum("ijk,ik->ij", J.band[2 * p - 1:], y[:-2])
+    return np.concatenate([J.slow @ s + J.row @ x[n_s:], fast.ravel()])
+
+
+# Largest backward error ||J x - b|| / (max|J_ij| ||x||_1 + ||b||), infinity
+# norms, accepted from block elimination.  Elimination is backward stable to
+# about 1e-16 when the diagonal blocks are well conditioned; a nearly
+# singular D_i lets errors grow by its condition number.
+_ELIMINATION_BACKWARD_TOL = 1e-12
+
+
+def _solve_blocks(J: _JacobianBlocks, b: np.ndarray) -> np.ndarray:
+    """Newton update from the blocks.
+
+    Elimination without pivoting across blocks breaks down on a singular
+    diagonal block D_i, and loses accuracy on a nearly singular one, even
+    where the whole matrix is regular.  An update that is not finite, or
+    whose backward error exceeds ``_ELIMINATION_BACKWARD_TOL``, is solved
+    again by dense LU of the same matrix.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            x = _eliminate(J, b)
+            if np.all(np.isfinite(x)):
+                j_max = max(np.max(np.abs(a), initial=0.0) for a in (J.slow, J.row, J.col, J.band))
+                scale = j_max * np.sum(np.abs(x)) + np.max(np.abs(b), initial=0.0)
+                r = np.max(np.abs(_block_matvec(J, x) - b), initial=0.0)
+                if r <= _ELIMINATION_BACKWARD_TOL * scale:
+                    return x
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.solve(_assemble_jacobian(J), b)
 
 
 def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
@@ -272,7 +425,8 @@ def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
     start = prev.end_state()
     residual = _step_residual(start, sys, quad, grid)
     x = unknowns.pack()
-    return _step_jacobian(start, residual, sys, quad, grid, config)(x, residual(x)[0])
+    jacobian, _ = _step_linearization(start, residual, sys, quad, grid, config, False)
+    return jacobian(x, residual(x)[0])
 
 
 def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray, fd_step: float) -> np.ndarray:
@@ -293,8 +447,11 @@ def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray, fd_step: float) -> np
 # Newton driver and step functions
 
 
-def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig):
+def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig, solve=np.linalg.solve):
     """Newton iteration on ``residual(x) -> (F, aux)``.
+
+    ``jacobian(x, F)`` builds the Newton matrix J at x, ``solve(J, b)``
+    solves J dx = b with it.
 
     Returns the solution, the aux of the last residual evaluation (which is
     at the solution) and the step's work record.
@@ -319,7 +476,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig):
         stats.jacobian_time += time.perf_counter() - t0
         t0 = time.perf_counter()
         try:
-            dx = np.linalg.solve(J, -F)
+            dx = solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise DivergenceError(f"singular Newton matrix: {exc}", residual_norm=norm,
                                   iterations=stats.newton_iters) from exc
@@ -347,8 +504,9 @@ def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSyste
                 quad: QuadratureSpec, grid: TimeGrid,
                 config: SolverConfig) -> tuple[MacroStep, StepStats]:
     residual = _step_residual(start, sys, quad, grid)
-    jacobian = _step_jacobian(start, residual, sys, quad, grid, config)
-    x, (fast, mom), stats = _newton(residual, jacobian, guess, config)
+    jacobian, solve = _step_linearization(start, residual, sys, quad, grid, config,
+                                          _linear_solver(sys, grid, config) == "structured")
+    x, (fast, mom), stats = _newton(residual, jacobian, guess, config, solve)
     return _interval_record(index, start.q_slow, x[:sys.n_slow], fast, mom), stats
 
 
@@ -420,10 +578,12 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
 
 def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
                     config: SolverConfig, mode: IntegratorMode):
-    """``(first, advance)`` of an integrator mode.
+    """``(first, advance, linear_solver)`` of an integrator mode.
 
     ``first(q0)`` steps from the initial State, ``advance(prev)`` from the
-    previous MacroStep; both return ``(MacroStep, StepStats)``.  Except for
+    previous MacroStep; both return ``(MacroStep, StepStats)``.
+    ``linear_solver`` names the Newton linear solver the steps use, None
+    where they run no Newton iteration.  Except for
     the explicit first step, they call the public step functions through
     their module attributes, so that a wrapper installed on one sees every
     call.
@@ -438,14 +598,15 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
             return MacroStep(index, state.q_slow, end.q_slow, res.fast_q, res.fast_p,
                              np.stack([state.p_slow, end.p_slow])), res.stats
 
-        return (lambda q0: pq(0, q0)), (lambda prev: pq(prev.index + 1, prev.end_state()))
+        return (lambda q0: pq(0, q0)), (lambda prev: pq(prev.index + 1, prev.end_state())), "dense"
     if mode is IntegratorMode.EXPLICIT:
         if not quad.explicit_solvable:
             raise ConfigurationError("quadrature is not explicit-solvable")
         return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), StepStats())),
-                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())))
+                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())), None)
     return ((lambda q0: initial_step(q0, sys, quad, grid, config)),
-            (lambda prev: macro_step(prev, sys, quad, grid, config)))
+            (lambda prev: macro_step(prev, sys, quad, grid, config)),
+            _linear_solver(sys, grid, config))
 
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:
@@ -486,9 +647,9 @@ def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeG
     step failure an :class:`IntegrationError` carrying the partial trajectory
     is raised.
     """
-    step_fn, advance = _step_functions(sys, quad, grid, config, mode)
+    step_fn, advance, linear_solver = _step_functions(sys, quad, grid, config, mode)
     traj = _empty_trajectory(q0, grid, sys)
-    stats = IntegrationStats()
+    stats = IntegrationStats(linear_solver=linear_solver)
     t_wall = time.perf_counter()
     prev = q0
     for k in range(grid.n_macro):

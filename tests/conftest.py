@@ -80,6 +80,46 @@ def make_harmonic_slow(omega_s):
     )
 
 
+def make_fast_only(n_fast=2):
+    """No slow variables; quartic-plus-harmonic fast potential."""
+    z = np.zeros
+    return MultirateSystem(
+        n_slow=0, n_fast=n_fast, mass_slow=np.eye(0), mass_fast=np.diag(np.arange(1.0, n_fast + 1)),
+        slow_potential=lambda qs, qf: 0.0,
+        slow_potential_grad=lambda qs, qf: (z(0), z(n_fast)),
+        fast_potential=lambda qf: 0.25 * float(np.sum(qf ** 4)) + 0.5 * float(qf @ qf),
+        fast_potential_grad=lambda qf: qf ** 3 + qf,
+        slow_potential_hessian=lambda qs, qf: (z((0, 0)), z((0, n_fast)), z((n_fast, n_fast))),
+        fast_potential_hessian=lambda qf: np.diag(3.0 * qf ** 2 + 1.0),
+        name="fast-only",
+    ), State(z(0), np.linspace(-0.2, 0.3, n_fast), z(0), np.full(n_fast, 0.4))
+
+
+def make_slow_only(n_slow=2):
+    """No fast variables; quartic slow potential."""
+    z = np.zeros
+    return MultirateSystem(
+        n_slow=n_slow, n_fast=0, mass_slow=np.diag(np.arange(1.0, n_slow + 1)), mass_fast=np.eye(0),
+        slow_potential=lambda qs, qf: 0.25 * float(np.sum(qs ** 4)),
+        slow_potential_grad=lambda qs, qf: (qs ** 3, z(0)),
+        fast_potential=lambda qf: 0.0,
+        fast_potential_grad=lambda qf: z(0),
+        slow_potential_hessian=lambda qs, qf: (np.diag(3.0 * qs ** 2), z((n_slow, 0)), z((0, 0))),
+        fast_potential_hessian=lambda qf: z((0, 0)),
+        name="slow-only",
+    ), State(np.linspace(0.3, -0.1, n_slow), z(0), np.full(n_slow, 0.1), z(0))
+
+
+@pytest.fixture
+def fast_only():
+    return make_fast_only()
+
+
+@pytest.fixture
+def slow_only():
+    return make_slow_only()
+
+
 @pytest.fixture
 def free_particle():
     return make_free_particle()

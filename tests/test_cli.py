@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from multirate.cli import main
+from multirate.cli import _HASH_CHUNK, _sha256, main
 
 from multirate import empirical_stability_probe
 
@@ -90,6 +90,23 @@ class TestSimulate:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stats"]["newton_iters_total"] == 0
+
+    @pytest.mark.parametrize("scheme,solver", [("midpoint-midpoint", "dense"), ("explicit", None)])
+    def test_manifest_records_linear_solver(self, tmp_path, scheme, solver):
+        out = tmp_path / "ls"
+        code = run("simulate", "--system", "fpu", "--scheme", scheme,
+                   "--dT", "0.01", "--p", "5", "--t-end", "0.05", "--out", str(out))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stats"]["linear_solver"] == solver
+
+
+class TestManifestHash:
+    def test_chunked_hash_equals_whole_file_hash(self, tmp_path):
+        path = tmp_path / "big.bin"
+        data = np.random.default_rng(0).bytes(2 * _HASH_CHUNK + 12345)
+        path.write_bytes(data)
+        assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestConfigFile:
@@ -178,6 +195,16 @@ class TestBench:
         assert header[:3] == ["p", "dT", "n_macro"]
         assert len(rows) == 2
         assert int(rows[0][4]) >= int(rows[1][4])  # Newton total non-increasing
+
+    def test_linear_solver_column(self, tmp_path):
+        # FPU l=3: 3 + 3p unknowns, so p=50 (153) is above the block-solve crossover
+        out = tmp_path / "bench"
+        code = run("bench", "--system", "fpu", "--dt", "0.01", "--t-end", "1.0",
+                   "--p-list", "1,50", "--out", str(out))
+        assert code == 0
+        header, rows = read_csv(out / "bench.csv")
+        assert header[-1] == "linear_solver"
+        assert [row[-1] for row in rows] == ["dense", "structured"]
 
 
 class TestValidate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from multirate import (
     State,
     TimeGrid,
     Trajectory,
+    build_fpu,
     build_time_grid,
     del_jacobian,
     del_residual,
@@ -25,8 +28,18 @@ from multirate import (
     macro_step,
     verify_trajectory,
 )
+from multirate import solver
+from multirate.systems import FpuConfig
 
-from multirate.solver import _VERIFY_CHUNK
+from multirate.solver import (
+    _VERIFY_CHUNK,
+    _assemble_jacobian,
+    _block_matvec,
+    _eliminate,
+    _jacobian_blocks,
+    _linear_solver,
+    _solve_blocks,
+)
 
 from _oracles import (
     block_mass_inv,
@@ -37,6 +50,14 @@ from _oracles import (
 from conftest import toy_state
 
 MIDMID = QuadratureSpec.midpoint_midpoint()
+
+QUADRATURES = [
+    QuadratureSpec.midpoint_midpoint(),
+    QuadratureSpec.trapezoidal_midpoint(1.0),
+    QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
+    QuadratureSpec.explicit(),
+]
+QUADRATURE_IDS = ["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal", "explicit"]
 
 
 def free_state():
@@ -95,12 +116,7 @@ class TestJacobian:
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
     @pytest.mark.parametrize("p", [1, 4])
-    @pytest.mark.parametrize("quad", [
-        QuadratureSpec.midpoint_midpoint(),
-        QuadratureSpec.trapezoidal_midpoint(1.0),
-        QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
-        QuadratureSpec.explicit(),
-    ], ids=["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal", "explicit"])
+    @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
     def test_analytic_matches_finite_difference_per_quadrature(self, request, system, quad, p,
                                                               config):
@@ -151,6 +167,101 @@ class TestJacobian:
         cfg = SolverConfig(jacobian_mode=JacobianMode.ANALYTIC)
         with pytest.raises(ConfigurationError):
             cfg.resolve_jacobian_mode(sys_no_hess)
+
+
+def max_diff(a: Trajectory, b: Trajectory) -> float:
+    return max(float(np.max(np.abs(x - y))) for x, y in (
+        (a.slow_q, b.slow_q), (a.fast_q, b.fast_q), (a.slow_p, b.slow_p), (a.fast_p, b.fast_p)))
+
+
+class TestLinearSolver:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring", "fast_only", "slow_only"])
+    def test_block_solve_matches_dense(self, request, system, quad, p, config):
+        sys, q0 = request.getfixturevalue(system)
+        grid = build_time_grid(0.02, p, 2)
+        step, _ = initial_step(q0, sys, quad, grid, config)
+        rng = np.random.default_rng(5)
+        unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
+                                step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
+        J = del_jacobian(step, unk, sys, quad, grid,
+                         SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
+        blocks = _jacobian_blocks(step.q_slow_end, unk.q_slow_next,
+                                  np.vstack([step.fast[-1:], unk.q_fast_micro]), sys, quad, grid)
+        assert np.array_equal(_assemble_jacobian(blocks), J)
+        b = rng.standard_normal(J.shape[0])
+        x = np.linalg.solve(J, b)
+        x_elim = _eliminate(blocks, b)
+        assert np.max(np.abs(x_elim - x)) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(_block_matvec(blocks, b) - J @ b)) <= 1e-12 * np.max(np.abs(J @ b))
+        # regular diagonal blocks: the elimination passes its accuracy check
+        assert np.array_equal(_solve_blocks(blocks, b), x_elim)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-310, 1e-12],
+                             ids=["singular", "subnormal", "nearly-singular"])
+    def test_singular_diagonal_block_takes_dense_fallback(self, fpu, scale):
+        # D_1 loses a column, or nearly: elimination breaks down (LinAlgError,
+        # an overflowing inverse) or loses accuracy, while the whole matrix
+        # stays regular
+        sys, q0 = fpu
+        p = 4
+        grid = build_time_grid(0.3, p, 1)
+        blocks = _jacobian_blocks(q0.q_slow, q0.q_slow + 0.1, np.tile(q0.q_fast, (p + 1, 1)),
+                                  sys, MIDMID, grid)
+        blocks.band[1][:, 0] *= scale
+        J = _assemble_jacobian(blocks)
+        assert np.linalg.cond(J) < 1e8
+        b = np.random.default_rng(1).standard_normal(J.shape[0])
+        x = np.linalg.solve(J, b)
+        with np.errstate(all="ignore"):
+            try:
+                x_elim = _eliminate(blocks, b)
+                breaks_down = not np.max(np.abs(x_elim - x)) <= 1e-10 * np.max(np.abs(x))
+            except np.linalg.LinAlgError:
+                breaks_down = True
+        assert breaks_down
+        assert np.array_equal(_solve_blocks(blocks, b), x)
+
+    def test_finite_difference_jacobian_stays_dense(self, fpu):
+        # FPU l=3, p=50: 153 unknowns, above the crossover
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, 50, 1)
+        cfg = SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE)
+        assert _linear_solver(sys, grid, SolverConfig()) == "structured"
+        assert _linear_solver(sys, grid, cfg) == "dense"
+        _, stats = integrate(q0, sys, MIDMID, grid, cfg)
+        assert stats.linear_solver == "dense"
+
+    def test_dense_and_structured_integrations_agree(self, monkeypatch):
+        sys, q0 = build_fpu(FpuConfig(l=10))
+        grid = build_time_grid(0.3, 20, 5)
+        cfg = SolverConfig(newton_tol=1e-9)
+        t_blocks, s_blocks = integrate(q0, sys, MIDMID, grid, cfg)
+        monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", math.inf)
+        t_dense, s_dense = integrate(q0, sys, MIDMID, grid, cfg)
+        assert (s_blocks.linear_solver, s_dense.linear_solver) == ("structured", "dense")
+        assert s_blocks.newton_iters_total == s_dense.newton_iters_total
+        assert max_diff(t_dense, t_blocks) <= 10 * cfg.newton_tol
+
+    def test_small_systems_stay_dense_and_bit_identical(self, fpu, monkeypatch):
+        # FPU l=3, dT=0.3, p=10: 33 unknowns, below the crossover
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, 10, 667)
+        cfg = SolverConfig(newton_tol=1e-9)
+        t_default, s_default = integrate(q0, sys, MIDMID, grid, cfg)
+        monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", math.inf)
+        t_dense, s_dense = integrate(q0, sys, MIDMID, grid, cfg)
+        assert s_default.linear_solver == "dense"
+        assert s_default.newton_iters_total == s_dense.newton_iters_total
+        assert max_diff(t_default, t_dense) == 0.0
+
+    def test_pq_maps_solve_densely(self, fpu):
+        # 153 unknowns, but the p/q maps have their own finite-difference solve
+        sys, q0 = fpu
+        _, stats = integrate(q0, sys, MIDMID, build_time_grid(0.01, 50, 2), SolverConfig(),
+                             IntegratorMode.CLOSED_FORM_PQ)
+        assert stats.linear_solver == "dense"
 
 
 class TestInitialStep:
