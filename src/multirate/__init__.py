@@ -43,21 +43,10 @@ from .model import (
     momenta_from_velocities,
     validate_system,
 )
-from .schemes import (
-    PQSchemeKind,
-    PQStepResult,
-    integrate_pq,
-    pq_step,
-    pq_step_midmid,
-    pq_step_trapmid,
-    pq_step_traptrap,
-    quad_to_scheme_kind,
-    scheme_kind_to_quad,
-)
+from .schemes import pq_step
 from .solver import (
     IntegrationStats,
     IntegratorMode,
-    JacobianMode,
     MacroStep,
     SolverConfig,
     StepStats,

@@ -203,6 +203,8 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
     threads only slowed the sweep down, and the systems' closures cannot be
     sent to worker processes.
     """
+    if int(p_ratio) != p_ratio or p_ratio < 1:
+        raise ValueError(f"p_ratio must be a positive integer, got {p_ratio}")
     dT_values = np.asarray(list(dT_list), dtype=float)
     if np.any(np.diff(dT_values) >= 0):
         raise ValueError("dT_list must be strictly decreasing")

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import sys as _sys
 import time
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import analysis, systems
 from .errors import ConfigurationError, IntegrationError, MultirateError
-from .model import QuadratureSpec, SlowPlacement, State, TimeGrid, validate_system
+from .model import QuadratureSpec, State, TimeGrid, validate_system
 from .solver import IntegratorMode, SolverConfig, integrate, verify_trajectory
 
 EXIT_OK = 0
@@ -28,16 +30,18 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 
-_SCHEMES = ("midpoint-midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal", "explicit")
-
-_SCHEME_DEFAULTS = {
-    # (alpha_V, gamma_V, alpha_W, gamma_W, placement); the trapezoidal-family
-    # defaults use the left rectangle rule of the reference experiments
-    "midpoint-midpoint": (0.5, 0.5, 0.5, 0.5, "micro"),
-    "trapezoidal-midpoint": (1.0, 1.0, 0.5, 0.5, "micro"),
-    "trapezoidal-trapezoidal": (1.0, 1.0, 1.0, 1.0, "micro"),
-    "explicit": (1.0, 1.0, 1.0, 1.0, "macro"),
+# the trapezoidal-family defaults use the left rectangle rule of the
+# reference experiments
+_SCHEMES = {
+    "midpoint-midpoint": QuadratureSpec.midpoint_midpoint(),
+    "trapezoidal-midpoint": QuadratureSpec.trapezoidal_midpoint(),
+    "trapezoidal-trapezoidal": QuadratureSpec.trapezoidal_trapezoidal(),
+    "explicit": QuadratureSpec.explicit(),
 }
+
+# QuadratureSpec field of each override option
+_QUADRATURE_OPTIONS = {"alpha_v": "alpha_V", "gamma_v": "gamma_V", "alpha_w": "alpha_W",
+                       "gamma_w": "gamma_W", "slow_placement": "slow_placement"}
 
 _SYSTEM_TOL = {"fpu": 1e-9, "spring-ring": 1e-8}
 
@@ -86,20 +90,11 @@ def _build_system(args):
 
 
 def _build_quadrature(args) -> QuadratureSpec:
-    if args.scheme not in _SCHEME_DEFAULTS:
+    if args.scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {args.scheme!r}")
-    a_v, g_v, a_w, g_w, placement = _SCHEME_DEFAULTS[args.scheme]
-    if args.alpha_v is not None:
-        a_v = args.alpha_v
-    if args.gamma_v is not None:
-        g_v = args.gamma_v
-    if args.alpha_w is not None:
-        a_w = args.alpha_w
-    if args.gamma_w is not None:
-        g_w = args.gamma_w
-    if args.slow_placement is not None:
-        placement = args.slow_placement
-    return QuadratureSpec(a_v, g_v, a_w, g_w, SlowPlacement(placement))
+    overrides = {field: getattr(args, option) for option, field in _QUADRATURE_OPTIONS.items()
+                 if getattr(args, option) is not None}
+    return dataclasses.replace(_SCHEMES[args.scheme], **overrides)
 
 
 def _resolve_mode(args) -> IntegratorMode:
@@ -189,6 +184,8 @@ def cmd_simulate(args) -> int:
     quad = _build_quadrature(args)
     mode = _resolve_mode(args)
     config = _solver_config(args)
+    if not (math.isfinite(args.t_end) and args.t_end >= 0):
+        raise ConfigurationError(f"t_end must be finite and non-negative, got {args.t_end}")
     n_macro = int(round(args.t_end / args.dT)) if args.t_end > 0 else 0
     if n_macro and abs(n_macro * args.dT - args.t_end) > 1e-9 * max(1.0, args.t_end):
         raise ConfigurationError(f"t_end={args.t_end} is not a multiple of dT={args.dT}")
@@ -401,7 +398,7 @@ def cmd_validate(args) -> int:
 
 def _add_common(sp):
     sp.add_argument("--system", choices=("fpu", "spring-ring"), default=None)
-    sp.add_argument("--scheme", choices=_SCHEMES, default="midpoint-midpoint")
+    sp.add_argument("--scheme", choices=tuple(_SCHEMES), default="midpoint-midpoint")
     sp.add_argument("--alpha-v", dest="alpha_v", type=float, default=None)
     sp.add_argument("--alpha-w", dest="alpha_w", type=float, default=None)
     sp.add_argument("--gamma-v", dest="gamma_v", type=float, default=None)

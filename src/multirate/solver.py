@@ -7,7 +7,7 @@ interior fast stationarity equations.  Its Jacobian is an arrowhead: dense
 slow row/column borders around a fast part that is block lower-triangular
 with two sub-diagonals (the equation of fast node i couples the unknown
 nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
-block elimination, the others by dense LU (:func:`_linear_solver`).
+block elimination, the others by dense LU (:func:`_linearization`).
 
 All integrator modes (this implicit DEL solve, the explicit recurrence and
 the closed-form p/q maps of :mod:`multirate.schemes`) share one step record,
@@ -33,7 +33,6 @@ from .errors import (
 from .model import MultirateSystem, QuadratureSpec, State, TimeGrid, Trajectory
 
 __all__ = [
-    "JacobianMode",
     "IntegratorMode",
     "SolverConfig",
     "StepStats",
@@ -51,14 +50,8 @@ __all__ = [
 ]
 
 
-class JacobianMode(enum.Enum):
-    ANALYTIC = "analytic"
-    FINITE_DIFFERENCE = "fd"
-    AUTO = "auto"
-
-
 # Unknowns n_slow + p*n_fast from which an analytic Newton system is solved
-# by blocks (_linear_solver).  One Newton iteration's assembly plus solve on
+# by blocks (_linearization).  One Newton iteration's assembly plus solve on
 # FPU chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, medians in ms,
 # dense vs blocks with one BLAS thread | with OpenBLAS's default two:
 #   l=3,  p=10,   33 unknowns: 0.066 vs 0.152 | 0.066 vs 0.155
@@ -73,6 +66,14 @@ class JacobianMode(enum.Enum):
 # tests/test_linear_solver_bench.py straddle it.
 _STRUCTURED_MIN_UNKNOWNS = 128
 
+# Forward-difference step of unknown i, times 1 + |x_i|, for systems that
+# supply no Hessians.
+_FD_STEP = 1e-7
+
+# Newton iterations taken after the tolerance is met, unless the residual is
+# already four orders of magnitude below it.
+_POLISH_ITERS = 1
+
 
 class IntegratorMode(enum.Enum):
     IMPLICIT_DEL = "del"
@@ -85,56 +86,33 @@ class SolverConfig:
     """Newton iteration controls.
 
     Convergence is measured in the infinity norm of the stacked residual.
-    ``fd_step`` scales componentwise as ``fd_step * (1 + |x_i|)`` when the
-    Jacobian is approximated by forward differences.
+    The rest of the solve follows from the system and the grid:
 
-    After the tolerance is met, up to ``polish_iters`` further iterations are
-    taken unless the residual is already four orders of magnitude below the
-    tolerance.  Quadratic convergence then parks accepted residuals far below
-    ``newton_tol``, so long-run conservation certificates are limited by the
-    discretization instead of the stopping rule; set ``polish_iters=0`` for
-    the bare stopping rule.
-
-    The implicit DEL step solves each Newton iteration's linear system by
-    block elimination when the Jacobian is analytic and the step has at
-    least ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast,
-    and by dense LU otherwise.  Elimination's cost grows linearly in p,
-    LU's as p^3; around 130 unknowns the two take the same time.
-    ``IntegrationStats.linear_solver`` records which ran.
+    - The Newton matrix is analytic when the system supplies both Hessians
+      (``MultirateSystem.has_hessians``), and forward differences with
+      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise.  The closed-form
+      p/q maps always difference.
+    - After the tolerance is met, one further iteration is taken unless the
+      residual is already four orders of magnitude below the tolerance.
+      Quadratic convergence then parks accepted residuals far below
+      ``newton_tol``, so long-run conservation certificates are limited by
+      the discretization instead of the stopping rule.
+    - The implicit DEL step solves each Newton iteration's linear system by
+      block elimination when the Jacobian is analytic and the step has at
+      least ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast,
+      and by dense LU otherwise.  Elimination's cost grows linearly in p,
+      LU's as p^3; around 130 unknowns the two take the same time.
+      ``IntegrationStats.linear_solver`` records which ran.
     """
 
     newton_tol: float = 1e-9
     max_newton_iters: int = 50
-    jacobian_mode: JacobianMode = JacobianMode.AUTO
-    fd_step: float = 1e-7
-    polish_iters: int = 1
 
     def __post_init__(self):
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
-        if self.polish_iters < 0:
-            raise ValueError("polish_iters must be non-negative")
-
-    def resolve_jacobian_mode(self, sys: MultirateSystem) -> JacobianMode:
-        if self.jacobian_mode is JacobianMode.AUTO:
-            return JacobianMode.ANALYTIC if sys.has_hessians else JacobianMode.FINITE_DIFFERENCE
-        if self.jacobian_mode is JacobianMode.ANALYTIC and not sys.has_hessians:
-            raise ConfigurationError("analytic Jacobian requested but the system supplies no Hessians")
-        return self.jacobian_mode
-
-
-def _linear_solver(sys: MultirateSystem, grid: TimeGrid, config: SolverConfig) -> str:
-    """How a DEL Newton step solves for its update: ``"structured"`` (block
-    elimination) for an analytic Jacobian with at least
-    ``_STRUCTURED_MIN_UNKNOWNS`` unknowns, ``"dense"`` (LU) otherwise."""
-    large = sys.n_slow + grid.micro_per_macro * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS
-    if large and config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
-        return "structured"
-    return "dense"
 
 
 @dataclass
@@ -157,7 +135,7 @@ class IntegrationStats:
     jacobian_time_total: float = 0.0
     wall_time_total: float = 0.0
     residual_max: float = 0.0
-    # "dense" or "structured" (see _linear_solver); None where no Newton
+    # "dense" or "structured" (see _linearization); None where no Newton
     # solve runs
     linear_solver: str | None = None
 
@@ -248,28 +226,32 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
     return residual
 
 
-def _step_linearization(start: State, residual, sys: MultirateSystem, quad: QuadratureSpec,
-                        grid: TimeGrid, config: SolverConfig, structured: bool):
-    """``(jacobian, solve)`` of :func:`_step_residual`.
+def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+    """``(linear_solver, jacobian, solve)`` of the DEL steps on ``grid``.
 
-    ``jacobian(x, F)``, F being the residual at x, builds the Newton matrix:
-    analytic blocks if ``structured``, else a dense analytic or
-    finite-difference matrix; ``solve(J, b)`` solves with it.
+    ``jacobian(start, residual, x, F)`` builds the Newton matrix of the step
+    from ``start`` at x, F being the residual of :func:`_step_residual` there,
+    and ``solve(J, b)`` solves with it.  A system without Hessians gets a dense
+    finite-difference matrix; an analytic one is kept as blocks
+    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on, and
+    assembled densely below.
     """
     p = grid.micro_per_macro
 
-    def jacobian_blocks(x, F):
+    if not sys.has_hessians:
+        def fd_jacobian(start, residual, x, F):
+            return _fd_jacobian(residual, x, F)
+        return "dense", fd_jacobian, np.linalg.solve
+
+    def jacobian_blocks(start, residual, x, F):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
 
-    if structured:
-        return jacobian_blocks, _solve_blocks
-    if config.resolve_jacobian_mode(sys) is JacobianMode.ANALYTIC:
-        def jacobian(x, F):
-            return _assemble_jacobian(jacobian_blocks(x, F))
-    else:
-        def jacobian(x, F):
-            return _fd_jacobian(residual, x, F, config.fd_step)
-    return jacobian, np.linalg.solve
+    if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
+        return "structured", jacobian_blocks, _solve_blocks
+
+    def jacobian(start, residual, x, F):
+        return _assemble_jacobian(jacobian_blocks(start, residual, x, F))
+    return "dense", jacobian, np.linalg.solve
 
 
 @dataclass
@@ -420,23 +402,27 @@ def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
 
 
 def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
-                 quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig) -> np.ndarray:
-    """Jacobian of :func:`del_residual` with respect to the stacked unknowns."""
+                 quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
+    """Dense Jacobian of :func:`del_residual` with respect to the stacked
+    unknowns: the Newton matrix the solver would use there, analytic if the
+    system supplies Hessians and finite-difference otherwise."""
     start = prev.end_state()
     residual = _step_residual(start, sys, quad, grid)
     x = unknowns.pack()
-    jacobian, _ = _step_linearization(start, residual, sys, quad, grid, config, False)
-    return jacobian(x, residual(x)[0])
+    linear_solver, jacobian, _ = _linearization(sys, quad, grid)
+    J = jacobian(start, residual, x, residual(x)[0])
+    return _assemble_jacobian(J) if linear_solver == "structured" else J
 
 
-def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray, fd_step: float) -> np.ndarray:
-    """Forward-difference Jacobian with componentwise steps.
+def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian with componentwise steps
+    ``_FD_STEP * (1 + |x_i|)``.
 
     ``residual(x)`` returns ``(F, aux)``; ``r0`` is F at ``x0``.
     """
     J = np.empty((r0.size, x0.size))
     for i in range(x0.size):
-        h = fd_step * (1.0 + abs(x0[i]))
+        h = _FD_STEP * (1.0 + abs(x0[i]))
         xp = x0.copy()
         xp[i] += h
         J[:, i] = (residual(xp)[0] - r0) / h
@@ -460,7 +446,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig, solve=np.l
     stats = StepStats()
     F, aux = residual(x)
     norm = float(np.max(np.abs(F))) if F.size else 0.0
-    polish_left = config.polish_iters
+    polish_left = _POLISH_ITERS
     while True:
         if norm <= config.newton_tol:
             if polish_left <= 0 or norm <= 1e-4 * config.newton_tol:
@@ -504,9 +490,9 @@ def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSyste
                 quad: QuadratureSpec, grid: TimeGrid,
                 config: SolverConfig) -> tuple[MacroStep, StepStats]:
     residual = _step_residual(start, sys, quad, grid)
-    jacobian, solve = _step_linearization(start, residual, sys, quad, grid, config,
-                                          _linear_solver(sys, grid, config) == "structured")
-    x, (fast, mom), stats = _newton(residual, jacobian, guess, config, solve)
+    _, jacobian, solve = _linearization(sys, quad, grid)
+    x, (fast, mom), stats = _newton(residual, functools.partial(jacobian, start, residual),
+                                    guess, config, solve)
     return _interval_record(index, start.q_slow, x[:sys.n_slow], fast, mom), stats
 
 
@@ -590,15 +576,11 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     """
     if mode is IntegratorMode.CLOSED_FORM_PQ:
         from . import schemes
-        kind = schemes.quad_to_scheme_kind(quad)
-
-        def pq(index, state):
-            res = schemes.pq_step(state, sys, grid, kind, config)
-            end = res.state
-            return MacroStep(index, state.q_slow, end.q_slow, res.fast_q, res.fast_p,
-                             np.stack([state.p_slow, end.p_slow])), res.stats
-
-        return (lambda q0: pq(0, q0)), (lambda prev: pq(prev.index + 1, prev.end_state())), "dense"
+        schemes._update_map(quad)  # raises for a quadrature without a closed-form map
+        return ((lambda q0: schemes.pq_step(q0, sys, quad, grid, config)),
+                (lambda prev: schemes.pq_step(prev.end_state(), sys, quad, grid, config,
+                                              prev.index + 1)),
+                "dense")
     if mode is IntegratorMode.EXPLICIT:
         if not quad.explicit_solvable:
             raise ConfigurationError("quadrature is not explicit-solvable")
@@ -606,7 +588,7 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
                 (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())), None)
     return ((lambda q0: initial_step(q0, sys, quad, grid, config)),
             (lambda prev: macro_step(prev, sys, quad, grid, config)),
-            _linear_solver(sys, grid, config))
+            _linearization(sys, quad, grid)[0])
 
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:

@@ -19,6 +19,7 @@ from multirate import (
     propagation_matrix,
     stability_report,
 )
+from multirate import analysis
 from multirate.analysis import _orders
 
 from _oracles import spectral_radius
@@ -171,6 +172,17 @@ class TestConvergenceStudy:
         assert table.notes[0] != ""
         assert math.isnan(table.errors_q_mac[0])
         assert np.isfinite(table.errors_q_mac[1])
+
+    @pytest.mark.parametrize("p_ratio", [0, -1, 2.5])
+    def test_bad_micro_ratio_rejected_before_any_integration(self, fpu, monkeypatch, p_ratio):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated although p_ratio is invalid")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        sys, q0 = fpu
+        with pytest.raises(ValueError, match="p_ratio"):
+            convergence_study(sys, MIDMID, q0, p_ratio, [0.02, 0.01], 0.1, SolverConfig(),
+                              ref_dT=0.01)
 
     def test_workers_give_same_table(self, fpu):
         sys, q0 = fpu

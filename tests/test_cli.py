@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from multirate.cli import _HASH_CHUNK, _sha256, main
+from multirate import analysis
+from multirate.cli import _HASH_CHUNK, _build_quadrature, _sha256, build_parser, main
 
-from multirate import empirical_stability_probe
+from multirate import QuadratureSpec, SlowPlacement, empirical_stability_probe
 
 
 def read_csv(path):
@@ -83,6 +84,14 @@ class TestSimulate:
                    "--t-end", "1.0", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("t_end", ["-3", "inf", "nan"])
+    def test_negative_or_non_finite_horizon_is_config_error(self, tmp_path, t_end):
+        out = tmp_path / "neg"
+        code = run("simulate", "--system", "fpu", "--dT", "0.3", "--p", "10",
+                   "--t-end", t_end, "--out", str(out))
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+
     def test_explicit_scheme_runs_without_iteration(self, tmp_path):
         out = tmp_path / "exp"
         code = run("simulate", "--system", "fpu", "--scheme", "explicit",
@@ -150,6 +159,43 @@ class TestConverge:
         data = json.loads((out / "convergence.json").read_text())
         assert data["observed_orders"]["q_mac"]["pairwise"] == []
         assert np.isfinite(data["errors"]["q_mac"][0])
+
+
+    def test_zero_micro_ratio_is_config_error_before_any_integration(self, tmp_path,
+                                                                     monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated although p is invalid")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        out = tmp_path / "p0"
+        code = run("converge", "--system", "fpu", "--p", "0", "--t-end", "0.1",
+                   "--dT-list", "0.02,0.01", "--ref-dT", "0.01", "--out", str(out))
+        assert code == 2
+        assert not (out / "convergence.csv").exists()
+
+
+class TestSchemes:
+    @pytest.mark.parametrize("scheme,quad", [
+        ("midpoint-midpoint", QuadratureSpec(0.5, 0.5, 0.5, 0.5)),
+        ("trapezoidal-midpoint", QuadratureSpec(1.0, 1.0, 0.5, 0.5)),
+        ("trapezoidal-trapezoidal", QuadratureSpec(1.0, 1.0, 1.0, 1.0)),
+        ("explicit", QuadratureSpec(1.0, 1.0, 1.0, 1.0, SlowPlacement.MACRO_NODES_ONLY)),
+    ])
+    def test_scheme_defaults(self, scheme, quad):
+        args = build_parser().parse_args(["simulate", "--scheme", scheme])
+        assert _build_quadrature(args) == quad
+
+    def test_overrides_replace_single_coefficients(self):
+        args = build_parser().parse_args([
+            "simulate", "--scheme", "trapezoidal-trapezoidal", "--alpha-v", "0.5",
+            "--gamma-w", "0", "--slow-placement", "macro"])
+        assert _build_quadrature(args) == QuadratureSpec(
+            0.5, 1.0, 1.0, 0.0, SlowPlacement.MACRO_NODES_ONLY)
+
+    def test_out_of_range_override_is_config_error(self, tmp_path):
+        code = run("simulate", "--system", "fpu", "--dT", "0.3", "--p", "2",
+                   "--t-end", "0.6", "--alpha-w", "1.5", "--out", str(tmp_path))
+        assert code == 2
 
 
 class TestStability:

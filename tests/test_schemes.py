@@ -4,20 +4,13 @@ import pytest
 from multirate import (
     ConfigurationError,
     IntegratorMode,
-    PQSchemeKind,
     QuadratureSpec,
     SolverConfig,
     State,
     angular_momentum_series,
     build_time_grid,
     integrate,
-    integrate_pq,
     pq_step,
-    pq_step_midmid,
-    pq_step_trapmid,
-    pq_step_traptrap,
-    quad_to_scheme_kind,
-    scheme_kind_to_quad,
 )
 
 from _oracles import (
@@ -33,53 +26,67 @@ from conftest import make_coupled_toy, toy_state
 CFG = SolverConfig(newton_tol=1e-12)
 
 
-class TestSchemeKinds:
-    def test_classification(self):
-        assert quad_to_scheme_kind(QuadratureSpec.midpoint_midpoint()).kind == "midpoint-midpoint"
-        k = quad_to_scheme_kind(QuadratureSpec(1.0, 1.0, 0.5, 0.5))
-        assert k.kind == "trapezoidal-midpoint" and k.alpha_V == 1.0
-        # both left-rectangle encodings resolve to the same left weight
-        k2 = quad_to_scheme_kind(QuadratureSpec(0.0, 0.0, 0.5, 0.5))
-        assert k2.alpha_V == 1.0
-        k3 = quad_to_scheme_kind(QuadratureSpec(0.5, 1.0, 0.5, 0.0))
-        assert k3.kind == "trapezoidal-trapezoidal"
-        assert k3.alpha_V == 0.5 and k3.alpha_W == 0.5
+def assert_same_step(a, b):
+    for x, y in ((a.q_slow_end, b.q_slow_end), (a.fast, b.fast), (a.p_slow, b.p_slow),
+                 (a.p_fast, b.p_fast)):
+        assert np.array_equal(x, y)
 
-    def test_macro_placement_rejected(self):
+
+class TestSchemeClassification:
+    @pytest.mark.parametrize("fast_rule", ["midpoint", "trapezoidal"])
+    def test_left_rectangle_encodings_give_identical_steps(self, fpu, fast_rule):
+        # (alpha, gamma) = (1, 1) and (0, 0) both put the whole weight on the
+        # left micro node
+        sys, q0 = fpu
+        grid = build_time_grid(0.03, 5, 1)
+
+        def spec(a, g):
+            return QuadratureSpec(a, g, 0.5, 0.5) if fast_rule == "midpoint" \
+                else QuadratureSpec(a, g, a, g)
+
+        one, _ = pq_step(q0, sys, spec(1.0, 1.0), grid, CFG)
+        assert_same_step(one, pq_step(q0, sys, spec(0.0, 0.0), grid, CFG)[0])
+        # the left weight is carried: the right rectangle rule steps differently
+        other, _ = pq_step(q0, sys, spec(0.0, 1.0), grid, CFG)
+        assert not np.array_equal(one.fast, other.fast)
+
+    def test_two_sided_encodings_classify_as_trapezoidal_trapezoidal(self, fpu):
+        sys, q0 = fpu
+        grid = build_time_grid(0.03, 5, 1)
+        one, _ = pq_step(q0, sys, QuadratureSpec(0.5, 1.0, 0.5, 0.0), grid, CFG)
+        two, _ = pq_step(q0, sys, QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5), grid, CFG)
+        assert_same_step(one, two)
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec.explicit(),
+                                      QuadratureSpec(0.5, 0.3, 0.5, 0.5)],
+                             ids=["macro-placement", "general-affine"])
+    def test_quadrature_without_map_rejected(self, fpu, quad):
+        sys, q0 = fpu
+        grid = build_time_grid(0.03, 5, 1)
         with pytest.raises(ConfigurationError):
-            quad_to_scheme_kind(QuadratureSpec.explicit())
-
-    def test_general_affine_rejected(self):
+            pq_step(q0, sys, quad, grid, CFG)
         with pytest.raises(ConfigurationError):
-            quad_to_scheme_kind(QuadratureSpec(0.5, 0.3, 0.5, 0.5))
+            integrate(q0, sys, quad, grid, CFG, IntegratorMode.CLOSED_FORM_PQ)
 
-    def test_kind_round_trip(self):
-        for kind in (PQSchemeKind.midpoint_midpoint(),
-                     PQSchemeKind.trapezoidal_midpoint(0.25),
-                     PQSchemeKind.trapezoidal_trapezoidal(1.0, 0.5)):
-            assert quad_to_scheme_kind(scheme_kind_to_quad(kind)) == kind
-
-    def test_bad_parameters(self):
+    def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
-            PQSchemeKind("nonsense")
-        with pytest.raises(ValueError):
-            PQSchemeKind.trapezoidal_midpoint(1.5)
+            QuadratureSpec.trapezoidal_midpoint(1.5)
 
 
 class TestFreeDrift:
-    @pytest.mark.parametrize("kind", [
-        PQSchemeKind.midpoint_midpoint(),
-        PQSchemeKind.trapezoidal_midpoint(0.5),
-        PQSchemeKind.trapezoidal_trapezoidal(0.5, 0.5),
+    @pytest.mark.parametrize("quad", [
+        QuadratureSpec.midpoint_midpoint(),
+        QuadratureSpec.trapezoidal_midpoint(0.5),
+        QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5),
     ])
-    def test_momentum_constant_configuration_drifts(self, free_particle, kind):
+    def test_momentum_constant_configuration_drifts(self, free_particle, quad):
         grid = build_time_grid(0.5, 4, 1)
         st = State([0.0], [1.0], [2.0], [1.0])
-        res = pq_step(st, free_particle, grid, kind, CFG)
+        end = pq_step(st, free_particle, quad, grid, CFG)[0].end_state()
         v_s = free_particle.mass_slow_inv @ st.p_slow
-        assert np.allclose(res.state.q_slow, st.q_slow + 0.5 * v_s, atol=1e-13)
-        assert np.allclose(res.state.p_slow, st.p_slow, atol=1e-13)
-        assert np.allclose(res.state.p_fast, st.p_fast, atol=1e-13)
+        assert np.allclose(end.q_slow, st.q_slow + 0.5 * v_s, atol=1e-13)
+        assert np.allclose(end.p_slow, st.p_slow, atol=1e-13)
+        assert np.allclose(end.p_fast, st.p_fast, atol=1e-13)
 
 
 class TestSingleRateOracles:
@@ -87,14 +94,14 @@ class TestSingleRateOracles:
         sys = toy_coupled
         st = toy_state()
         grid = build_time_grid(0.05, 1, 1)
-        res = pq_step_midmid(st, sys, grid, CFG)
+        res = pq_step(st, sys, QuadratureSpec.midpoint_midpoint(), grid, CFG)[0].end_state()
         gradU = full_grad_potential(sys)
         Minv = block_mass_inv(sys)
         q1, p1 = implicit_midpoint_step(gradU, Minv,
                                         np.concatenate([st.q_slow, st.q_fast]),
                                         np.concatenate([st.p_slow, st.p_fast]), 0.05)
-        assert np.max(np.abs(np.concatenate([res.state.q_slow, res.state.q_fast]) - q1)) < 1e-11
-        assert np.max(np.abs(np.concatenate([res.state.p_slow, res.state.p_fast]) - p1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.q_slow, res.q_fast]) - q1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.p_slow, res.p_fast]) - p1)) < 1e-11
 
     def test_trapmid_half_weight_is_stormer_verlet_without_fast_potential(self):
         # W = 0 and a slow-only quadratic force: kick-oscillate-kick collapses
@@ -103,14 +110,14 @@ class TestSingleRateOracles:
         st = toy_state()
         h = 0.05
         grid = build_time_grid(h, 1, 1)
-        res = pq_step_trapmid(st, sys, grid, 0.5, CFG)
+        res = pq_step(st, sys, QuadratureSpec.trapezoidal_midpoint(0.5), grid, CFG)[0].end_state()
         gradU = full_grad_potential(sys)
         Minv = block_mass_inv(sys)
         q1, p1 = stormer_verlet_step(gradU, Minv,
                                      np.concatenate([st.q_slow, st.q_fast]),
                                      np.concatenate([st.p_slow, st.p_fast]), h)
-        assert np.max(np.abs(np.concatenate([res.state.q_slow, res.state.q_fast]) - q1)) < 1e-11
-        assert np.max(np.abs(np.concatenate([res.state.p_slow, res.state.p_fast]) - p1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.q_slow, res.q_fast]) - q1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.p_slow, res.p_fast]) - p1)) < 1e-11
 
     @pytest.mark.parametrize("alpha,oracle", [
         (1.0, symplectic_euler_momentum_first),
@@ -121,14 +128,15 @@ class TestSingleRateOracles:
         st = toy_state()
         h = 0.02
         grid = build_time_grid(h, 1, 1)
-        res = pq_step_traptrap(st, sys, grid, alpha, alpha, CFG)
+        quad = QuadratureSpec.trapezoidal_trapezoidal(alpha, alpha)
+        res = pq_step(st, sys, quad, grid, CFG)[0].end_state()
         gradU = full_grad_potential(sys)
         Minv = block_mass_inv(sys)
         q1, p1 = oracle(gradU, Minv,
                         np.concatenate([st.q_slow, st.q_fast]),
                         np.concatenate([st.p_slow, st.p_fast]), h)
-        assert np.max(np.abs(np.concatenate([res.state.q_slow, res.state.q_fast]) - q1)) < 1e-11
-        assert np.max(np.abs(np.concatenate([res.state.p_slow, res.state.p_fast]) - p1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.q_slow, res.q_fast]) - q1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.p_slow, res.p_fast]) - p1)) < 1e-11
 
     def test_traptrap_adjoint_pair_returns_initial_state(self, toy_coupled):
         # step with one-sided weights, then the reversed adjoint weights:
@@ -136,9 +144,11 @@ class TestSingleRateOracles:
         sys = toy_coupled
         st = toy_state()
         grid = build_time_grid(0.02, 3, 1)
-        fwd = pq_step_traptrap(st, sys, grid, 0.0, 0.0, CFG).state
+        fwd = pq_step(st, sys, QuadratureSpec.trapezoidal_trapezoidal(0.0, 0.0), grid,
+                      CFG)[0].end_state()
         flipped = State(fwd.q_slow, fwd.q_fast, -fwd.p_slow, -fwd.p_fast)
-        back = pq_step_traptrap(flipped, sys, grid, 1.0, 1.0, CFG).state
+        back = pq_step(flipped, sys, QuadratureSpec.trapezoidal_trapezoidal(1.0, 1.0), grid,
+                       CFG)[0].end_state()
         assert np.max(np.abs(back.q_slow - st.q_slow)) < 1e-11
         assert np.max(np.abs(back.q_fast - st.q_fast)) < 1e-11
         assert np.max(np.abs(-back.p_slow - st.p_slow)) < 1e-11
@@ -150,22 +160,20 @@ class TestTransformedFormConsistency:
         # the averaged-node map must also satisfy its untransformed update
         sys, q0 = fpu
         grid = build_time_grid(0.3, 5, 1)
-        res = pq_step_midmid(q0, sys, grid, CFG)
+        step, _ = pq_step(q0, sys, QuadratureSpec.midpoint_midpoint(), grid, CFG)
         p = 5
         dt = grid.dt
-        qs_nodes = q0.q_slow[None, :] + (np.arange(p + 1)[:, None] / p) * (res.state.q_slow - q0.q_slow)[None, :]
+        qs_nodes = q0.q_slow[None, :] + (np.arange(p + 1)[:, None] / p) * (step.q_slow_end - q0.q_slow)[None, :]
         qs_bar = 0.5 * (qs_nodes[:-1] + qs_nodes[1:])
-        qf_bar = 0.5 * (res.fast_q[:-1] + res.fast_q[1:])
+        qf_bar = 0.5 * (step.fast[:-1] + step.fast[1:])
         G = np.array([sys.slow_potential_grad(qs_bar[m], qf_bar[m])[0] for m in range(p)])
         a = (2.0 * np.arange(p) + 1.0) / p
         # momentum update: p_next = p - dt * sum of slow forces
-        assert np.allclose(res.state.p_slow, q0.p_slow - dt * G.sum(axis=0), atol=1e-10)
+        assert np.allclose(step.p_slow_end, q0.p_slow - dt * G.sum(axis=0), atol=1e-10)
         # configuration update with the averaged force weights
         rhs = q0.q_slow + 0.5 * grid.dT * (sys.mass_slow_inv @ (
-            q0.p_slow + res.state.p_slow - dt * ((1.0 - a) @ G)))
-        assert np.allclose(res.state.q_slow, rhs, atol=1e-10)
-        # auxiliary momentum definition
-        assert np.allclose(res.p_tilde_slow, q0.p_slow - dt * ((1.0 - a) @ G), atol=1e-10)
+            q0.p_slow + step.p_slow_end - dt * ((1.0 - a) @ G)))
+        assert np.allclose(step.q_slow_end, rhs, atol=1e-10)
 
 
 class TestPathEquivalence:
@@ -213,7 +221,7 @@ class TestMomentumMap:
         cfg = SolverConfig(newton_tol=1e-10)
         grid = build_time_grid(0.01, 5, 50)
         quad = QuadratureSpec.midpoint_midpoint()
-        traj, _ = integrate_pq(q0, sys, quad, grid, cfg)
+        traj, _ = integrate(q0, sys, quad, grid, cfg, IntegratorMode.CLOSED_FORM_PQ)
         L = angular_momentum_series(traj, sys)
         assert np.max(np.abs(L - L[0])) < 100 * cfg.newton_tol
 
@@ -226,11 +234,11 @@ class TestTrapmidSingleRateSlowReduction:
         st = toy_state()
         h = 0.02
         grid = build_time_grid(h, 1, 1)
-        res = pq_step_trapmid(st, sys, grid, 0.0, CFG)
+        res = pq_step(st, sys, QuadratureSpec.trapezoidal_midpoint(0.0), grid, CFG)[0].end_state()
         gradU = full_grad_potential(sys)
         Minv = block_mass_inv(sys)
         q1, p1 = symplectic_euler_position_first(
             gradU, Minv, np.concatenate([st.q_slow, st.q_fast]),
             np.concatenate([st.p_slow, st.p_fast]), h)
-        assert np.max(np.abs(np.concatenate([res.state.q_slow, res.state.q_fast]) - q1)) < 1e-11
-        assert np.max(np.abs(np.concatenate([res.state.p_slow, res.state.p_fast]) - p1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.q_slow, res.q_fast]) - q1)) < 1e-11
+        assert np.max(np.abs(np.concatenate([res.p_slow, res.p_fast]) - p1)) < 1e-11

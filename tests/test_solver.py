@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from multirate import (
     ConfigurationError,
     IntegrationError,
     IntegratorMode,
-    JacobianMode,
     MacroStepUnknowns,
     MultirateSystem,
     QuadratureSpec,
@@ -37,7 +37,7 @@ from multirate.solver import (
     _block_matvec,
     _eliminate,
     _jacobian_blocks,
-    _linear_solver,
+    _linearization,
     _solve_blocks,
 )
 
@@ -50,6 +50,13 @@ from _oracles import (
 from conftest import toy_state
 
 MIDMID = QuadratureSpec.midpoint_midpoint()
+
+
+def without_hessians(sys: MultirateSystem) -> MultirateSystem:
+    """The same system with no Hessians: its Newton matrices are finite
+    differences."""
+    return dataclasses.replace(sys, slow_potential_hessian=None, fast_potential_hessian=None)
+
 
 QUADRATURES = [
     QuadratureSpec.midpoint_midpoint(),
@@ -109,10 +116,9 @@ class TestJacobian:
         grid = build_time_grid(0.3, 5, 2)
         step, _ = initial_step(q0, sys, MIDMID, grid, config)
         unk = MacroStepUnknowns(step.q_slow_end + 0.01, step.fast[1:] + 0.005)
-        Ja = del_jacobian(step, unk, sys, MIDMID, grid,
-                          SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
-        Jf = del_jacobian(step, unk, sys, MIDMID, grid,
-                          SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE, fd_step=1e-7))
+        assert sys.has_hessians
+        Ja = del_jacobian(step, unk, sys, MIDMID, grid)
+        Jf = del_jacobian(step, unk, without_hessians(sys), MIDMID, grid)
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
     @pytest.mark.parametrize("p", [1, 4])
@@ -126,10 +132,9 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
                                 step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
-        Ja = del_jacobian(step, unk, sys, quad, grid,
-                          SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
-        Jf = del_jacobian(step, unk, sys, quad, grid,
-                          SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE, fd_step=1e-7))
+        assert sys.has_hessians
+        Ja = del_jacobian(step, unk, sys, quad, grid)
+        Jf = del_jacobian(step, unk, without_hessians(sys), quad, grid)
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
     def test_fast_chain_locality(self, fpu, config):
@@ -138,7 +143,7 @@ class TestJacobian:
         grid = build_time_grid(0.3, 5, 2)
         step, _ = initial_step(q0, sys, MIDMID, grid, config)
         unk = MacroStepUnknowns(step.q_slow_end, step.fast[1:])
-        J = del_jacobian(step, unk, sys, MIDMID, grid, SolverConfig())
+        J = del_jacobian(step, unk, sys, MIDMID, grid)
         n_s, n_f, p = 3, 3, 5
         for m in range(p):          # residual rows of fast nodes 0..p-1
             for m2 in range(1, p + 1):   # columns of fast nodes 1..p
@@ -153,20 +158,11 @@ class TestJacobian:
         s1, stats = macro_step(step, free_particle, MIDMID, grid, config)
         assert stats.newton_iters <= 1
         unk = MacroStepUnknowns(s1.q_slow_end, s1.fast[1:])
-        J1 = del_jacobian(step, unk, free_particle, MIDMID, grid, config)
+        J1 = del_jacobian(step, unk, free_particle, MIDMID, grid)
         unk2 = MacroStepUnknowns(s1.q_slow_end + 3.0, s1.fast[1:] - 2.0)
-        J2 = del_jacobian(step, unk2, free_particle, MIDMID, grid, config)
+        J2 = del_jacobian(step, unk2, free_particle, MIDMID, grid)
         assert np.array_equal(J1, J2)
         assert J1[0, 0] == pytest.approx(-1.0 / 0.5)
-
-    def test_analytic_mode_requires_hessians(self):
-        sys_no_hess = MultirateSystem(
-            1, 1, np.eye(1), np.eye(1),
-            lambda qs, qf: 0.0, lambda qs, qf: (np.zeros(1), np.zeros(1)),
-            lambda qf: 0.0, lambda qf: np.zeros(1))
-        cfg = SolverConfig(jacobian_mode=JacobianMode.ANALYTIC)
-        with pytest.raises(ConfigurationError):
-            cfg.resolve_jacobian_mode(sys_no_hess)
 
 
 def max_diff(a: Trajectory, b: Trajectory) -> float:
@@ -185,8 +181,7 @@ class TestLinearSolver:
         rng = np.random.default_rng(5)
         unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
                                 step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
-        J = del_jacobian(step, unk, sys, quad, grid,
-                         SolverConfig(jacobian_mode=JacobianMode.ANALYTIC))
+        J = del_jacobian(step, unk, sys, quad, grid)
         blocks = _jacobian_blocks(step.q_slow_end, unk.q_slow_next,
                                   np.vstack([step.fast[-1:], unk.q_fast_micro]), sys, quad, grid)
         assert np.array_equal(_assemble_jacobian(blocks), J)
@@ -227,10 +222,10 @@ class TestLinearSolver:
         # FPU l=3, p=50: 153 unknowns, above the crossover
         sys, q0 = fpu
         grid = build_time_grid(0.3, 50, 1)
-        cfg = SolverConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE)
-        assert _linear_solver(sys, grid, SolverConfig()) == "structured"
-        assert _linear_solver(sys, grid, cfg) == "dense"
-        _, stats = integrate(q0, sys, MIDMID, grid, cfg)
+        sys_fd = without_hessians(sys)
+        assert _linearization(sys, MIDMID, grid)[0] == "structured"
+        assert _linearization(sys_fd, MIDMID, grid)[0] == "dense"
+        _, stats = integrate(q0, sys_fd, MIDMID, grid, SolverConfig())
         assert stats.linear_solver == "dense"
 
     def test_dense_and_structured_integrations_agree(self, monkeypatch):
