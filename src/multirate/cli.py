@@ -117,6 +117,21 @@ def _require(args, *names):
             raise ConfigurationError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _check_run_options(t_end: float, steps=(), ratios=()):
+    """Reject what no time grid can hold, before any work starts: ``t_end``
+    must be finite and non-negative, every ``(name, value)`` step in
+    ``steps`` finite and positive, every micro ratio in ``ratios`` at least 1.
+    """
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ConfigurationError(f"t_end must be finite and non-negative, got {t_end}")
+    for name, value in steps:
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+    for p in ratios:
+        if p < 1:
+            raise ConfigurationError(f"p must be a positive integer, got {p}")
+
+
 def _resolved_params(args, extra=None) -> dict:
     skip = {"func", "config"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
@@ -184,8 +199,7 @@ def cmd_simulate(args) -> int:
     quad = _build_quadrature(args)
     mode = _resolve_mode(args)
     config = _solver_config(args)
-    if not (math.isfinite(args.t_end) and args.t_end >= 0):
-        raise ConfigurationError(f"t_end must be finite and non-negative, got {args.t_end}")
+    _check_run_options(args.t_end, [("dT", args.dT)], [args.p])
     n_macro = int(round(args.t_end / args.dT)) if args.t_end > 0 else 0
     if n_macro and abs(n_macro * args.dT - args.t_end) > 1e-9 * max(1.0, args.t_end):
         raise ConfigurationError(f"t_end={args.t_end} is not a multiple of dT={args.dT}")
@@ -254,6 +268,8 @@ def cmd_converge(args) -> int:
     quad = _build_quadrature(args)
     config = _solver_config(args)
     dT_list = _parse_float_list(args.dT_list, "dT")
+    _check_run_options(args.t_end, [("dT", v) for v in dT_list] + [("ref-dT", args.ref_dT)],
+                       [args.p])
     mode = _resolve_mode(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,6 +348,7 @@ def cmd_bench(args) -> int:
     quad = _build_quadrature(args)
     config = _solver_config(args)
     p_list = _parse_int_list(args.p_list, "p")
+    _check_run_options(args.t_end, [("dt", args.dt)], p_list)
     dt = args.dt
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -112,15 +112,39 @@ def _contract(C: np.ndarray, H: np.ndarray) -> np.ndarray:
     return (C @ H.reshape(k, math.prod(H.shape[1:]))).reshape(C.shape[:-1] + H.shape[1:])
 
 
-def _check_finite(values, terms: "_Terms", what: str):
-    """Raise naming the micro interval of the first point with a non-finite value."""
+def _check_finite(values, intervals: np.ndarray, what: str):
+    """Raise naming the micro interval of the first point with a non-finite value.
+
+    ``values`` hold one row per point, points ordered batch-major over a
+    trailing term axis of length ``intervals.size``; ``intervals[t]`` is the
+    micro interval of term t.
+    """
     if all(np.isfinite(a).all() for a in values):
         return
     bad = np.zeros(values[0].shape[0], dtype=bool)
     for a in values:
         bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    m = int(terms.m[int(np.argmax(bad)) % terms.m.size])
+    m = int(intervals[int(np.argmax(bad)) % intervals.size])
     raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
+
+
+def _slow_gradients(sys: MultirateSystem, intervals: np.ndarray, qs, qf):
+    """Slow-potential gradients ``(g_s, g_f)`` at slow and fast points of
+    shape (..., k, n_slow) and (..., k, n_fast), k being ``intervals.size``,
+    in one :meth:`MultirateSystem.evaluate_batch` call; a non-finite one
+    raises naming its micro interval (:func:`_check_finite`)."""
+    lead = qs.shape[:-1]
+    g_s, g_f = sys.evaluate_batch("slow_potential_grad", _rows(qs), _rows(qf))
+    _check_finite((g_s, g_f), intervals, "slow-potential gradient")
+    return g_s.reshape(lead + (sys.n_slow,)), g_f.reshape(lead + (sys.n_fast,))
+
+
+def _fast_gradients(sys: MultirateSystem, intervals: np.ndarray, qf):
+    """Fast-potential gradients at points of shape (..., k, n_fast), as
+    :func:`_slow_gradients`."""
+    g = sys.evaluate_batch("fast_potential_grad", _rows(qf))
+    _check_finite((g,), intervals, "fast-potential gradient")
+    return g.reshape(qf.shape)
 
 
 class _Terms:
@@ -183,11 +207,14 @@ class _IntervalKernel:
         w_terms = [(m, self.dt * w, u_l)
                    for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
         self.W = _Terms(*zip(*w_terms), p)
+        # both potentials at the same fast points (midpoint rules for both)
+        self.same_fast_points = np.array_equal(self.V.gather, self.W.gather)
 
     def points(self, q0, q1, fast):
         """Slow and fast quadrature points; arguments may carry leading batch axes."""
         Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
-        return Qs, self.V.gather @ fast, self.W.gather @ fast
+        QfV = self.V.gather @ fast
+        return Qs, QfV, QfV if self.same_fast_points else self.W.gather @ fast
 
     def momenta(self, q0, q1, fast, sys: MultirateSystem):
         """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``.
@@ -197,16 +224,12 @@ class _IntervalKernel:
         callbacks in one batch.
         """
         Qs, QfV, QfW = self.points(q0, q1, fast)
-        lead = Qs.shape[:-1]
-        g_s, g_fV = sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV))
-        _check_finite((g_s, g_fV), self.V, "slow-potential gradient")
-        g_W = sys.evaluate_batch("fast_potential_grad", _rows(QfW))
-        _check_finite((g_W,), self.W, "fast-potential gradient")
-        g_s = g_s.reshape(lead + (sys.n_slow,))
-        g_fV = g_fV.reshape(lead + (sys.n_fast,))
-        g_W = g_W.reshape(QfW.shape)
+        g_s, g_fV = _slow_gradients(sys, self.V.m, Qs, QfV)
+        g_W = _fast_gradients(sys, self.W.m, QfW)
 
-        Mv_s = ((q1 - q0) / self.dT) @ sys.mass_slow.T
+        # one vector-matrix product per interval, as for a single interval,
+        # so that a point's momenta do not depend on the batch it comes in
+        Mv_s = (((q1 - q0) / self.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]
         Mv_f = ((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt) @ sys.mass_fast.T
         return (Mv_s + self.w_c0 @ g_s,
                 Mv_s - self.w_c1 @ g_s,

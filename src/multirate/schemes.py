@@ -19,8 +19,15 @@ placement and other affine rules have no closed-form map and raise
 
 All three maps remain implicit because the interpolated slow values at the
 micro nodes depend on the unknown next slow configuration; the coupled
-unknowns are solved with the shared Newton driver and a finite-difference
-Jacobian.  :func:`pq_step` returns the step record shared by all modes
+unknowns are solved with the shared Newton driver and the forward-difference
+matrix of :func:`multirate.solver._fd_jacobian`.  Each map's ``evaluate``
+therefore takes stacked unknowns of shape (..., n): a chunk of perturbed
+columns is one call, whose gradients go to the callbacks in one batch.  The
+gradients are checked once per call; a non-finite one raises
+:class:`~multirate.errors.EvaluationError` naming its micro interval (a
+value at node m belongs to interval min(m, p-1)).
+
+:func:`pq_step` returns the step record shared by all modes
 (:class:`multirate.solver.MacroStep`), and
 :func:`multirate.solver.integrate` runs it as ``IntegratorMode.CLOSED_FORM_PQ``.
 """
@@ -31,27 +38,43 @@ import functools
 
 import numpy as np
 
-from .discretization import _left_weight
+from .discretization import _fast_gradients, _left_weight, _slow_gradients
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
-from .solver import MacroStep, SolverConfig, StepStats, _drift_guess, _fd_jacobian, _newton
+from .solver import (MacroStep, SolverConfig, StepStats, _drift_guess, _fd_jacobian, _newton,
+                     _step_nodes)
 
 __all__ = ["pq_step"]
 
 
-def _split(x, sys, p):
-    return x[: sys.n_slow], x[sys.n_slow :].reshape(p, sys.n_fast)
-
-
 def _slow_nodes(s0, s1, p):
-    # interpolated slow configuration at all micro nodes, shape (p+1, n_slow)
+    # interpolated slow configuration at all micro nodes, shape (..., p+1, n_slow)
     frac = np.arange(p + 1)[:, None] / p
-    return s0[None, :] + frac * (s1 - s0)[None, :]
+    return s0 + frac * (s1 - s0)[..., None, :]
 
 
 def _fast_momenta(p0, decrements):
-    # p0, p0 - d[0], (p0 - d[0]) - d[1], ...: shape (p+1, n_fast)
-    return np.subtract.accumulate(np.vstack([p0[None, :], decrements]), axis=0)
+    # p0, p0 - d[0], (p0 - d[0]) - d[1], ... along the node axis: shape (..., p+1, n_fast)
+    pf = np.empty(decrements.shape[:-2] + (decrements.shape[-2] + 1, decrements.shape[-1]))
+    pf[..., 0, :] = p0
+    pf[..., 1:, :] = decrements
+    return np.subtract.accumulate(pf, axis=-2)
+
+
+def _node_intervals(p):
+    # micro interval of each node 0..p; the end node closes interval p-1
+    return np.minimum(np.arange(p + 1), p - 1)
+
+
+def _residual(x, sys, s0, s1, dT, slow_momentum, r_f):
+    """Stacked residual, shaped like ``x``: the slow drift equation
+    s1 - s0 - dT M_s^-1 slow_momentum, then the fast equations ``r_f``
+    (..., p, n_fast).  M_s^-1 multiplies each point's momentum as one
+    matrix-vector product, as in an unbatched call."""
+    res = np.empty(x.shape)
+    res[..., :sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ slow_momentum[..., None])[..., 0]
+    res[..., sys.n_slow:] = r_f.reshape(res[..., sys.n_slow:].shape)
+    return res
 
 
 def _midmid(state: State, sys: MultirateSystem, grid: TimeGrid):
@@ -59,27 +82,36 @@ def _midmid(state: State, sys: MultirateSystem, grid: TimeGrid):
     p = grid.micro_per_macro
     dt = grid.dt
     dT = grid.dT
-    s0, f0 = state.q_slow, state.q_fast
+    s0 = state.q_slow
     a = (2.0 * np.arange(p) + 1.0) / p          # averaged interpolation weights
+    intervals = np.arange(p)
 
     def evaluate(x):
-        s1, f_in = _split(x, sys, p)
-        fast = np.vstack([f0[None, :], f_in])
+        s1, fast = _step_nodes(state, x, sys, p)
         qs = _slow_nodes(s0, s1, p)
-        qs_bar = 0.5 * (qs[:-1] + qs[1:])
-        qf_bar = 0.5 * (fast[:-1] + fast[1:])
-        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs_bar, qf_bar)
-        GW = sys.evaluate_batch("fast_potential_grad", qf_bar)
+        qs_bar = 0.5 * (qs[..., :-1, :] + qs[..., 1:, :])
+        qf_bar = 0.5 * (fast[..., :-1, :] + fast[..., 1:, :])
+        G_s, G_f = _slow_gradients(sys, intervals, qs_bar, qf_bar)
+        GW = _fast_gradients(sys, intervals, qf_bar)
         p_tilde = state.p_slow - dt * ((1.0 - a) @ G_s)
         p_s_next = p_tilde - dt * (a @ G_s)
         pf = _fast_momenta(state.p_fast, dt * (G_f + GW))
-        res = np.empty_like(x)
-        res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ (0.5 * (p_tilde + p_s_next)))
-        r_f = fast[1:] - fast[:-1] - dt * (0.5 * (pf[:-1] + pf[1:]) @ sys.mass_fast_inv.T)
-        res[sys.n_slow :] = r_f.ravel()
+        r_f = (fast[..., 1:, :] - fast[..., :-1, :]
+               - dt * (0.5 * (pf[..., :-1, :] + pf[..., 1:, :]) @ sys.mass_fast_inv.T))
+        res = _residual(x, sys, s0, s1, dT, 0.5 * (p_tilde + p_s_next), r_f)
         return res, (s1, fast, pf, p_s_next)
 
     return evaluate
+
+
+def _slow_momenta(state: State, G_s, alpha_V: float, dt: float, p: int):
+    """Half-updated and next slow momenta of the trapezoidal-family slow
+    rule, from the slow-potential gradients at nodes 0..p."""
+    m_idx = np.arange(1, p)
+    p_tilde = state.p_slow - dt * (((p - m_idx) / p) @ G_s[..., 1:p, :]
+                                   + alpha_V * G_s[..., 0, :])
+    p_s_next = p_tilde - dt * ((m_idx / p) @ G_s[..., 1:p, :] + (1.0 - alpha_V) * G_s[..., p, :])
+    return p_tilde, p_s_next
 
 
 def _trapmid(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V: float):
@@ -92,26 +124,22 @@ def _trapmid(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V: float)
     p = grid.micro_per_macro
     dt = grid.dt
     dT = grid.dT
-    s0, f0 = state.q_slow, state.q_fast
-    m_idx = np.arange(1, p)
+    s0 = state.q_slow
+    nodes = _node_intervals(p)
+    intervals = np.arange(p)
 
     def evaluate(x):
-        s1, f_in = _split(x, sys, p)
-        fast = np.vstack([f0[None, :], f_in])
-        qs = _slow_nodes(s0, s1, p)
-        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs, fast)
-        p_tilde = state.p_slow - dt * (((p - m_idx) / p) @ G_s[1:p] + alpha_V * G_s[0])
-        p_s_next = p_tilde - dt * ((m_idx / p) @ G_s[1:p] + (1.0 - alpha_V) * G_s[p])
-        kick = alpha_V * dt * G_f[:-1]
-        osc = dt * sys.evaluate_batch("fast_potential_grad", 0.5 * (fast[:-1] + fast[1:]))
-        pf = _fast_momenta(state.p_fast, kick + osc + (1.0 - alpha_V) * dt * G_f[1:])
-        pf_kick = pf[:-1] - kick
+        s1, fast = _step_nodes(state, x, sys, p)
+        G_s, G_f = _slow_gradients(sys, nodes, _slow_nodes(s0, s1, p), fast)
+        p_tilde, p_s_next = _slow_momenta(state, G_s, alpha_V, dt, p)
+        kick = alpha_V * dt * G_f[..., :-1, :]
+        osc = dt * _fast_gradients(sys, intervals, 0.5 * (fast[..., :-1, :] + fast[..., 1:, :]))
+        pf = _fast_momenta(state.p_fast, kick + osc + (1.0 - alpha_V) * dt * G_f[..., 1:, :])
+        pf_kick = pf[..., :-1, :] - kick
         pf_osc = pf_kick - osc
-        r_f = fast[1:] - fast[:-1] - dt * ((0.5 * (pf_kick + pf_osc)) @ sys.mass_fast_inv.T)
-        res = np.empty_like(x)
-        res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ p_tilde)
-        res[sys.n_slow :] = r_f.ravel()
-        return res, (s1, fast, pf, p_s_next)
+        r_f = (fast[..., 1:, :] - fast[..., :-1, :]
+               - dt * ((0.5 * (pf_kick + pf_osc)) @ sys.mass_fast_inv.T))
+        return _residual(x, sys, s0, s1, dT, p_tilde, r_f), (s1, fast, pf, p_s_next)
 
     return evaluate
 
@@ -127,25 +155,20 @@ def _traptrap(state: State, sys: MultirateSystem, grid: TimeGrid, alpha_V: float
     p = grid.micro_per_macro
     dt = grid.dt
     dT = grid.dT
-    s0, f0 = state.q_slow, state.q_fast
-    m_idx = np.arange(1, p)
+    s0 = state.q_slow
+    nodes = _node_intervals(p)
 
     def evaluate(x):
-        s1, f_in = _split(x, sys, p)
-        fast = np.vstack([f0[None, :], f_in])
-        qs = _slow_nodes(s0, s1, p)
-        G_s, G_f = sys.evaluate_batch("slow_potential_grad", qs, fast)
-        GW = sys.evaluate_batch("fast_potential_grad", fast)
-        p_tilde = state.p_slow - dt * (((p - m_idx) / p) @ G_s[1:p] + alpha_V * G_s[0])
-        p_s_next = p_tilde - dt * ((m_idx / p) @ G_s[1:p] + (1.0 - alpha_V) * G_s[p])
-        force_l = alpha_V * G_f[:-1] + alpha_W * GW[:-1]
-        force_r = (1.0 - alpha_V) * G_f[1:] + (1.0 - alpha_W) * GW[1:]
+        s1, fast = _step_nodes(state, x, sys, p)
+        G_s, G_f = _slow_gradients(sys, nodes, _slow_nodes(s0, s1, p), fast)
+        GW = _fast_gradients(sys, nodes, fast)
+        p_tilde, p_s_next = _slow_momenta(state, G_s, alpha_V, dt, p)
+        force_l = alpha_V * G_f[..., :-1, :] + alpha_W * GW[..., :-1, :]
+        force_r = (1.0 - alpha_V) * G_f[..., 1:, :] + (1.0 - alpha_W) * GW[..., 1:, :]
         pf = _fast_momenta(state.p_fast, dt * (force_l + force_r))
-        r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ sys.mass_fast_inv.T)
-        res = np.empty_like(x)
-        res[: sys.n_slow] = s1 - s0 - dT * (sys.mass_slow_inv @ p_tilde)
-        res[sys.n_slow :] = r_f.ravel()
-        return res, (s1, fast, pf, p_s_next)
+        r_f = (fast[..., 1:, :] - fast[..., :-1, :]
+               - dt * ((pf[..., :-1, :] - dt * force_l) @ sys.mass_fast_inv.T))
+        return _residual(x, sys, s0, s1, dT, p_tilde, r_f), (s1, fast, pf, p_s_next)
 
     return evaluate
 

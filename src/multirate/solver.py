@@ -70,6 +70,15 @@ _STRUCTURED_MIN_UNKNOWNS = 128
 # supply no Hessians.
 _FD_STEP = 1e-7
 
+# Entries of the stacked perturbed points that _fd_jacobian passes to one
+# residual call: 64 Ki float64 entries, 512 KiB.  The residual's temporaries
+# (fast nodes, quadrature points, gradients, momenta) are about a dozen
+# times its input, so this bounds one call's memory near 6 MB: on an FPU
+# chain with l=30, p=50 (1,530 columns, 42 per call) peak RSS rose by 6 MB
+# over the one-column loop's.  Up to 256 unknowns, such as the 33 of
+# l=3, p=10, take a single call.
+_FD_CHUNK_ENTRIES = 1 << 16
+
 # Newton iterations taken after the tolerance is met, unless the residual is
 # already four orders of magnitude below it.
 _POLISH_ITERS = 1
@@ -91,7 +100,9 @@ class SolverConfig:
     - The Newton matrix is analytic when the system supplies both Hessians
       (``MultirateSystem.has_hessians``), and forward differences with
       componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise.  The closed-form
-      p/q maps always difference.
+      p/q maps always difference.  A difference matrix costs one batched
+      residual call per chunk of columns (``_fd_jacobian``), and each column
+      is bit-identical to the one-unknown-at-a-time difference.
     - After the tolerance is met, one further iteration is taken unless the
       residual is already four orders of magnitude below the tolerance.
       Quadratic convergence then parks accepted residuals far below
@@ -199,28 +210,38 @@ def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroS
 
 
 def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
-    """Next slow node and fast nodes 0..p, read from the stacked unknowns
-    ``x`` (order of :class:`MacroStepUnknowns`) without copying them."""
+    """Next slow node (..., n_slow) and fast nodes 0..p (..., p+1, n_fast),
+    read from the stacked unknowns ``x`` (..., n) in the order of
+    :class:`MacroStepUnknowns`; leading axes index independent points."""
     n_s = sys.n_slow
-    return x[:n_s], np.concatenate([start.q_fast[None, :], x[n_s:].reshape(p, sys.n_fast)])
+    fast = np.empty(x.shape[:-1] + (p + 1, sys.n_fast))
+    fast[..., 0, :] = start.q_fast
+    fast[..., 1:, :] = x[..., n_s:].reshape(fast[..., 1:, :].shape)
+    return x[..., :n_s], fast
 
 
 def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, (fast, momenta))``.  Each entry of F is a
-    momentum mismatch: incoming minus left momenta at the slow node and at
-    fast node 0, right minus left momenta at the interior fast nodes.
+    ``residual(x)`` returns ``(F, (fast, momenta))``, F with the shape of x;
+    x may carry leading batch axes, whose points go to the callbacks in one
+    batch.  Each entry of F is a momentum mismatch: incoming minus left
+    momenta at the slow node and at fast node 0, right minus left momenta at
+    the interior fast nodes.
     """
     kern = interval_kernel(quad, grid)
     p = grid.micro_per_macro
+    n_s, n_f = sys.n_slow, sys.n_fast
 
     def residual(x):
         q_slow_next, fast = _step_nodes(start, x, sys, p)
         mom = kern.momenta(start.q_slow, q_slow_next, fast, sys)
         p_s_minus, _, p_f_minus, p_f_plus = mom
-        F = np.concatenate([start.p_slow - p_s_minus, start.p_fast - p_f_minus[0],
-                            (p_f_plus[:-1] - p_f_minus[1:]).ravel()])
+        F = np.empty(x.shape)
+        F[..., :n_s] = start.p_slow - p_s_minus
+        F[..., n_s:n_s + n_f] = start.p_fast - p_f_minus[..., 0, :]
+        F[..., n_s + n_f:] = (p_f_plus[..., :-1, :] - p_f_minus[..., 1:, :]).reshape(
+            F[..., n_s + n_f:].shape)
         return F, (fast, mom)
 
     return residual
@@ -232,7 +253,8 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     ``jacobian(start, residual, x, F)`` builds the Newton matrix of the step
     from ``start`` at x, F being the residual of :func:`_step_residual` there,
     and ``solve(J, b)`` solves with it.  A system without Hessians gets a dense
-    finite-difference matrix; an analytic one is kept as blocks
+    finite-difference matrix from batched residual calls (:func:`_fd_jacobian`);
+    an analytic one is kept as blocks
     (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on, and
     assembled densely below.
     """
@@ -416,16 +438,25 @@ def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
 
 def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian with componentwise steps
-    ``_FD_STEP * (1 + |x_i|)``.
+    ``h_i = _FD_STEP * (1 + |x_i|)``.
 
-    ``residual(x)`` returns ``(F, aux)``; ``r0`` is F at ``x0``.
+    ``residual(X)`` takes points X of shape (..., n) and returns ``(F, aux)``
+    with F of the same shape; ``r0`` is F at ``x0``.  The perturbed points
+    go in chunks of up to ``_FD_CHUNK_ENTRIES // n`` columns: row j of a
+    chunk is x0 plus h_j in its entry j, so each chunk is one residual call.
+    Column j equals the forward difference of the one-column-at-a-time loop
+    bit for bit, provided the residual computes each point of a batch as it
+    would alone.
     """
-    J = np.empty((r0.size, x0.size))
-    for i in range(x0.size):
-        h = _FD_STEP * (1.0 + abs(x0[i]))
-        xp = x0.copy()
-        xp[i] += h
-        J[:, i] = (residual(xp)[0] - r0) / h
+    n = x0.size
+    h = _FD_STEP * (1.0 + np.abs(x0))
+    J = np.empty((r0.size, n))
+    chunk = max(1, _FD_CHUNK_ENTRIES // max(n, 1))
+    for lo in range(0, n, chunk):
+        cols = np.arange(lo, min(n, lo + chunk))
+        X = np.tile(x0, (cols.size, 1))
+        X[np.arange(cols.size), cols] += h[cols]
+        J[:, cols] = ((residual(X)[0] - r0) / h[cols, None]).T
     return J
 
 

@@ -98,3 +98,15 @@ def affine_quadrature(zfun, nodes, alpha, gamma, dt):
 
 def spectral_radius(P):
     return float(np.max(np.abs(np.linalg.eigvals(P))))
+
+
+def fd_jacobian_loop(residual, x0, r0, step):
+    """Forward-difference Jacobian one column at a time, with componentwise
+    steps ``step * (1 + |x_i|)``; ``residual(x)`` returns ``(F, aux)``."""
+    J = np.empty((r0.size, x0.size))
+    for i in range(x0.size):
+        h = step * (1.0 + abs(x0[i]))
+        xp = x0.copy()
+        xp[i] += h
+        J[:, i] = (residual(xp)[0] - r0) / h
+    return J

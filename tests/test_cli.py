@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multirate
 from multirate import analysis
 from multirate.cli import _HASH_CHUNK, _build_quadrature, _sha256, build_parser, main
 
@@ -92,6 +97,13 @@ class TestSimulate:
         assert code == 2
         assert not (out / "manifest.json").exists()
 
+    def test_zero_macro_step_is_config_error(self, tmp_path):
+        out = tmp_path / "dT0"
+        code = run("simulate", "--system", "fpu", "--dT", "0", "--p", "2",
+                   "--t-end", "0.6", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_explicit_scheme_runs_without_iteration(self, tmp_path):
         out = tmp_path / "exp"
         code = run("simulate", "--system", "fpu", "--scheme", "explicit",
@@ -174,6 +186,24 @@ class TestConverge:
         assert not (out / "convergence.csv").exists()
 
 
+    @pytest.mark.parametrize("option,value", [
+        ("--t-end", "inf"), ("--t-end", "nan"), ("--t-end", "-0.1"), ("--ref-dT", "0"),
+        ("--dT-list", "0.02,0"), ("--p", "-1")])
+    def test_bad_horizon_step_or_ratio_is_config_error_before_any_integration(
+            self, tmp_path, monkeypatch, option, value):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated although an option is invalid")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        options = {"--p": "2", "--t-end": "0.04", "--dT-list": "0.02,0.01", "--ref-dT": "0.01"}
+        options[option] = value
+        out = tmp_path / "bad"
+        code = run("converge", "--system", "fpu", *(a for kv in options.items() for a in kv),
+                   "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
+
 class TestSchemes:
     @pytest.mark.parametrize("scheme,quad", [
         ("midpoint-midpoint", QuadratureSpec(0.5, 0.5, 0.5, 0.5)),
@@ -253,6 +283,16 @@ class TestBench:
         assert [row[-1] for row in rows] == ["dense", "structured"]
 
 
+    @pytest.mark.parametrize("args", [
+        ("--t-end", "inf", "--p-list", "1"), ("--t-end", "nan", "--p-list", "1"),
+        ("--t-end", "-1", "--p-list", "1"), ("--t-end", "0.01", "--p-list", "0"),
+        ("--t-end", "0.01", "--p-list", "1,-2"), ("--t-end", "0.01", "--p-list", "1", "--dt", "0")])
+    def test_bad_horizon_step_or_ratio_is_config_error(self, tmp_path, args):
+        out = tmp_path / "bench"
+        assert run("bench", "--system", "fpu", *args, "--out", str(out)) == 2
+        assert not out.exists()
+
+
 class TestValidate:
     def test_validation_report(self, tmp_path):
         out = tmp_path / "val"
@@ -290,3 +330,15 @@ class TestSchemaAndExitCodes:
         code = run("simulate", "--system", "fpu", "--dT", "0.3", "--p", "1",
                    "--t-end", "0.3", "--out", "/dev/null/nested")
         assert code == 4
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # runs from the source tree, without an installed console script
+        src = str(Path(multirate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-m", "multirate", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: multirate")
