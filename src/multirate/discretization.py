@@ -207,14 +207,11 @@ class _IntervalKernel:
         w_terms = [(m, self.dt * w, u_l)
                    for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
         self.W = _Terms(*zip(*w_terms), p)
-        # both potentials at the same fast points (midpoint rules for both)
-        self.same_fast_points = np.array_equal(self.V.gather, self.W.gather)
 
     def points(self, q0, q1, fast):
         """Slow and fast quadrature points; arguments may carry leading batch axes."""
         Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
-        QfV = self.V.gather @ fast
-        return Qs, QfV, QfV if self.same_fast_points else self.W.gather @ fast
+        return Qs, self.V.gather @ fast, self.W.gather @ fast
 
     def momenta(self, q0, q1, fast, sys: MultirateSystem):
         """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``.

@@ -446,7 +446,12 @@ def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
     chunk is x0 plus h_j in its entry j, so each chunk is one residual call.
     Column j equals the forward difference of the one-column-at-a-time loop
     bit for bit, provided the residual computes each point of a batch as it
-    would alone.
+    would alone.  A non-finite value that one column meets raises the loop's
+    ``EvaluationError``.  When several columns of a chunk meet one, the
+    residual checks every column's slow-potential gradients before any
+    column's fast-potential ones: a later column's slow-potential error is
+    then raised where the loop would raise an earlier column's
+    fast-potential error.
     """
     n = x0.size
     h = _FD_STEP * (1.0 + np.abs(x0))

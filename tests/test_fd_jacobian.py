@@ -251,6 +251,36 @@ class TestNonFinite:
             assert batch.node_index == loop.node_index
 
     @pytest.mark.parametrize("batched", [False, True], ids=["per-point", "batched"])
+    @pytest.mark.parametrize("kind", ["del", "pq"])
+    def test_slow_potential_error_wins_within_a_chunk(self, kind, batched, monkeypatch):
+        # h = 1 + |x|: column 1 moves midpoints 0 and 1 to 0.6 and 0.7, into
+        # the fast cliff; column 4 moves midpoint 3 to 1.05, past the slow
+        # cliff, and no other column reaches either
+        grid = build_time_grid(1.0, P, 1)
+        sys = dataclasses.replace(
+            fast_cliff_system(0.0, batched),
+            slow_potential_grad=lambda qs, qf: (np.zeros_like(qs),
+                                                np.where(qf > 1.02, np.nan, 0.0 * qf)),
+            fast_potential_grad=lambda qf: np.where((qf > 0.55) & (qf < 0.72), np.nan, qf))
+        x = np.array([0.5, 0.1, 0.2, 0.3, 0.4])
+        residual = residual_of(kind, QuadratureSpec.midpoint_midpoint(), sys, grid)
+        r0 = residual(x)[0]
+        monkeypatch.setattr(solver, "_FD_STEP", 1.0)
+        # the loop meets column 1's fast-potential error first
+        loop = evaluation_error(fd_jacobian_loop, residual, x, r0, solver._FD_STEP)
+        assert loop.node_index == 0
+        assert str(loop) == "non-finite fast-potential gradient at micro interval 0"
+        monkeypatch.setattr(solver, "_FD_CHUNK_ENTRIES", x.size)
+        single = evaluation_error(solver._fd_jacobian, residual, x, r0)
+        assert (single.node_index, str(single)) == (loop.node_index, str(loop))
+        # one chunk checks every column's slow-potential gradients before any
+        # fast-potential ones, so column 4's slow error is reported instead
+        monkeypatch.setattr(solver, "_FD_CHUNK_ENTRIES", 1 << 16)
+        chunk = evaluation_error(solver._fd_jacobian, residual, x, r0)
+        assert chunk.node_index == 3
+        assert str(chunk) == "non-finite slow-potential gradient at micro interval 3"
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-point", "batched"])
     @pytest.mark.parametrize("name,quad", PQ_CLIFF_QUADS.items(), ids=list(PQ_CLIFF_QUADS))
     def test_pq_map_names_first_bad_interval(self, name, quad, batched):
         # nodes 0, 0.1, 0.2, 0.3, 0.9 against a cliff at 0.5: the last
