@@ -201,11 +201,19 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
     run one after another; failures are recorded per row instead of aborting
     the study.  ``workers`` is accepted for compatibility and has no effect:
     threads only slowed the sweep down, and the systems' closures cannot be
-    sent to worker processes.
+    sent to worker processes.  A ``p_ratio``, ``t_end``, ``ref_dT`` or
+    ``dT_list`` that no time grid can hold raises ValueError before any
+    integration.
     """
     if int(p_ratio) != p_ratio or p_ratio < 1:
         raise ValueError(f"p_ratio must be a positive integer, got {p_ratio}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     dT_values = np.asarray(list(dT_list), dtype=float)
+    if not np.all(np.isfinite(dT_values) & (dT_values > 0)):
+        raise ValueError(f"every dT must be finite and positive, got {list(dT_values)}")
+    if ref_dT is not None and not (math.isfinite(ref_dT) and ref_dT > 0):
+        raise ValueError(f"ref_dT must be finite and positive, got {ref_dT}")
     if np.any(np.diff(dT_values) >= 0):
         raise ValueError("dT_list must be strictly decreasing")
     if reference is None:

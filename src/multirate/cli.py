@@ -232,6 +232,7 @@ def cmd_simulate(args) -> int:
         "partial": partial,
         "stats": None if stats is None else {
             "newton_iters_total": stats.newton_iters_total,
+            "matrix_builds_total": stats.matrix_builds_total,
             "wall_time_total": stats.wall_time_total,
             "solve_time_total": stats.solve_time_total,
             "jacobian_time_total": stats.jacobian_time_total,

@@ -22,12 +22,20 @@ class EvaluationError(MultirateError):
 
 
 class DivergenceError(MultirateError):
-    """Newton iteration failed to reach the requested tolerance."""
+    """Newton iteration failed to reach the requested tolerance.
 
-    def __init__(self, message, residual_norm=None, iterations=None):
+    Carries the last residual norm, the iterations and Newton matrix builds
+    of the step, and the last contraction ratio ||F_new|| / ||F_old|| (NaN
+    before the first iteration).
+    """
+
+    def __init__(self, message, residual_norm=None, iterations=None, matrix_builds=None,
+                 contraction=None):
         super().__init__(message)
         self.residual_norm = residual_norm
         self.iterations = iterations
+        self.matrix_builds = matrix_builds
+        self.contraction = contraction
 
 
 class IntegrationError(MultirateError):

@@ -41,8 +41,8 @@ import numpy as np
 from .discretization import _fast_gradients, _left_weight, _slow_gradients
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
-from .solver import (MacroStep, SolverConfig, StepStats, _drift_guess, _fd_jacobian, _newton,
-                     _step_nodes)
+from .solver import (MacroStep, SolverConfig, StepStats, _drift_guess, _fd_jacobian, _HeldMatrix,
+                     _newton, _step_nodes)
 
 __all__ = ["pq_step"]
 
@@ -194,13 +194,16 @@ def _update_map(quad: QuadratureSpec):
 
 
 def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-            config: SolverConfig, index: int = 0) -> tuple[MacroStep, StepStats]:
+            config: SolverConfig, index: int = 0, held: _HeldMatrix | None = None,
+            ) -> tuple[MacroStep, StepStats]:
     """Macro step ``index`` from ``state`` by the closed-form map of ``quad``.
 
     The map's ``evaluate(x)`` returns the residual of the stacked unknowns
     and the derived quantities ``(s1, fast, pf, p_s_next)``; Newton starts
     from the free-drift guess, and the derived quantities of its last
-    evaluation, which is at the solution, fill the step record.
+    evaluation, which is at the solution, fill the step record.  ``held``
+    is the Newton matrix holder that :func:`multirate.solver.integrate`
+    shares between its steps; without one, the step builds its own matrix.
     """
     evaluate = _update_map(quad)(state, sys, grid)
 
@@ -208,5 +211,6 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
         return _fd_jacobian(evaluate, x, F)
 
     _, (s1, fast, pf, p_s_next), stats = _newton(evaluate, jacobian,
-                                                 _drift_guess(state, sys, grid), config)
+                                                 _drift_guess(state, sys, grid), config,
+                                                 held=held)
     return MacroStep(index, state.q_slow, s1, fast, pf, np.stack([state.p_slow, p_s_next])), stats

@@ -7,7 +7,28 @@ interior fast stationarity equations.  Its Jacobian is an arrowhead: dense
 slow row/column borders around a fast part that is block lower-triangular
 with two sub-diagonals (the equation of fast node i couples the unknown
 nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
-block elimination, the others by dense LU (:func:`_linearization`).
+block elimination, the others with a dense inverse (:func:`_linearization`).
+
+Newton is simplified Newton with a contraction monitor (Hairer & Wanner,
+*Solving ODEs II*, IV.8).  Each linear solver splits into ``factor(J)``,
+the work that depends on the matrix alone, and ``apply(factors, b)``
+(:class:`_LinearSolver`).  One factored matrix serves many iterations and,
+within one :func:`integrate` call, many steps:
+
+- Refresh rule: after an iteration with contraction theta = ||F_new|| /
+  ||F_old||, the matrix is rebuilt at the new iterate when theta predicts
+  more than ``_MAX_PREDICTED_ITERS`` further iterations to the polish target,
+  and always when the residual grew.  A step whose held matrix fails
+  restarts from its own guess with a fresh one.
+- Stop rule: the residual is within ``newton_tol`` and either four orders of
+  magnitude below it, or reached by a polish iteration (one that started
+  within tolerance) whose matrix was fresh or which reached the polish
+  target.  That target is 1e-4 * newton_tol, or the residual's rounding
+  floor, eps times its largest terms, where that is higher: at tiny steps
+  the momentum terms M q / dt dominate.
+- Timing: ``StepStats.jacobian_time`` is matrix assembly,
+  ``StepStats.solve_time`` factoring plus all solves with the factors, and
+  ``StepStats.matrix_builds`` counts the matrices built.
 
 All integrator modes (this implicit DEL solve, the explicit recurrence and
 the closed-form p/q maps of :mod:`multirate.schemes`) share one step record,
@@ -18,7 +39,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +51,7 @@ from .errors import (
     AbortedStepError,
     ConfigurationError,
     DivergenceError,
+    EvaluationError,
     IntegrationError,
 )
 from .model import MultirateSystem, QuadratureSpec, State, TimeGrid, Trajectory
@@ -50,20 +74,20 @@ __all__ = [
 ]
 
 
-# Unknowns n_slow + p*n_fast from which an analytic Newton system is solved
-# by blocks (_linearization).  One Newton iteration's assembly plus solve on
-# FPU chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, medians in ms,
-# dense vs blocks with one BLAS thread | with OpenBLAS's default two:
-#   l=3,  p=10,   33 unknowns: 0.066 vs 0.152 | 0.066 vs 0.155
-#   l=5,  p=20,  105 unknowns: 0.182 vs 0.213 | 0.214 vs 0.215
-#   l=3,  p=40,  123 unknowns: 0.228 vs 0.278 | 0.266 vs 0.275
-#   l=10, p=12,  130 unknowns: 0.257 vs 0.260 | 0.298 vs 0.266
-#   l=3,  p=50,  153 unknowns: 0.358 vs 0.342 | 0.392 vs 0.347
-#   l=10, p=20,  210 unknowns: 0.890 vs 0.390 | 0.942 vs 0.394
-#   l=30, p=50, 1530 unknowns: 78.4  vs 4.92  | 58.4  vs 4.75
-# The crossover lies near 130 unknowns with either thread count.  Other
-# machines, BLAS builds or potentials may place it elsewhere.  The cases of
-# tests/test_linear_solver_bench.py straddle it.
+# Unknowns n_slow + p*n_fast from which an analytic Newton matrix is factored
+# by blocks (_linearization).  FPU chains, midpoint-midpoint, 2-vCPU Xeon,
+# OpenBLAS 0.3.31, one BLAS thread, medians of one matrix build (assembly
+# plus factor) and of one solve with it, dense vs blocks
+# (tests/test_linear_solver_bench.py):
+#   l=3,  p=10,   33 unknowns: 0.19 ms + 4 us   vs 0.27 ms + 118 us
+#   l=10, p=10,  110 unknowns: 0.84 ms + 5 us   vs 0.37 ms + 123 us
+#   l=3,  p=50,  153 unknowns: 1.73 ms + 7 us   vs 0.56 ms + 286 us
+#   l=10, p=20,  210 unknowns: 3.92 ms + 10 us  vs 0.56 ms + 172 us
+#   l=30, p=50, 1530 unknowns: 432 ms + 0.97 ms vs 6.3 ms + 0.62 ms
+# At about one build and five solves per step the two break even between
+# 153 and 210 unknowns.  The bound dates from when every Newton iteration
+# built its matrix, which put the crossover near 130 unknowns.  Other
+# machines, BLAS builds or potentials may place it elsewhere.
 _STRUCTURED_MIN_UNKNOWNS = 128
 
 # Forward-difference step of unknown i, times 1 + |x_i|, for systems that
@@ -79,9 +103,21 @@ _FD_STEP = 1e-7
 # l=3, p=10, take a single call.
 _FD_CHUNK_ENTRIES = 1 << 16
 
-# Newton iterations taken after the tolerance is met, unless the residual is
-# already four orders of magnitude below it.
-_POLISH_ITERS = 1
+# Simplified Newton rebuilds its matrix, at the current iterate, when the
+# last contraction ||F_new|| / ||F_old|| predicts more than this many further
+# iterations to the polish target (_iterate).  A larger bound trades matrix
+# builds for iterations, which pays where a build costs many iterations.
+# FPU chains, midpoint-midpoint, dT = 0.3, speed-up over a matrix built at
+# every iteration, medians of 3 alternated pairs on a 2-vCPU Xeon, one BLAS
+# thread, bound 2 | 3 | 4:
+#   l=3,  p=10 (build ~2 iterations):       0.98 | 1.18 | 1.13
+#   l=3,  p=10, p/q map (difference matrix): 1.26 | 1.47 | 1.31
+#   l=30, p=50 (blocks, build ~10 iterations): 1.48 | 1.77 | 1.96
+# With 3, these take about one build and 4.5-5 iterations per step, against
+# 3.2 iterations and builds before.  -1 rebuilds at every iteration.
+_MAX_PREDICTED_ITERS = 3
+
+_EPS = float(np.finfo(float).eps)
 
 
 class IntegratorMode(enum.Enum):
@@ -103,17 +139,30 @@ class SolverConfig:
       p/q maps always difference.  A difference matrix costs one batched
       residual call per chunk of columns (``_fd_jacobian``), and each column
       is bit-identical to the one-unknown-at-a-time difference.
-    - After the tolerance is met, one further iteration is taken unless the
-      residual is already four orders of magnitude below the tolerance.
-      Quadratic convergence then parks accepted residuals far below
-      ``newton_tol``, so long-run conservation certificates are limited by
-      the discretization instead of the stopping rule.
-    - The implicit DEL step solves each Newton iteration's linear system by
-      block elimination when the Jacobian is analytic and the step has at
-      least ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast,
-      and by dense LU otherwise.  Elimination's cost grows linearly in p,
-      LU's as p^3; around 130 unknowns the two take the same time.
+    - The iteration is simplified Newton: one factored matrix serves many
+      iterations, and within one ``integrate`` call many steps.  It is
+      rebuilt at the current iterate when the last contraction
+      ||F_new|| / ||F_old|| predicts more than ``_MAX_PREDICTED_ITERS`` (3)
+      further iterations to the polish target, and whenever the residual
+      grew.  A step that fails with a held matrix restarts from its guess
+      with a fresh one.
+    - After the tolerance is met, polish iterations follow until the
+      residual is four orders of magnitude below the tolerance, or at the
+      rounding floor of its largest terms if that is higher; a polish with
+      a freshly built matrix ends the step in any case.  Accepted residuals
+      are thus parked far below ``newton_tol``, so long-run conservation
+      certificates are limited by the discretization instead of the
+      stopping rule.
+    - The implicit DEL step factors its matrices by block elimination when
+      the Jacobian is analytic and the step has at least
+      ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
+      a dense inverse otherwise.  Elimination's cost grows linearly in p,
+      dense factoring as p^3; with matrix reuse the two take the same time
+      between about 150 and 210 unknowns on the FPU chain.
       ``IntegrationStats.linear_solver`` records which ran.
+    - ``jacobian_time`` counts matrix assembly (analytic or difference),
+      ``solve_time`` factoring and every solve with the factors, and
+      ``matrix_builds`` the matrices built.
     """
 
     newton_tol: float = 1e-9
@@ -132,8 +181,11 @@ class StepStats:
 
     newton_iters: int = 0
     residual_norm: float = 0.0
-    solve_time: float = 0.0
+    # assembly of Newton matrices
     jacobian_time: float = 0.0
+    # factoring them and solving with them
+    solve_time: float = 0.0
+    matrix_builds: int = 0
 
 
 @dataclass
@@ -146,6 +198,7 @@ class IntegrationStats:
     jacobian_time_total: float = 0.0
     wall_time_total: float = 0.0
     residual_max: float = 0.0
+    matrix_builds_total: int = 0
     # "dense" or "structured" (see _linearization); None where no Newton
     # solve runs
     linear_solver: str | None = None
@@ -155,6 +208,7 @@ class IntegrationStats:
         self.newton_iters_total += step.newton_iters
         self.solve_time_total += step.solve_time
         self.jacobian_time_total += step.jacobian_time
+        self.matrix_builds_total += step.matrix_builds
         self.residual_max = max(self.residual_max, step.residual_norm)
 
     @property
@@ -248,32 +302,32 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
 
 
 def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
-    """``(linear_solver, jacobian, solve)`` of the DEL steps on ``grid``.
+    """``(linear, jacobian)`` of the DEL steps on ``grid``.
 
     ``jacobian(start, residual, x, F)`` builds the Newton matrix of the step
     from ``start`` at x, F being the residual of :func:`_step_residual` there,
-    and ``solve(J, b)`` solves with it.  A system without Hessians gets a dense
-    finite-difference matrix from batched residual calls (:func:`_fd_jacobian`);
-    an analytic one is kept as blocks
-    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on, and
-    assembled densely below.
+    and the :class:`_LinearSolver` ``linear`` factors and applies it.  A
+    system without Hessians gets a dense finite-difference matrix from
+    batched residual calls (:func:`_fd_jacobian`); an analytic one is kept
+    as blocks (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns
+    on, and assembled densely below.
     """
     p = grid.micro_per_macro
 
     if not sys.has_hessians:
         def fd_jacobian(start, residual, x, F):
             return _fd_jacobian(residual, x, F)
-        return "dense", fd_jacobian, np.linalg.solve
+        return _DENSE, fd_jacobian
 
     def jacobian_blocks(start, residual, x, F):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
 
     if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
-        return "structured", jacobian_blocks, _solve_blocks
+        return _STRUCTURED, jacobian_blocks
 
     def jacobian(start, residual, x, F):
         return _assemble_jacobian(jacobian_blocks(start, residual, x, F))
-    return "dense", jacobian, np.linalg.solve
+    return _DENSE, jacobian
 
 
 @dataclass
@@ -340,37 +394,71 @@ def _chain_band(p: int):
     return np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]])
 
 
-def _eliminate(J: _JacobianBlocks, b: np.ndarray) -> np.ndarray:
-    """Solve ``J x = b`` by block elimination, without pivoting across blocks.
+@dataclass
+class _BlockFactors:
+    """Block elimination of a :class:`_JacobianBlocks` matrix, reusable for
+    any number of right-hand sides.
 
     With y_i the update of fast node i+1 and s that of the slow node, row
     block i reads D_i y_i + E_i y_{i-1} + G_i y_{i-2} + C_i s = b_i.  Forward
-    substitution writes every y_i as a_i - Z_i s, carrying [Z_i | a_i] as
-    n_slow + 1 right-hand sides; the slow row then gives the Schur complement
-    (A - B Z) s = b_s - B a, and back-substitution the fast update.
+    substitution writes every y_i as a_i - Z_i s, where only a depends on b;
+    the slow row then gives the Schur complement (A - B Z) s = b_s - B a, and
+    back-substitution the fast update.  ``d_inv`` is None where a D_i could
+    not be inverted; every solve then takes the dense fallback.
     """
+
+    J: _JacobianBlocks
+    d_inv: np.ndarray | None = None     # (p, n_fast, n_fast): D_i^-1
+    ge: np.ndarray | None = None        # (p, n_fast, 2 n_fast): D_i^-1 [G_i | E_i]
+    z: np.ndarray | None = None         # (p*n_fast, n_slow)
+    schur_inv: np.ndarray | None = None  # (n_slow, n_slow): (A - B Z)^-1
+    j_max: float = 0.0
+
+
+def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
+    """Everything of block elimination that depends on J alone, without
+    pivoting across blocks."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    k = n_s + 1
-    # D_i^-1 [G_i | E_i | C_i | b_i] for every row block, batched.  Inverting
-    # the D_i and multiplying takes a third of the time of a batched
-    # np.linalg.solve with these 2 n_fast + n_slow + 1 right-hand sides (2.1
-    # vs 6.0 ms for 50 blocks of 30 x 30, single-threaded OpenBLAS).
-    R = np.zeros((p, n_f, 2 * n_f + k))
+    j_max = max(np.max(np.abs(a), initial=0.0) for a in (J.slow, J.row, J.col, J.band))
+    # D_i^-1 [G_i | E_i | C_i] for every row block, batched.  Inverting the
+    # D_i and multiplying takes a third of the time of a batched
+    # np.linalg.solve with these 2 n_fast + n_slow right-hand sides (2.1 vs
+    # 6.0 ms for 50 blocks of 30 x 30, single-threaded OpenBLAS).
+    R = np.zeros((p, n_f, 2 * n_f + n_s))
     R[2:, :, :n_f] = J.band[2 * p - 1:]
     R[1:, :, n_f:2 * n_f] = J.band[p:2 * p - 1]
-    R[:, :, 2 * n_f:-1] = J.col.reshape(p, n_f, n_s)
-    R[:, :, -1] = b[n_s:].reshape(p, n_f)
-    X = np.linalg.inv(J.band[:p]) @ R
-    # [Z_i | a_i] after two leading zero blocks, so that every row block
-    # subtracts [G_i | E_i] times the two blocks before it in one product
-    Y = np.zeros((p + 2, n_f, k))
-    Y[2:] = X[:, :, 2 * n_f:]
+    R[:, :, 2 * n_f:] = J.col.reshape(p, n_f, n_s)
+    try:
+        with np.errstate(all="ignore"):
+            d_inv = np.linalg.inv(J.band[:p])
+            X = d_inv @ R
+            ge = np.ascontiguousarray(X[:, :, :2 * n_f])
+            # Z_i after two leading zero blocks, so that every row block
+            # subtracts [G_i | E_i] times the two blocks before it in one
+            # product
+            Z = np.zeros((p + 2, n_f, n_s))
+            Z[2:] = X[:, :, 2 * n_f:]
+            for i in range(p):
+                Z[i + 2] -= ge[i] @ Z[i:i + 2].reshape(2 * n_f, n_s)
+            Z = Z[2:].reshape(p * n_f, n_s)
+            schur_inv = np.linalg.inv(J.slow - J.row @ Z)
+    except np.linalg.LinAlgError:
+        return _BlockFactors(J, j_max=j_max)
+    return _BlockFactors(J, d_inv, ge, Z, schur_inv, j_max)
+
+
+def _eliminate(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
+    """Solve ``J x = b`` with the elimination factors, without any check."""
+    J = F.J
+    p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
+    c = np.einsum("ijk,ik->ij", F.d_inv, b[n_s:].reshape(p, n_f))
+    a = np.zeros((p + 2, n_f))
+    a[2:] = c
     for i in range(p):
-        Y[i + 2] -= X[i, :, :2 * n_f] @ Y[i:i + 2].reshape(2 * n_f, k)
-    Y = Y[2:].reshape(p * n_f, k)
-    BY = J.row @ Y
-    s = np.linalg.solve(J.slow - BY[:, :n_s], b[:n_s] - BY[:, n_s])
-    return np.concatenate([s, Y[:, n_s] - Y[:, :n_s] @ s])
+        a[i + 2] -= F.ge[i] @ a[i:i + 2].ravel()
+    a = a[2:].ravel()
+    s = F.schur_inv @ (b[:n_s] - J.row @ a)
+    return np.concatenate([s, a - F.z @ s])
 
 
 def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
@@ -390,8 +478,8 @@ def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
 _ELIMINATION_BACKWARD_TOL = 1e-12
 
 
-def _solve_blocks(J: _JacobianBlocks, b: np.ndarray) -> np.ndarray:
-    """Newton update from the blocks.
+def _apply_blocks(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
+    """Newton update from the elimination factors.
 
     Elimination without pivoting across blocks breaks down on a singular
     diagonal block D_i, and loses accuracy on a nearly singular one, even
@@ -399,18 +487,61 @@ def _solve_blocks(J: _JacobianBlocks, b: np.ndarray) -> np.ndarray:
     whose backward error exceeds ``_ELIMINATION_BACKWARD_TOL``, is solved
     again by dense LU of the same matrix.
     """
-    try:
+    if F.d_inv is not None:
         with np.errstate(all="ignore"):
-            x = _eliminate(J, b)
+            x = _eliminate(F, b)
             if np.all(np.isfinite(x)):
-                j_max = max(np.max(np.abs(a), initial=0.0) for a in (J.slow, J.row, J.col, J.band))
-                scale = j_max * np.sum(np.abs(x)) + np.max(np.abs(b), initial=0.0)
-                r = np.max(np.abs(_block_matvec(J, x) - b), initial=0.0)
+                scale = F.j_max * np.sum(np.abs(x)) + np.max(np.abs(b), initial=0.0)
+                r = np.max(np.abs(_block_matvec(F.J, x) - b), initial=0.0)
                 if r <= _ELIMINATION_BACKWARD_TOL * scale:
                     return x
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.solve(_assemble_jacobian(J), b)
+    return np.linalg.solve(_assemble_jacobian(F.J), b)
+
+
+def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> float:
+    J = F.J
+    absolute = _JacobianBlocks(J.p, np.abs(J.slow), np.abs(J.row), np.abs(J.col), np.abs(J.band))
+    return float(np.max(_block_matvec(absolute, np.abs(x)), initial=0.0))
+
+
+def _factor_dense(J: np.ndarray):
+    return J, np.linalg.inv(J)
+
+
+def _apply_dense(factors, b: np.ndarray) -> np.ndarray:
+    return factors[1] @ b
+
+
+def _dense_magnitude(factors, x: np.ndarray) -> float:
+    return float(np.max(np.abs(factors[0]) @ np.abs(x), initial=0.0))
+
+
+@dataclass(frozen=True)
+class _LinearSolver:
+    """How Newton matrices of one kind are solved with.
+
+    ``factor(J)`` does the work that depends on J alone, ``apply(factors,
+    b)`` solves J x = b with its result, and ``magnitude(factors, x)`` is
+    max_i sum_j |J_ij| |x_j|: the size of the largest terms that make up a
+    residual near x, whose rounding floors the residual.
+    """
+
+    name: str
+    factor: Callable
+    apply: Callable
+    magnitude: Callable
+
+
+# A dense matrix is factored as its explicit inverse, so that each further
+# solve costs one matrix-vector product.  numpy offers no reusable LU, and
+# refactoring costs a full LU per solve (one BLAS thread, 2-vCPU Xeon):
+#   unknowns   inverse   solve    inverse @ b
+#        6     7.2 us    5.6 us    1.0 us
+#       33    33 us     14 us      1.0 us
+#      123   520 us    130 us      3.1 us
+# so the inverse is ahead from about three solves per matrix on.
+_DENSE = _LinearSolver("dense", _factor_dense, _apply_dense, _dense_magnitude)
+_STRUCTURED = _LinearSolver("structured", _factor_blocks, _apply_blocks, _block_magnitude)
 
 
 def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
@@ -431,9 +562,9 @@ def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSys
     start = prev.end_state()
     residual = _step_residual(start, sys, quad, grid)
     x = unknowns.pack()
-    linear_solver, jacobian, _ = _linearization(sys, quad, grid)
+    linear, jacobian = _linearization(sys, quad, grid)
     J = jacobian(start, residual, x, residual(x)[0])
-    return _assemble_jacobian(J) if linear_solver == "structured" else J
+    return _assemble_jacobian(J) if linear is _STRUCTURED else J
 
 
 def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -469,46 +600,132 @@ def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
 # Newton driver and step functions
 
 
-def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig, solve=np.linalg.solve):
-    """Newton iteration on ``residual(x) -> (F, aux)``.
+@dataclass
+class _HeldMatrix:
+    """The factored Newton matrix that simplified Newton keeps across
+    iterations and, when :func:`integrate` hands one holder to all its
+    steps, across steps.  ``factors`` is None until the next build."""
 
-    ``jacobian(x, F)`` builds the Newton matrix J at x, ``solve(J, b)``
-    solves J dx = b with it.
+    factors: object = None
+
+
+def _inf_norm(F: np.ndarray) -> float:
+    return float(np.max(np.abs(F))) if F.size else 0.0
+
+
+def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm: float,
+                   tol: float) -> float:
+    """Residual that a polish iteration has to reach: four orders of
+    magnitude below the tolerance, or the rounding floor of the residual's
+    largest terms (``_EPS`` times ``linear.magnitude``) where that is
+    higher.  The floor is only looked up for a residual within tolerance."""
+    target = 1e-4 * tol
+    if target < norm <= tol:
+        target = max(target, _EPS * linear.magnitude(held.factors, x))
+    return target
+
+
+def _predicted_iters(theta: float, norm: float, target: float) -> float:
+    """Further iterations from residual ``norm`` down to ``target`` if every
+    iteration contracts by ``theta``."""
+    if norm <= target:
+        return 0.0
+    if not theta < 1.0:
+        return math.inf
+    return math.log(target / norm) / math.log(theta)
+
+
+def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
+            linear: _LinearSolver = _DENSE, held: _HeldMatrix | None = None):
+    """Simplified Newton iteration on ``residual(x) -> (F, aux)``.
+
+    ``jacobian(x, F)`` builds the Newton matrix J at x and ``linear`` solves
+    with it.  The factored matrix in ``held`` is kept across iterations and
+    rebuilt at the current iterate when :func:`_iterate` asks for it; a
+    holder that arrives with factors from earlier steps is used as it is.
+    If the iteration then fails (no convergence within
+    ``config.max_newton_iters``, a non-finite iterate or a non-finite value
+    of the system at one), the step restarts from ``x0`` with a matrix built
+    there, and only a failure of that attempt is raised.
 
     Returns the solution, the aux of the last residual evaluation (which is
     at the solution) and the step's work record.
     """
-    x = x0
     stats = StepStats()
-    F, aux = residual(x)
-    norm = float(np.max(np.abs(F))) if F.size else 0.0
-    polish_left = _POLISH_ITERS
-    while True:
-        if norm <= config.newton_tol:
-            if polish_left <= 0 or norm <= 1e-4 * config.newton_tol:
-                break
-            polish_left -= 1
-        elif stats.newton_iters >= config.max_newton_iters:
-            raise DivergenceError(
-                f"Newton did not reach tol={config.newton_tol:g} in "
-                f"{config.max_newton_iters} iterations (residual {norm:.3e})",
-                residual_norm=norm, iterations=stats.newton_iters)
-        t0 = time.perf_counter()
-        J = jacobian(x, F)
-        stats.jacobian_time += time.perf_counter() - t0
-        t0 = time.perf_counter()
+    F, aux = residual(x0)
+    if held is None:
+        held = _HeldMatrix()
+    elif held.factors is not None:
         try:
-            dx = solve(J, -F)
+            return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
+        except (DivergenceError, AbortedStepError, EvaluationError):
+            held.factors = None
+    return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
+
+
+def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray,
+             F: np.ndarray, aux, config: SolverConfig, stats: StepStats):
+    """One attempt of :func:`_newton` from x, where the residual is ``(F, aux)``.
+
+    Stop rule: the residual is within ``newton_tol`` and either four orders
+    of magnitude below it or reached by a polish, an iteration that started
+    within tolerance.  A polish counts if its matrix was built at its own
+    iterate, or if it reached the target of :func:`_polish_target`.  A
+    residual within tolerance is also accepted once ``max_newton_iters``
+    iterations are spent.
+    Refresh rule: after each iteration, the held matrix is dropped, to be
+    rebuilt at the next iterate, when the contraction theta = ||F_new|| /
+    ||F_old|| predicts more than ``_MAX_PREDICTED_ITERS`` further iterations
+    to that target; so is every matrix whose iteration did not reduce the
+    residual, unless the residual already sits at the target.
+    """
+    tol = config.newton_tol
+    norm = _inf_norm(F)
+    theta = math.nan
+    iters = 0
+    polished = False
+    while True:
+        if norm <= tol:
+            if norm <= 1e-4 * tol or polished or iters >= config.max_newton_iters:
+                break
+        elif iters >= config.max_newton_iters:
+            raise DivergenceError(
+                f"Newton did not reach tol={tol:g} in {config.max_newton_iters} iterations "
+                f"(residual {norm:.3e}, {stats.matrix_builds} matrix builds, "
+                f"last contraction {theta:.3g})",
+                residual_norm=norm, iterations=stats.newton_iters,
+                matrix_builds=stats.matrix_builds, contraction=theta)
+        fresh = held.factors is None
+        try:
+            if fresh:
+                t0 = time.perf_counter()
+                J = jacobian(x, F)
+                t1 = time.perf_counter()
+                stats.jacobian_time += t1 - t0
+                stats.matrix_builds += 1
+                held.factors = linear.factor(J)
+                stats.solve_time += time.perf_counter() - t1
+            t0 = time.perf_counter()
+            dx = linear.apply(held.factors, -F)
+            stats.solve_time += time.perf_counter() - t0
         except np.linalg.LinAlgError as exc:
-            raise DivergenceError(f"singular Newton matrix: {exc}", residual_norm=norm,
-                                  iterations=stats.newton_iters) from exc
-        stats.solve_time += time.perf_counter() - t0
+            raise DivergenceError(
+                f"singular Newton matrix: {exc} ({stats.matrix_builds} matrix builds)",
+                residual_norm=norm, iterations=stats.newton_iters,
+                matrix_builds=stats.matrix_builds, contraction=theta) from exc
+        polish = norm <= tol
         x = x + dx
         if not np.all(np.isfinite(x)):
             raise AbortedStepError("Newton iterate became non-finite")
         F, aux = residual(x)
+        iters += 1
         stats.newton_iters += 1
-        norm = float(np.max(np.abs(F))) if F.size else 0.0
+        new_norm = _inf_norm(F)
+        theta, norm = new_norm / norm, new_norm
+        target = _polish_target(linear, held, x, norm, tol)
+        polished = polish and (fresh or norm <= target)
+        if _predicted_iters(theta, norm, target) > _MAX_PREDICTED_ITERS:
+            held.factors = None
     stats.residual_norm = norm
     return x, aux, stats
 
@@ -523,34 +740,39 @@ def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarr
 
 
 def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSystem,
-                quad: QuadratureSpec, grid: TimeGrid,
-                config: SolverConfig) -> tuple[MacroStep, StepStats]:
+                quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig,
+                held: _HeldMatrix | None) -> tuple[MacroStep, StepStats]:
     residual = _step_residual(start, sys, quad, grid)
-    _, jacobian, solve = _linearization(sys, quad, grid)
+    linear, jacobian = _linearization(sys, quad, grid)
     x, (fast, mom), stats = _newton(residual, functools.partial(jacobian, start, residual),
-                                    guess, config, solve)
+                                    guess, config, linear, held)
     return _interval_record(index, start.q_slow, x[:sys.n_slow], fast, mom), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                 config: SolverConfig) -> tuple[MacroStep, StepStats]:
+                 config: SolverConfig, held: _HeldMatrix | None = None,
+                 ) -> tuple[MacroStep, StepStats]:
     """Solve the distinct first macro interval from an initial (q, p) state.
 
     The equations equate the left discrete momenta of the interval with the
     given initial momenta and impose stationarity at the interior fast nodes.
+    ``held`` is the Newton matrix holder that :func:`integrate` shares
+    between its steps; without one, the step builds its own matrix.
     """
     if not q0.finite:
         raise ValueError("initial state contains non-finite entries")
-    return _solve_step(0, q0, _drift_guess(q0, sys, grid), sys, quad, grid, config)
+    return _solve_step(0, q0, _drift_guess(q0, sys, grid), sys, quad, grid, config, held)
 
 
 def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-               config: SolverConfig) -> tuple[MacroStep, StepStats]:
-    """Advance one macro interval given the completed previous interval."""
+               config: SolverConfig, held: _HeldMatrix | None = None,
+               ) -> tuple[MacroStep, StepStats]:
+    """Advance one macro interval given the completed previous interval
+    (``held`` as for :func:`initial_step`)."""
     # linear extrapolation for the slow node, constant continuation for fast
     guess = np.concatenate([2.0 * prev.q_slow_end - prev.q_slow_start,
                             np.tile(prev.fast[-1], grid.micro_per_macro)])
-    return _solve_step(prev.index + 1, prev.end_state(), guess, sys, quad, grid, config)
+    return _solve_step(prev.index + 1, prev.end_state(), guess, sys, quad, grid, config, held)
 
 
 def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,
@@ -599,11 +821,12 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
 
 
 def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                    config: SolverConfig, mode: IntegratorMode):
+                    config: SolverConfig, mode: IntegratorMode, held: _HeldMatrix):
     """``(first, advance, linear_solver)`` of an integrator mode.
 
     ``first(q0)`` steps from the initial State, ``advance(prev)`` from the
-    previous MacroStep; both return ``(MacroStep, StepStats)``.
+    previous MacroStep; both return ``(MacroStep, StepStats)``, and the
+    Newton steps among them share the matrix in ``held``.
     ``linear_solver`` names the Newton linear solver the steps use, None
     where they run no Newton iteration.  Except for
     the explicit first step, they call the public step functions through
@@ -613,18 +836,18 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     if mode is IntegratorMode.CLOSED_FORM_PQ:
         from . import schemes
         schemes._update_map(quad)  # raises for a quadrature without a closed-form map
-        return ((lambda q0: schemes.pq_step(q0, sys, quad, grid, config)),
+        return ((lambda q0: schemes.pq_step(q0, sys, quad, grid, config, held=held)),
                 (lambda prev: schemes.pq_step(prev.end_state(), sys, quad, grid, config,
-                                              prev.index + 1)),
-                "dense")
+                                              prev.index + 1, held)),
+                _DENSE.name)
     if mode is IntegratorMode.EXPLICIT:
         if not quad.explicit_solvable:
             raise ConfigurationError("quadrature is not explicit-solvable")
         return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), StepStats())),
                 (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())), None)
-    return ((lambda q0: initial_step(q0, sys, quad, grid, config)),
-            (lambda prev: macro_step(prev, sys, quad, grid, config)),
-            _linearization(sys, quad, grid)[0])
+    return ((lambda q0: initial_step(q0, sys, quad, grid, config, held)),
+            (lambda prev: macro_step(prev, sys, quad, grid, config, held)),
+            _linearization(sys, quad, grid)[0].name)
 
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:
@@ -660,12 +883,13 @@ def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeG
     """Integrate the full trajectory over ``grid.n_macro`` macro steps.
 
     Every mode runs through this loop: its step functions return one
-    :class:`MacroStep` record per interval, stored the same way.
-    Deterministic: identical inputs produce bit-identical trajectories.  On a
-    step failure an :class:`IntegrationError` carrying the partial trajectory
-    is raised.
+    :class:`MacroStep` record per interval, stored the same way.  The Newton
+    matrix is held here, for the steps of this call only, so identical
+    inputs produce bit-identical trajectories.  On a step failure an
+    :class:`IntegrationError` carrying the partial trajectory is raised.
     """
-    step_fn, advance, linear_solver = _step_functions(sys, quad, grid, config, mode)
+    step_fn, advance, linear_solver = _step_functions(sys, quad, grid, config, mode,
+                                                      _HeldMatrix())
     traj = _empty_trajectory(q0, grid, sys)
     stats = IntegrationStats(linear_solver=linear_solver)
     t_wall = time.perf_counter()

@@ -184,6 +184,27 @@ class TestConvergenceStudy:
             convergence_study(sys, MIDMID, q0, p_ratio, [0.02, 0.01], 0.1, SolverConfig(),
                               ref_dT=0.01)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(t_end=math.inf), "t_end"), (dict(t_end=math.nan), "t_end"),
+        (dict(t_end=0.0), "t_end"), (dict(t_end=-0.1), "t_end"),
+        (dict(ref_dT=math.inf), "ref_dT"), (dict(ref_dT=0.0), "ref_dT"),
+        (dict(ref_dT=-0.01), "ref_dT"), (dict(ref_dT=math.nan), "ref_dT"),
+        (dict(dT_list=[0.02, 0.0]), "dT"), (dict(dT_list=[math.inf, 0.02]), "dT"),
+        (dict(dT_list=[0.02, -0.01]), "dT"), (dict(dT_list=[math.nan, 0.01]), "dT"),
+    ], ids=lambda v: str(v) if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v))
+    def test_bad_horizon_or_step_rejected_before_any_integration(self, fpu, monkeypatch,
+                                                                 kwargs, name):
+        # these used to reach int(round(t_end / dT)) and raise OverflowError
+        def no_integration(*args, **kw):
+            raise AssertionError("integrated although the inputs are invalid")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        sys, q0 = fpu
+        args = dict(dT_list=[0.02, 0.01], t_end=0.1, ref_dT=0.01) | kwargs
+        with pytest.raises(ValueError, match=name):
+            convergence_study(sys, MIDMID, q0, 5, args["dT_list"], args["t_end"], SolverConfig(),
+                              ref_dT=args["ref_dT"])
+
     def test_workers_give_same_table(self, fpu):
         sys, q0 = fpu
         cfg = SolverConfig(newton_tol=1e-11)

@@ -121,6 +121,20 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stats"]["linear_solver"] == solver
 
+    def test_manifest_records_matrix_builds(self, tmp_path):
+        out = tmp_path / "mb"
+        code = run("simulate", "--system", "fpu", "--dT", "0.3", "--p", "10",
+                   "--t-end", "3.0", "--out", str(out))
+        assert code == 0
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        # Newton keeps its factored matrix across iterations and steps
+        assert 0 < stats["matrix_builds_total"] < stats["newton_iters_total"]
+        explicit = tmp_path / "mb-explicit"
+        assert run("simulate", "--system", "fpu", "--scheme", "explicit", "--dT", "0.01",
+                   "--p", "5", "--t-end", "0.05", "--out", str(explicit)) == 0
+        stats = json.loads((explicit / "manifest.json").read_text())["stats"]
+        assert stats["matrix_builds_total"] == 0
+
 
 class TestManifestHash:
     def test_chunked_hash_equals_whole_file_hash(self, tmp_path):

@@ -134,7 +134,10 @@ class TestBitIdentity:
         # pq_step builds its matrix with the name schemes imported from solver
         monkeypatch.setattr(schemes, "_fd_jacobian", loop)
         t_loop, s_loop = integrate(q0, sys, quad, grid, cfg, mode)
-        assert len(calls) == s_loop.newton_iters_total > 0
+        # one difference matrix per matrix build, whose factors Newton keeps
+        # across iterations and steps
+        assert len(calls) == s_loop.matrix_builds_total > 0
+        assert s_batched.matrix_builds_total == s_loop.matrix_builds_total
         assert s_batched.newton_iters_total == s_loop.newton_iters_total
         for a, b in ((t_batched.slow_q, t_loop.slow_q), (t_batched.slow_p, t_loop.slow_p),
                      (t_batched.fast_q, t_loop.fast_q), (t_batched.fast_p, t_loop.fast_p)):

@@ -1,13 +1,15 @@
-"""Micro-benchmark of one Newton iteration, dense LU vs block elimination.
+"""Micro-benchmark of the Newton linear algebra, dense vs block elimination.
 
-One iteration is the Jacobian assembly plus the linear solve of the first
-macro step of FPU chains, midpoint-midpoint quadrature, at sizes on both
-sides of the crossover (``solver._STRUCTURED_MIN_UNKNOWNS``), which each
-case moves to force its path.  It makes no speed assertion; for comparable
-numbers pin BLAS to one thread::
+Newton builds a matrix (assembly plus ``factor``) now and then and solves
+with it (``apply``) at every iteration, so the two are timed apart.  The
+matrix is the one of the first macro step of FPU chains, midpoint-midpoint
+quadrature, at sizes on both sides of the crossover
+(``solver._STRUCTURED_MIN_UNKNOWNS``), which each case moves to force its
+path.  It makes no speed assertion; for comparable numbers pin BLAS to one
+thread::
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/test_linear_solver_bench.py \\
-        --benchmark-group-by=param:l,param:p
+        --benchmark-group-by=func,param:l,param:p
 """
 
 import math
@@ -23,18 +25,36 @@ from multirate.systems import FpuConfig  # noqa: E402
 pytestmark = pytest.mark.slow
 
 
-@pytest.mark.parametrize("structured", [False, True], ids=["dense", "structured"])
-@pytest.mark.parametrize("l,p", [(3, 10), (3, 50), (10, 10), (10, 20), (30, 50)])
-def test_newton_iteration(benchmark, monkeypatch, l, p, structured):
+def first_step(monkeypatch, l, p, structured):
     monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0 if structured else math.inf)
     sys, q0 = build_fpu(FpuConfig(l=l))
     quad = QuadratureSpec.midpoint_midpoint()
     grid = build_time_grid(0.3, p, 1)
     residual = _step_residual(q0, sys, quad, grid)
-    name, jacobian, solve = _linearization(sys, quad, grid)
-    assert name == ("structured" if structured else "dense")
+    linear, jacobian = _linearization(sys, quad, grid)
+    assert linear.name == ("structured" if structured else "dense")
     x = _drift_guess(q0, sys, grid)
     F = residual(x)[0]
+    return linear, (lambda: jacobian(q0, residual, x, F)), x, F
+
+
+CASES = pytest.mark.parametrize("l,p", [(3, 10), (3, 50), (10, 10), (10, 20), (30, 50)])
+SOLVERS = pytest.mark.parametrize("structured", [False, True], ids=["dense", "structured"])
+
+
+@SOLVERS
+@CASES
+def test_matrix_build(benchmark, monkeypatch, l, p, structured):
+    linear, jacobian, x, _ = first_step(monkeypatch, l, p, structured)
     benchmark.extra_info["unknowns"] = x.size
-    dx = benchmark(lambda: solve(jacobian(q0, residual, x, F), -F))
+    benchmark(lambda: linear.factor(jacobian()))
+
+
+@SOLVERS
+@CASES
+def test_newton_update(benchmark, monkeypatch, l, p, structured):
+    linear, jacobian, x, F = first_step(monkeypatch, l, p, structured)
+    factors = linear.factor(jacobian())
+    benchmark.extra_info["unknowns"] = x.size
+    dx = benchmark(lambda: linear.apply(factors, -F))
     assert dx.shape == x.shape

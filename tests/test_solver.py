@@ -6,6 +6,7 @@ import pytest
 
 from multirate import (
     ConfigurationError,
+    DivergenceError,
     IntegrationError,
     IntegratorMode,
     MacroStepUnknowns,
@@ -33,12 +34,13 @@ from multirate.systems import FpuConfig
 
 from multirate.solver import (
     _VERIFY_CHUNK,
+    _apply_blocks,
     _assemble_jacobian,
     _block_matvec,
     _eliminate,
+    _factor_blocks,
     _jacobian_blocks,
     _linearization,
-    _solve_blocks,
 )
 
 from _oracles import (
@@ -47,7 +49,7 @@ from _oracles import (
     implicit_midpoint_trajectory,
     symplectic_euler_momentum_first,
 )
-from conftest import toy_state
+from conftest import make_coupled_toy, toy_state
 
 MIDMID = QuadratureSpec.midpoint_midpoint()
 
@@ -187,11 +189,12 @@ class TestLinearSolver:
         assert np.array_equal(_assemble_jacobian(blocks), J)
         b = rng.standard_normal(J.shape[0])
         x = np.linalg.solve(J, b)
-        x_elim = _eliminate(blocks, b)
+        factors = _factor_blocks(blocks)
+        x_elim = _eliminate(factors, b)
         assert np.max(np.abs(x_elim - x)) <= 1e-12 * np.max(np.abs(x))
         assert np.max(np.abs(_block_matvec(blocks, b) - J @ b)) <= 1e-12 * np.max(np.abs(J @ b))
         # regular diagonal blocks: the elimination passes its accuracy check
-        assert np.array_equal(_solve_blocks(blocks, b), x_elim)
+        assert np.array_equal(_apply_blocks(factors, b), x_elim)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-310, 1e-12],
                              ids=["singular", "subnormal", "nearly-singular"])
@@ -209,22 +212,23 @@ class TestLinearSolver:
         assert np.linalg.cond(J) < 1e8
         b = np.random.default_rng(1).standard_normal(J.shape[0])
         x = np.linalg.solve(J, b)
-        with np.errstate(all="ignore"):
-            try:
-                x_elim = _eliminate(blocks, b)
-                breaks_down = not np.max(np.abs(x_elim - x)) <= 1e-10 * np.max(np.abs(x))
-            except np.linalg.LinAlgError:
-                breaks_down = True
+        factors = _factor_blocks(blocks)
+        # a D_i that cannot be inverted leaves no elimination factors
+        breaks_down = factors.d_inv is None
+        if not breaks_down:
+            with np.errstate(all="ignore"):
+                x_elim = _eliminate(factors, b)
+            breaks_down = not np.max(np.abs(x_elim - x)) <= 1e-10 * np.max(np.abs(x))
         assert breaks_down
-        assert np.array_equal(_solve_blocks(blocks, b), x)
+        assert np.array_equal(_apply_blocks(factors, b), x)
 
     def test_finite_difference_jacobian_stays_dense(self, fpu):
         # FPU l=3, p=50: 153 unknowns, above the crossover
         sys, q0 = fpu
         grid = build_time_grid(0.3, 50, 1)
         sys_fd = without_hessians(sys)
-        assert _linearization(sys, MIDMID, grid)[0] == "structured"
-        assert _linearization(sys_fd, MIDMID, grid)[0] == "dense"
+        assert _linearization(sys, MIDMID, grid)[0].name == "structured"
+        assert _linearization(sys_fd, MIDMID, grid)[0].name == "dense"
         _, stats = integrate(q0, sys_fd, MIDMID, grid, SolverConfig())
         assert stats.linear_solver == "dense"
 
@@ -257,6 +261,133 @@ class TestLinearSolver:
         _, stats = integrate(q0, sys, MIDMID, build_time_grid(0.01, 50, 2), SolverConfig(),
                              IntegratorMode.CLOSED_FORM_PQ)
         assert stats.linear_solver == "dense"
+
+
+def fpu_structured(monkeypatch):
+    monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+    return build_fpu()
+
+
+REUSE_CASES = {
+    "del-dense": (lambda mp: build_fpu(), MIDMID, IntegratorMode.IMPLICIT_DEL),
+    "del-structured": (fpu_structured, MIDMID, IntegratorMode.IMPLICIT_DEL),
+    "del-hessian-free": (lambda mp: (without_hessians(build_fpu()[0]), build_fpu()[1]), MIDMID,
+                         IntegratorMode.IMPLICIT_DEL),
+    "pq-midpoint": (lambda mp: build_fpu(), MIDMID, IntegratorMode.CLOSED_FORM_PQ),
+    "pq-trapezoidal-midpoint": (lambda mp: build_fpu(), QuadratureSpec.trapezoidal_midpoint(1.0),
+                                IntegratorMode.CLOSED_FORM_PQ),
+    "pq-trapezoidal-trapezoidal": (lambda mp: build_fpu(),
+                                   QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
+                                   IntegratorMode.CLOSED_FORM_PQ),
+}
+
+
+class TestMatrixReuse:
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_agrees_with_a_fresh_matrix_every_iteration(self, case, monkeypatch):
+        build, quad, mode = REUSE_CASES[case]
+        sys, q0 = build(monkeypatch)
+        grid = build_time_grid(0.3, 10, 20)
+        cfg = SolverConfig(newton_tol=1e-9)
+        t_reuse, s_reuse = integrate(q0, sys, quad, grid, cfg, mode)
+        # full Newton: every iteration builds its matrix at its own iterate
+        monkeypatch.setattr(solver, "_MAX_PREDICTED_ITERS", -1)
+        t_fresh, s_fresh = integrate(q0, sys, quad, grid, cfg, mode)
+        assert s_fresh.matrix_builds_total == s_fresh.newton_iters_total
+        assert 0 < s_reuse.matrix_builds_total < s_reuse.newton_iters_total
+        assert s_reuse.linear_solver == s_fresh.linear_solver
+        assert max(s_reuse.residual_max, s_fresh.residual_max) <= 1e-4 * cfg.newton_tol
+        # every node of the 20 steps
+        assert max_diff(t_reuse, t_fresh) <= 10 * cfg.newton_tol
+
+    @pytest.mark.parametrize("case", ["del-dense", "del-structured", "pq-midpoint"])
+    def test_reruns_are_bit_identical(self, case, monkeypatch):
+        build, quad, mode = REUSE_CASES[case]
+        sys, q0 = build(monkeypatch)
+        grid = build_time_grid(0.3, 10, 20)
+        runs = [integrate(q0, sys, quad, grid, SolverConfig(), mode) for _ in range(2)]
+        (t1, s1), (t2, s2) = runs
+        assert max_diff(t1, t2) == 0.0
+        assert (s1.newton_iters_total, s1.matrix_builds_total, s1.residual_max) == \
+            (s2.newton_iters_total, s2.matrix_builds_total, s2.residual_max)
+
+    def test_free_particle_builds_one_matrix(self, free_particle):
+        # a linear residual with a constant Newton matrix: the matrix built
+        # for the first iteration serves every later step
+        grid = build_time_grid(0.5, 3, 10)
+        _, stats = integrate(State([0.0], [1.0], [2.0], [3.0]), free_particle, MIDMID, grid,
+                             SolverConfig())
+        assert stats.newton_iters_total >= grid.n_macro - 1
+        assert stats.matrix_builds_total == 1
+
+    def test_polish_stops_at_the_rounding_floor(self, fpu):
+        # criterion 3's reference step: momentum terms M q / dt of about 1e5
+        # floor the residual near 1e-11, above 1e-4 * newton_tol; one polish
+        # with the held matrix reaches that floor and ends the step
+        sys, q0 = fpu
+        grid = build_time_grid(0.02 / 2560, 1, 200)
+        cfg = SolverConfig(newton_tol=1e-9)
+        _, stats = integrate(q0, sys, MIDMID, grid, cfg)
+        assert 1e-4 * cfg.newton_tol < stats.residual_max < 1e-10
+        assert stats.newton_iters_total <= 2 * grid.n_macro
+        assert stats.matrix_builds_total == 1
+
+    def stale_setup(self, max_iters):
+        sys, q0 = build_fpu()
+        grid = build_time_grid(0.3, 4, 2)
+        cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=max_iters)
+        step0, _ = initial_step(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9))
+        J = del_jacobian(step0, MacroStepUnknowns(step0.q_slow_end, step0.fast[1:]), sys,
+                         MIDMID, grid)
+        # a held matrix 100 times too small: its updates overshoot 100-fold
+        held = solver._HeldMatrix(solver._DENSE.factor(0.01 * J))
+        return sys, grid, cfg, step0, held
+
+    def test_stale_matrix_failure_restarts_with_a_fresh_one(self):
+        sys, grid, cfg, step0, held = self.stale_setup(8)
+        fresh, s_fresh = macro_step(step0, sys, MIDMID, grid, cfg)
+        assert s_fresh.newton_iters < cfg.max_newton_iters
+        step, stats = macro_step(step0, sys, MIDMID, grid, cfg, held)
+        # the held matrix's attempt ran out of iterations; the restart from
+        # the step's own guess is the fresh step, bit for bit
+        assert stats.newton_iters == cfg.max_newton_iters + s_fresh.newton_iters
+        assert stats.matrix_builds > s_fresh.matrix_builds
+        for a, b in ((step.fast, fresh.fast), (step.q_slow_end, fresh.q_slow_end),
+                     (step.p_fast, fresh.p_fast), (step.p_slow, fresh.p_slow)):
+            assert np.array_equal(a, b)
+        assert held.factors is not None
+
+    def test_stale_matrix_leaving_the_domain_restarts(self):
+        # the fast gradient is NaN beyond |q_f| = 1; a held matrix 1000 times
+        # too small throws the first iterate there, and the step restarts
+        toy = make_coupled_toy()
+        grad = toy.fast_potential_grad
+        sys = dataclasses.replace(toy, fast_potential_grad=lambda qf: np.where(
+            np.abs(qf) > 1.0, np.nan, grad(qf)))
+        grid = build_time_grid(0.1, 4, 2)
+        cfg = SolverConfig(newton_tol=1e-9)
+        step0, _ = initial_step(toy_state(), sys, MIDMID, grid, cfg)
+        fresh, s_fresh = macro_step(step0, sys, MIDMID, grid, cfg)
+        J = del_jacobian(step0, MacroStepUnknowns(step0.q_slow_end, step0.fast[1:]), sys,
+                         MIDMID, grid)
+        step, stats = macro_step(step0, sys, MIDMID, grid, cfg,
+                                 solver._HeldMatrix(solver._DENSE.factor(1e-3 * J)))
+        assert (stats.newton_iters, stats.matrix_builds) == \
+            (s_fresh.newton_iters, s_fresh.matrix_builds)
+        assert np.array_equal(step.fast, fresh.fast)
+        assert np.array_equal(step.p_slow, fresh.p_slow)
+
+    def test_failure_after_restart_is_explained(self):
+        sys, grid, cfg, step0, held = self.stale_setup(2)
+        with pytest.raises(DivergenceError) as info:
+            macro_step(step0, sys, MIDMID, grid, cfg, held)
+        err = info.value
+        # two attempts of two iterations: the held matrix's and the fresh one's
+        assert err.iterations == 4
+        assert err.matrix_builds >= 2
+        assert 0.0 < err.contraction < 1.0
+        assert f"{err.matrix_builds} matrix builds" in str(err)
+        assert f"last contraction {err.contraction:.3g}" in str(err)
 
 
 class TestInitialStep:
