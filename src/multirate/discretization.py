@@ -17,8 +17,9 @@ Macro-node-only placement of the slow potential is expressed in the same
 representation with weights attached to the first and last micro interval.
 The term geometry is cached as arrays per (quadrature, dT, p) in one
 interval kernel, which gathers all quadrature points with one matrix product,
-requests each potential's gradients (or Hessians) once per batch of points
-and scatters the results back to the nodes by matrix products.  The discrete
+requests each potential's gradients (or Hessians) once per batch of points,
+scatters the gradients back to the nodes by matrix products and sums the
+Hessians per micro interval.  The discrete
 momenta, the Lagrangian gradient, the DEL residual and the Newton Jacobian
 of :mod:`multirate.solver` all derive from it.
 """
@@ -106,12 +107,6 @@ def _slow_coeffs(u_l: float, m: int, p: int) -> tuple[float, float]:
     return 1.0 - c1, c1
 
 
-def _contract(C: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Weighted sums over the term axis: ``C (..., k)`` against ``H (k, a, b)``."""
-    k = H.shape[0]
-    return (C @ H.reshape(k, math.prod(H.shape[1:]))).reshape(C.shape[:-1] + H.shape[1:])
-
-
 def _check_finite(values, intervals: np.ndarray, what: str):
     """Raise naming the micro interval of the first point with a non-finite value.
 
@@ -119,13 +114,16 @@ def _check_finite(values, intervals: np.ndarray, what: str):
     trailing term axis of length ``intervals.size``; ``intervals[t]`` is the
     micro interval of term t.
     """
-    if all(np.isfinite(a).all() for a in values):
+    # a sum is finite only if every entry is; one that overflowed is
+    # looked into and passes
+    if all(math.isfinite(a.sum()) for a in values):
         return
     bad = np.zeros(values[0].shape[0], dtype=bool)
     for a in values:
         bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    m = int(intervals[int(np.argmax(bad)) % intervals.size])
-    raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
+    if bad.any():
+        m = int(intervals[int(np.argmax(bad)) % intervals.size])
+        raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
 
 
 def _slow_gradients(sys: MultirateSystem, intervals: np.ndarray, qs, qf):
@@ -153,8 +151,16 @@ class _Terms:
     Term t evaluates the potential at ``gather[t] @ fast`` (fast nodes of
     shape (p+1, n_fast)) on micro interval ``m[t]`` with weight ``w[t]``.
     ``left``/``right`` (p, k) carry ``w*u_l``/``w*u_r`` to the left and right
-    node of each micro interval; ``second`` (3p, k) stacks the weights
-    ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian blocks.
+    node of each micro interval; ``second`` (3, k, 1, 1) holds each term's
+    weights ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian
+    blocks of its interval.
+
+    Second derivatives are summed per micro interval (:meth:`interval_sums`).
+    On the micro grid every interval carries the same b terms, ordered
+    interval-major, so the weighted Hessians form a (p, b) grid summed over
+    b, for b = 1 already the result.  Otherwise (slow potential at the macro
+    nodes only: terms on the first and last interval) each term is added to
+    its own interval; no term without a point of its own enters a sum.
     """
 
     def __init__(self, m, w, u_l, p: int):
@@ -170,7 +176,26 @@ class _Terms:
         onto[self.m, rows] = w
         self.left = onto * u_l
         self.right = onto * u_r
-        self.second = np.vstack([self.left * u_l, self.left * u_r, self.right * u_r])
+        self.second = np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])[..., None, None]
+        self.p = p
+        # terms per interval where every interval has the same ones, else None
+        b = self.m.size // p
+        self.per_interval = b if np.array_equal(self.m, np.repeat(np.arange(p), b)) else None
+
+    def interval_sums(self, c: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """Sum of ``c[r, t] * H[t]`` over the terms t of each micro interval:
+        weight rows ``c`` (r, k, 1, 1) and Hessians ``H`` (k, a, b) give
+        (r, p, a, b)."""
+        prod = c * H
+        b = self.per_interval
+        if b == 1:
+            return prod
+        if b is not None:
+            return prod.reshape((c.shape[0], self.p, b) + H.shape[1:]).sum(axis=2)
+        out = np.zeros((c.shape[0], self.p) + H.shape[1:])
+        for t, m in enumerate(self.m):
+            out[:, m] += prod[:, t]
+        return out
 
 
 class _IntervalKernel:
@@ -199,11 +224,12 @@ class _IntervalKernel:
         self.V = _Terms(m, w, u_l, p)
         self.c0, self.c1 = c0[:, None], c1[:, None]
         self.w_c0, self.w_c1, self.w_c0c1 = w * c0, w * c1, w * c0 * c1
-        # Jacobian weights of H_sf, stacked: the slow equation against fast
-        # nodes 1..p, then the equations of fast nodes 0..p-1 against the
-        # next slow node
-        self.border = np.vstack([self.w_c0 * self.V.gather[:, 1:].T,
-                                 self.w_c1 * self.V.gather[:, :-1].T])
+        # weights of H_sf per term: rows 0 and 2 couple the slow equation to
+        # the right and the left node of the term's interval, rows 1 and 3
+        # the equations of its left and right node to the next slow node
+        u_r = 1.0 - u_l
+        self.border = np.stack([self.w_c0 * u_r, self.w_c1 * u_l, self.w_c0 * u_l,
+                                self.w_c1 * u_r])[..., None, None]
         w_terms = [(m, self.dt * w, u_l)
                    for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
         self.W = _Terms(*zip(*w_terms), p)
@@ -241,15 +267,35 @@ class _IntervalKernel:
         node j = 1..p, ``border[1, i]`` the equation of fast node i = 0..p-1
         to the next slow node (to be transposed); ``ff`` (3, p, n_fast,
         n_fast) holds the left-left, left-right and right-right blocks of
-        each micro interval.
+        each micro interval.  Every block is a sum over the terms of one
+        micro interval (:meth:`_Terms.interval_sums`); a fast node's border
+        block adds the sums of the two intervals it bounds.  A non-finite
+        Hessian raises :class:`~multirate.errors.EvaluationError` naming its
+        micro interval.
         """
         Qs, QfV, QfW = self.points(q0, q1, fast)
         H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
         H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
-        border = _contract(self.border, H_sf)
-        ff = _contract(self.V.second, H_ff) + _contract(self.W.second, H_W)
-        return (_contract(self.w_c0c1, H_ss), border.reshape((2, self.p) + border.shape[1:]),
-                ff.reshape((3, self.p) + ff.shape[1:]))
+        # a sum is finite only if every entry is (see _check_finite)
+        if not math.isfinite(H_ss.sum() + H_sf.sum() + H_ff.sum() + H_W.sum()):
+            _check_finite((H_ss, H_sf, H_ff), self.V.m, "slow-potential Hessian")
+            _check_finite((H_W,), self.W.m, "fast-potential Hessian")
+        k = H_ss.shape[0]
+        ss = (self.w_c0c1 @ H_ss.reshape(k, math.prod(H_ss.shape[1:]))).reshape(H_ss.shape[1:])
+        # few and small temporaries: the shifted border halves apart, the
+        # fast potential's terms after the slow potential's Hessians are
+        # released.  A large step's build then stays within memory the
+        # allocator has mapped already (FPU chain, l=30, p=50: 230-480 minor
+        # page faults per build, 650-950 with whole-array temporaries)
+        border = self.V.interval_sums(self.border[:2], H_sf)
+        shifted = self.V.interval_sums(self.border[2:], H_sf)
+        border[0, :-1] += shifted[0, 1:]
+        border[1, 1:] += shifted[1, :-1]
+        del shifted
+        ff = self.V.interval_sums(self.V.second, H_ff)
+        del H_ss, H_sf, H_ff
+        ff += self.W.interval_sums(self.W.second, H_W)
+        return ss, border, ff
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

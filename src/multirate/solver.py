@@ -79,15 +79,14 @@ __all__ = [
 # OpenBLAS 0.3.31, one BLAS thread, medians of one matrix build (assembly
 # plus factor) and of one solve with it, dense vs blocks
 # (tests/test_linear_solver_bench.py):
-#   l=3,  p=10,   33 unknowns: 0.19 ms + 4 us   vs 0.27 ms + 118 us
-#   l=10, p=10,  110 unknowns: 0.84 ms + 5 us   vs 0.37 ms + 123 us
-#   l=3,  p=50,  153 unknowns: 1.73 ms + 7 us   vs 0.56 ms + 286 us
-#   l=10, p=20,  210 unknowns: 3.92 ms + 10 us  vs 0.56 ms + 172 us
-#   l=30, p=50, 1530 unknowns: 432 ms + 0.97 ms vs 6.3 ms + 0.62 ms
+#   l=3,  p=10,   33 unknowns: 0.22 ms + 2 us   vs 0.31 ms + 63 us
+#   l=10, p=10,  110 unknowns: 0.89 ms + 5 us   vs 0.39 ms + 120 us
+#   l=3,  p=50,  153 unknowns: 1.94 ms + 7 us   vs 0.58 ms + 164 us
+#   l=10, p=20,  210 unknowns: 3.81 ms + 10 us  vs 0.40 ms + 154 us
+#   l=30, p=50, 1530 unknowns: 415 ms + 0.88 ms vs 5.5 ms + 0.54 ms
 # At about one build and five solves per step the two break even between
-# 153 and 210 unknowns.  The bound dates from when every Newton iteration
-# built its matrix, which put the crossover near 130 unknowns.  Other
-# machines, BLAS builds or potentials may place it elsewhere.
+# 110 and 153 unknowns.  Other machines, BLAS builds or potentials may
+# place it elsewhere.
 _STRUCTURED_MIN_UNKNOWNS = 128
 
 # Forward-difference step of unknown i, times 1 + |x_i|, for systems that
@@ -158,7 +157,7 @@ class SolverConfig:
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
       a dense inverse otherwise.  Elimination's cost grows linearly in p,
       dense factoring as p^3; with matrix reuse the two take the same time
-      between about 150 and 210 unknowns on the FPU chain.
+      between about 110 and 150 unknowns on the FPU chain.
       ``IntegrationStats.linear_solver`` records which ran.
     - ``jacobian_time`` counts matrix assembly (analytic or difference),
       ``solve_time`` factoring and every solve with the factors, and
@@ -365,12 +364,16 @@ def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: Qu
     ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
         q_slow_k, q_slow_next, fast, sys)
     M_dt = sys.mass_fast / grid.dt
-    return _JacobianBlocks(
-        p,
-        -sys.mass_slow / grid.dT - ss,
-        -row.transpose(1, 0, 2).reshape(n_s, p * n_f),
-        -col.transpose(0, 2, 1).reshape(p * n_f, n_s),
-        np.concatenate([-M_dt - lr, 2.0 * M_dt - ll[1:] - rr[:-1], -M_dt - lr[1:-1]]))
+    band = np.empty((_chain_band(p)[0].size, n_f, n_f))
+    D, E = band[:p], band[p:2 * p - 1]
+    np.subtract(-M_dt, lr, out=D)
+    np.subtract(2.0 * M_dt, ll[1:], out=E)
+    E -= rr[:-1]
+    band[2 * p - 1:] = D[1:p - 1]   # G_i = D_{i-1}
+    return _JacobianBlocks(p, -sys.mass_slow / grid.dT - ss,
+                           np.negative(row.transpose(1, 0, 2), order="C").reshape(n_s, p * n_f),
+                           np.negative(col.transpose(0, 2, 1), order="C").reshape(p * n_f, n_s),
+                           band)
 
 
 def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
@@ -404,7 +407,8 @@ class _BlockFactors:
     substitution writes every y_i as a_i - Z_i s, where only a depends on b;
     the slow row then gives the Schur complement (A - B Z) s = b_s - B a, and
     back-substitution the fast update.  ``d_inv`` is None where a D_i could
-    not be inverted; every solve then takes the dense fallback.
+    not be inverted; every solve then takes the dense fallback.  ``absolute``
+    holds |J| once :func:`_block_magnitude` has needed it.
     """
 
     J: _JacobianBlocks
@@ -413,31 +417,38 @@ class _BlockFactors:
     z: np.ndarray | None = None         # (p*n_fast, n_slow)
     schur_inv: np.ndarray | None = None  # (n_slow, n_slow): (A - B Z)^-1
     j_max: float = 0.0
+    absolute: _JacobianBlocks | None = None
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a_ij| without an array of the magnitudes."""
+    return max(float(np.max(a, initial=0.0)), -float(np.min(a, initial=0.0)))
 
 
 def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
     """Everything of block elimination that depends on J alone, without
     pivoting across blocks."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    j_max = max(np.max(np.abs(a), initial=0.0) for a in (J.slow, J.row, J.col, J.band))
-    # D_i^-1 [G_i | E_i | C_i] for every row block, batched.  Inverting the
-    # D_i and multiplying takes a third of the time of a batched
-    # np.linalg.solve with these 2 n_fast + n_slow right-hand sides (2.1 vs
-    # 6.0 ms for 50 blocks of 30 x 30, single-threaded OpenBLAS).
-    R = np.zeros((p, n_f, 2 * n_f + n_s))
-    R[2:, :, :n_f] = J.band[2 * p - 1:]
-    R[1:, :, n_f:2 * n_f] = J.band[p:2 * p - 1]
-    R[:, :, 2 * n_f:] = J.col.reshape(p, n_f, n_s)
+    j_max = max(_abs_max(a) for a in (J.slow, J.row, J.col, J.band))
+    # D_i^-1 times G_i, E_i and C_i, batched, straight into the slices of
+    # ge and Z.  Inverting the D_i and multiplying takes a third of the
+    # time of a batched np.linalg.solve with these 2 n_fast + n_slow
+    # right-hand sides (2.1 vs 6.0 ms for 50 blocks of 30 x 30,
+    # single-threaded OpenBLAS).
     try:
         with np.errstate(all="ignore"):
             d_inv = np.linalg.inv(J.band[:p])
-            X = d_inv @ R
-            ge = np.ascontiguousarray(X[:, :, :2 * n_f])
+            ge = np.empty((p, n_f, 2 * n_f))
+            ge[:2, :, :n_f] = 0.0
+            ge[:1, :, n_f:] = 0.0
+            np.matmul(d_inv[2:], J.band[2 * p - 1:], out=ge[2:, :, :n_f])
+            np.matmul(d_inv[1:], J.band[p:2 * p - 1], out=ge[1:, :, n_f:])
             # Z_i after two leading zero blocks, so that every row block
             # subtracts [G_i | E_i] times the two blocks before it in one
             # product
-            Z = np.zeros((p + 2, n_f, n_s))
-            Z[2:] = X[:, :, 2 * n_f:]
+            Z = np.empty((p + 2, n_f, n_s))
+            Z[:2] = 0.0
+            np.matmul(d_inv, J.col.reshape(p, n_f, n_s), out=Z[2:])
             for i in range(p):
                 Z[i + 2] -= ge[i] @ Z[i:i + 2].reshape(2 * n_f, n_s)
             Z = Z[2:].reshape(p * n_f, n_s)
@@ -451,9 +462,8 @@ def _eliminate(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
     """Solve ``J x = b`` with the elimination factors, without any check."""
     J = F.J
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    c = np.einsum("ijk,ik->ij", F.d_inv, b[n_s:].reshape(p, n_f))
     a = np.zeros((p + 2, n_f))
-    a[2:] = c
+    np.matmul(F.d_inv, b[n_s:].reshape(p, n_f, 1), out=a[2:, :, None])
     for i in range(p):
         a[i + 2] -= F.ge[i] @ a[i:i + 2].ravel()
     a = a[2:].ravel()
@@ -464,10 +474,10 @@ def _eliminate(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
 def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
     """``J @ x`` from the blocks."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    s, y = x[:n_s], x[n_s:].reshape(p, n_f)
-    fast = (J.col @ s).reshape(p, n_f) + np.einsum("ijk,ik->ij", J.band[:p], y)
-    fast[1:] += np.einsum("ijk,ik->ij", J.band[p:2 * p - 1], y[:-1])
-    fast[2:] += np.einsum("ijk,ik->ij", J.band[2 * p - 1:], y[:-2])
+    s, y = x[:n_s], x[n_s:].reshape(p, n_f, 1)
+    fast = (J.col @ s).reshape(p, n_f) + (J.band[:p] @ y)[..., 0]
+    fast[1:] += (J.band[p:2 * p - 1] @ y[:-1])[..., 0]
+    fast[2:] += (J.band[2 * p - 1:] @ y[:-2])[..., 0]
     return np.concatenate([J.slow @ s + J.row @ x[n_s:], fast.ravel()])
 
 
@@ -499,9 +509,11 @@ def _apply_blocks(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
 
 
 def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> float:
-    J = F.J
-    absolute = _JacobianBlocks(J.p, np.abs(J.slow), np.abs(J.row), np.abs(J.col), np.abs(J.band))
-    return float(np.max(_block_matvec(absolute, np.abs(x)), initial=0.0))
+    if F.absolute is None:
+        J = F.J
+        F.absolute = _JacobianBlocks(J.p, np.abs(J.slow), np.abs(J.row), np.abs(J.col),
+                                     np.abs(J.band))
+    return float(np.max(_block_matvec(F.absolute, np.abs(x)), initial=0.0))
 
 
 def _factor_dense(J: np.ndarray):
@@ -604,9 +616,23 @@ def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:
 class _HeldMatrix:
     """The factored Newton matrix that simplified Newton keeps across
     iterations and, when :func:`integrate` hands one holder to all its
-    steps, across steps.  ``factors`` is None until the next build."""
+    steps, across steps.  ``factors`` is None until the next build.
+
+    :meth:`drop` keeps the dropped factors referenced in ``retired`` until
+    the next build has made new ones, and only then frees them, so that
+    their memory serves the build after.  Freed before the build, it went
+    back to the system and the build took it again page by page: on an FPU
+    chain with l=30, p=50, 1,190 minor page faults per build against
+    230-480 this way.
+    """
 
     factors: object = None
+    retired: object = None
+
+    def drop(self):
+        if self.factors is not None:
+            self.retired = self.factors
+        self.factors = None
 
 
 def _inf_norm(F: np.ndarray) -> float:
@@ -659,7 +685,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
         try:
             return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
         except (DivergenceError, AbortedStepError, EvaluationError):
-            held.factors = None
+            held.drop()
     return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
 
 
@@ -703,7 +729,7 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
                 t1 = time.perf_counter()
                 stats.jacobian_time += t1 - t0
                 stats.matrix_builds += 1
-                held.factors = linear.factor(J)
+                held.factors, held.retired = linear.factor(J), None
                 stats.solve_time += time.perf_counter() - t1
             t0 = time.perf_counter()
             dx = linear.apply(held.factors, -F)
@@ -725,7 +751,7 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
         target = _polish_target(linear, held, x, norm, tol)
         polished = polish and (fresh or norm <= target)
         if _predicted_iters(theta, norm, target) > _MAX_PREDICTED_ITERS:
-            held.factors = None
+            held.drop()
     stats.residual_norm = norm
     return x, aux, stats
 

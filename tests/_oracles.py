@@ -110,3 +110,36 @@ def fd_jacobian_loop(residual, x0, r0, step):
         xp[i] += h
         J[:, i] = (residual(xp)[0] - r0) / h
     return J
+
+
+def hessian_blocks_dense(kern, q0, q1, fast, sys):
+    """``(ss, border, ff)`` of ``_IntervalKernel.hessian_blocks``, contracting
+    all k term Hessians against dense (3p, k) and (2p, k) weight matrices.
+
+    The weights come from the kernel's term geometry: term t sits on micro
+    interval ``m[t]`` with weight ``w[t]``, evaluates the fast point
+    ``gather[t] @ fast`` and the slow point ``c0[t] q0 + c1[t] q1``.
+    """
+    p = kern.p
+    Qs, QfV, QfW = kern.points(q0, q1, fast)
+    H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
+    H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+
+    def contract(C, H):
+        k = H.shape[0]
+        return (C @ H.reshape(k, -1)).reshape(C.shape[:-1] + H.shape[1:])
+
+    def second(terms):
+        rows = np.arange(terms.m.size)
+        u_l, u_r = terms.gather[rows, terms.m], terms.gather[rows, terms.m + 1]
+        onto = np.zeros((p, terms.m.size))
+        onto[terms.m, rows] = terms.w
+        left, right = onto * u_l, onto * u_r
+        return np.vstack([left * u_l, left * u_r, right * u_r])
+
+    w_c0, w_c1 = kern.V.w * kern.c0[:, 0], kern.V.w * kern.c1[:, 0]
+    border = contract(np.vstack([w_c0 * kern.V.gather[:, 1:].T, w_c1 * kern.V.gather[:, :-1].T]),
+                      H_sf)
+    ff = contract(second(kern.V), H_ff) + contract(second(kern.W), H_W)
+    return (contract(w_c0 * kern.c1[:, 0], H_ss), border.reshape((2, p) + border.shape[1:]),
+            ff.reshape((3, p) + ff.shape[1:]))

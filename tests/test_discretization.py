@@ -9,18 +9,25 @@ from multirate import (
     MultirateSystem,
     QuadratureSpec,
     SlowPlacement,
+    SolverConfig,
+    build_fpu,
+    build_spring_ring,
     build_time_grid,
     discrete_fast_potential,
     discrete_kinetic,
     discrete_lagrangian,
     discrete_slow_potential,
     grad_discrete_lagrangian,
+    initial_step,
     interp_slow,
     interval_momenta,
 )
-from multirate.discretization import discrete_lagrangian_micro
+from multirate.discretization import _check_finite, discrete_lagrangian_micro, interval_kernel
+from multirate.solver import _linearization
 
-from _oracles import affine_quadrature, central_diff
+from _oracles import affine_quadrature, central_diff, hessian_blocks_dense
+from conftest import make_fast_only, make_slow_only
+from test_solver import QUADRATURES, QUADRATURE_IDS
 
 
 def scalar_system(V=None, gradV=None, W=None, gradW=None):
@@ -304,6 +311,78 @@ class TestEvaluationErrors:
             interval_momenta(np.zeros(1), np.ones(1), fast, sys, QuadratureSpec.midpoint_midpoint(),
                              grid)
         assert info.value.node_index == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_values_whose_sum_overflows_pass(self):
+        # the check sums each array first; a sum that overflowed is looked
+        # into entry by entry
+        _check_finite((np.full((4, 2), 1e308),), np.arange(4), "gradient")
+        bad = np.full((4, 2), 1e308)
+        bad[3, 1] = np.inf
+        with pytest.raises(EvaluationError) as info:
+            _check_finite((bad,), np.arange(4), "gradient")
+        assert info.value.node_index == 3
+
+
+class TestHessianErrors:
+    @staticmethod
+    def with_nan_hessian(sys, which, m):
+        """``sys`` whose fast-fast Hessian (slow potential) or fast-potential
+        Hessian is NaN at the batch row m, the midpoint of micro interval m."""
+        def slow(qs, qf):
+            H_ss, H_sf, H_ff = sys.slow_potential_hessian(qs, qf)
+            H_ff = np.array(H_ff)
+            H_ff[m] = np.nan
+            return H_ss, H_sf, H_ff
+
+        def fast(qf):
+            H = np.array(sys.fast_potential_hessian(qf))
+            H[m] = np.nan
+            return H
+
+        if which == "slow":
+            return dataclasses.replace(sys, slow_potential_hessian=slow)
+        return dataclasses.replace(sys, fast_potential_hessian=fast)
+
+    @pytest.mark.parametrize("which", ["slow", "fast"])
+    @pytest.mark.parametrize("p,linear", [(10, "dense"), (50, "structured")])
+    def test_nonfinite_hessian_names_its_micro_interval(self, which, p, linear):
+        sys, q0 = build_fpu()
+        grid = build_time_grid(0.3, p, 1)
+        quad = QuadratureSpec.midpoint_midpoint()
+        bad = self.with_nan_hessian(sys, which, 3)
+        assert _linearization(bad, quad, grid)[0].name == linear
+        with pytest.raises(EvaluationError, match="Hessian") as info:
+            initial_step(q0, bad, quad, grid, SolverConfig())
+        assert info.value.node_index == 3
+
+
+HESSIAN_SYSTEMS = {
+    "fpu": build_fpu,
+    "spring_ring": build_spring_ring,
+    "fast_only": make_fast_only,
+    "slow_only": make_slow_only,
+}
+
+
+class TestHessianBlocks:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
+    @pytest.mark.parametrize("system", sorted(HESSIAN_SYSTEMS))
+    def test_interval_sums_match_dense_contraction(self, system, quad, p):
+        sys, q0 = HESSIAN_SYSTEMS[system]()
+        kern = interval_kernel(quad, build_time_grid(0.3, p, 1))
+        if quad.slow_placement is SlowPlacement.MACRO_NODES_ONLY and p > 1:
+            # terms on the first interval only: the index path
+            assert kern.V.per_interval is None
+        rng = np.random.default_rng(p)
+        q1 = q0.q_slow + rng.uniform(-0.1, 0.1, sys.n_slow)
+        fast = q0.q_fast + rng.uniform(-0.1, 0.1, (p + 1, sys.n_fast))
+        got = kern.hessian_blocks(q0.q_slow, q1, fast, sys)
+        want = hessian_blocks_dense(kern, q0.q_slow, q1, fast, sys)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * np.max(np.abs(b), initial=0.0)
 
 
 class TestMacroStepUnknowns:

@@ -1,7 +1,9 @@
 """Micro-benchmark of the Newton linear algebra, dense vs block elimination.
 
 Newton builds a matrix (assembly plus ``factor``) now and then and solves
-with it (``apply``) at every iteration, so the two are timed apart.  The
+with it (``apply``) at every iteration, so the two are timed apart;
+assembly is also timed alone, with the minor page faults per assembly
+(``resource.getrusage``) in ``extra_info``.  The
 matrix is the one of the first macro step of FPU chains, midpoint-midpoint
 quadrature, at sizes on both sides of the crossover
 (``solver._STRUCTURED_MIN_UNKNOWNS``), which each case moves to force its
@@ -13,6 +15,7 @@ thread::
 """
 
 import math
+import resource
 
 import pytest
 
@@ -48,6 +51,24 @@ def test_matrix_build(benchmark, monkeypatch, l, p, structured):
     linear, jacobian, x, _ = first_step(monkeypatch, l, p, structured)
     benchmark.extra_info["unknowns"] = x.size
     benchmark(lambda: linear.factor(jacobian()))
+
+
+@SOLVERS
+@CASES
+def test_matrix_assembly(benchmark, monkeypatch, l, p, structured):
+    _, jacobian, x, _ = first_step(monkeypatch, l, p, structured)
+    calls = 0
+
+    def assemble():
+        nonlocal calls
+        calls += 1
+        return jacobian()
+
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    benchmark(assemble)
+    benchmark.extra_info["unknowns"] = x.size
+    benchmark.extra_info["minor_faults_per_assembly"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / calls
 
 
 @SOLVERS
