@@ -59,15 +59,17 @@ def energy_series(traj: Trajectory, sys: MultirateSystem) -> EnergySeries:
     vpot = np.empty(N + 1)
     wpot = np.empty(N + 1)
     stiff = np.empty((N + 1, sys.n_fast)) if sys.oscillatory_energy else None
+    p = grid.micro_per_macro
     for k in range(N + 1):
-        st = traj.macro_state(k)
-        v_s = sys.mass_slow_inv @ st.p_slow
-        v_f = sys.mass_fast_inv @ st.p_fast
-        kin[k] = 0.5 * float(st.p_slow @ v_s) + 0.5 * float(st.p_fast @ v_f)
-        vpot[k] = float(sys.slow_potential(st.q_slow, st.q_fast))
-        wpot[k] = float(sys.fast_potential(st.q_fast))
+        q_s, p_s = traj.slow_q[k], traj.slow_p[k]
+        q_f, p_f = traj.fast_q[k * p], traj.fast_p[k * p]  # micro node (k, 0)
+        v_s = sys.mass_slow_inv @ p_s
+        v_f = sys.mass_fast_inv @ p_f
+        kin[k] = 0.5 * float(p_s @ v_s) + 0.5 * float(p_f @ v_f)
+        vpot[k] = float(sys.slow_potential(q_s, q_f))
+        wpot[k] = float(sys.fast_potential(q_f))
         if stiff is not None:
-            stiff[k] = sys.oscillatory_energy(st.q_fast, v_f)
+            stiff[k] = sys.oscillatory_energy(q_f, v_f)
     total = kin + vpot + wpot
     return EnergySeries(times, kin, vpot, wpot, total, stiff,
                         stiff.sum(axis=1) if stiff is not None else None)
@@ -83,12 +85,12 @@ def angular_momentum_series(traj: Trajectory, sys: MultirateSystem, axis=None) -
         raise ValueError("configuration dimensions must be multiples of 3")
     axis = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    N = traj.grid.n_macro
+    N, p = traj.grid.n_macro, traj.grid.micro_per_macro
     out = np.empty(N + 1)
     for k in range(N + 1):
-        st = traj.macro_state(k)
+        i = k * p
         L = np.zeros(3)
-        for q, mom in ((st.q_slow, st.p_slow), (st.q_fast, st.p_fast)):
+        for q, mom in ((traj.slow_q[k], traj.slow_p[k]), (traj.fast_q[i], traj.fast_p[i])):
             qm = q.reshape(-1, 3)
             pm = mom.reshape(-1, 3)
             L += np.sum(np.cross(qm, pm), axis=0)

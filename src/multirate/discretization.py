@@ -150,6 +150,9 @@ class _Terms:
 
     Term t evaluates the potential at ``gather[t] @ fast`` (fast nodes of
     shape (p+1, n_fast)) on micro interval ``m[t]`` with weight ``w[t]``.
+    Where every term's point is a node (trapezoidal-family rules),
+    ``node[t]`` is that node, else ``node`` is None; ``at_end`` tells
+    whether a term's point is node p.
     ``left``/``right`` (p, k) carry ``w*u_l``/``w*u_r`` to the left and right
     node of each micro interval; ``second`` (3, k, 1, 1) holds each term's
     weights ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian
@@ -177,6 +180,9 @@ class _Terms:
         self.left = onto * u_l
         self.right = onto * u_r
         self.second = np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])[..., None, None]
+        on_node = (u_l == 0.0) | (u_l == 1.0)
+        self.node = self.m + (u_l == 0.0) if on_node.all() else None
+        self.at_end = self.node is not None and bool((self.node == p).any())
         self.p = p
         # terms per interval where every interval has the same ones, else None
         b = self.m.size // p
@@ -246,10 +252,20 @@ class _IntervalKernel:
         leading axes index independent intervals, whose points all go to the
         callbacks in one batch.
         """
+        return self.momenta_from(q0, q1, fast, sys, *self.gradients(q0, q1, fast, sys))
+
+    def gradients(self, q0, q1, fast, sys: MultirateSystem):
+        """Potential gradients ``(g_s, g_fV, g_W)`` at the quadrature points,
+        of shape (..., k, n) with the terms of ``V`` resp. ``W`` on axis -2.
+        A non-finite one raises naming its micro interval, slow before fast
+        (:func:`_check_finite`)."""
         Qs, QfV, QfW = self.points(q0, q1, fast)
         g_s, g_fV = _slow_gradients(sys, self.V.m, Qs, QfV)
-        g_W = _fast_gradients(sys, self.W.m, QfW)
+        return g_s, g_fV, _fast_gradients(sys, self.W.m, QfW)
 
+    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
+        """Discrete momenta as :meth:`momenta`, from the gradients at the
+        quadrature points (as :meth:`gradients` returns them)."""
         # one vector-matrix product per interval, as for a single interval,
         # so that a point's momenta do not depend on the batch it comes in
         Mv_s = (((q1 - q0) / self.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]

@@ -193,12 +193,12 @@ class TimeGrid:
         return k * self.micro_per_macro + m
 
     def micro_times(self) -> np.ndarray:
-        """All micro node times, flattened with boundary sharing."""
+        """All micro node times, flattened with boundary sharing; each equal
+        to :meth:`micro_time` (same operations in the same order)."""
         p = self.micro_per_macro
+        k = np.arange(self.n_macro)[:, None]
         out = np.empty(self.n_macro * p + 1)
-        for k in range(self.n_macro):
-            for m in range(p):
-                out[k * p + m] = self.micro_time(k, m)
+        out[:-1] = ((self.t0 + k * self.dT) + np.arange(p) * self.dt).ravel()
         out[-1] = self.macro_time(self.n_macro)
         return out
 

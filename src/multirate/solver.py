@@ -46,7 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import MacroStepUnknowns, _left_weight, interval_kernel, interval_momenta
+from .discretization import MacroStepUnknowns, _check_finite, _left_weight, interval_kernel
+# no step calls it, but the benchmark's traced mode wraps it here by name
+from .discretization import interval_momenta  # noqa: F401
 from .errors import (
     AbortedStepError,
     ConfigurationError,
@@ -803,28 +805,52 @@ def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid
 
 def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,
                    grid: TimeGrid) -> MacroStep:
+    """Macro step of the explicit recurrence (:func:`explicit_macro_step`).
+
+    Every quadrature point of an explicit-solvable rule is a node, so the
+    momenta are combined from the gradients the recurrence evaluated, taken
+    per term by its node.
+    """
+    kern = interval_kernel(quad, grid)
     p = grid.micro_per_macro
     dt = grid.dt
     q0, f0 = start.q_slow, start.q_fast
 
-    g_s, g_f = sys.slow_potential_grad(q0, f0)
-    g_s = np.asarray(g_s, dtype=float)
-    g_f = np.asarray(g_f, dtype=float)
+    slow_at = {0: _slow_gradient(sys, q0, f0)}
+    g_s, g_f = slow_at[0]
+    g_W_node = np.empty((p + 1, sys.n_fast))  # fast-potential gradient per node
+    g_W_node[0] = sys.fast_potential_grad(f0)
     w_left = _left_weight(quad.alpha_W, quad.gamma_W)
 
     fast = np.empty((p + 1, sys.n_fast))
     fast[0] = f0
-    kick0 = start.p_fast - grid.dT * quad.alpha_V * g_f - dt * w_left * np.asarray(
-        sys.fast_potential_grad(f0), dtype=float)
+    kick0 = start.p_fast - grid.dT * quad.alpha_V * g_f - dt * w_left * g_W_node[0]
     fast[1] = f0 + dt * (sys.mass_fast_inv @ kick0)
     for m in range(1, p):
-        gw = np.asarray(sys.fast_potential_grad(fast[m]), dtype=float)
-        fast[m + 1] = 2.0 * fast[m] - fast[m - 1] - dt * dt * (sys.mass_fast_inv @ gw)
+        g_W_node[m] = sys.fast_potential_grad(fast[m])
+        fast[m + 1] = 2.0 * fast[m] - fast[m - 1] - dt * dt * (sys.mass_fast_inv @ g_W_node[m])
     q1 = q0 + grid.dT * (sys.mass_slow_inv @ (start.p_slow - grid.dT * quad.alpha_V * g_s))
 
-    mom = interval_momenta(q0, q1, fast, sys, quad, grid)
+    if kern.V.at_end:
+        slow_at[p] = _slow_gradient(sys, q1, fast[p])
+    if kern.W.at_end:
+        g_W_node[p] = sys.fast_potential_grad(fast[p])
+    # each term's gradient by its node: a row no term uses is never read
+    g_sV = np.array([slow_at[n][0] for n in kern.V.node])
+    g_fV = np.array([slow_at[n][1] for n in kern.V.node])
+    g_W = g_W_node[kern.W.node]
+    # a sum is finite only if every entry is (see _check_finite)
+    if not math.isfinite(g_sV.sum() + g_fV.sum() + g_W.sum()):
+        _check_finite((g_sV, g_fV), kern.V.m, "slow-potential gradient")
+        _check_finite((g_W,), kern.W.m, "fast-potential gradient")
     return _interval_record(index, q0, q1, fast,
-                            (mom.p_s_minus, mom.p_s_plus, mom.p_f_minus, mom.p_f_plus))
+                            kern.momenta_from(q0, q1, fast, sys, g_sV, g_fV, g_W))
+
+
+def _slow_gradient(sys: MultirateSystem, q_slow, q_fast):
+    """Slow-potential gradients ``(g_s, g_f)`` at one point, as float arrays."""
+    g_s, g_f = sys.slow_potential_grad(q_slow, q_fast)
+    return np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
 
 
 def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec,
@@ -833,7 +859,11 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
 
     The shared-node equation yields the first fast node, the interior
     equations advance the fast chain, and the slow equation gives the next
-    macro configuration, each by a single mass-matrix solve.
+    macro configuration, each by a single mass-matrix solve.  The step
+    evaluates the slow gradient once and the fast gradient at micro nodes
+    0..p-1; a rule that weights the end node (alpha_V != 1 for the slow
+    potential, alpha_W != 1 for gamma_W = 1 or alpha_W != 0 for gamma_W = 0)
+    adds one evaluation there.
     """
     if not quad.explicit_solvable:
         raise ConfigurationError(

@@ -1,7 +1,31 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from multirate import MultirateSystem, SolverConfig, State, build_fpu, build_spring_ring
+
+
+def count_points(sys):
+    """``(counted, counts)``: a copy of ``sys`` whose gradient callables add
+    the number of points they receive to ``counts["slow"]`` and
+    ``counts["fast"]``.  A call with k stacked points counts k, a call with
+    one point 1."""
+    counts = {"slow": 0, "fast": 0}
+
+    def n_points(q):
+        return math.prod(np.shape(q)[:-1])
+
+    def slow(qs, qf):
+        counts["slow"] += n_points(qf)
+        return sys.slow_potential_grad(qs, qf)
+
+    def fast(qf):
+        counts["fast"] += n_points(qf)
+        return sys.fast_potential_grad(qf)
+
+    return dataclasses.replace(sys, slow_potential_grad=slow, fast_potential_grad=fast), counts
 
 
 @pytest.fixture(scope="session")

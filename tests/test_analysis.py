@@ -5,6 +5,7 @@ import pytest
 
 from multirate import (
     AlignmentError,
+    IntegratorMode,
     QuadratureSpec,
     SolverConfig,
     State,
@@ -57,6 +58,43 @@ class TestEnergySeries:
         traj, _ = integrate(State([0.0], [1.0], [2.0], [1.0]), free_particle, MIDMID, grid, config)
         es = energy_series(traj, free_particle)
         assert es.stiff_energies is None and es.stiff_total is None
+
+
+def _series_per_state(traj, sys):
+    """Energies and angular momentum through one State per macro node."""
+    rows = []
+    for k in range(traj.grid.n_macro + 1):
+        st = traj.macro_state(k)
+        v_s = sys.mass_slow_inv @ st.p_slow
+        v_f = sys.mass_fast_inv @ st.p_fast
+        L = np.zeros(3)
+        for q, mom in ((st.q_slow, st.p_slow), (st.q_fast, st.p_fast)):
+            L += np.sum(np.cross(q.reshape(-1, 3), mom.reshape(-1, 3)), axis=0)
+        rows.append((0.5 * float(st.p_slow @ v_s) + 0.5 * float(st.p_fast @ v_f),
+                     float(sys.slow_potential(st.q_slow, st.q_fast)),
+                     float(sys.fast_potential(st.q_fast)),
+                     sys.oscillatory_energy(st.q_fast, v_f) if sys.oscillatory_energy else 0.0,
+                     float(L @ np.array([0.0, 0.0, 1.0]))))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("system,quad,mode", [
+    ("fpu", MIDMID, IntegratorMode.IMPLICIT_DEL),
+    ("spring_ring", QuadratureSpec.explicit(), IntegratorMode.EXPLICIT),
+])
+def test_series_bit_identical_to_per_state_formula(request, system, quad, mode):
+    sys, q0 = request.getfixturevalue(system)
+    grid = build_time_grid(0.05, 4, 12)
+    traj, _ = integrate(q0, sys, quad, grid, SolverConfig(newton_tol=1e-10), mode)
+    kin, vpot, wpot, stiff, L = _series_per_state(traj, sys)
+    es = energy_series(traj, sys)
+    assert np.array_equal(es.kinetic, kin)
+    assert np.array_equal(es.slow_potential, vpot)
+    assert np.array_equal(es.fast_potential, wpot)
+    assert np.array_equal(es.total, kin + vpot + wpot)
+    if sys.oscillatory_energy:
+        assert np.array_equal(es.stiff_energies, stiff)
+    assert np.array_equal(angular_momentum_series(traj, sys), L)
 
 
 class TestAngularMomentum:

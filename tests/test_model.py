@@ -53,6 +53,17 @@ class TestTimeGrid:
         grid = TimeGrid(dT=0.1, micro_per_macro=2, n_macro=0)
         assert grid.micro_times().shape == (1,)
 
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(dT=0.3, micro_per_macro=7, n_macro=40, t0=1.7),
+        TimeGrid(dT=0.1, micro_per_macro=1, n_macro=30),
+        TimeGrid(dT=0.1, micro_per_macro=4, n_macro=0, t0=-2.5),
+    ], ids=["t0", "p1", "empty"])
+    def test_micro_times_equal_micro_time(self, grid):
+        p = grid.micro_per_macro
+        nodes = [grid.micro_time(k, m) for k in range(grid.n_macro) for m in range(p)]
+        nodes.append(grid.micro_time(grid.n_macro - 1, p) if grid.n_macro else grid.t0)
+        assert np.array_equal(grid.micro_times(), nodes)
+
     def test_micro_index_sharing(self):
         grid = build_time_grid(0.5, 4, 3)
         assert grid.micro_index(0, 4) == grid.micro_index(1, 0)

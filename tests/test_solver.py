@@ -7,6 +7,7 @@ import pytest
 from multirate import (
     ConfigurationError,
     DivergenceError,
+    EvaluationError,
     IntegrationError,
     IntegratorMode,
     MacroStepUnknowns,
@@ -49,7 +50,7 @@ from _oracles import (
     implicit_midpoint_trajectory,
     symplectic_euler_momentum_first,
 )
-from conftest import make_coupled_toy, toy_state
+from conftest import count_points, make_coupled_toy, toy_state
 
 MIDMID = QuadratureSpec.midpoint_midpoint()
 
@@ -517,6 +518,62 @@ class TestExplicitStep:
         assert np.max(np.abs(t_imp.slow_q - t_exp.slow_q)) < 1e-12
         assert np.max(np.abs(t_imp.fast_q - t_exp.fast_q)) < 1e-12
         assert np.max(np.abs(t_imp.fast_p - t_exp.fast_p)) < 1e-10
+
+    @pytest.mark.parametrize("system", ["fpu", "toy"], ids=["batched", "per-point"])
+    @pytest.mark.parametrize("alpha,slow,fast_extra", [(1.0, 1, 0), (0.5, 2, 1)])
+    def test_evaluates_each_point_once(self, fpu, system, alpha, slow, fast_extra):
+        # the momenta come from the recurrence's gradients: one slow point
+        # per step and one fast point per micro node, plus the end node where
+        # a term of the rule sits there
+        sys, q0 = fpu if system == "fpu" else (make_coupled_toy(), toy_state())
+        counted, counts = count_points(sys)
+        p, n = 5, 3
+        grid = build_time_grid(0.01, p, n)
+        integrate(q0, counted, QuadratureSpec.explicit(alpha, alpha), grid, SolverConfig(),
+                  IntegratorMode.EXPLICIT)
+        assert counts == {"slow": n * slow, "fast": n * (p + fast_extra)}
+
+    @staticmethod
+    def drifting(batched, slow_from=np.inf, fast_from=np.inf):
+        """Free unit masses, q = t; the slow (fast) gradient is +inf where
+        q >= ``slow_from`` (``fast_from``), else 0."""
+        return MultirateSystem(
+            n_slow=1, n_fast=1, mass_slow=np.eye(1), mass_fast=np.eye(1),
+            slow_potential=lambda qs, qf: 0.0,
+            slow_potential_grad=lambda qs, qf: (np.where(qs >= slow_from, np.inf, 0.0),
+                                                np.zeros_like(qf)),
+            fast_potential=lambda qf: 0.0,
+            fast_potential_grad=lambda qf: np.where(qf >= fast_from, np.inf, 0.0),
+            batched=batched,
+        ), State([0.0], [0.0], [1.0], [1.0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_nonfinite_fast_gradient_names_micro_node(self, batched, m):
+        p = 4
+        grid = build_time_grid(1.0, p, 3)
+        # fast node m of step 1 sits at q = (p + m) * dt
+        sys, q0 = self.drifting(batched, fast_from=(p + m - 0.5) * grid.dt)
+        with pytest.raises(IntegrationError) as info:
+            integrate(q0, sys, QuadratureSpec.explicit(), grid, SolverConfig(),
+                      IntegratorMode.EXPLICIT)
+        assert info.value.step_index == 1
+        cause = info.value.cause
+        assert isinstance(cause, EvaluationError) and "fast-potential" in str(cause)
+        assert cause.node_index == m
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_nonfinite_slow_gradient_at_step_start(self, batched):
+        grid = build_time_grid(1.0, 4, 3)
+        sys, q0 = self.drifting(batched, slow_from=1.5)  # macro node 2
+        with pytest.raises(IntegrationError) as info:
+            integrate(q0, sys, QuadratureSpec.explicit(), grid, SolverConfig(),
+                      IntegratorMode.EXPLICIT)
+        assert info.value.step_index == 2
+        cause = info.value.cause
+        assert isinstance(cause, EvaluationError) and "slow-potential" in str(cause)
+        assert cause.node_index == 0
 
 
 class TestIntegrate:
