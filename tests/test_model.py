@@ -61,7 +61,7 @@ class TestTimeGrid:
     def test_micro_times_equal_micro_time(self, grid):
         p = grid.micro_per_macro
         nodes = [grid.micro_time(k, m) for k in range(grid.n_macro) for m in range(p)]
-        nodes.append(grid.micro_time(grid.n_macro - 1, p) if grid.n_macro else grid.t0)
+        nodes.append(grid.macro_time(grid.n_macro))
         assert np.array_equal(grid.micro_times(), nodes)
 
     def test_micro_index_sharing(self):
