@@ -21,7 +21,9 @@ requests each potential's gradients (or Hessians) once per batch of points,
 scatters the gradients back to the nodes by matrix products and sums the
 Hessians per micro interval.  The discrete
 momenta, the Lagrangian gradient, the DEL residual and the Newton Jacobian
-of :mod:`multirate.solver` all derive from it.
+of :mod:`multirate.solver` all derive from it.  Where both potentials place
+their fast points alike (midpoint-midpoint), one set of points and one
+scatter serve both.
 """
 
 from __future__ import annotations
@@ -154,7 +156,10 @@ class _Terms:
     ``node[t]`` is that node, else ``node`` is None; ``at_end`` tells
     whether a term's point is node p.
     ``left``/``right`` (p, k) carry ``w*u_l``/``w*u_r`` to the left and right
-    node of each micro interval; ``second`` (3, k, 1, 1) holds each term's
+    node of each micro interval; ``equations`` (p, k) carries them to the
+    fast equations of nodes 0..p-1 of the DEL step: equation i takes the
+    left weights of interval i plus the right weights of interval i-1.
+    ``second`` (3, k, 1, 1) holds each term's
     weights ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian
     blocks of its interval.
 
@@ -179,6 +184,9 @@ class _Terms:
         onto[self.m, rows] = w
         self.left = onto * u_l
         self.right = onto * u_r
+        # a term's left and right weight go to different rows: no sum rounds
+        self.equations = self.left.copy()
+        self.equations[1:] += self.right[:-1]
         self.second = np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])[..., None, None]
         on_node = (u_l == 0.0) | (u_l == 1.0)
         self.node = self.m + (u_l == 0.0) if on_node.all() else None
@@ -211,6 +219,11 @@ class _IntervalKernel:
     ``c0 * q_s_k + c1 * q_s_next`` (``c0``, ``c1`` as (k, 1) columns), the
     fast potential W at the terms of ``W``.  Each potential's gradients (or Hessians) are requested once per
     batch of points through :meth:`MultirateSystem.evaluate_batch`.
+
+    ``shared`` tells whether V and W evaluate at the same fast points with
+    the same weights, as the midpoint-midpoint rule does.  Then the points
+    are gathered once, both callbacks receive that one array, and the fast
+    equations scatter g_fV + g_W with a single product (:meth:`fast_forces`).
     """
 
     def __init__(self, quad: QuadratureSpec, dT: float, p: int):
@@ -239,11 +252,15 @@ class _IntervalKernel:
         w_terms = [(m, self.dt * w, u_l)
                    for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
         self.W = _Terms(*zip(*w_terms), p)
+        self.shared = (np.array_equal(self.V.gather, self.W.gather)
+                       and np.array_equal(self.V.equations, self.W.equations))
 
     def points(self, q0, q1, fast):
-        """Slow and fast quadrature points; arguments may carry leading batch axes."""
+        """Slow and fast quadrature points ``(Qs, QfV, QfW)``; arguments may
+        carry leading batch axes.  QfW is QfV itself where ``shared``."""
         Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
-        return Qs, self.V.gather @ fast, self.W.gather @ fast
+        QfV = self.V.gather @ fast
+        return Qs, QfV, QfV if self.shared else self.W.gather @ fast
 
     def momenta(self, q0, q1, fast, sys: MultirateSystem):
         """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``.
@@ -257,19 +274,39 @@ class _IntervalKernel:
     def gradients(self, q0, q1, fast, sys: MultirateSystem):
         """Potential gradients ``(g_s, g_fV, g_W)`` at the quadrature points,
         of shape (..., k, n) with the terms of ``V`` resp. ``W`` on axis -2.
-        A non-finite one raises naming its micro interval, slow before fast
-        (:func:`_check_finite`)."""
+        Both callbacks run before one sum tests all gradients for
+        finiteness; a non-finite one raises naming its micro interval, slow
+        before fast (:func:`_check_finite`)."""
         Qs, QfV, QfW = self.points(q0, q1, fast)
-        g_s, g_fV = _slow_gradients(sys, self.V.m, Qs, QfV)
-        return g_s, g_fV, _fast_gradients(sys, self.W.m, QfW)
+        g_s, g_fV = sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV))
+        g_W = sys.evaluate_batch("fast_potential_grad", _rows(QfW))
+        # a sum is finite only if every entry is (see _check_finite)
+        if not math.isfinite(g_s.sum() + g_fV.sum() + g_W.sum()):
+            _check_finite((g_s, g_fV), self.V.m, "slow-potential gradient")
+            _check_finite((g_W,), self.W.m, "fast-potential gradient")
+        return g_s.reshape(Qs.shape), g_fV.reshape(QfV.shape), g_W.reshape(QfW.shape)
 
-    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
-        """Discrete momenta as :meth:`momenta`, from the gradients at the
-        quadrature points (as :meth:`gradients` returns them)."""
+    def kinetic_momenta(self, q0, q1, fast, sys: MultirateSystem):
+        """Mass times the difference quotients: slow (..., n_slow) over the
+        macro interval, fast (..., p, n_fast) over each micro interval."""
         # one vector-matrix product per interval, as for a single interval,
         # so that a point's momenta do not depend on the batch it comes in
         Mv_s = (((q1 - q0) / self.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]
         Mv_f = ((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt) @ sys.mass_fast.T
+        return Mv_s, Mv_f
+
+    def fast_forces(self, g_fV, g_W):
+        """Weighted gradient sums of the fast equations of nodes 0..p-1,
+        (..., p, n_fast): ``equations`` of V and W applied to the gradients,
+        in one product where the two share their points (``shared``)."""
+        if self.shared:
+            return self.V.equations @ (g_fV + g_W)
+        return self.V.equations @ g_fV + self.W.equations @ g_W
+
+    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
+        """Discrete momenta as :meth:`momenta`, from the gradients at the
+        quadrature points (as :meth:`gradients` returns them)."""
+        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys)
         return (Mv_s + self.w_c0 @ g_s,
                 Mv_s - self.w_c1 @ g_s,
                 Mv_f + (self.V.left @ g_fV + self.W.left @ g_W),
@@ -315,7 +352,9 @@ class _IntervalKernel:
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    """Stack all leading axes into one row axis."""
+    """Stack all leading axes into one row axis; a 2-D array is returned as it is."""
+    if a.ndim == 2:
+        return a
     return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 

@@ -10,6 +10,7 @@ stiff fast part ``W(q_f)`` depending on the fast variables only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -158,8 +159,10 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not self.dT > 0:
-            raise ValueError(f"dT must be positive, got {self.dT}")
+        if not (math.isfinite(self.dT) and self.dT > 0):
+            raise ValueError(f"dT must be finite and positive, got {self.dT}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if int(self.micro_per_macro) != self.micro_per_macro or self.micro_per_macro < 1:
             raise ValueError(f"micro_per_macro must be a positive integer, got {self.micro_per_macro}")
         if int(self.n_macro) != self.n_macro or self.n_macro < 0:
@@ -360,11 +363,12 @@ class MultirateSystem:
         if self.batched:
             out = fn(*points)
             if name.startswith("slow"):
-                return tuple(np.asarray(a, dtype=float) for a in out)
+                # a list, not a generator: this runs once per residual
+                return tuple([np.asarray(a, dtype=float) for a in out])
             return np.asarray(out, dtype=float)
         rows = [fn(*pt) for pt in zip(*points)]
         if name.startswith("slow"):
-            return tuple(np.array(col, dtype=float) for col in zip(*rows))
+            return tuple([np.array(col, dtype=float) for col in zip(*rows)])
         return np.array(rows, dtype=float)
 
 

@@ -97,7 +97,7 @@ _FD_STEP = 1e-7
 
 # Entries of the stacked perturbed points that _fd_jacobian passes to one
 # residual call: 64 Ki float64 entries, 512 KiB.  The residual's temporaries
-# (fast nodes, quadrature points, gradients, momenta) are about a dozen
+# (fast nodes, quadrature points, gradients, kinetic terms) are about a dozen
 # times its input, so this bounds one call's memory near 6 MB: on an FPU
 # chain with l=30, p=50 (1,530 columns, 42 per call) peak RSS rose by 6 MB
 # over the one-column loop's.  Up to 256 unknowns, such as the 33 of
@@ -131,8 +131,14 @@ class IntegratorMode(enum.Enum):
 class SolverConfig:
     """Newton iteration controls.
 
-    Convergence is measured in the infinity norm of the stacked residual.
-    The rest of the solve follows from the system and the grid:
+    Convergence is measured in the infinity norm of the stacked residual,
+    whose entries are momentum mismatches computed in equation-weight form
+    (``_step_residual``): the kinetic differences minus one weight matrix
+    applied to the potential gradients, with the momenta themselves built
+    once, at the accepted iterate.  ``newton_tol`` must be finite and
+    positive: an infinite tolerance would accept any iterate without a
+    Newton iteration.  The rest of the solve follows from the system and
+    the grid:
 
     - The Newton matrix is analytic when the system supplies both Hessians
       (``MultirateSystem.has_hessians``), and forward differences with
@@ -170,8 +176,8 @@ class SolverConfig:
     max_newton_iters: int = 50
 
     def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
 
@@ -278,26 +284,44 @@ def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
 def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, (fast, momenta))``, F with the shape of x;
-    x may carry leading batch axes, whose points go to the callbacks in one
-    batch.  Each entry of F is a momentum mismatch: incoming minus left
-    momenta at the slow node and at fast node 0, right minus left momenta at
-    the interior fast nodes.
+    ``residual(x)`` returns ``(F, (fast, gradients))``, F with the shape of
+    x, ``fast`` the fast nodes 0..p and ``gradients`` the kernel's
+    ``(g_s, g_fV, g_W)`` at x, from which
+    :meth:`~multirate.discretization._IntervalKernel.momenta_from` builds
+    the momenta of an accepted iterate.  x may carry leading batch axes,
+    whose points go to the callbacks in one batch.
+
+    Each entry of F is a momentum mismatch (incoming minus left momenta at
+    the slow node and at fast node 0, right minus left momenta at the
+    interior fast nodes), computed without the momenta themselves:
+
+    - slow row: ``p_s0 - M_s (q1 - q0) / dT - w_c0 . g_s``;
+    - fast rows: the kinetic differences ``p_f0 - M_f v_0`` at node 0 and
+      ``M_f (v_{i-1} - v_i)`` at node i, v_i the velocity of micro interval
+      i, minus the kernel's equation weights applied to the gradients
+      (:meth:`~multirate.discretization._IntervalKernel.fast_forces`).
+
+    F agrees with the difference of the momenta to within rounding of the
+    largest momentum terms, and every point of a batch gets the F it would
+    get alone.
     """
     kern = interval_kernel(quad, grid)
     p = grid.micro_per_macro
-    n_s, n_f = sys.n_slow, sys.n_fast
+    n_s = sys.n_slow
 
     def residual(x):
         q_slow_next, fast = _step_nodes(start, x, sys, p)
-        mom = kern.momenta(start.q_slow, q_slow_next, fast, sys)
-        p_s_minus, _, p_f_minus, p_f_plus = mom
+        grads = kern.gradients(start.q_slow, q_slow_next, fast, sys)
+        g_s, g_fV, g_W = grads
+        Mv_s, Mv_f = kern.kinetic_momenta(start.q_slow, q_slow_next, fast, sys)
         F = np.empty(x.shape)
-        F[..., :n_s] = start.p_slow - p_s_minus
-        F[..., n_s:n_s + n_f] = start.p_fast - p_f_minus[..., 0, :]
-        F[..., n_s + n_f:] = (p_f_plus[..., :-1, :] - p_f_minus[..., 1:, :]).reshape(
-            F[..., n_s + n_f:].shape)
-        return F, (fast, mom)
+        F[..., :n_s] = start.p_slow - Mv_s - kern.w_c0 @ g_s
+        # the fast rows as (..., p, n_fast): splitting the last axis is a view
+        F_f = F[..., n_s:].reshape(Mv_f.shape)
+        np.subtract(start.p_fast, Mv_f[..., 0, :], out=F_f[..., 0, :])
+        np.subtract(Mv_f[..., :-1, :], Mv_f[..., 1:, :], out=F_f[..., 1:, :])
+        F_f -= kern.fast_forces(g_fV, g_W)
+        return F, (fast, grads)
 
     return residual
 
@@ -638,7 +662,7 @@ class _HeldMatrix:
 
 
 def _inf_norm(F: np.ndarray) -> float:
-    return float(np.max(np.abs(F))) if F.size else 0.0
+    return float(np.abs(F).max()) if F.size else 0.0
 
 
 def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm: float,
@@ -743,7 +767,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
                 matrix_builds=stats.matrix_builds, contraction=theta) from exc
         polish = norm <= tol
         x = x + dx
-        if not np.all(np.isfinite(x)):
+        # a sum is finite only if every entry is; one that overflowed is
+        # looked into
+        if not math.isfinite(x.sum()) and not np.isfinite(x).all():
             raise AbortedStepError("Newton iterate became non-finite")
         F, aux = residual(x)
         iters += 1
@@ -772,9 +798,12 @@ def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSyste
                 held: _HeldMatrix | None) -> tuple[MacroStep, StepStats]:
     residual = _step_residual(start, sys, quad, grid)
     linear, jacobian = _linearization(sys, quad, grid)
-    x, (fast, mom), stats = _newton(residual, functools.partial(jacobian, start, residual),
-                                    guess, config, linear, held)
-    return _interval_record(index, start.q_slow, x[:sys.n_slow], fast, mom), stats
+    x, (fast, grads), stats = _newton(residual, functools.partial(jacobian, start, residual),
+                                      guess, config, linear, held)
+    q_slow_next = x[:sys.n_slow]
+    # the momenta once, at the accepted iterate, from its residual's gradients
+    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
+    return _interval_record(index, start.q_slow, q_slow_next, fast, mom), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,

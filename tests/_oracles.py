@@ -143,3 +143,32 @@ def hessian_blocks_dense(kern, q0, q1, fast, sys):
     ff = contract(second(kern.V), H_ff) + contract(second(kern.W), H_W)
     return (contract(w_c0 * kern.c1[:, 0], H_ss), border.reshape((2, p) + border.shape[1:]),
             ff.reshape((3, p) + ff.shape[1:]))
+
+
+def momentum_mismatch_residual(kern, start, x, sys):
+    """The DEL step residual as differences of the discrete momenta.
+
+    ``kern.momenta`` gives the four momentum arrays at the stacked unknowns
+    x (..., n_slow + p*n_fast); F is incoming minus left momenta at the slow
+    node and at fast node 0, and right minus left momenta at the interior
+    fast nodes.  Returns ``(F, scale)``, scale being the largest magnitude
+    of the momentum terms that enter F: the incoming momenta, the kinetic
+    terms M v and the discrete momenta.
+    """
+    n_s, n_f, p = sys.n_slow, sys.n_fast, kern.p
+    q1 = x[..., :n_s]
+    fast = np.empty(x.shape[:-1] + (p + 1, n_f))
+    fast[..., 0, :] = start.q_fast
+    fast[..., 1:, :] = x[..., n_s:].reshape(x.shape[:-1] + (p, n_f))
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta(start.q_slow, q1, fast, sys)
+    F = np.empty(x.shape)
+    F[..., :n_s] = start.p_slow - p_s_minus
+    fast_rows = np.concatenate([(start.p_fast - p_f_minus[..., 0, :])[..., None, :],
+                                p_f_plus[..., :-1, :] - p_f_minus[..., 1:, :]], axis=-2)
+    F[..., n_s:] = fast_rows.reshape(x.shape[:-1] + (p * n_f,))
+    Mv_s = ((q1 - start.q_slow) / kern.dT) @ sys.mass_slow.T
+    Mv_f = ((fast[..., 1:, :] - fast[..., :-1, :]) / kern.dt) @ sys.mass_fast.T
+    scale = max(float(np.max(np.abs(a), initial=0.0))
+                for a in (start.p_slow, start.p_fast, Mv_s, Mv_f,
+                          p_s_minus, p_s_plus, p_f_minus, p_f_plus))
+    return F, scale

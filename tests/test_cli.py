@@ -97,6 +97,17 @@ class TestSimulate:
         assert code == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_tolerance_is_config_error(self, tmp_path, tol):
+        # --tol inf used to run no Newton iteration, report "ok" and write
+        # "newton_tol": Infinity, which is not JSON
+        out = tmp_path / "tol"
+        code = run("simulate", "--system", "fpu", "--scheme", "midpoint-midpoint",
+                   "--dT", "0.3", "--p", "2", "--t-end", "0.6", "--tol", tol,
+                   "--out", str(out))
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+
     def test_zero_macro_step_is_config_error(self, tmp_path):
         out = tmp_path / "dT0"
         code = run("simulate", "--system", "fpu", "--dT", "0", "--p", "2",

@@ -30,7 +30,7 @@ from multirate import schemes, solver
 
 from _oracles import fd_jacobian_loop
 from conftest import make_coupled_toy, toy_state
-from test_solver import QUADRATURES, QUADRATURE_IDS, without_hessians
+from test_solver import QUADRATURES, QUADRATURE_IDS, with_full_masses, without_hessians
 
 PQ_QUADRATURES = [
     QuadratureSpec.midpoint_midpoint(),
@@ -45,10 +45,7 @@ def fpu_nondiagonal_masses(batched):
     """FPU chain without Hessians, with full mass matrices, so that the
     mass products sum several nonzero terms in an order a batch could change."""
     sys, q0 = build_fpu()
-    rng = np.random.default_rng(1)
-    A, B = rng.standard_normal((2, 3, 3))
-    return dataclasses.replace(without_hessians(sys), mass_slow=A @ A.T + 3.0 * np.eye(3),
-                               mass_fast=B @ B.T + 3.0 * np.eye(3), batched=batched), q0
+    return dataclasses.replace(with_full_masses(without_hessians(sys)), batched=batched), q0
 
 
 def toy_without_hessians():
@@ -111,12 +108,14 @@ class TestBitIdentity:
     def test_batched_residual_rows_equal_single_calls(self):
         sys, q0 = fpu_nondiagonal_masses(True)
         grid = build_time_grid(0.05, 4, 1)
-        residual = solver._step_residual(q0, sys, QuadratureSpec.midpoint_midpoint(), grid)
-        X = np.stack([perturbed_guess(q0, sys, grid, seed) for seed in range(5)])
-        F = residual(X)[0]
-        assert F.shape == X.shape
-        for x, f in zip(X, F):
-            assert np.array_equal(residual(x)[0], f)
+        # V and W at the same fast points (midpoint-midpoint) and at others
+        for quad in (QuadratureSpec.midpoint_midpoint(), QuadratureSpec.trapezoidal_midpoint(1.0)):
+            residual = solver._step_residual(q0, sys, quad, grid)
+            X = np.stack([perturbed_guess(q0, sys, grid, seed) for seed in range(5)])
+            F = residual(X)[0]
+            assert F.shape == X.shape
+            for x, f in zip(X, F):
+                assert np.array_equal(residual(x)[0], f)
 
     @pytest.mark.parametrize("quad", PQ_QUADRATURES, ids=PQ_IDS)
     def test_pq_integration_with_loop_oracle(self, fpu, quad, monkeypatch):

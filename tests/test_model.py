@@ -49,6 +49,18 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             build_time_grid(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(dT=float("inf")),
+        dict(dT=float("nan")),
+        dict(dT=0.1, t0=float("nan")),
+        dict(dT=0.1, t0=float("inf")),
+    ], ids=["dT-inf", "dT-nan", "t0-nan", "t0-inf"])
+    def test_non_finite_step_or_start_rejected(self, bad):
+        # an infinite dT used to construct and fail later as a non-finite
+        # gradient, and t0=nan gave all-NaN node times
+        with pytest.raises(ValueError):
+            TimeGrid(micro_per_macro=2, n_macro=1, **bad)
+
     def test_zero_interval_grid_allowed_directly(self):
         grid = TimeGrid(dT=0.1, micro_per_macro=2, n_macro=0)
         assert grid.micro_times().shape == (1,)

@@ -31,6 +31,7 @@ from multirate import (
     verify_trajectory,
 )
 from multirate import solver
+from multirate.discretization import _IntervalKernel, interval_kernel
 from multirate.systems import FpuConfig
 
 from multirate.solver import (
@@ -48,6 +49,7 @@ from _oracles import (
     block_mass_inv,
     full_grad_potential,
     implicit_midpoint_trajectory,
+    momentum_mismatch_residual,
     symplectic_euler_momentum_first,
 )
 from conftest import count_points, make_coupled_toy, toy_state
@@ -72,6 +74,14 @@ QUADRATURE_IDS = ["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal",
 
 def free_state():
     return State([0.0], [1.0], [2.0], [1.0])
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance accepted the drift guess with no iteration
+        with pytest.raises(ValueError, match="newton_tol"):
+            SolverConfig(newton_tol=tol)
 
 
 class TestResidual:
@@ -111,6 +121,97 @@ class TestResidual:
 
         r1, r2 = norm_at(1e-4), norm_at(5e-5)
         assert r1 / r2 == pytest.approx(2.0, rel=0.05)
+
+
+# rules of the residual oracle: V and W at the same fast points with the same
+# weights (the kernel's shared path) or not, one or two terms per interval,
+# slow potential on the micro grid or at the macro nodes
+RESIDUAL_RULES = {
+    "midpoint-midpoint": QuadratureSpec.midpoint_midpoint(),
+    "trapezoidal-midpoint": QuadratureSpec.trapezoidal_midpoint(1.0),
+    "trapezoidal-trapezoidal-0": QuadratureSpec.trapezoidal_trapezoidal(0.0, 0.0),
+    "trapezoidal-trapezoidal-half": QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5),
+    "trapezoidal-trapezoidal-1": QuadratureSpec.trapezoidal_trapezoidal(1.0, 1.0),
+    "macro-nodes": QuadratureSpec.explicit(0.5, 0.5),
+}
+
+
+def with_full_masses(sys: MultirateSystem) -> MultirateSystem:
+    """The same potentials with non-diagonal mass matrices."""
+    rng = np.random.default_rng(1)
+    A, B = rng.standard_normal((2, sys.n_slow, sys.n_slow))
+    return dataclasses.replace(sys, mass_slow=A @ A.T + 3.0 * np.eye(sys.n_slow),
+                               mass_fast=B @ B.T + 3.0 * np.eye(sys.n_fast))
+
+
+class TestResidualOracle:
+    """The residual in equation-weight form against the differences of the
+    kernel's momenta (``_oracles.momentum_mismatch_residual``)."""
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("masses", ["diagonal", "full"])
+    @pytest.mark.parametrize("rule", sorted(RESIDUAL_RULES))
+    def test_matches_momentum_differences(self, fpu, rule, masses, p):
+        sys, q0 = fpu
+        if masses == "full":
+            sys = with_full_masses(sys)
+        quad = RESIDUAL_RULES[rule]
+        grid = build_time_grid(0.3, p, 1)
+        residual = solver._step_residual(q0, sys, quad, grid)
+        rng = np.random.default_rng(7)
+        x0 = solver._drift_guess(q0, sys, grid)
+        X = x0 + 1e-2 * rng.standard_normal((3, x0.size))
+        for x in (X[0], X):
+            F = residual(x)[0]
+            F_ref, scale = momentum_mismatch_residual(interval_kernel(quad, grid), q0, x, sys)
+            assert F.shape == x.shape
+            # a few roundings of the largest momentum terms apart
+            assert np.max(np.abs(F - F_ref)) <= 4.0 * np.finfo(float).eps * scale
+
+    def test_one_del_step_builds_the_momenta_once(self, monkeypatch):
+        sys, q0 = build_fpu(FpuConfig(l=3))
+        grid = build_time_grid(0.3, 10, 2)
+        cfg = SolverConfig(newton_tol=1e-9)
+        first, _ = initial_step(q0, sys, MIDMID, grid, cfg)
+        calls = {"momenta": 0, "residual": 0}
+        points = {"slow": [], "fast": []}
+
+        def slow(qs, qf):
+            points["slow"].append(qf)
+            return sys.slow_potential_grad(qs, qf)
+
+        def fast(qf):
+            points["fast"].append(qf)
+            return sys.fast_potential_grad(qf)
+
+        momenta_from = _IntervalKernel.momenta_from
+
+        def counted_momenta(*args):
+            calls["momenta"] += 1
+            return momenta_from(*args)
+
+        step_residual = solver._step_residual
+
+        def counted_step_residual(*args):
+            residual = step_residual(*args)
+
+            def counted(x):
+                calls["residual"] += 1
+                return residual(x)
+            return counted
+
+        monkeypatch.setattr(_IntervalKernel, "momenta_from", counted_momenta)
+        monkeypatch.setattr(solver, "_step_residual", counted_step_residual)
+        counted_sys = dataclasses.replace(sys, slow_potential_grad=slow, fast_potential_grad=fast)
+        step, stats = macro_step(first, counted_sys, MIDMID, grid, cfg)
+        assert calls["momenta"] == 1
+        assert calls["residual"] == stats.newton_iters + 1
+        assert len(points["slow"]) == len(points["fast"]) == calls["residual"]
+        # midpoint-midpoint: the fast callback gets the slow callback's points
+        assert all(f is s for s, f in zip(points["slow"], points["fast"]))
+        ref, _ = macro_step(first, sys, MIDMID, grid, cfg)
+        assert np.array_equal(step.p_fast, ref.p_fast)
+        assert np.array_equal(step.p_slow, ref.p_slow)
 
 
 class TestJacobian:
