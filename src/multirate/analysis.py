@@ -195,15 +195,13 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
                       dT_list, t_end: float, config: SolverConfig,
                       reference: Optional[Trajectory] = None, ref_dT: Optional[float] = None,
                       mode: IntegratorMode = IntegratorMode.IMPLICIT_DEL,
-                      include_micro: bool = True, workers: int = 1) -> ConvergenceTable:
+                      include_micro: bool = True) -> ConvergenceTable:
     """Numerical convergence orders against a fine single-rate reference.
 
     If no reference trajectory is supplied, one is computed at ``ref_dT``
     with one micro step per macro step using the same quadrature.  Sweep rows
     run one after another; failures are recorded per row instead of aborting
-    the study.  ``workers`` is accepted for compatibility and has no effect:
-    threads only slowed the sweep down, and the systems' closures cannot be
-    sent to worker processes.  A ``p_ratio``, ``t_end``, ``ref_dT`` or
+    the study.  A ``p_ratio``, ``t_end``, ``ref_dT`` or
     ``dT_list`` that no time grid can hold raises ValueError before any
     integration.
     """
@@ -271,11 +269,17 @@ def propagation_matrix(omega_s: float, dT: float, p_ratio: int, rule: str,
 
     ``rule`` selects the quadrature used on the micro grid: "trapezoidal"
     (affine node weights, left weight ``alpha``) or "midpoint".  The
-    potential convention is V(q) = omega_s^2 q^2 / 2.
+    potential convention is V(q) = omega_s^2 q^2 / 2.  A non-finite
+    ``omega_s``, or a ``dT`` that is not finite and positive, raises
+    ValueError.
     """
     p = int(p_ratio)
     if p < 1:
         raise ValueError("p_ratio must be at least 1")
+    if not math.isfinite(omega_s):
+        raise ValueError(f"omega_s must be finite, got {omega_s}")
+    if not (math.isfinite(dT) and dT > 0):
+        raise ValueError(f"dT must be finite and positive, got {dT}")
     dt = dT / p
     w2 = omega_s ** 2
     u = w2 * dt * dt
@@ -336,8 +340,6 @@ def empirical_stability_probe(omega_s: float, dT: float, p_ratio: int, rule: str
     """
     if n_steps < 1000:
         raise ValueError("n_steps must be at least 1000")
-    if omega_s == 0.0:
-        return True
     P = propagation_matrix(omega_s, dT, p_ratio, rule, alpha)
     x = np.array([1.0, 0.0])
     limit = 10.0

@@ -277,7 +277,7 @@ def cmd_converge(args) -> int:
 
     table = analysis.convergence_study(
         sysm, quad, q0, args.p, dT_list, args.t_end, config,
-        ref_dT=args.ref_dT, mode=mode, workers=args.workers)
+        ref_dT=args.ref_dT, mode=mode)
 
     header = ["dT", "e_q_mac", "e_p_mac", "e_q_mic", "e_p_mic",
               "rate_q_mac", "rate_p_mac", "rate_q_mic", "rate_p_mic", "note"]
@@ -426,8 +426,6 @@ def _add_common(sp):
     sp.add_argument("--tol", type=float, default=None, help="Newton tolerance (infinity norm)")
     sp.add_argument("--mode", choices=("del", "pq", "explicit"), default=None)
     sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility; has no effect")
     sp.add_argument("--config", default=None, help="JSON file with option defaults")
 
 

@@ -21,7 +21,8 @@ requests each potential's gradients (or Hessians) once per batch of points,
 scatters the gradients back to the nodes by matrix products and sums the
 Hessians per micro interval.  The discrete
 momenta, the Lagrangian gradient, the DEL residual and the Newton Jacobian
-of :mod:`multirate.solver` all derive from it.  Where both potentials place
+of :mod:`multirate.solver`, and through the DEL residual the p/q maps of
+:mod:`multirate.schemes`, all derive from it.  Where both potentials place
 their fast points alike (midpoint-midpoint), one set of points and one
 scatter serve both.
 """
@@ -86,10 +87,15 @@ def _branches(alpha: float, gamma: float):
     """Quadrature branches as (weight, left-node coefficient) pairs.
 
     gamma = 1/2 collapses the two affine points onto the interval midpoint;
-    alpha in {0, 1} drops the zero-weight branch.
+    alpha in {0, 1} drops the zero-weight branch.  A gamma = 0 rule is
+    written as the gamma = 1 rule with the same left-node weight, so a
+    rule's left-node branch comes first and both encodings of a
+    trapezoidal-family rule give the same terms.
     """
     if gamma == 0.5:
         return ((1.0, 0.5),)
+    if gamma == 0.0:
+        alpha, gamma = _left_weight(alpha, gamma), 1.0
     out = []
     if alpha != 0.0:
         out.append((alpha, gamma))
@@ -126,25 +132,6 @@ def _check_finite(values, intervals: np.ndarray, what: str):
     if bad.any():
         m = int(intervals[int(np.argmax(bad)) % intervals.size])
         raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
-
-
-def _slow_gradients(sys: MultirateSystem, intervals: np.ndarray, qs, qf):
-    """Slow-potential gradients ``(g_s, g_f)`` at slow and fast points of
-    shape (..., k, n_slow) and (..., k, n_fast), k being ``intervals.size``,
-    in one :meth:`MultirateSystem.evaluate_batch` call; a non-finite one
-    raises naming its micro interval (:func:`_check_finite`)."""
-    lead = qs.shape[:-1]
-    g_s, g_f = sys.evaluate_batch("slow_potential_grad", _rows(qs), _rows(qf))
-    _check_finite((g_s, g_f), intervals, "slow-potential gradient")
-    return g_s.reshape(lead + (sys.n_slow,)), g_f.reshape(lead + (sys.n_fast,))
-
-
-def _fast_gradients(sys: MultirateSystem, intervals: np.ndarray, qf):
-    """Fast-potential gradients at points of shape (..., k, n_fast), as
-    :func:`_slow_gradients`."""
-    g = sys.evaluate_batch("fast_potential_grad", _rows(qf))
-    _check_finite((g,), intervals, "fast-potential gradient")
-    return g.reshape(qf.shape)
 
 
 class _Terms:

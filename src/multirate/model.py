@@ -420,10 +420,13 @@ def validate_system(sys: MultirateSystem, probe_states: Sequence[State], h: floa
 
     Each probe records the maximum relative deviation over all components of
     both gradients.  Non-finite potential values at a probe produce a
-    diagnostic entry instead of raising.
+    diagnostic entry instead of raising.  An empty probe list, or a step h
+    that is not finite and positive, raises ValueError.
     """
-    if not h > 0:
-        raise ValueError("finite-difference step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step h must be finite and positive, got {h}")
+    if len(probe_states) == 0:
+        raise ValueError("validation needs at least one probe state")
     probes = []
     for idx, st in enumerate(probe_states):
         if not st.finite:
@@ -452,5 +455,5 @@ def validate_system(sys: MultirateSystem, probe_states: Sequence[State], h: floa
         dev_fast = max(rel(fd_fV, np.asarray(g_f_from_V, dtype=float)),
                        rel(fd_w, np.asarray(g_w, dtype=float)))
         probes.append(ProbeResult(idx, dev_slow, dev_fast, max(dev_slow, dev_fast) <= tolerance))
-    passed = bool(probes) and all(p.ok for p in probes)
+    passed = all(p.ok for p in probes)
     return ValidationReport(tolerance=tolerance, h=h, probes=probes, passed=passed)

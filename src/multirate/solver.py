@@ -793,17 +793,25 @@ def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarr
     return np.concatenate([s1, fast.ravel()])
 
 
+def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSystem,
+                 quad: QuadratureSpec, grid: TimeGrid) -> MacroStep:
+    """Record of the step from ``start`` at the accepted iterate x, ``aux``
+    being the ``(fast, gradients)`` of :func:`_step_residual` there: the
+    momenta are built once, from those gradients."""
+    fast, grads = aux
+    q_slow_next = x[:sys.n_slow]
+    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
+    return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
+
+
 def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSystem,
                 quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig,
                 held: _HeldMatrix | None) -> tuple[MacroStep, StepStats]:
     residual = _step_residual(start, sys, quad, grid)
     linear, jacobian = _linearization(sys, quad, grid)
-    x, (fast, grads), stats = _newton(residual, functools.partial(jacobian, start, residual),
-                                      guess, config, linear, held)
-    q_slow_next = x[:sys.n_slow]
-    # the momenta once, at the accepted iterate, from its residual's gradients
-    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
-    return _interval_record(index, start.q_slow, q_slow_next, fast, mom), stats
+    x, aux, stats = _newton(residual, functools.partial(jacobian, start, residual),
+                            guess, config, linear, held)
+    return _step_record(index, start, x, aux, sys, quad, grid), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,

@@ -172,3 +172,69 @@ def momentum_mismatch_residual(kern, start, x, sys):
                 for a in (start.p_slow, start.p_fast, Mv_s, Mv_f,
                           p_s_minus, p_s_plus, p_f_minus, p_f_plus))
     return F, scale
+
+
+def closed_form_pq_residual(quad, state, sys, grid, x):
+    """Residual of the closed-form p/q map of ``quad`` at one point x of
+    stacked unknowns, from the callbacks at the micro nodes or midpoints.
+
+    Midpoint rules for both potentials give the averaged-node map; a
+    trapezoidal-family slow rule (gamma_V in {0, 1}) around a midpoint fast
+    rule the kick-oscillate-kick map; trapezoidal-family rules for both the
+    node-force map.  A trapezoidal-family rule enters through the total
+    weight of its left node.  The slow row is the drift equation
+    ``q_s1 - q_s0 - dT M_s^-1 p~`` with the half-updated slow momentum p~,
+    fast row m the update of fast node m+1 by the fast momenta of that map.
+    """
+    p, dt, dT = grid.micro_per_macro, grid.dt, grid.dT
+    n_s, n_f = sys.n_slow, sys.n_fast
+    s0, s1 = state.q_slow, x[:n_s]
+    fast = np.vstack([state.q_fast, x[n_s:].reshape(p, n_f)])
+    qs = s0 + (np.arange(p + 1)[:, None] / p) * (s1 - s0)
+
+    def grad_V(qs, qf):
+        pairs = [sys.slow_potential_grad(a, b) for a, b in zip(qs, qf)]
+        return (np.array([g for g, _ in pairs], dtype=float),
+                np.array([g for _, g in pairs], dtype=float))
+
+    def grad_W(qf):
+        return np.array([sys.fast_potential_grad(f) for f in qf], dtype=float)
+
+    def mid(a):
+        return 0.5 * (a[:-1] + a[1:])
+
+    def fast_momenta(decrements):
+        # p0, p0 - d[0], (p0 - d[0]) - d[1], ... at nodes 0..p
+        return np.subtract.accumulate(np.vstack([state.p_fast, decrements]), axis=0)
+
+    def left_weight(alpha, gamma):
+        return alpha * gamma + (1.0 - alpha) * (1.0 - gamma)
+
+    Minv_f = sys.mass_fast_inv
+    if quad.gamma_V == 0.5:
+        a = (2.0 * np.arange(p) + 1.0) / p          # averaged interpolation weights
+        G_s, G_f = grad_V(mid(qs), mid(fast))
+        pf = fast_momenta(dt * (G_f + grad_W(mid(fast))))
+        p_tilde = state.p_slow - dt * ((1.0 - a) @ G_s)
+        p_slow = 0.5 * (p_tilde + (p_tilde - dt * (a @ G_s)))
+        r_f = fast[1:] - fast[:-1] - dt * (mid(pf) @ Minv_f.T)
+    else:
+        alpha_V = left_weight(quad.alpha_V, quad.gamma_V)
+        G_s, G_f = grad_V(qs, fast)
+        m = np.arange(1, p)
+        p_slow = state.p_slow - dt * (((p - m) / p) @ G_s[1:p] + alpha_V * G_s[0])
+        if quad.gamma_W == 0.5:
+            # kick, implicit midpoint oscillation under W, closing kick
+            kick = alpha_V * dt * G_f[:-1]
+            osc = dt * grad_W(mid(fast))
+            pf = fast_momenta(kick + osc + (1.0 - alpha_V) * dt * G_f[1:])
+            pf_kick = pf[:-1] - kick
+            r_f = fast[1:] - fast[:-1] - dt * ((0.5 * (pf_kick + (pf_kick - osc))) @ Minv_f.T)
+        else:
+            alpha_W = left_weight(quad.alpha_W, quad.gamma_W)
+            G_W = grad_W(fast)
+            force_l = alpha_V * G_f[:-1] + alpha_W * G_W[:-1]
+            force_r = (1.0 - alpha_V) * G_f[1:] + (1.0 - alpha_W) * G_W[1:]
+            pf = fast_momenta(dt * (force_l + force_r))
+            r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ Minv_f.T)
+    return np.concatenate([s1 - s0 - dT * (sys.mass_slow_inv @ p_slow), r_f.ravel()])

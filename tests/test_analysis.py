@@ -243,15 +243,6 @@ class TestConvergenceStudy:
             convergence_study(sys, MIDMID, q0, 5, args["dT_list"], args["t_end"], SolverConfig(),
                               ref_dT=args["ref_dT"])
 
-    def test_workers_give_same_table(self, fpu):
-        sys, q0 = fpu
-        cfg = SolverConfig(newton_tol=1e-11)
-        kw = dict(ref_dT=2.5e-4)
-        t1 = convergence_study(sys, MIDMID, q0, 5, [0.02, 0.01], 0.1, cfg, workers=1, **kw)
-        t2 = convergence_study(sys, MIDMID, q0, 5, [0.02, 0.01], 0.1, cfg, workers=3, **kw)
-        assert np.array_equal(t1.errors_q_mac, t2.errors_q_mac)
-        assert np.array_equal(t1.errors_p_mic, t2.errors_p_mic)
-
 
 class TestStability:
     def test_trapezoidal_bounds(self):
@@ -326,6 +317,18 @@ class TestStability:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             propagation_matrix(1.0, 1.0, 1, "simpson")
+
+    @pytest.mark.parametrize("omega_s,dT", [(math.nan, 0.1), (math.inf, 0.1), (1.0, -0.1),
+                                            (1.0, 0.0), (1.0, math.inf), (1.0, math.nan)])
+    @pytest.mark.parametrize("rule", ["midpoint", "trapezoidal"])
+    def test_non_finite_or_non_positive_input_rejected(self, omega_s, dT, rule):
+        # stability_report(1.0, -0.1, 2, "midpoint") used to report stable=True
+        with pytest.raises(ValueError):
+            propagation_matrix(omega_s, dT, 2, rule)
+        with pytest.raises(ValueError):
+            stability_report(omega_s, dT, 2, rule)
+        with pytest.raises(ValueError):
+            empirical_stability_probe(omega_s, dT, 2, rule)
 
     @pytest.mark.parametrize("rule,alpha,quad", [
         ("trapezoidal", 0.5, QuadratureSpec(0.5, 1.0, 0.5, 1.0)),

@@ -180,7 +180,7 @@ class TestConverge:
         out = tmp_path / "conv"
         code = run("converge", "--system", "fpu", "--p", "5", "--t-end", "0.1",
                    "--dT-list", "0.02,0.01,0.005", "--ref-dT", "0.00025",
-                   "--out", str(out), "--workers", "2")
+                   "--out", str(out))
         assert code == 0
         header, rows = read_csv(out / "convergence.csv")
         assert header[0] == "dT" and "rate_q_mac" in header
@@ -277,6 +277,15 @@ class TestStability:
         _, rows = read_csv(out / "stability.csv")
         assert all(int(r[4]) == 1 for r in rows)
 
+    @pytest.mark.parametrize("omega_s,dT_list", [("nan", "0.1"), ("1.0", "0.1,-1,inf")])
+    def test_non_finite_input_is_config_error(self, tmp_path, omega_s, dT_list):
+        # both used to exit 0 and write NaN rows
+        out = tmp_path / "stabn"
+        code = run("stability", "--omega-s", omega_s, "--dT-list", dT_list, "--p-list", "2",
+                   "--out", str(out))
+        assert code == 2
+        assert not (out / "stability.csv").exists()
+
     @pytest.mark.parametrize("p_list", ["2.5", "1,2.5", "inf"])
     def test_non_integer_p_is_config_error(self, tmp_path, p_list):
         out = tmp_path / "stabp"
@@ -337,6 +346,14 @@ class TestValidate:
         da = json.loads((a / "validation.json").read_text())["probes"]
         db = json.loads((b / "validation.json").read_text())["probes"]
         assert da == db
+
+    @pytest.mark.parametrize("extra", [["--probes", "0"], ["--h", "inf", "--probes", "2"]],
+                             ids=["no-probes", "infinite-step"])
+    def test_no_probes_or_infinite_step_is_config_error(self, tmp_path, extra):
+        # both used to exit 0 and write NaN or Infinity, which is not JSON
+        out = tmp_path / "valbad"
+        assert run("validate", "--system", "fpu", *extra, "--out", str(out)) == 2
+        assert not (out / "validation.json").exists()
 
 
 class TestSchemaAndExitCodes:

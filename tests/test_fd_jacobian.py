@@ -194,13 +194,13 @@ def cliff_on_last_interval(fast_rule):
     return X0[4] + 0.5 * h(4)
 
 
-# the DEL trapezoidal rule needs weight on right nodes for node 4 to be
+# a trapezoidal rule needs weight on right nodes for node 4 to be
 # evaluated at all
 DEL_QUADS = {"midpoint": QuadratureSpec.midpoint_midpoint(),
              "trapezoidal": QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5)}
 PQ_CLIFF_QUADS = {"midpoint": QuadratureSpec.midpoint_midpoint(),
                   "trapezoidal-midpoint": QuadratureSpec.trapezoidal_midpoint(1.0),
-                  "trapezoidal-trapezoidal": QuadratureSpec.trapezoidal_trapezoidal(1.0, 1.0)}
+                  "trapezoidal-trapezoidal": QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5)}
 
 
 def evaluation_error(fn, *args):
@@ -290,9 +290,12 @@ class TestNonFinite:
         grid = build_time_grid(1.0, P, 1)
         evaluate = schemes._update_map(quad)(START, fast_cliff_system(0.5, batched), grid)
         assert evaluation_error(evaluate, X0).node_index == P - 1
-        # stacked points: only the second one goes bad, from interval 1 on
+        # stacked points: only the second one goes bad, at node 1 (0.6) and
+        # from the midpoint of interval 1 on; a trapezoidal rule meets node 1
+        # on interval 0, which it closes
         X = np.stack([0.1 * X0, np.array([0.5, 0.6, 0.7, 0.8, 0.9])])
-        assert evaluation_error(evaluate, X).node_index == 1
+        first_bad = 0 if name == "trapezoidal-trapezoidal" else 1
+        assert evaluation_error(evaluate, X).node_index == first_bad
 
     def test_pq_step_reports_evaluation_error_not_aborted_step(self):
         # a NaN fast gradient on the toy system: before, Newton's iterate

@@ -206,3 +206,11 @@ class TestValidateSystem:
         sys, q0 = fpu
         with pytest.raises(ValueError):
             validate_system(sys, [q0], h=0.0)
+
+    @pytest.mark.parametrize("probes,h", [("none", 1e-6), ("one", float("inf")),
+                                          ("one", float("nan"))])
+    def test_no_probes_or_non_finite_step_rejected(self, fpu, probes, h):
+        # a report without probes or with an infinite step holds NaN
+        sys, q0 = fpu
+        with pytest.raises(ValueError):
+            validate_system(sys, [] if probes == "none" else [q0], h=h)

@@ -9,12 +9,15 @@ from multirate import (
     State,
     angular_momentum_series,
     build_time_grid,
+    initial_step,
     integrate,
     pq_step,
 )
+from multirate import schemes
 
 from _oracles import (
     block_mass_inv,
+    closed_form_pq_residual,
     full_grad_potential,
     implicit_midpoint_step,
     stormer_verlet_step,
@@ -22,6 +25,7 @@ from _oracles import (
     symplectic_euler_position_first,
 )
 from conftest import make_coupled_toy, toy_state
+from test_fd_jacobian import fpu_nondiagonal_masses, perturbed_guess
 
 CFG = SolverConfig(newton_tol=1e-12)
 
@@ -50,11 +54,14 @@ class TestSchemeClassification:
         other, _ = pq_step(q0, sys, spec(0.0, 1.0), grid, CFG)
         assert not np.array_equal(one.fast, other.fast)
 
-    def test_two_sided_encodings_classify_as_trapezoidal_trapezoidal(self, fpu):
+    @pytest.mark.parametrize("mode", [IntegratorMode.CLOSED_FORM_PQ, IntegratorMode.IMPLICIT_DEL],
+                             ids=["pq", "del"])
+    def test_two_sided_encodings_classify_as_trapezoidal_trapezoidal(self, fpu, mode):
         sys, q0 = fpu
         grid = build_time_grid(0.03, 5, 1)
-        one, _ = pq_step(q0, sys, QuadratureSpec(0.5, 1.0, 0.5, 0.0), grid, CFG)
-        two, _ = pq_step(q0, sys, QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5), grid, CFG)
+        step = pq_step if mode is IntegratorMode.CLOSED_FORM_PQ else initial_step
+        one, _ = step(q0, sys, QuadratureSpec(0.5, 1.0, 0.5, 0.0), grid, CFG)
+        two, _ = step(q0, sys, QuadratureSpec.trapezoidal_trapezoidal(0.5, 0.5), grid, CFG)
         assert_same_step(one, two)
 
     @pytest.mark.parametrize("quad", [QuadratureSpec.explicit(),
@@ -153,6 +160,33 @@ class TestSingleRateOracles:
         assert np.max(np.abs(back.q_fast - st.q_fast)) < 1e-11
         assert np.max(np.abs(-back.p_slow - st.p_slow)) < 1e-11
         assert np.max(np.abs(-back.p_fast - st.p_fast)) < 1e-11
+
+
+WEIGHTS = (0.0, 0.5, 1.0)
+ORACLE_QUADS = {
+    "midpoint": QuadratureSpec.midpoint_midpoint(),
+    **{f"trapezoidal-midpoint-{a}": QuadratureSpec.trapezoidal_midpoint(a) for a in WEIGHTS},
+    **{f"trapezoidal-trapezoidal-{a}-{b}": QuadratureSpec.trapezoidal_trapezoidal(a, b)
+       for a in WEIGHTS for b in WEIGHTS},
+    "trapezoidal-trapezoidal-gamma-0": QuadratureSpec(0.5, 0.0, 0.0, 0.0),
+}
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("quad", ORACLE_QUADS.values(), ids=list(ORACLE_QUADS))
+    @pytest.mark.parametrize("masses", ["diagonal", "nondiagonal"])
+    def test_transformed_del_residual_matches_closed_forms(self, fpu, masses, quad, p):
+        # the p/q residual is T applied to the DEL residual; on perturbed
+        # points of one batch it agrees with the hand-derived maps to rounding
+        sys, q0 = fpu if masses == "diagonal" else fpu_nondiagonal_masses(True)
+        grid = build_time_grid(0.3, p, 1)
+        X = np.stack([perturbed_guess(q0, sys, grid, seed) for seed in range(4)])
+        R = schemes._update_map(quad)(q0, sys, grid)(X)[0]
+        assert R.shape == X.shape
+        for x, r in zip(X, R):
+            ref = closed_form_pq_residual(quad, q0, sys, grid, x)
+            assert np.max(np.abs(r - ref)) <= 16 * np.finfo(float).eps * np.max(np.abs(x))
 
 
 class TestTransformedFormConsistency:
