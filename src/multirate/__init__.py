@@ -13,16 +13,7 @@ from .analysis import (
     propagation_matrix,
     stability_report,
 )
-from .discretization import (
-    MacroStepUnknowns,
-    discrete_fast_potential,
-    discrete_kinetic,
-    discrete_lagrangian,
-    discrete_slow_potential,
-    grad_discrete_lagrangian,
-    interp_slow,
-    interval_momenta,
-)
+from .discretization import interval_momenta
 from .errors import (
     AbortedStepError,
     AlignmentError,
@@ -51,8 +42,6 @@ from .solver import (
     SolverConfig,
     StepStats,
     TrajectoryCertificate,
-    del_jacobian,
-    del_residual,
     explicit_macro_step,
     initial_step,
     integrate,

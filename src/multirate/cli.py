@@ -272,12 +272,12 @@ def cmd_converge(args) -> int:
     _check_run_options(args.t_end, [("dT", v) for v in dT_list] + [("ref-dT", args.ref_dT)],
                        [args.p])
     mode = _resolve_mode(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     table = analysis.convergence_study(
         sysm, quad, q0, args.p, dT_list, args.t_end, config,
         ref_dT=args.ref_dT, mode=mode)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     header = ["dT", "e_q_mac", "e_p_mac", "e_q_mic", "e_p_mic",
               "rate_q_mac", "rate_p_mac", "rate_q_mic", "rate_p_mic", "note"]
@@ -321,8 +321,6 @@ def cmd_stability(args) -> int:
     _require(args, "omega_s", "dT_list", "p_list")
     dT_list = _parse_float_list(args.dT_list, "dT")
     p_list = _parse_int_list(args.p_list, "p")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for p in p_list:
@@ -331,6 +329,8 @@ def cmd_stability(args) -> int:
             rows.append([_fmt(rep.omega_dT), _fmt(args.omega_s * dT / p), p, _fmt(rep.trace),
                          int(rep.stable), _fmt(rep.analytic_bound)])
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "stability.csv"
     _write_csv(path, ["omega_dT", "omega_dt", "p", "trace", "stable", "analytic_bound"], rows)
     _write_manifest(out, {
@@ -347,6 +347,7 @@ def cmd_bench(args) -> int:
     _require(args, "system", "t_end", "p_list")
     sysm, q0 = _build_system(args)
     quad = _build_quadrature(args)
+    mode = _resolve_mode(args)
     config = _solver_config(args)
     p_list = _parse_int_list(args.p_list, "p")
     _check_run_options(args.t_end, [("dt", args.dt)], p_list)
@@ -361,7 +362,7 @@ def cmd_bench(args) -> int:
         grid = TimeGrid(dT=dT, micro_per_macro=p, n_macro=n_macro, t0=0.0)
         try:
             t0 = time.perf_counter()
-            _, stats = integrate(q0, sysm, quad, grid, config)
+            _, stats = integrate(q0, sysm, quad, grid, config, mode)
             wall = time.perf_counter() - t0
             rows.append([p, _fmt(dT), n_macro, _fmt(wall), stats.newton_iters_total,
                          _fmt(stats.solve_time_per_step), _fmt(stats.jacobian_time_per_step), "",
@@ -414,8 +415,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp):
+def _add_output_options(sp):
+    sp.add_argument("--out", default="out", help="output directory")
+    sp.add_argument("--config", default=None, help="JSON file with option defaults")
+
+
+def _add_system_option(sp):
     sp.add_argument("--system", choices=("fpu", "spring-ring"), default=None)
+
+
+def _add_run_options(sp):
+    # the subcommands that integrate
+    _add_system_option(sp)
     sp.add_argument("--scheme", choices=tuple(_SCHEMES), default="midpoint-midpoint")
     sp.add_argument("--alpha-v", dest="alpha_v", type=float, default=None)
     sp.add_argument("--alpha-w", dest="alpha_w", type=float, default=None)
@@ -425,8 +436,6 @@ def _add_common(sp):
                     default=None)
     sp.add_argument("--tol", type=float, default=None, help="Newton tolerance (infinity norm)")
     sp.add_argument("--mode", choices=("del", "pq", "explicit"), default=None)
-    sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--config", default=None, help="JSON file with option defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,14 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory and write CSV outputs")
-    _add_common(sp)
+    _add_run_options(sp)
+    _add_output_options(sp)
     sp.add_argument("--dT", dest="dT", type=float, default=None, help="macro step")
     sp.add_argument("--p", type=int, default=None, help="micro steps per macro step")
     sp.add_argument("--t-end", dest="t_end", type=float, default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("converge", help="macro-step sweep against a fine reference")
-    _add_common(sp)
+    _add_run_options(sp)
+    _add_output_options(sp)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--t-end", dest="t_end", type=float, default=None)
     sp.add_argument("--dT-list", dest="dT_list", default=None, help="comma-separated macro steps")
@@ -452,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_converge)
 
     sp = sub.add_parser("stability", help="tabulate linear stability over a parameter grid")
-    _add_common(sp)
+    _add_output_options(sp)
     sp.add_argument("--rule", choices=("trapezoidal", "midpoint"), default="trapezoidal")
     sp.add_argument("--omega-s", dest="omega_s", type=float, default=None)
     sp.add_argument("--dT-list", dest="dT_list", default=None)
@@ -460,14 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_stability)
 
     sp = sub.add_parser("bench", help="timing sweep over the micro-per-macro ratio")
-    _add_common(sp)
+    _add_run_options(sp)
+    _add_output_options(sp)
     sp.add_argument("--dt", type=float, default=0.001, help="fixed micro step")
     sp.add_argument("--t-end", dest="t_end", type=float, default=None)
     sp.add_argument("--p-list", dest="p_list", default=None)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("validate", help="finite-difference check of supplied gradients")
-    _add_common(sp)
+    _add_system_option(sp)
+    _add_output_options(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--probes", type=int, default=100)
     sp.add_argument("--h", type=float, default=1e-6)

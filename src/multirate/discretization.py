@@ -4,7 +4,8 @@ The action over one macro interval is approximated by a discrete Lagrangian
 ``L_d = T_d - V_d - W_d`` built from linear interpolation of the slow
 variables between macro nodes, piecewise-linear fast variables on the micro
 grid, and affine quadrature rules per potential (see
-:class:`multirate.model.QuadratureSpec`).
+:class:`multirate.model.QuadratureSpec`).  The library evaluates only the
+derivatives of L_d; the tests difference the scalar L_d to check them.
 
 Every potential contribution is represented uniformly as quadrature terms.
 A term evaluates the potential at a point that is an affine combination of
@@ -19,14 +20,12 @@ The term geometry is cached as arrays per (quadrature, dT, p) in one
 interval kernel, which gathers all quadrature points with one matrix product,
 requests each potential's gradients (or Hessians) once per batch of points,
 scatters the gradients back to the nodes by matrix products and sums the
-Hessians per micro interval.  The discrete
-momenta, the Lagrangian gradient, the DEL residual and the Newton Jacobian
-of :mod:`multirate.solver`, and through the DEL residual the p/q maps of
-:mod:`multirate.schemes`, all derive from it.  Where both potentials place
-their fast points alike (midpoint-midpoint), one set of points and one
-scatter serve both.
+Hessians per micro interval.  The discrete momenta, the DEL residual and
+the Newton Jacobian of :mod:`multirate.solver`, and through the DEL
+residual the p/q maps of :mod:`multirate.schemes`, all derive from it.
+Where both potentials place their fast points alike (midpoint-midpoint),
+one set of points and one scatter serve both.
 """
-
 from __future__ import annotations
 
 import functools
@@ -39,48 +38,9 @@ from .errors import EvaluationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, TimeGrid
 
 __all__ = [
-    "MacroStepUnknowns",
-    "interp_slow",
-    "discrete_kinetic",
-    "discrete_slow_potential",
-    "discrete_fast_potential",
-    "discrete_lagrangian",
-    "discrete_lagrangian_micro",
-    "grad_discrete_lagrangian",
     "IntervalMomenta",
     "interval_momenta",
 ]
-
-
-@dataclass
-class MacroStepUnknowns:
-    """Unknowns of one macro step in the fixed stacking order.
-
-    The flat vector is ``[q_slow_next; q_fast_micro[0]; ...; q_fast_micro[p-1]]``
-    where ``q_fast_micro[i]`` is the fast configuration at micro node i+1.
-    """
-
-    q_slow_next: np.ndarray
-    q_fast_micro: np.ndarray  # shape (p, n_fast), nodes 1..p
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.q_slow_next, self.q_fast_micro.ravel()])
-
-    @classmethod
-    def unpack(cls, x: np.ndarray, n_slow: int, n_fast: int, p: int) -> "MacroStepUnknowns":
-        if x.size != n_slow + p * n_fast:
-            raise ValueError(f"unknown vector has size {x.size}, expected {n_slow + p * n_fast}")
-        return cls(x[:n_slow].copy(), x[n_slow:].reshape(p, n_fast).copy())
-
-
-def interp_slow(q_slow_k, q_slow_next, grid: TimeGrid, m: int):
-    """Linearly interpolated slow configuration at micro node m."""
-    p = grid.micro_per_macro
-    if not 0 <= m <= p:
-        raise ValueError(f"micro index m={m} outside [0, {p}]")
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    return q0 + (m / p) * (q1 - q0)
 
 
 def _branches(alpha: float, gamma: float):
@@ -356,101 +316,7 @@ def interval_kernel(quad: QuadratureSpec, grid: TimeGrid) -> _IntervalKernel:
 
 
 # ---------------------------------------------------------------------------
-# scalar energies
-
-
-def discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                     grid: TimeGrid) -> float:
-    """Discrete kinetic energy of one macro interval.
-
-    Slow velocity is the macro difference quotient, fast velocities the micro
-    difference quotients; both are constant per (macro resp. micro) interval.
-    """
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    fast = np.asarray(fast_nodes, dtype=float)
-    p = grid.micro_per_macro
-    if fast.shape != (p + 1, sys.n_fast):
-        raise ValueError(f"fast_nodes must have shape {(p + 1, sys.n_fast)}, got {fast.shape}")
-    if q0.shape != (sys.n_slow,) or q1.shape != (sys.n_slow,):
-        raise ValueError("slow configuration dimension mismatch")
-    v_s = (q1 - q0) / grid.dT
-    total = 0.5 * grid.dT * float(v_s @ (sys.mass_slow @ v_s))
-    dt = grid.dt
-    for m in range(p):
-        v_f = (fast[m + 1] - fast[m]) / dt
-        total += 0.5 * dt * float(v_f @ (sys.mass_fast @ v_f))
-    return total
-
-
-def _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid):
-    """(micro interval, weighted value) of every slow-potential term."""
-    kern = interval_kernel(quad, grid)
-    Qs, QfV, _ = kern.points(np.asarray(q_slow_k, dtype=float),
-                             np.asarray(q_slow_next, dtype=float),
-                             np.asarray(fast_nodes, dtype=float))
-    return [(m, w * float(sys.slow_potential(qs, qf)))
-            for m, w, qs, qf in zip(kern.V.m, kern.V.w, Qs, QfV)]
-
-
-def _fast_potential_terms(fast_nodes, sys, quad, grid):
-    """(micro interval, weighted value) of every fast-potential term."""
-    kern = interval_kernel(quad, grid)
-    QfW = kern.W.gather @ np.asarray(fast_nodes, dtype=float)
-    return [(m, w * float(sys.fast_potential(qf))) for m, w, qf in zip(kern.W.m, kern.W.w, QfW)]
-
-
-def discrete_slow_potential(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                            quad: QuadratureSpec, grid: TimeGrid) -> float:
-    """Quadrature approximation of the slow-potential action contribution."""
-    return sum(val for _, val in _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes,
-                                                       sys, quad, grid))
-
-
-def discrete_fast_potential(fast_nodes, sys: MultirateSystem, quad: QuadratureSpec,
-                            grid: TimeGrid) -> float:
-    """Quadrature approximation of the fast-potential action contribution."""
-    return sum(val for _, val in _fast_potential_terms(fast_nodes, sys, quad, grid))
-
-
-def discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                        quad: QuadratureSpec, grid: TimeGrid) -> float:
-    """Discrete Lagrangian T_d - V_d - W_d of one macro interval."""
-    return (
-        discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys, grid)
-        - discrete_slow_potential(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid)
-        - discrete_fast_potential(fast_nodes, sys, quad, grid)
-    )
-
-
-def discrete_lagrangian_micro(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                              quad: QuadratureSpec, grid: TimeGrid, m: int) -> float:
-    """Contribution of micro interval m; these sum to the full discrete Lagrangian.
-
-    The slow kinetic term is split evenly over the p micro intervals.
-    """
-    q0 = np.asarray(q_slow_k, dtype=float)
-    q1 = np.asarray(q_slow_next, dtype=float)
-    fast = np.asarray(fast_nodes, dtype=float)
-    p = grid.micro_per_macro
-    if not 0 <= m < p:
-        raise ValueError(f"micro interval m={m} outside [0, {p})")
-    dt = grid.dt
-    v_s = (q1 - q0) / grid.dT
-    v_f = (fast[m + 1] - fast[m]) / dt
-    val = 0.5 * dt * float(v_s @ (sys.mass_slow @ v_s))
-    val += 0.5 * dt * float(v_f @ (sys.mass_fast @ v_f))
-    for mm, term in _slow_potential_terms(q0, q1, fast, sys, quad, grid):
-        if mm == m:
-            val -= term
-    for mm, term in _fast_potential_terms(fast, sys, quad, grid):
-        if mm == m:
-            val -= term
-    return val
-
-
-# ---------------------------------------------------------------------------
-# momenta and gradients (closed form)
+# momenta of one interval
 
 
 @dataclass
@@ -475,21 +341,3 @@ def interval_momenta(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
     return IntervalMomenta(*interval_kernel(quad, grid).momenta(
         np.asarray(q_slow_k, dtype=float), np.asarray(q_slow_next, dtype=float),
         np.asarray(fast_nodes, dtype=float), sys))
-
-
-def grad_discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
-                             quad: QuadratureSpec, grid: TimeGrid):
-    """Closed-form partial derivatives of the discrete Lagrangian.
-
-    Returns ``(g_s0, g_s1, g_f)`` where ``g_s0``/``g_s1`` are the derivatives
-    with respect to the slow configuration at the interval start/end and
-    ``g_f`` has shape (p+1, n_fast) with the derivative per fast micro node.
-    These are the discrete Legendre transforms read backwards: ``-p_minus``
-    at the left end of each (macro or micro) interval, ``p_plus`` at the
-    right end.
-    """
-    mom = interval_momenta(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid)
-    g_f = np.zeros((grid.micro_per_macro + 1, sys.n_fast))
-    g_f[:-1] -= mom.p_f_minus
-    g_f[1:] += mom.p_f_plus
-    return -mom.p_s_minus, mom.p_s_plus, g_f

@@ -266,17 +266,9 @@ class Trajectory:
     def n_macro(self) -> int:
         return self.grid.n_macro
 
-    def fast_node(self, k: int, m: int) -> np.ndarray:
-        return self.fast_q[self.grid.micro_index(k, m)]
-
     def macro_state(self, k: int) -> State:
         i = self.grid.micro_index(k, 0)
         return State(self.slow_q[k], self.fast_q[i], self.slow_p[k], self.fast_p[i])
-
-    def interval_fast(self, k: int) -> np.ndarray:
-        """Fast configurations of macro interval k, shape (p+1, n_fast)."""
-        p = self.grid.micro_per_macro
-        return self.fast_q[k * p : (k + 1) * p + 1]
 
 
 GradV = Callable[[np.ndarray, np.ndarray], tuple]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import MacroStepUnknowns, _check_finite, _left_weight, interval_kernel
+from .discretization import _check_finite, _left_weight, interval_kernel
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -64,8 +64,6 @@ __all__ = [
     "StepStats",
     "IntegrationStats",
     "MacroStep",
-    "del_residual",
-    "del_jacobian",
     "initial_step",
     "macro_step",
     "explicit_macro_step",
@@ -271,9 +269,10 @@ def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroS
 
 
 def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
-    """Next slow node (..., n_slow) and fast nodes 0..p (..., p+1, n_fast),
-    read from the stacked unknowns ``x`` (..., n) in the order of
-    :class:`MacroStepUnknowns`; leading axes index independent points."""
+    """Next slow node (..., n_slow) and fast nodes 0..p (..., p+1, n_fast)
+    from the stacked unknowns ``x`` (..., n_slow + p*n_fast), whose layout
+    this defines: ``[q_slow_next; fast node 1; ...; fast node p]``.  Fast
+    node 0 is the start's; leading axes index independent points."""
     n_s = sys.n_slow
     fast = np.empty(x.shape[:-1] + (p + 1, sys.n_fast))
     fast[..., 0, :] = start.q_fast
@@ -580,29 +579,6 @@ class _LinearSolver:
 # so the inverse is ahead from about three solves per matrix on.
 _DENSE = _LinearSolver("dense", _factor_dense, _apply_dense, _dense_magnitude)
 _STRUCTURED = _LinearSolver("structured", _factor_blocks, _apply_blocks, _block_magnitude)
-
-
-def del_residual(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
-                 quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
-    """Discrete Euler-Lagrange residual of macro step ``prev.index + 1``.
-
-    ``prev`` supplies the configuration history (previous interval) whose
-    right discrete momenta enter the matching equations.
-    """
-    return _step_residual(prev.end_state(), sys, quad, grid)(unknowns.pack())[0]
-
-
-def del_jacobian(prev: MacroStep, unknowns: MacroStepUnknowns, sys: MultirateSystem,
-                 quad: QuadratureSpec, grid: TimeGrid) -> np.ndarray:
-    """Dense Jacobian of :func:`del_residual` with respect to the stacked
-    unknowns: the Newton matrix the solver would use there, analytic if the
-    system supplies Hessians and finite-difference otherwise."""
-    start = prev.end_state()
-    residual = _step_residual(start, sys, quad, grid)
-    x = unknowns.pack()
-    linear, jacobian = _linearization(sys, quad, grid)
-    J = jacobian(start, residual, x, residual(x)[0])
-    return _assemble_jacobian(J) if linear is _STRUCTURED else J
 
 
 def _fd_jacobian(residual, x0: np.ndarray, r0: np.ndarray) -> np.ndarray:

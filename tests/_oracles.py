@@ -8,6 +8,9 @@ cross-check rather than a tautology.
 import numpy as np
 import scipy.optimize
 
+from multirate import MultirateSystem, QuadratureSpec, TimeGrid
+from multirate.discretization import interval_kernel
+
 
 def central_diff(f, x, h):
     """Central finite-difference gradient of a scalar function."""
@@ -238,3 +241,101 @@ def closed_form_pq_residual(quad, state, sys, grid, x):
             pf = fast_momenta(dt * (force_l + force_r))
             r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ Minv_f.T)
     return np.concatenate([s1 - s0 - dT * (sys.mass_slow_inv @ p_slow), r_f.ravel()])
+
+
+# ---------------------------------------------------------------------------
+# scalar discrete Lagrangian L_d = T_d - V_d - W_d of one macro interval.
+# The library evaluates only its derivatives (the interval kernel's momenta
+# and Hessian sums); these sum the potential values at the kernel's
+# quadrature points, so differencing them checks the kernel's gradient sums
+# and weights, though not the term geometry they share.
+
+
+def discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
+                     grid: TimeGrid) -> float:
+    """Discrete kinetic energy of one macro interval.
+
+    Slow velocity is the macro difference quotient, fast velocities the micro
+    difference quotients; both are constant per (macro resp. micro) interval.
+    """
+    q0 = np.asarray(q_slow_k, dtype=float)
+    q1 = np.asarray(q_slow_next, dtype=float)
+    fast = np.asarray(fast_nodes, dtype=float)
+    p = grid.micro_per_macro
+    if fast.shape != (p + 1, sys.n_fast):
+        raise ValueError(f"fast_nodes must have shape {(p + 1, sys.n_fast)}, got {fast.shape}")
+    if q0.shape != (sys.n_slow,) or q1.shape != (sys.n_slow,):
+        raise ValueError("slow configuration dimension mismatch")
+    v_s = (q1 - q0) / grid.dT
+    total = 0.5 * grid.dT * float(v_s @ (sys.mass_slow @ v_s))
+    dt = grid.dt
+    for m in range(p):
+        v_f = (fast[m + 1] - fast[m]) / dt
+        total += 0.5 * dt * float(v_f @ (sys.mass_fast @ v_f))
+    return total
+
+
+def _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid):
+    """(micro interval, weighted value) of every slow-potential term."""
+    kern = interval_kernel(quad, grid)
+    Qs, QfV, _ = kern.points(np.asarray(q_slow_k, dtype=float),
+                             np.asarray(q_slow_next, dtype=float),
+                             np.asarray(fast_nodes, dtype=float))
+    return [(m, w * float(sys.slow_potential(qs, qf)))
+            for m, w, qs, qf in zip(kern.V.m, kern.V.w, Qs, QfV)]
+
+
+def _fast_potential_terms(fast_nodes, sys, quad, grid):
+    """(micro interval, weighted value) of every fast-potential term."""
+    kern = interval_kernel(quad, grid)
+    QfW = kern.W.gather @ np.asarray(fast_nodes, dtype=float)
+    return [(m, w * float(sys.fast_potential(qf))) for m, w, qf in zip(kern.W.m, kern.W.w, QfW)]
+
+
+def discrete_slow_potential(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
+                            quad: QuadratureSpec, grid: TimeGrid) -> float:
+    """Quadrature approximation of the slow-potential action contribution."""
+    return sum(val for _, val in _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes,
+                                                       sys, quad, grid))
+
+
+def discrete_fast_potential(fast_nodes, sys: MultirateSystem, quad: QuadratureSpec,
+                            grid: TimeGrid) -> float:
+    """Quadrature approximation of the fast-potential action contribution."""
+    return sum(val for _, val in _fast_potential_terms(fast_nodes, sys, quad, grid))
+
+
+def discrete_lagrangian(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
+                        quad: QuadratureSpec, grid: TimeGrid) -> float:
+    """Discrete Lagrangian T_d - V_d - W_d of one macro interval."""
+    return (
+        discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys, grid)
+        - discrete_slow_potential(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid)
+        - discrete_fast_potential(fast_nodes, sys, quad, grid)
+    )
+
+
+def discrete_lagrangian_micro(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
+                              quad: QuadratureSpec, grid: TimeGrid, m: int) -> float:
+    """Contribution of micro interval m; these sum to the full discrete Lagrangian.
+
+    The slow kinetic term is split evenly over the p micro intervals.
+    """
+    q0 = np.asarray(q_slow_k, dtype=float)
+    q1 = np.asarray(q_slow_next, dtype=float)
+    fast = np.asarray(fast_nodes, dtype=float)
+    p = grid.micro_per_macro
+    if not 0 <= m < p:
+        raise ValueError(f"micro interval m={m} outside [0, {p})")
+    dt = grid.dt
+    v_s = (q1 - q0) / grid.dT
+    v_f = (fast[m + 1] - fast[m]) / dt
+    val = 0.5 * dt * float(v_s @ (sys.mass_slow @ v_s))
+    val += 0.5 * dt * float(v_f @ (sys.mass_fast @ v_f))
+    for mm, term in _slow_potential_terms(q0, q1, fast, sys, quad, grid):
+        if mm == m:
+            val -= term
+    for mm, term in _fast_potential_terms(fast, sys, quad, grid):
+        if mm == m:
+            val -= term
+    return val

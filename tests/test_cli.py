@@ -213,7 +213,7 @@ class TestConverge:
 
     @pytest.mark.parametrize("option,value", [
         ("--t-end", "inf"), ("--t-end", "nan"), ("--t-end", "-0.1"), ("--ref-dT", "0"),
-        ("--dT-list", "0.02,0"), ("--p", "-1")])
+        ("--dT-list", "0.02,0"), ("--dT-list", "0.01,0.02"), ("--p", "-1")])
     def test_bad_horizon_step_or_ratio_is_config_error_before_any_integration(
             self, tmp_path, monkeypatch, option, value):
         def no_integration(*args, **kwargs):
@@ -285,6 +285,7 @@ class TestStability:
                    "--out", str(out))
         assert code == 2
         assert not (out / "stability.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("p_list", ["2.5", "1,2.5", "inf"])
     def test_non_integer_p_is_config_error(self, tmp_path, p_list):
@@ -315,6 +316,29 @@ class TestBench:
         header, rows = read_csv(out / "bench.csv")
         assert header[-1] == "linear_solver"
         assert [row[-1] for row in rows] == ["dense", "structured"]
+
+    def test_explicit_scheme_runs_without_newton(self, tmp_path):
+        # the scheme's default mode, as for simulate and converge
+        out = tmp_path / "bench"
+        code = run("bench", "--system", "fpu", "--scheme", "explicit", "--dt", "0.01",
+                   "--t-end", "0.1", "--p-list", "1,5", "--out", str(out))
+        assert code == 0
+        header, rows = read_csv(out / "bench.csv")
+        column = header.index("newton_iters_total")
+        assert [int(row[column]) for row in rows] == [0, 0]
+
+    def test_mode_selects_the_integrator(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run("bench", "--system", "fpu", "--mode", "pq", "--dt", "0.01",
+                   "--t-end", "0.1", "--p-list", "5", "--out", str(out))
+        assert code == 0
+        header, rows = read_csv(out / "bench.csv")
+        sysm, q0 = multirate.build_fpu()
+        grid = multirate.TimeGrid(dT=0.05, micro_per_macro=5, n_macro=2, t0=0.0)
+        _, stats = multirate.integrate(q0, sysm, QuadratureSpec.midpoint_midpoint(), grid,
+                                       multirate.SolverConfig(newton_tol=1e-9),
+                                       multirate.IntegratorMode.CLOSED_FORM_PQ)
+        assert int(rows[0][header.index("newton_iters_total")]) == stats.newton_iters_total
 
 
     @pytest.mark.parametrize("args", [
@@ -354,6 +378,22 @@ class TestValidate:
         out = tmp_path / "valbad"
         assert run("validate", "--system", "fpu", *extra, "--out", str(out)) == 2
         assert not (out / "validation.json").exists()
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--scheme", "explicit", "--omega-s", "1", "--dT-list", "0.5",
+         "--p-list", "2"),
+        ("validate", "--system", "fpu", "--tol", "1e-3", "--probes", "2")],
+        ids=["stability-scheme", "validate-tol"])
+    def test_option_the_subcommand_does_not_read_is_rejected(self, tmp_path, argv):
+        # stability reads no system, scheme, tolerance or mode, and validate
+        # only the system; argparse stops before any output is written
+        out = tmp_path / "unread"
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--out", str(out))
+        assert info.value.code == 2
+        assert not out.exists()
 
 
 class TestSchemaAndExitCodes:

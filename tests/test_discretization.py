@@ -5,7 +5,6 @@ import pytest
 
 from multirate import (
     EvaluationError,
-    MacroStepUnknowns,
     MultirateSystem,
     QuadratureSpec,
     SlowPlacement,
@@ -13,19 +12,22 @@ from multirate import (
     build_fpu,
     build_spring_ring,
     build_time_grid,
+    initial_step,
+    interval_momenta,
+)
+from multirate.discretization import _check_finite, interval_kernel
+from multirate.solver import _linearization
+
+from _oracles import (
+    affine_quadrature,
+    central_diff,
     discrete_fast_potential,
     discrete_kinetic,
     discrete_lagrangian,
+    discrete_lagrangian_micro,
     discrete_slow_potential,
-    grad_discrete_lagrangian,
-    initial_step,
-    interp_slow,
-    interval_momenta,
+    hessian_blocks_dense,
 )
-from multirate.discretization import _check_finite, discrete_lagrangian_micro, interval_kernel
-from multirate.solver import _linearization
-
-from _oracles import affine_quadrature, central_diff, hessian_blocks_dense
 from conftest import make_fast_only, make_slow_only
 from test_solver import QUADRATURES, QUADRATURE_IDS
 
@@ -42,25 +44,17 @@ def scalar_system(V=None, gradV=None, W=None, gradW=None):
     )
 
 
-class TestInterpSlow:
-    def test_linear_midpoint(self):
-        grid = build_time_grid(1.0, 4, 1)
-        assert interp_slow(np.array([0.0]), np.array([1.0]), grid, 2) == pytest.approx(0.5)
-
-    def test_constant(self):
-        grid = build_time_grid(1.0, 6, 1)
-        c = np.array([2.5, -1.0])
-        for m in range(7):
-            assert np.allclose(interp_slow(c, c, grid, m), c)
-
-    def test_interior_value(self):
-        grid = build_time_grid(1.0, 5, 1)
-        assert interp_slow(np.array([1.0]), np.array([3.0]), grid, 2) == pytest.approx(1.8)
-
-    def test_out_of_range(self):
-        grid = build_time_grid(1.0, 3, 1)
-        with pytest.raises(ValueError):
-            interp_slow(np.zeros(1), np.ones(1), grid, 4)
+def lagrangian_gradient(s0, s1, fast, sys, quad, grid):
+    """Partial derivatives ``(g_s0, g_s1, g_f)`` of L_d from the kernel's
+    momenta, the discrete Legendre transforms read backwards: ``-p_minus``
+    at the left end of each (macro or micro) interval, ``p_plus`` at the
+    right end."""
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = interval_kernel(quad, grid).momenta(
+        s0, s1, fast, sys)
+    g_f = np.zeros((grid.micro_per_macro + 1, sys.n_fast))
+    g_f[:-1] -= p_f_minus
+    g_f[1:] += p_f_plus
+    return -p_s_minus, p_s_plus, g_f
 
 
 class TestDiscreteKinetic:
@@ -225,7 +219,7 @@ class TestDiscreteLagrangian:
         s0 = q0.q_slow
         s1 = q0.q_slow + rng.uniform(-0.1, 0.1, 3)
         fast = q0.q_fast + rng.uniform(-0.02, 0.02, (6, 3))
-        g_s0, g_s1, g_f = grad_discrete_lagrangian(s0, s1, fast, sys, quad, grid)
+        g_s0, g_s1, g_f = lagrangian_gradient(s0, s1, fast, sys, quad, grid)
         h = 5e-6
         fd_s0 = central_diff(lambda x: discrete_lagrangian(x, s1, fast, sys, quad, grid), s0, h)
         fd_s1 = central_diff(lambda x: discrete_lagrangian(s0, x, fast, sys, quad, grid), s1, h)
@@ -294,7 +288,7 @@ class TestEvaluationErrors:
         fast = np.linspace(0.0, 1.0, 5)[:, None]
         quad = QuadratureSpec.midpoint_midpoint()
         with pytest.raises(EvaluationError) as info:
-            grad_discrete_lagrangian(np.zeros(1), np.ones(1), fast, sys, quad, grid)
+            lagrangian_gradient(np.zeros(1), np.ones(1), fast, sys, quad, grid)
         assert info.value.node_index is not None
         assert info.value.node_index >= 1
 
@@ -385,20 +379,6 @@ class TestHessianBlocks:
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * np.max(np.abs(b), initial=0.0)
 
 
-class TestMacroStepUnknowns:
-    def test_pack_round_trip(self):
-        u = MacroStepUnknowns(np.array([1.0, 2.0]), np.arange(6.0).reshape(3, 2))
-        x = u.pack()
-        assert x.shape == (8,)
-        v = MacroStepUnknowns.unpack(x, 2, 2, 3)
-        assert np.array_equal(v.q_slow_next, u.q_slow_next)
-        assert np.array_equal(v.q_fast_micro, u.q_fast_micro)
-
-    def test_unpack_size_checked(self):
-        with pytest.raises(ValueError):
-            MacroStepUnknowns.unpack(np.zeros(5), 2, 2, 3)
-
-
 class TestDerivativeConsistencyProperty:
     @pytest.mark.parametrize("quad", [
         QuadratureSpec.midpoint_midpoint(),
@@ -414,7 +394,7 @@ class TestDerivativeConsistencyProperty:
             s0 = rng.uniform(-0.5, 0.5, 1)
             s1 = rng.uniform(-0.5, 0.5, 1)
             fast = rng.uniform(-0.3, 0.3, (4, 1))
-            g_s0, g_s1, g_f = grad_discrete_lagrangian(s0, s1, fast, sys, quad, grid)
+            g_s0, g_s1, g_f = lagrangian_gradient(s0, s1, fast, sys, quad, grid)
             fd_s0 = central_diff(lambda x: discrete_lagrangian(x, s1, fast, sys, quad, grid), s0.copy(), h)
             fd_s1 = central_diff(lambda x: discrete_lagrangian(s0, x, fast, sys, quad, grid), s1.copy(), h)
             scale = 1.0 + max(np.max(np.abs(g_s0)), np.max(np.abs(g_s1)))

@@ -10,7 +10,6 @@ from multirate import (
     EvaluationError,
     IntegrationError,
     IntegratorMode,
-    MacroStepUnknowns,
     MultirateSystem,
     QuadratureSpec,
     SlowPlacement,
@@ -20,8 +19,6 @@ from multirate import (
     Trajectory,
     build_fpu,
     build_time_grid,
-    del_jacobian,
-    del_residual,
     explicit_macro_step,
     initial_step,
     integrate,
@@ -72,6 +69,21 @@ QUADRATURES = [
 QUADRATURE_IDS = ["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal", "explicit"]
 
 
+def stacked(q_slow_next, fast_nodes):
+    """Stacked unknowns of a step from its next slow node and fast nodes
+    1..p (the layout of ``solver._step_nodes``)."""
+    return np.concatenate([q_slow_next, np.ravel(fast_nodes)])
+
+
+def step_jacobian(start, x, sys, quad, grid):
+    """Dense Newton matrix of the step from ``start`` at x, as the solver
+    builds it: analytic with Hessians, finite differences without."""
+    residual = solver._step_residual(start, sys, quad, grid)
+    linear, jacobian = _linearization(sys, quad, grid)
+    J = jacobian(start, residual, x, residual(x)[0])
+    return _assemble_jacobian(J) if linear is solver._STRUCTURED else J
+
+
 def free_state():
     return State([0.0], [1.0], [2.0], [1.0])
 
@@ -93,7 +105,8 @@ class TestResidual:
         v_f = free_particle.mass_fast_inv @ step.p_fast_end
         s2 = step.q_slow_end + 0.5 * v_s
         fast = step.fast[-1] + grid.dt * np.arange(1, 5)[:, None] * v_f
-        res = del_residual(step, MacroStepUnknowns(s2, fast), free_particle, MIDMID, grid)
+        res = solver._step_residual(step.end_state(), free_particle, MIDMID, grid)(
+            stacked(s2, fast))[0]
         assert np.max(np.abs(res)) < 1e-14
 
     def test_converged_step_residual_below_tolerance(self, fpu):
@@ -103,7 +116,8 @@ class TestResidual:
         s0, _ = initial_step(q0, sys, MIDMID, grid, cfg)
         s1, stats = macro_step(s0, sys, MIDMID, grid, cfg)
         assert stats.residual_norm < 1e-9
-        res = del_residual(s0, MacroStepUnknowns(s1.q_slow_end, s1.fast[1:]), sys, MIDMID, grid)
+        res = solver._step_residual(s0.end_state(), sys, MIDMID, grid)(
+            stacked(s1.q_slow_end, s1.fast[1:]))[0]
         assert np.max(np.abs(res)) < 1e-9
 
     def test_local_linearity_of_residual(self, fpu, config):
@@ -111,13 +125,13 @@ class TestResidual:
         grid = build_time_grid(0.3, 5, 2)
         s0, _ = initial_step(q0, sys, MIDMID, grid, config)
         s1, _ = macro_step(s0, sys, MIDMID, grid, config)
-        x = MacroStepUnknowns(s1.q_slow_end, s1.fast[1:]).pack()
+        x = stacked(s1.q_slow_end, s1.fast[1:])
+        residual = solver._step_residual(s0.end_state(), sys, MIDMID, grid)
 
         def norm_at(delta):
             xp = x.copy()
             xp[4] += delta
-            u = MacroStepUnknowns.unpack(xp, 3, 3, 5)
-            return np.max(np.abs(del_residual(s0, u, sys, MIDMID, grid)))
+            return np.max(np.abs(residual(xp)[0]))
 
         r1, r2 = norm_at(1e-4), norm_at(5e-5)
         assert r1 / r2 == pytest.approx(2.0, rel=0.05)
@@ -219,10 +233,10 @@ class TestJacobian:
         sys, q0 = fpu
         grid = build_time_grid(0.3, 5, 2)
         step, _ = initial_step(q0, sys, MIDMID, grid, config)
-        unk = MacroStepUnknowns(step.q_slow_end + 0.01, step.fast[1:] + 0.005)
+        x = stacked(step.q_slow_end + 0.01, step.fast[1:] + 0.005)
         assert sys.has_hessians
-        Ja = del_jacobian(step, unk, sys, MIDMID, grid)
-        Jf = del_jacobian(step, unk, without_hessians(sys), MIDMID, grid)
+        Ja = step_jacobian(step.end_state(), x, sys, MIDMID, grid)
+        Jf = step_jacobian(step.end_state(), x, without_hessians(sys), MIDMID, grid)
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
     @pytest.mark.parametrize("p", [1, 4])
@@ -234,11 +248,11 @@ class TestJacobian:
         grid = build_time_grid(0.02, p, 2)
         step, _ = initial_step(q0, sys, quad, grid, config)
         rng = np.random.default_rng(5)
-        unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
-                                step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
+        x = stacked(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
+                    step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
         assert sys.has_hessians
-        Ja = del_jacobian(step, unk, sys, quad, grid)
-        Jf = del_jacobian(step, unk, without_hessians(sys), quad, grid)
+        Ja = step_jacobian(step.end_state(), x, sys, quad, grid)
+        Jf = step_jacobian(step.end_state(), x, without_hessians(sys), quad, grid)
         assert np.max(np.abs(Ja - Jf) / (1.0 + np.abs(Ja))) < 1e-5
 
     def test_fast_chain_locality(self, fpu, config):
@@ -246,8 +260,8 @@ class TestJacobian:
         sys, q0 = fpu
         grid = build_time_grid(0.3, 5, 2)
         step, _ = initial_step(q0, sys, MIDMID, grid, config)
-        unk = MacroStepUnknowns(step.q_slow_end, step.fast[1:])
-        J = del_jacobian(step, unk, sys, MIDMID, grid)
+        J = step_jacobian(step.end_state(), stacked(step.q_slow_end, step.fast[1:]), sys,
+                          MIDMID, grid)
         n_s, n_f, p = 3, 3, 5
         for m in range(p):          # residual rows of fast nodes 0..p-1
             for m2 in range(1, p + 1):   # columns of fast nodes 1..p
@@ -261,10 +275,10 @@ class TestJacobian:
         step, stats = initial_step(free_state(), free_particle, MIDMID, grid, config)
         s1, stats = macro_step(step, free_particle, MIDMID, grid, config)
         assert stats.newton_iters <= 1
-        unk = MacroStepUnknowns(s1.q_slow_end, s1.fast[1:])
-        J1 = del_jacobian(step, unk, free_particle, MIDMID, grid)
-        unk2 = MacroStepUnknowns(s1.q_slow_end + 3.0, s1.fast[1:] - 2.0)
-        J2 = del_jacobian(step, unk2, free_particle, MIDMID, grid)
+        J1 = step_jacobian(step.end_state(), stacked(s1.q_slow_end, s1.fast[1:]),
+                           free_particle, MIDMID, grid)
+        J2 = step_jacobian(step.end_state(), stacked(s1.q_slow_end + 3.0, s1.fast[1:] - 2.0),
+                           free_particle, MIDMID, grid)
         assert np.array_equal(J1, J2)
         assert J1[0, 0] == pytest.approx(-1.0 / 0.5)
 
@@ -283,11 +297,11 @@ class TestLinearSolver:
         grid = build_time_grid(0.02, p, 2)
         step, _ = initial_step(q0, sys, quad, grid, config)
         rng = np.random.default_rng(5)
-        unk = MacroStepUnknowns(step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow),
-                                step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast)))
-        J = del_jacobian(step, unk, sys, quad, grid)
-        blocks = _jacobian_blocks(step.q_slow_end, unk.q_slow_next,
-                                  np.vstack([step.fast[-1:], unk.q_fast_micro]), sys, quad, grid)
+        q1 = step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow)
+        fast = step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast))
+        J = step_jacobian(step.end_state(), stacked(q1, fast), sys, quad, grid)
+        blocks = _jacobian_blocks(step.q_slow_end, q1, np.vstack([step.fast[-1:], fast]),
+                                  sys, quad, grid)
         assert np.array_equal(_assemble_jacobian(blocks), J)
         b = rng.standard_normal(J.shape[0])
         x = np.linalg.solve(J, b)
@@ -439,8 +453,8 @@ class TestMatrixReuse:
         grid = build_time_grid(0.3, 4, 2)
         cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=max_iters)
         step0, _ = initial_step(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9))
-        J = del_jacobian(step0, MacroStepUnknowns(step0.q_slow_end, step0.fast[1:]), sys,
-                         MIDMID, grid)
+        J = step_jacobian(step0.end_state(), stacked(step0.q_slow_end, step0.fast[1:]), sys,
+                          MIDMID, grid)
         # a held matrix 100 times too small: its updates overshoot 100-fold
         held = solver._HeldMatrix(solver._DENSE.factor(0.01 * J))
         return sys, grid, cfg, step0, held
@@ -470,8 +484,8 @@ class TestMatrixReuse:
         cfg = SolverConfig(newton_tol=1e-9)
         step0, _ = initial_step(toy_state(), sys, MIDMID, grid, cfg)
         fresh, s_fresh = macro_step(step0, sys, MIDMID, grid, cfg)
-        J = del_jacobian(step0, MacroStepUnknowns(step0.q_slow_end, step0.fast[1:]), sys,
-                         MIDMID, grid)
+        J = step_jacobian(step0.end_state(), stacked(step0.q_slow_end, step0.fast[1:]), sys,
+                          MIDMID, grid)
         step, stats = macro_step(step0, sys, MIDMID, grid, cfg,
                                  solver._HeldMatrix(solver._DENSE.factor(1e-3 * J)))
         assert (stats.newton_iters, stats.matrix_builds) == \
@@ -545,13 +559,15 @@ class TestMacroStep:
         C = _VERIFY_CHUNK
         cfg = SolverConfig(newton_tol=1e-10)
         grid = build_time_grid(0.3, 2, 2 * C + 8)
+        p = grid.micro_per_macro
         traj, _ = integrate(q0, sys, MIDMID, grid, cfg)
         for k in (1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, grid.n_macro - 1):
             bad = Trajectory(grid, traj.slow_q.copy(), traj.slow_p, traj.fast_q, traj.fast_p)
             bad.slow_q[k] += 1e-6
             cert = verify_trajectory(bad, q0, sys, MIDMID, grid)
-            moms = [interval_momenta(bad.slow_q[j], bad.slow_q[j + 1], bad.interval_fast(j),
-                                     sys, MIDMID, grid) for j in range(grid.n_macro)]
+            moms = [interval_momenta(bad.slow_q[j], bad.slow_q[j + 1],
+                                     bad.fast_q[j * p:(j + 1) * p + 1], sys, MIDMID, grid)
+                    for j in range(grid.n_macro)]
             macro = max(max(np.max(np.abs(a.p_s_plus - b.p_s_minus)),
                             np.max(np.abs(a.p_f_plus[-1] - b.p_f_minus[0])))
                         for a, b in zip(moms, moms[1:]))
