@@ -407,9 +407,16 @@ def cmd_validate(args) -> int:
             for p in report.probes
         ],
     }
-    with open(out / "validation.json", "w") as fh:
+    path = out / "validation.json"
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _write_manifest(out, {
+        "command": "validate",
+        "params": _resolved_params(args),
+        "status": "ok" if report.passed else "failed",
+        "outputs": {"validation.json": _manifest_entry(path, 1)},
+    })
     print(f"validate: {'pass' if report.passed else 'FAIL'} "
           f"(max deviation {report.max_deviation:.3e}, tolerance {report.tolerance:g})")
     return EXIT_OK

@@ -94,6 +94,50 @@ def _check_finite(values, intervals: np.ndarray, what: str):
         raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
 
 
+class _Workspace:
+    """Arrays that a sequence of Newton matrix builds writes into, by name.
+
+    ``ws(name, shape)`` returns the array kept under ``name``, allocated
+    only where it is missing or has another shape; its contents are what
+    the last build left there.  Reusing the arrays keeps a large build from
+    taking fresh megabytes, page by page, from the system.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape)
+        return a
+
+    def rows(self, name: str, a: np.ndarray, index) -> np.ndarray:
+        """``a[index]`` for an ``index`` from :func:`_distinct`: ``a`` itself
+        where it holds every row, a view that repeats its one row where it
+        holds one, else a copy.  The view is made once per array ``a`` and
+        kept under ``name``: a small build would otherwise spend a few
+        microseconds on it."""
+        if len(a) == len(index):
+            return a
+        if len(a) > 1:
+            return a[index]
+        v = self._arrays.get(name)
+        if v is None or v.base is not a:
+            v = self._arrays[name] = np.ndarray((len(index),) + a.shape[1:], a.dtype, a,
+                                                strides=(0,) + a.strides[1:])
+        return v
+
+
+def _distinct(rows: np.ndarray):
+    """``(distinct, index)``: the distinct rows of ``rows`` (r, k), bit for
+    bit, in order of first appearance, as (d, k, 1, 1) weight rows; and for
+    each row the position of its equal among them."""
+    keys = [r.tobytes() for r in rows]
+    first = list(dict.fromkeys(keys))
+    return rows[[keys.index(k) for k in first]][..., None, None], [first.index(k) for k in keys]
+
+
 class _Terms:
     """Quadrature terms of one potential on a macro interval, as arrays.
 
@@ -106,9 +150,8 @@ class _Terms:
     node of each micro interval; ``equations`` (p, k) carries them to the
     fast equations of nodes 0..p-1 of the DEL step: equation i takes the
     left weights of interval i plus the right weights of interval i-1.
-    ``second`` (3, k, 1, 1) holds each term's
-    weights ``w*u_l*u_l``, ``w*u_l*u_r`` and ``w*u_r*u_r`` of the Hessian
-    blocks of its interval.
+    ``second`` (3, k) holds each term's weights ``w*u_l*u_l``, ``w*u_l*u_r``
+    and ``w*u_r*u_r`` of the Hessian blocks of its interval.
 
     Second derivatives are summed per micro interval (:meth:`interval_sums`).
     On the micro grid every interval carries the same b terms, ordered
@@ -134,7 +177,7 @@ class _Terms:
         # a term's left and right weight go to different rows: no sum rounds
         self.equations = self.left.copy()
         self.equations[1:] += self.right[:-1]
-        self.second = np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])[..., None, None]
+        self.second = np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])
         on_node = (u_l == 0.0) | (u_l == 1.0)
         self.node = self.m + (u_l == 0.0) if on_node.all() else None
         self.at_end = self.node is not None and bool((self.node == p).any())
@@ -143,17 +186,18 @@ class _Terms:
         b = self.m.size // p
         self.per_interval = b if np.array_equal(self.m, np.repeat(np.arange(p), b)) else None
 
-    def interval_sums(self, c: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """Sum of ``c[r, t] * H[t]`` over the terms t of each micro interval:
-        weight rows ``c`` (r, k, 1, 1) and Hessians ``H`` (k, a, b) give
-        (r, p, a, b)."""
-        prod = c * H
+    def interval_sums(self, c: np.ndarray, H: np.ndarray, ws: _Workspace, name: str) -> np.ndarray:
+        """Sum of ``c[r, t] * H[t]`` over the terms t of each micro interval,
+        written into the workspace array ``name``: weight rows ``c``
+        (r, k, 1, 1) and Hessians ``H`` (k, a, b) give (r, p, a, b)."""
+        out = ws(name, (c.shape[0], self.p) + H.shape[1:])
         b = self.per_interval
         if b == 1:
-            return prod
+            return np.multiply(c, H, out=out)
+        prod = np.multiply(c, H, out=ws(name + " terms", c.shape[:2] + H.shape[1:]))
         if b is not None:
-            return prod.reshape((c.shape[0], self.p, b) + H.shape[1:]).sum(axis=2)
-        out = np.zeros((c.shape[0], self.p) + H.shape[1:])
+            return np.sum(prod.reshape(out.shape[:2] + (b,) + H.shape[1:]), axis=2, out=out)
+        out[...] = 0.0
         for t, m in enumerate(self.m):
             out[:, m] += prod[:, t]
         return out
@@ -190,15 +234,22 @@ class _IntervalKernel:
         self.V = _Terms(m, w, u_l, p)
         self.c0, self.c1 = c0[:, None], c1[:, None]
         self.w_c0, self.w_c1, self.w_c0c1 = w * c0, w * c1, w * c0 * c1
-        # weights of H_sf per term: rows 0 and 2 couple the slow equation to
-        # the right and the left node of the term's interval, rows 1 and 3
-        # the equations of its left and right node to the next slow node
-        u_r = 1.0 - u_l
-        self.border = np.stack([self.w_c0 * u_r, self.w_c1 * u_l, self.w_c0 * u_l,
-                                self.w_c1 * u_r])[..., None, None]
         w_terms = [(m, self.dt * w, u_l)
                    for m in range(p) for w, u_l in _branches(quad.alpha_W, quad.gamma_W)]
         self.W = _Terms(*zip(*w_terms), p)
+        # The Hessian weights, each distinct row summed once: of H_sf per
+        # term, rows 0 and 2 couple the slow equation to the right and the
+        # left node of the term's interval, rows 1 and 3 the equations of
+        # its left and right node to the next slow node; of H_ff and H_W the
+        # left-left, left-right and right-right rows of ``second``.  Under a
+        # midpoint rule (u_l = u_r) rows 2 and 3 repeat rows 0 and 1, and
+        # the three fast rows are one.
+        u_r = 1.0 - u_l
+        self.border, self.border_rows = _distinct(np.stack(
+            [self.w_c0 * u_r, self.w_c1 * u_l, self.w_c0 * u_l, self.w_c1 * u_r]))
+        k_V = self.V.m.size
+        second, self.ff_rows = _distinct(np.hstack([self.V.second, self.W.second]))
+        self.ff_V, self.ff_W = second[:, :k_V], second[:, k_V:]
         self.shared = (np.array_equal(self.V.gather, self.W.gather)
                        and np.array_equal(self.V.equations, self.W.equations))
 
@@ -259,7 +310,7 @@ class _IntervalKernel:
                 Mv_f + (self.V.left @ g_fV + self.W.left @ g_W),
                 Mv_f - (self.V.right @ g_fV + self.W.right @ g_W))
 
-    def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem):
+    def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem, ws: _Workspace | None = None):
         """Potential second-derivative sums of one interval, for the Newton Jacobian.
 
         Returns ``(ss, border, ff)``: ``ss`` = sum of w*c0*c1*H_ss;
@@ -268,34 +319,39 @@ class _IntervalKernel:
         to the next slow node (to be transposed); ``ff`` (3, p, n_fast,
         n_fast) holds the left-left, left-right and right-right blocks of
         each micro interval.  Every block is a sum over the terms of one
-        micro interval (:meth:`_Terms.interval_sums`); a fast node's border
-        block adds the sums of the two intervals it bounds.  A non-finite
-        Hessian raises :class:`~multirate.errors.EvaluationError` naming its
-        micro interval.
+        micro interval (:meth:`_Terms.interval_sums`), computed once per
+        distinct weight row; ``ff`` hands out repeated rows from that one
+        sum (:meth:`_Workspace.rows`).  A fast node's border block adds the
+        sums of the two intervals it bounds.  A non-finite Hessian raises
+        :class:`~multirate.errors.EvaluationError` naming its micro interval.
+
+        The results are written into arrays of the workspace ``ws`` (a new
+        one by default), which the next call with it overwrites; the arrays
+        that the Hessian callbacks return are only read.
         """
+        ws = _Workspace() if ws is None else ws
         Qs, QfV, QfW = self.points(q0, q1, fast)
         H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
         H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+        k = H_ss.shape[0]
+        # the terms' H_ss side by side, for one vector-matrix product
+        H = ws("H_ss", H_ss.shape)
+        H[...] = H_ss
         # a sum is finite only if every entry is (see _check_finite)
-        if not math.isfinite(H_ss.sum() + H_sf.sum() + H_ff.sum() + H_W.sum()):
+        if not math.isfinite(H.sum() + H_sf.sum() + H_ff.sum() + H_W.sum()):
             _check_finite((H_ss, H_sf, H_ff), self.V.m, "slow-potential Hessian")
             _check_finite((H_W,), self.W.m, "fast-potential Hessian")
-        k = H_ss.shape[0]
-        ss = (self.w_c0c1 @ H_ss.reshape(k, math.prod(H_ss.shape[1:]))).reshape(H_ss.shape[1:])
-        # few and small temporaries: the shifted border halves apart, the
-        # fast potential's terms after the slow potential's Hessians are
-        # released.  A large step's build then stays within memory the
-        # allocator has mapped already (FPU chain, l=30, p=50: 230-480 minor
-        # page faults per build, 650-950 with whole-array temporaries)
-        border = self.V.interval_sums(self.border[:2], H_sf)
-        shifted = self.V.interval_sums(self.border[2:], H_sf)
-        border[0, :-1] += shifted[0, 1:]
-        border[1, 1:] += shifted[1, :-1]
-        del shifted
-        ff = self.V.interval_sums(self.V.second, H_ff)
-        del H_ss, H_sf, H_ff
-        ff += self.W.interval_sums(self.W.second, H_W)
-        return ss, border, ff
+        ss = (self.w_c0c1 @ H.reshape(k, -1)).reshape(H_ss.shape[1:])
+        sums = self.V.interval_sums(self.border, H_sf, ws, "border sums")
+        s0, s1, s2, s3 = (sums[j] for j in self.border_rows)
+        border = ws("border", (2,) + sums.shape[1:])
+        np.add(s0[:-1], s2[1:], out=border[0, :-1])
+        border[0, -1] = s0[-1]
+        border[1, 0] = s1[0]
+        np.add(s1[1:], s3[:-1], out=border[1, 1:])
+        ff = self.V.interval_sums(self.ff_V, H_ff, ws, "ff")
+        ff += self.W.interval_sums(self.ff_W, H_W, ws, "ff W")
+        return ss, border, ws.rows("ff rows", ff, self.ff_rows)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

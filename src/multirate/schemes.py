@@ -103,7 +103,7 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
     """
     evaluate = _update_map(quad)(state, sys, grid)
 
-    def jacobian(x, F):
+    def jacobian(x, F, ws):
         return _fd_jacobian(evaluate, x, F)
 
     x, aux, stats = _newton(evaluate, jacobian, _drift_guess(state, sys, grid), config, held=held)

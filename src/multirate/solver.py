@@ -20,12 +20,12 @@ within one :func:`integrate` call, many steps:
   more than ``_MAX_PREDICTED_ITERS`` further iterations to the polish target,
   and always when the residual grew.  A step whose held matrix fails
   restarts from its own guess with a fresh one.
-- Stop rule: the residual is within ``newton_tol`` and either four orders of
-  magnitude below it, or reached by a polish iteration (one that started
-  within tolerance) whose matrix was fresh or which reached the polish
-  target.  That target is 1e-4 * newton_tol, or the residual's rounding
-  floor, eps times its largest terms, where that is higher: at tiny steps
-  the momentum terms M q / dt dominate.
+- Stop rule: the residual is within ``newton_tol`` and either at the polish
+  target or reached by a polish iteration (one that started within
+  tolerance) whose matrix was fresh.  That target is 1e-4 * newton_tol, or
+  the residual's rounding floor, eps times its largest terms, where that
+  is higher: at tiny steps the momentum terms M q / dt dominate, and an
+  iterate at its floor is accepted without a polish.
 - Timing: ``StepStats.jacobian_time`` is matrix assembly,
   ``StepStats.solve_time`` factoring plus all solves with the factors, and
   ``StepStats.matrix_builds`` counts the matrices built.
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import _check_finite, _left_weight, interval_kernel
+from .discretization import _check_finite, _left_weight, _Workspace, interval_kernel
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -77,13 +77,13 @@ __all__ = [
 # Unknowns n_slow + p*n_fast from which an analytic Newton matrix is factored
 # by blocks (_linearization).  FPU chains, midpoint-midpoint, 2-vCPU Xeon,
 # OpenBLAS 0.3.31, one BLAS thread, medians of one matrix build (assembly
-# plus factor) and of one solve with it, dense vs blocks
-# (tests/test_linear_solver_bench.py):
-#   l=3,  p=10,   33 unknowns: 0.22 ms + 2 us   vs 0.31 ms + 63 us
-#   l=10, p=10,  110 unknowns: 0.89 ms + 5 us   vs 0.39 ms + 120 us
-#   l=3,  p=50,  153 unknowns: 1.94 ms + 7 us   vs 0.58 ms + 164 us
-#   l=10, p=20,  210 unknowns: 3.81 ms + 10 us  vs 0.40 ms + 154 us
-#   l=30, p=50, 1530 unknowns: 415 ms + 0.88 ms vs 5.5 ms + 0.54 ms
+# plus factor, into one workspace) and of one solve with it, dense vs blocks
+# (tests/test_linear_solver_bench.py, the lower of two runs):
+#   l=3,  p=10,   33 unknowns: 0.19 ms + 3 us   vs 0.22 ms + 107 us
+#   l=10, p=10,  110 unknowns: 0.66 ms + 3 us   vs 0.30 ms + 81 us
+#   l=3,  p=50,  153 unknowns: 1.39 ms + 5 us   vs 0.49 ms + 153 us
+#   l=10, p=20,  210 unknowns: 3.66 ms + 7 us   vs 0.40 ms + 90 us
+#   l=30, p=50, 1530 unknowns: 340 ms + 0.87 ms vs 3.2 ms + 0.33 ms
 # At about one build and five solves per step the two break even between
 # 110 and 153 unknowns.  Other machines, BLAS builds or potentials may
 # place it elsewhere.
@@ -154,10 +154,12 @@ class SolverConfig:
     - After the tolerance is met, polish iterations follow until the
       residual is four orders of magnitude below the tolerance, or at the
       rounding floor of its largest terms if that is higher; a polish with
-      a freshly built matrix ends the step in any case.  Accepted residuals
-      are thus parked far below ``newton_tol``, so long-run conservation
-      certificates are limited by the discretization instead of the
-      stopping rule.
+      a freshly built matrix ends the step in any case.  An iterate within
+      the tolerance that is already at its rounding floor is accepted
+      without a polish, since a polish would land on the same value.
+      Accepted residuals are thus parked far below ``newton_tol``, so
+      long-run conservation certificates are limited by the discretization
+      instead of the stopping rule.
     - The implicit DEL step factors its matrices by block elimination when
       the Jacobian is analytic and the step has at least
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
@@ -328,29 +330,30 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
 def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     """``(linear, jacobian)`` of the DEL steps on ``grid``.
 
-    ``jacobian(start, residual, x, F)`` builds the Newton matrix of the step
-    from ``start`` at x, F being the residual of :func:`_step_residual` there,
-    and the :class:`_LinearSolver` ``linear`` factors and applies it.  A
-    system without Hessians gets a dense finite-difference matrix from
+    ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
+    step from ``start`` at x, F being the residual of :func:`_step_residual`
+    there, and the :class:`_LinearSolver` ``linear`` factors and applies it.
+    A system without Hessians gets a dense finite-difference matrix from
     batched residual calls (:func:`_fd_jacobian`); an analytic one is kept
     as blocks (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns
-    on, and assembled densely below.
+    on, and assembled densely below.  Analytic blocks are written into the
+    arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
     if not sys.has_hessians:
-        def fd_jacobian(start, residual, x, F):
+        def fd_jacobian(start, residual, x, F, ws):
             return _fd_jacobian(residual, x, F)
         return _DENSE, fd_jacobian
 
-    def jacobian_blocks(start, residual, x, F):
-        return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid)
+    def jacobian_blocks(start, residual, x, F, ws):
+        return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
 
     if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
         return _STRUCTURED, jacobian_blocks
 
-    def jacobian(start, residual, x, F):
-        return _assemble_jacobian(jacobian_blocks(start, residual, x, F))
+    def jacobian(start, residual, x, F, ws):
+        return _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
     return _DENSE, jacobian
 
 
@@ -366,7 +369,8 @@ class _JacobianBlocks:
     sub-diagonals.  ``band`` stacks its blocks in :func:`_chain_band` order:
     D_i = -M_f/dt - lr_i (node i+1) for i = 0..p-1, then
     E_i = 2 M_f/dt - ll_i - rr_{i-1} (node i) for i = 1..p-1, then
-    G_i = -M_f/dt - lr_{i-1} (node i-1) for i = 2..p-1.
+    G_i = -M_f/dt - lr_{i-1} (node i-1) for i = 2..p-1.  ``ws`` is the
+    workspace that holds the blocks and takes the arrays of their factors.
     """
 
     p: int
@@ -374,31 +378,34 @@ class _JacobianBlocks:
     row: np.ndarray     # (n_slow, p*n_fast)
     col: np.ndarray     # (p*n_fast, n_slow)
     band: np.ndarray    # (blocks, n_fast, n_fast)
+    ws: _Workspace
 
 
 def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: QuadratureSpec,
-                     grid: TimeGrid) -> _JacobianBlocks:
-    """Blocks of the analytic Jacobian of the stacked residual.
+                     grid: TimeGrid, ws: _Workspace | None = None) -> _JacobianBlocks:
+    """Blocks of the analytic Jacobian of the stacked residual, written into
+    the arrays of the workspace ``ws`` (a new one by default).
 
     The kinetic energy contributes the constant blocks -M_s/dT, 2 M_f/dt
     and -M_f/dt; the potentials their second-derivative sums from
     :meth:`~multirate.discretization._IntervalKernel.hessian_blocks`.
     """
+    ws = _Workspace() if ws is None else ws
     p = grid.micro_per_macro
     n_s, n_f = sys.n_slow, sys.n_fast
     ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
-        q_slow_k, q_slow_next, fast, sys)
+        q_slow_k, q_slow_next, fast, sys, ws)
     M_dt = sys.mass_fast / grid.dt
-    band = np.empty((_chain_band(p)[0].size, n_f, n_f))
+    band = ws("band", (_chain_band(p)[0].size, n_f, n_f))
     D, E = band[:p], band[p:2 * p - 1]
     np.subtract(-M_dt, lr, out=D)
     np.subtract(2.0 * M_dt, ll[1:], out=E)
     E -= rr[:-1]
     band[2 * p - 1:] = D[1:p - 1]   # G_i = D_{i-1}
-    return _JacobianBlocks(p, -sys.mass_slow / grid.dT - ss,
-                           np.negative(row.transpose(1, 0, 2), order="C").reshape(n_s, p * n_f),
-                           np.negative(col.transpose(0, 2, 1), order="C").reshape(p * n_f, n_s),
-                           band)
+    J_row, J_col = ws("row", (n_s, p * n_f)), ws("col", (p * n_f, n_s))
+    np.negative(row.transpose(1, 0, 2), out=J_row.reshape(n_s, p, n_f))
+    np.negative(col.transpose(0, 2, 1), out=J_col.reshape(p, n_f, n_s))
+    return _JacobianBlocks(p, -sys.mass_slow / grid.dT - ss, J_row, J_col, band, ws)
 
 
 def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
@@ -463,7 +470,7 @@ def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
     try:
         with np.errstate(all="ignore"):
             d_inv = np.linalg.inv(J.band[:p])
-            ge = np.empty((p, n_f, 2 * n_f))
+            ge = J.ws("ge", (p, n_f, 2 * n_f))
             ge[:2, :, :n_f] = 0.0
             ge[:1, :, n_f:] = 0.0
             np.matmul(d_inv[2:], J.band[2 * p - 1:], out=ge[2:, :, :n_f])
@@ -471,7 +478,7 @@ def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
             # Z_i after two leading zero blocks, so that every row block
             # subtracts [G_i | E_i] times the two blocks before it in one
             # product
-            Z = np.empty((p + 2, n_f, n_s))
+            Z = J.ws("Z", (p + 2, n_f, n_s))
             Z[:2] = 0.0
             np.matmul(d_inv, J.col.reshape(p, n_f, n_s), out=Z[2:])
             for i in range(p):
@@ -536,8 +543,9 @@ def _apply_blocks(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
 def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> float:
     if F.absolute is None:
         J = F.J
-        F.absolute = _JacobianBlocks(J.p, np.abs(J.slow), np.abs(J.row), np.abs(J.col),
-                                     np.abs(J.band))
+        F.absolute = _JacobianBlocks(J.p, np.abs(J.slow), *(
+            np.abs(a, out=J.ws(name, a.shape))
+            for name, a in (("|row|", J.row), ("|col|", J.col), ("|band|", J.band))), J.ws)
     return float(np.max(_block_matvec(F.absolute, np.abs(x)), initial=0.0))
 
 
@@ -620,21 +628,18 @@ class _HeldMatrix:
     iterations and, when :func:`integrate` hands one holder to all its
     steps, across steps.  ``factors`` is None until the next build.
 
-    :meth:`drop` keeps the dropped factors referenced in ``retired`` until
-    the next build has made new ones, and only then frees them, so that
-    their memory serves the build after.  Freed before the build, it went
-    back to the system and the build took it again page by page: on an FPU
-    chain with l=30, p=50, 1,190 minor page faults per build against
-    230-480 this way.
+    ``ws`` holds the arrays that its structured builds write: J's blocks,
+    their interval sums, the elimination's ``ge`` and Z, and |J|.  A build
+    happens only once the held factors have been dropped, so one set serves
+    every build of the holder, and its iterations read blocks that no build
+    overwrites.  Each holder has its own.  A 20-step integration of an FPU
+    chain with l=30, p=50 then takes about 105 minor page faults per build,
+    most of them in the Hessian callback's own arrays, against about 370
+    with fresh arrays.
     """
 
     factors: object = None
-    retired: object = None
-
-    def drop(self):
-        if self.factors is not None:
-            self.retired = self.factors
-        self.factors = None
+    ws: _Workspace = field(default_factory=_Workspace)
 
 
 def _inf_norm(F: np.ndarray) -> float:
@@ -667,10 +672,12 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
             linear: _LinearSolver = _DENSE, held: _HeldMatrix | None = None):
     """Simplified Newton iteration on ``residual(x) -> (F, aux)``.
 
-    ``jacobian(x, F)`` builds the Newton matrix J at x and ``linear`` solves
-    with it.  The factored matrix in ``held`` is kept across iterations and
-    rebuilt at the current iterate when :func:`_iterate` asks for it; a
-    holder that arrives with factors from earlier steps is used as it is.
+    ``jacobian(x, F, ws)`` builds the Newton matrix J at x, writing any
+    blocks it keeps into the arrays of the holder's workspace ``ws``, and
+    ``linear`` solves with it.  The factored matrix in ``held`` is kept
+    across iterations and rebuilt at the current iterate when
+    :func:`_iterate` asks for it; a holder that arrives with factors from
+    earlier steps is used as it is.
     If the iteration then fails (no convergence within
     ``config.max_newton_iters``, a non-finite iterate or a non-finite value
     of the system at one), the step restarts from ``x0`` with a matrix built
@@ -687,7 +694,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
         try:
             return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
         except (DivergenceError, AbortedStepError, EvaluationError):
-            held.drop()
+            held.factors = None
     return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
 
 
@@ -695,12 +702,12 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
              F: np.ndarray, aux, config: SolverConfig, stats: StepStats):
     """One attempt of :func:`_newton` from x, where the residual is ``(F, aux)``.
 
-    Stop rule: the residual is within ``newton_tol`` and either four orders
-    of magnitude below it or reached by a polish, an iteration that started
-    within tolerance.  A polish counts if its matrix was built at its own
-    iterate, or if it reached the target of :func:`_polish_target`.  A
-    residual within tolerance is also accepted once ``max_newton_iters``
-    iterations are spent.
+    Stop rule: the residual is within ``newton_tol`` and either at the
+    target of :func:`_polish_target` (four orders of magnitude below the
+    tolerance, or the residual's rounding floor where that is higher) or
+    reached by a polish, an iteration that started within tolerance, with
+    a matrix built at its own iterate.  A residual within tolerance is also
+    accepted once ``max_newton_iters`` iterations are spent.
     Refresh rule: after each iteration, the held matrix is dropped, to be
     rebuilt at the next iterate, when the contraction theta = ||F_new|| /
     ||F_old|| predicts more than ``_MAX_PREDICTED_ITERS`` further iterations
@@ -711,10 +718,10 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
     norm = _inf_norm(F)
     theta = math.nan
     iters = 0
-    polished = False
+    settled = False
     while True:
         if norm <= tol:
-            if norm <= 1e-4 * tol or polished or iters >= config.max_newton_iters:
+            if norm <= 1e-4 * tol or settled or iters >= config.max_newton_iters:
                 break
         elif iters >= config.max_newton_iters:
             raise DivergenceError(
@@ -727,11 +734,11 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
         try:
             if fresh:
                 t0 = time.perf_counter()
-                J = jacobian(x, F)
+                J = jacobian(x, F, held.ws)
                 t1 = time.perf_counter()
                 stats.jacobian_time += t1 - t0
                 stats.matrix_builds += 1
-                held.factors, held.retired = linear.factor(J), None
+                held.factors = linear.factor(J)
                 stats.solve_time += time.perf_counter() - t1
             t0 = time.perf_counter()
             dx = linear.apply(held.factors, -F)
@@ -753,9 +760,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
         new_norm = _inf_norm(F)
         theta, norm = new_norm / norm, new_norm
         target = _polish_target(linear, held, x, norm, tol)
-        polished = polish and (fresh or norm <= target)
+        settled = (polish and fresh) or norm <= target
         if _predicted_iters(theta, norm, target) > _MAX_PREDICTED_ITERS:
-            held.drop()
+            held.factors = None
     stats.residual_norm = norm
     return x, aux, stats
 

@@ -362,6 +362,17 @@ class TestValidate:
         assert len(data["probes"]) == 20
         assert data["max_deviation"] < 1e-5
 
+    def test_manifest_records_status_and_report_hash(self, tmp_path):
+        out = tmp_path / "val"
+        assert run("validate", "--system", "fpu", "--seed", "3", "--probes", "3",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "validate"
+        assert manifest["status"] == "ok"
+        assert manifest["params"]["probes"] == 3 and manifest["params"]["seed"] == 3
+        report = hashlib.sha256((out / "validation.json").read_bytes()).hexdigest()
+        assert manifest["outputs"]["validation.json"]["sha256"] == report
+
     def test_seed_reproducibility(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

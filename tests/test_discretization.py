@@ -351,6 +351,22 @@ class TestHessianErrors:
         assert info.value.node_index == 3
 
 
+    @pytest.mark.parametrize("block", ["H_ss", "H_sf"])
+    def test_nonfinite_slow_or_border_block_names_its_micro_interval(self, block):
+        sys, q0 = build_fpu()
+        grid = build_time_grid(0.3, 50, 1)
+
+        def slow(qs, qf):
+            H = [np.array(a) for a in sys.slow_potential_hessian(qs, qf)]
+            H[["H_ss", "H_sf"].index(block)][3, 0, 1] = np.inf
+            return tuple(H)
+
+        bad = dataclasses.replace(sys, slow_potential_hessian=slow)
+        with pytest.raises(EvaluationError, match="slow-potential Hessian") as info:
+            initial_step(q0, bad, QuadratureSpec.midpoint_midpoint(), grid, SolverConfig())
+        assert info.value.node_index == 3
+
+
 HESSIAN_SYSTEMS = {
     "fpu": build_fpu,
     "spring_ring": build_spring_ring,
@@ -377,6 +393,57 @@ class TestHessianBlocks:
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * np.max(np.abs(b), initial=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
+    def test_distinct_row_sums_equal_every_row_summed(self, quad, p):
+        # each distinct weight row is summed once and repeated rows are
+        # handed out from that sum: the blocks equal, bit for bit, the sums
+        # of every row taken term by term
+        sys, q0 = build_fpu()
+        kern = interval_kernel(quad, build_time_grid(0.3, p, 1))
+        rng = np.random.default_rng(p)
+        q1 = q0.q_slow + rng.uniform(-0.1, 0.1, sys.n_slow)
+        fast = q0.q_fast + rng.uniform(-0.1, 0.1, (p + 1, sys.n_fast))
+        ss, border, ff = kern.hessian_blocks(q0.q_slow, q1, fast, sys)
+
+        Qs, QfV, QfW = kern.points(q0.q_slow, q1, fast)
+        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
+        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+
+        def left(terms):
+            return terms.gather[np.arange(terms.m.size), terms.m]
+
+        def second(terms):
+            w, u_l = terms.w, left(terms)
+            u_r = 1.0 - u_l
+            return np.stack([w * u_l * u_l, w * u_l * u_r, w * u_r * u_r])
+
+        def per_interval(terms, rows, H):
+            out = np.zeros((len(rows), p) + H.shape[1:])
+            for t, m in enumerate(terms.m):
+                out[:, m] += rows[:, t, None, None] * H[t]
+            return out
+
+        u_l = left(kern.V)
+        u_r = 1.0 - u_l
+        w_c0, w_c1 = kern.V.w * kern.c0[:, 0], kern.V.w * kern.c1[:, 0]
+        s = per_interval(kern.V, np.stack([w_c0 * u_r, w_c1 * u_l, w_c0 * u_l, w_c1 * u_r]),
+                         H_sf)
+        want_border = s[:2].copy()
+        want_border[0, :-1] += s[2, 1:]
+        want_border[1, 1:] += s[3, :-1]
+        want_ff = per_interval(kern.V, second(kern.V), H_ff) + per_interval(kern.W, second(kern.W),
+                                                                           H_W)
+        k = H_ss.shape[0]
+        assert np.array_equal(ss, (kern.w_c0c1 @ H_ss.reshape(k, -1)).reshape(H_ss.shape[1:]))
+        assert np.array_equal(border, want_border)
+        assert np.array_equal(ff, want_ff)
+        if quad.gamma_V == quad.gamma_W == 0.5:
+            # u_l = u_r: one fast-fast sum, and the border's shifted pair
+            # repeats the unshifted one
+            assert len(kern.ff_V) == 1 and np.shares_memory(ff[0], ff[2])
+            assert kern.border_rows[2:] == kern.border_rows[:2]
 
 
 class TestDerivativeConsistencyProperty:

@@ -3,7 +3,8 @@
 Newton builds a matrix (assembly plus ``factor``) now and then and solves
 with it (``apply``) at every iteration, so the two are timed apart;
 assembly is also timed alone, with the minor page faults per assembly
-(``resource.getrusage``) in ``extra_info``.  The
+(``resource.getrusage``) in ``extra_info``.  As within one ``integrate``
+call, every build of a case writes into one workspace.  The
 matrix is the one of the first macro step of FPU chains, midpoint-midpoint
 quadrature, at sizes on both sides of the crossover
 (``solver._STRUCTURED_MIN_UNKNOWNS``), which each case moves to force its
@@ -22,6 +23,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from multirate import QuadratureSpec, build_fpu, build_time_grid, solver  # noqa: E402
+from multirate.discretization import _Workspace  # noqa: E402
 from multirate.solver import _drift_guess, _linearization, _step_residual  # noqa: E402
 from multirate.systems import FpuConfig  # noqa: E402
 
@@ -38,7 +40,8 @@ def first_step(monkeypatch, l, p, structured):
     assert linear.name == ("structured" if structured else "dense")
     x = _drift_guess(q0, sys, grid)
     F = residual(x)[0]
-    return linear, (lambda: jacobian(q0, residual, x, F)), x, F
+    ws = _Workspace()
+    return linear, (lambda: jacobian(q0, residual, x, F, ws)), x, F
 
 
 CASES = pytest.mark.parametrize("l,p", [(3, 10), (3, 50), (10, 10), (10, 20), (30, 50)])

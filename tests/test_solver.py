@@ -28,7 +28,7 @@ from multirate import (
     verify_trajectory,
 )
 from multirate import solver
-from multirate.discretization import _IntervalKernel, interval_kernel
+from multirate.discretization import _IntervalKernel, _Workspace, interval_kernel
 from multirate.systems import FpuConfig
 
 from multirate.solver import (
@@ -80,7 +80,7 @@ def step_jacobian(start, x, sys, quad, grid):
     builds it: analytic with Hessians, finite differences without."""
     residual = solver._step_residual(start, sys, quad, grid)
     linear, jacobian = _linearization(sys, quad, grid)
-    J = jacobian(start, residual, x, residual(x)[0])
+    J = jacobian(start, residual, x, residual(x)[0], _Workspace())
     return _assemble_jacobian(J) if linear is solver._STRUCTURED else J
 
 
@@ -396,6 +396,58 @@ REUSE_CASES = {
                                    QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
                                    IntegratorMode.CLOSED_FORM_PQ),
 }
+
+
+class TestWorkspace:
+    @staticmethod
+    def record_builds(monkeypatch):
+        """Route structured builds through recorders: ``builds`` gets each
+        build's factors with a copy of its blocks, ``intact`` tells for each
+        solve whether the blocks it uses still hold those values."""
+        builds, intact = [], []
+
+        def blocks(J):
+            return (J.slow, J.row, J.col, J.band)
+
+        def factor(J):
+            F = _factor_blocks(J)
+            builds.append((F, [a.copy() for a in blocks(J)]))
+            return F
+
+        def apply(F, b):
+            kept = next(copy for f, copy in builds if f is F)
+            intact.append(all(np.array_equal(a, c) for a, c in zip(blocks(F.J), kept)))
+            return _apply_blocks(F, b)
+
+        monkeypatch.setattr(solver, "_STRUCTURED",
+                            dataclasses.replace(solver._STRUCTURED, factor=factor, apply=apply))
+        return builds, intact
+
+    def test_builds_of_one_integrate_write_the_same_arrays(self, monkeypatch):
+        builds, intact = self.record_builds(monkeypatch)
+        sys, q0 = build_fpu()
+        grid = build_time_grid(0.3, 50, 10)   # 153 unknowns: blocks
+        _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig())
+        assert stats.linear_solver == "structured"
+        assert len(builds) == stats.matrix_builds_total >= 2
+        first = builds[0][0]
+        for F, _ in builds[1:]:
+            for a, b in [(first.J.row, F.J.row), (first.J.col, F.J.col),
+                         (first.J.band, F.J.band), (first.ge, F.ge), (first.z, F.z)]:
+                assert np.shares_memory(a, b)
+        # every solve reads the blocks its factors were made from
+        assert len(intact) == stats.newton_iters_total and all(intact)
+
+    def test_holders_share_no_array(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+        sys, q0 = build_fpu()
+        grid = build_time_grid(0.3, 4, 1)
+        held = [solver._HeldMatrix(), solver._HeldMatrix()]
+        for h in held:
+            initial_step(q0, sys, MIDMID, grid, SolverConfig(), h)
+        arrays = [list(h.ws._arrays.values()) for h in held]
+        assert arrays[0] and len(arrays[0]) == len(arrays[1])
+        assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
 
 
 class TestMatrixReuse:
