@@ -32,9 +32,11 @@ trapezoidal-family rules for both the node-force map; both encodings of a
 trapezoidal-family rule take identical steps.  Other quadratures raise
 :class:`~multirate.errors.ConfigurationError`.  The maps stay implicit
 through the interpolated slow values, so :func:`pq_step` solves them with
-the shared Newton driver and the forward-difference matrix of
-:func:`multirate.solver._fd_jacobian`, whose perturbed columns go to
-``evaluate`` stacked as (..., n) in one call.
+the shared Newton driver.  Since T is constant, their Newton matrix is T J,
+J the DEL step's analytic Jacobian, where the system supplies both
+Hessians; otherwise it is the forward-difference matrix of T F, whose
+perturbed columns go to ``evaluate`` stacked as (..., n) in one call
+(:func:`multirate.solver._linearization`).  Either is solved densely.
 """
 
 from __future__ import annotations
@@ -45,10 +47,32 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
-from .solver import (MacroStep, SolverConfig, StepStats, _drift_guess, _fd_jacobian, _HeldMatrix,
+from .solver import (MacroStep, SolverConfig, StepStats, _drift_guess, _HeldMatrix, _linearization,
                      _newton, _step_record, _step_residual)
 
 __all__ = ["pq_step"]
+
+
+def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
+    """``transform(F) -> T F``, T applied along F's last axis, whose layout
+    is that of the stacked unknowns; leading axes are transformed one by
+    one.  The running sums are written into F's fast rows in place, so F
+    must be an array that nothing else reads afterwards."""
+    n_s = sys.n_slow
+    fast_shape = (grid.micro_per_macro, sys.n_fast)
+    T_s = -grid.dT * sys.mass_slow_inv
+    T_f = -grid.dt * sys.mass_fast_inv.T
+
+    def transform(F):
+        res = np.empty(F.shape)
+        res[..., :n_s] = (T_s @ F[..., :n_s, None])[..., 0]
+        # the running sums in place, in F's fast rows (splitting the last axis is a view)
+        F_f = F[..., n_s:].reshape(F.shape[:-1] + fast_shape)
+        np.cumsum(F_f, axis=-2, out=F_f)
+        res[..., n_s:] = (F_f @ T_f).reshape(res[..., n_s:].shape)
+        return res
+
+    return transform
 
 
 def _pq_residual(quad: QuadratureSpec, state: State, sys: MultirateSystem, grid: TimeGrid):
@@ -56,20 +80,11 @@ def _pq_residual(quad: QuadratureSpec, state: State, sys: MultirateSystem, grid:
     ``state``, T applied to the DEL residual ``(F, aux)`` at x.  Each point
     of a batch is transformed as it would be alone."""
     residual = _step_residual(state, sys, quad, grid)
-    n_s = sys.n_slow
-    fast_shape = (grid.micro_per_macro, sys.n_fast)
-    T_s = -grid.dT * sys.mass_slow_inv
-    T_f = -grid.dt * sys.mass_fast_inv.T
+    transform = _pq_transform(sys, grid)
 
     def evaluate(x):
         F, aux = residual(x)
-        res = np.empty(F.shape)
-        res[..., :n_s] = (T_s @ F[..., :n_s, None])[..., 0]
-        # the running sums in place, in F's fast rows (splitting the last axis is a view)
-        F_f = F[..., n_s:].reshape(F.shape[:-1] + fast_shape)
-        np.cumsum(F_f, axis=-2, out=F_f)
-        res[..., n_s:] = (F_f @ T_f).reshape(res[..., n_s:].shape)
-        return res, aux
+        return transform(F), aux
 
     return evaluate
 
@@ -95,16 +110,16 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
     """Macro step ``index`` from ``state`` by the p/q map of ``quad``.
 
     The map's ``evaluate(x)`` returns the residual of the stacked unknowns
-    and the DEL residual's aux; Newton starts from the free-drift guess, and
-    the record is built as for a DEL step, the momenta once at the accepted
-    iterate (:func:`multirate.solver._step_record`).  ``held`` is the Newton
+    and the DEL residual's aux; Newton starts from the free-drift guess,
+    with the matrix T J, or differences of T F for a system without
+    Hessians (:func:`multirate.solver._linearization`), and the record is
+    built as for a DEL step, the momenta once at the accepted iterate
+    (:func:`multirate.solver._step_record`).  ``held`` is the Newton
     matrix holder that :func:`multirate.solver.integrate` shares between its
     steps; without one, the step builds its own matrix.
     """
     evaluate = _update_map(quad)(state, sys, grid)
-
-    def jacobian(x, F, ws):
-        return _fd_jacobian(evaluate, x, F)
-
-    x, aux, stats = _newton(evaluate, jacobian, _drift_guess(state, sys, grid), config, held=held)
+    linear, jacobian = _linearization(sys, quad, grid, _pq_transform(sys, grid))
+    x, aux, stats = _newton(evaluate, functools.partial(jacobian, state, evaluate),
+                            _drift_guess(state, sys, grid), config, linear, held)
     return _step_record(index, state, x, aux, sys, quad, grid), stats

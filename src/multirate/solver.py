@@ -140,10 +140,12 @@ class SolverConfig:
 
     - The Newton matrix is analytic when the system supplies both Hessians
       (``MultirateSystem.has_hessians``), and forward differences with
-      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise.  The closed-form
-      p/q maps always difference.  A difference matrix costs one batched
-      residual call per chunk of columns (``_fd_jacobian``), and each column
-      is bit-identical to the one-unknown-at-a-time difference.
+      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise, in both implicit
+      modes (``_linearization``): the closed-form p/q maps solve T F = 0
+      for a fixed linear map T of the DEL residual F, with the matrix T J.
+      A difference matrix costs one batched residual call per chunk of
+      columns (``_fd_jacobian``), and each column is bit-identical to the
+      one-unknown-at-a-time difference.
     - The iteration is simplified Newton: one factored matrix serves many
       iterations, and within one ``integrate`` call many steps.  It is
       rebuilt at the current iterate when the last contraction
@@ -327,17 +329,23 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
     return residual
 
 
-def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
-    """``(linear, jacobian)`` of the DEL steps on ``grid``.
+def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
+                   transform: Callable | None = None):
+    """``(linear, jacobian)`` of the implicit steps on ``grid``.
 
     ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
-    step from ``start`` at x, F being the residual of :func:`_step_residual`
-    there, and the :class:`_LinearSolver` ``linear`` factors and applies it.
-    A system without Hessians gets a dense finite-difference matrix from
-    batched residual calls (:func:`_fd_jacobian`); an analytic one is kept
-    as blocks (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns
-    on, and assembled densely below.  Analytic blocks are written into the
-    arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
+    step from ``start`` at x, F being ``residual``'s value there, and the
+    :class:`_LinearSolver` ``linear`` factors and applies it.  ``residual``
+    is :func:`_step_residual`, or with ``transform`` the fixed linear map T
+    of that residual that the p/q maps solve (``transform(F) -> T F`` along
+    the last axis, overwriting its input).  The matrix is analytic where
+    the system supplies both Hessians and forward differences of
+    ``residual`` otherwise (:func:`_fd_jacobian`, dense, from batched
+    residual calls).  An analytic DEL matrix is kept as blocks
+    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on and
+    assembled densely below; a transformed one is the dense T J, its rows
+    transformed as ``transform(J.T).T``.  Analytic blocks are written into
+    the arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
@@ -349,11 +357,13 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     def jacobian_blocks(start, residual, x, F, ws):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
 
-    if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
+    if transform is None and sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
         return _STRUCTURED, jacobian_blocks
 
     def jacobian(start, residual, x, F, ws):
-        return _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
+        # a fresh dense J, which nothing else reads: the transform may overwrite it
+        J = _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
+        return J if transform is None else transform(J.T).T
     return _DENSE, jacobian
 
 
@@ -366,11 +376,12 @@ class _JacobianBlocks:
     and the fast equations against the next slow node.  In the fast part,
     row block i is the equation of fast node i and column block j the
     unknown fast node j+1, so it is block lower-triangular with two
-    sub-diagonals.  ``band`` stacks its blocks in :func:`_chain_band` order:
+    sub-diagonals.  ``band`` stacks its distinct blocks:
     D_i = -M_f/dt - lr_i (node i+1) for i = 0..p-1, then
-    E_i = 2 M_f/dt - ll_i - rr_{i-1} (node i) for i = 1..p-1, then
-    G_i = -M_f/dt - lr_{i-1} (node i-1) for i = 2..p-1.  ``ws`` is the
-    workspace that holds the blocks and takes the arrays of their factors.
+    E_i = 2 M_f/dt - ll_i - rr_{i-1} (node i) for i = 1..p-1.  The third
+    block of row i, G_i = -M_f/dt - lr_{i-1} (node i-1) for i = 2..p-1, is
+    D_{i-1} and is read from ``band[1:p-1]``.  ``ws`` is the workspace that
+    holds the blocks and takes the arrays of their factors.
     """
 
     p: int
@@ -396,12 +407,11 @@ def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: Qu
     ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
         q_slow_k, q_slow_next, fast, sys, ws)
     M_dt = sys.mass_fast / grid.dt
-    band = ws("band", (_chain_band(p)[0].size, n_f, n_f))
-    D, E = band[:p], band[p:2 * p - 1]
+    band = ws("band", (2 * p - 1, n_f, n_f))
+    D, E = band[:p], band[p:]
     np.subtract(-M_dt, lr, out=D)
     np.subtract(2.0 * M_dt, ll[1:], out=E)
     E -= rr[:-1]
-    band[2 * p - 1:] = D[1:p - 1]   # G_i = D_{i-1}
     J_row, J_col = ws("row", (n_s, p * n_f)), ws("col", (p * n_f, n_s))
     np.negative(row.transpose(1, 0, 2), out=J_row.reshape(n_s, p, n_f))
     np.negative(col.transpose(0, 2, 1), out=J_col.reshape(p, n_f, n_s))
@@ -416,17 +426,19 @@ def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
     A[:n_s, :n_s] = J.slow
     A[:n_s, n_s:] = J.row
     A[n_s:, :n_s] = J.col
-    rows, cols = _chain_band(p)
-    A[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = J.band
+    blocks, rows, cols = _chain_band(p)
+    A[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = J.band[blocks]
     return A
 
 
 @functools.lru_cache(maxsize=64)
 def _chain_band(p: int):
-    """Row and column blocks of the fast chain's nonzero blocks, in the order
-    (row i, node i+1), (row i, node i), (row i, node i-1)."""
+    """``band`` index, row block and column block of the fast chain's nonzero
+    blocks, in the order (row i, node i+1) D_i, (row i, node i) E_i,
+    (row i, node i-1) G_i = D_{i-1}."""
     i = np.arange(p)
-    return np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]])
+    return (np.concatenate([np.arange(2 * p - 1), i[1:p - 1]]),
+            np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]]))
 
 
 @dataclass
@@ -473,8 +485,8 @@ def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
             ge = J.ws("ge", (p, n_f, 2 * n_f))
             ge[:2, :, :n_f] = 0.0
             ge[:1, :, n_f:] = 0.0
-            np.matmul(d_inv[2:], J.band[2 * p - 1:], out=ge[2:, :, :n_f])
-            np.matmul(d_inv[1:], J.band[p:2 * p - 1], out=ge[1:, :, n_f:])
+            np.matmul(d_inv[2:], J.band[1:p - 1], out=ge[2:, :, :n_f])
+            np.matmul(d_inv[1:], J.band[p:], out=ge[1:, :, n_f:])
             # Z_i after two leading zero blocks, so that every row block
             # subtracts [G_i | E_i] times the two blocks before it in one
             # product
@@ -508,8 +520,8 @@ def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
     s, y = x[:n_s], x[n_s:].reshape(p, n_f, 1)
     fast = (J.col @ s).reshape(p, n_f) + (J.band[:p] @ y)[..., 0]
-    fast[1:] += (J.band[p:2 * p - 1] @ y[:-1])[..., 0]
-    fast[2:] += (J.band[2 * p - 1:] @ y[:-2])[..., 0]
+    fast[1:] += (J.band[p:] @ y[:-1])[..., 0]
+    fast[2:] += (J.band[1:p - 1] @ y[:-2])[..., 0]
     return np.concatenate([J.slow @ s + J.row @ x[n_s:], fast.ravel()])
 
 

@@ -3,7 +3,7 @@
 ``solver._fd_jacobian`` passes all perturbed points of a column chunk to the
 residual in one call.  Every column must equal the one-column-at-a-time
 forward difference of ``_oracles.fd_jacobian_loop`` bit for bit, for the DEL
-residual of systems without Hessians and for the three closed-form p/q maps,
+residual and the three closed-form p/q maps of systems without Hessians,
 and a non-finite value met by one perturbed column must be reported as the
 loop reports it.
 """
@@ -119,7 +119,9 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("quad", PQ_QUADRATURES, ids=PQ_IDS)
     def test_pq_integration_with_loop_oracle(self, fpu, quad, monkeypatch):
+        # without Hessians the p/q maps difference their residual
         sys, q0 = fpu
+        sys = without_hessians(sys)
         grid = build_time_grid(0.3, 10, 20)
         cfg = SolverConfig(newton_tol=1e-9)
         mode = IntegratorMode.CLOSED_FORM_PQ
@@ -130,8 +132,7 @@ class TestBitIdentity:
             calls.append(x0.size)
             return fd_jacobian_loop(residual, x0, r0, solver._FD_STEP)
 
-        # pq_step builds its matrix with the name schemes imported from solver
-        monkeypatch.setattr(schemes, "_fd_jacobian", loop)
+        monkeypatch.setattr(solver, "_fd_jacobian", loop)
         t_loop, s_loop = integrate(q0, sys, quad, grid, cfg, mode)
         # one difference matrix per matrix build, whose factors Newton keeps
         # across iterations and steps

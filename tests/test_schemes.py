@@ -8,16 +8,20 @@ from multirate import (
     SolverConfig,
     State,
     angular_momentum_series,
+    build_fpu,
+    build_spring_ring,
     build_time_grid,
     initial_step,
     integrate,
     pq_step,
 )
-from multirate import schemes
+from multirate import schemes, solver
+from multirate.discretization import _Workspace
 
 from _oracles import (
     block_mass_inv,
     closed_form_pq_residual,
+    fd_jacobian_loop,
     full_grad_potential,
     implicit_midpoint_step,
     stormer_verlet_step,
@@ -26,6 +30,7 @@ from _oracles import (
 )
 from conftest import make_coupled_toy, toy_state
 from test_fd_jacobian import fpu_nondiagonal_masses, perturbed_guess
+from test_solver import with_full_masses, without_hessians
 
 CFG = SolverConfig(newton_tol=1e-12)
 
@@ -187,6 +192,74 @@ class TestClosedFormOracle:
         for x, r in zip(X, R):
             ref = closed_form_pq_residual(quad, q0, sys, grid, x)
             assert np.max(np.abs(r - ref)) <= 16 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+PQ_MAPS = {
+    "midpoint": QuadratureSpec.midpoint_midpoint(),
+    "trapezoidal-midpoint": QuadratureSpec.trapezoidal_midpoint(1.0),
+    "trapezoidal-trapezoidal": QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
+}
+# with full mass matrices T's factors -dT M_s^-1 and -dt M_f^-1 mix the
+# components, so a factor applied to the wrong entries shows
+MATRIX_SYSTEMS = {
+    "fpu": (build_fpu, 0.3),
+    "spring-ring": (build_spring_ring, 0.01),
+    "fpu-nondiagonal-masses": (lambda: (with_full_masses(build_fpu()[0]), build_fpu()[1]), 0.3),
+}
+
+
+def pq_newton_matrix(sys, quad, state, grid, x):
+    """``(J, evaluate, F)``: the Newton matrix that pq_step builds at x, the
+    p/q residual and its value there."""
+    evaluate = schemes._update_map(quad)(state, sys, grid)
+    F = evaluate(x)[0]
+    linear, jacobian = solver._linearization(sys, quad, grid, schemes._pq_transform(sys, grid))
+    assert linear is solver._DENSE
+    return jacobian(state, evaluate, x, F, _Workspace()), evaluate, F
+
+
+def max_rel_diff(A, B):
+    return np.max(np.abs(A - B)) / np.max(np.abs(B))
+
+
+class TestNewtonMatrix:
+    """With both Hessians the p/q Newton matrix is T J, from the DEL step's
+    analytic blocks; without them it is the difference matrix of T F."""
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("quad", PQ_MAPS.values(), ids=list(PQ_MAPS))
+    @pytest.mark.parametrize("system", sorted(MATRIX_SYSTEMS))
+    def test_matches_differences_of_the_p_q_residual(self, system, quad, p):
+        build, dT = MATRIX_SYSTEMS[system]
+        sys, q0 = build()
+        grid = build_time_grid(dT, p, 1)
+        x = perturbed_guess(q0, sys, grid)
+        J, evaluate, F = pq_newton_matrix(sys, quad, q0, grid, x)
+        assert max_rel_diff(J, solver._fd_jacobian(evaluate, x, F)) <= 1e-6
+
+        # and of the hand-derived closed forms
+        def closed(y):
+            return closed_form_pq_residual(quad, q0, sys, grid, y), None
+
+        J_closed = fd_jacobian_loop(closed, x, closed(x)[0], solver._FD_STEP)
+        assert max_rel_diff(J, J_closed) <= 1e-6
+
+    @pytest.mark.parametrize("hessians", [True, False], ids=["analytic", "hessian-free"])
+    def test_differences_only_without_hessians(self, fpu, hessians, monkeypatch):
+        sys, q0 = fpu
+        sys = sys if hessians else without_hessians(sys)
+        fd_jacobian, calls = solver._fd_jacobian, []
+
+        def counted(residual, x0, r0):
+            calls.append(x0.size)
+            return fd_jacobian(residual, x0, r0)
+
+        monkeypatch.setattr(solver, "_fd_jacobian", counted)
+        _, stats = integrate(q0, sys, QuadratureSpec.midpoint_midpoint(),
+                             build_time_grid(0.3, 10, 20), SolverConfig(newton_tol=1e-9),
+                             IntegratorMode.CLOSED_FORM_PQ)
+        assert stats.matrix_builds_total > 0
+        assert len(calls) == (0 if hessians else stats.matrix_builds_total)
 
 
 class TestTransformedFormConsistency:

@@ -372,7 +372,7 @@ class TestLinearSolver:
         assert max_diff(t_default, t_dense) == 0.0
 
     def test_pq_maps_solve_densely(self, fpu):
-        # 153 unknowns, but the p/q maps have their own finite-difference solve
+        # 153 unknowns, but the p/q maps solve their transformed matrix T J densely
         sys, q0 = fpu
         _, stats = integrate(q0, sys, MIDMID, build_time_grid(0.01, 50, 2), SolverConfig(),
                              IntegratorMode.CLOSED_FORM_PQ)
@@ -395,6 +395,8 @@ REUSE_CASES = {
     "pq-trapezoidal-trapezoidal": (lambda mp: build_fpu(),
                                    QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0),
                                    IntegratorMode.CLOSED_FORM_PQ),
+    "pq-hessian-free": (lambda mp: (without_hessians(build_fpu()[0]), build_fpu()[1]), MIDMID,
+                        IntegratorMode.CLOSED_FORM_PQ),
 }
 
 
