@@ -50,29 +50,54 @@ def energy_series(traj: Trajectory, sys: MultirateSystem) -> EnergySeries:
 
     Velocities are recovered from the stored momenta via the inverse mass
     matrices.  Systems that define per-degree-of-freedom oscillatory energies
-    also get the stiff energy series and its sum.
+    also get the stiff energy series and its sum.  A ``batched`` system's
+    potentials and oscillatory energy are called once on the stacked macro
+    nodes, another system's once per node.
     """
     grid = traj.grid
-    N = grid.n_macro
-    times = grid.macro_times()
-    kin = np.empty(N + 1)
-    vpot = np.empty(N + 1)
-    wpot = np.empty(N + 1)
-    stiff = np.empty((N + 1, sys.n_fast)) if sys.oscillatory_energy else None
+    n_nodes = grid.n_macro + 1
     p = grid.micro_per_macro
-    for k in range(N + 1):
-        q_s, p_s = traj.slow_q[k], traj.slow_p[k]
-        q_f, p_f = traj.fast_q[k * p], traj.fast_p[k * p]  # micro node (k, 0)
-        v_s = sys.mass_slow_inv @ p_s
-        v_f = sys.mass_fast_inv @ p_f
-        kin[k] = 0.5 * float(p_s @ v_s) + 0.5 * float(p_f @ v_f)
-        vpot[k] = float(sys.slow_potential(q_s, q_f))
-        wpot[k] = float(sys.fast_potential(q_f))
-        if stiff is not None:
-            stiff[k] = sys.oscillatory_energy(q_f, v_f)
+    q_s, p_s = traj.slow_q, traj.slow_p
+    q_f, p_f = traj.fast_q[::p], traj.fast_p[::p]  # micro node (k, 0) of macro node k
+    T_s, v_s = _kinetic(p_s, sys.mass_slow_inv)
+    T_f, v_f = _kinetic(p_f, sys.mass_fast_inv)
+    kin = 0.5 * T_s + 0.5 * T_f
+    stiff = None
+    if sys.batched:
+        vpot = _per_node(sys, "slow_potential", (n_nodes,), q_s, q_f)
+        wpot = _per_node(sys, "fast_potential", (n_nodes,), q_f)
+        if sys.oscillatory_energy:
+            stiff = _per_node(sys, "oscillatory_energy", (n_nodes, sys.n_fast), q_f, v_f)
+    else:
+        vpot = np.array([float(sys.slow_potential(a, b)) for a, b in zip(q_s, q_f)])
+        wpot = np.array([float(sys.fast_potential(b)) for b in q_f])
+        if sys.oscillatory_energy:
+            stiff = np.empty((n_nodes, sys.n_fast))
+            for k in range(n_nodes):
+                stiff[k] = sys.oscillatory_energy(q_f[k], v_f[k])
     total = kin + vpot + wpot
-    return EnergySeries(times, kin, vpot, wpot, total, stiff,
+    return EnergySeries(grid.macro_times(), kin, vpot, wpot, total, stiff,
                         stiff.sum(axis=1) if stiff is not None else None)
+
+
+def _kinetic(P: np.ndarray, M_inv: np.ndarray):
+    """``(p . v, v)`` per row of momenta ``P`` (k, n), v = M_inv p.
+
+    One matrix-vector and one inner product per row, as for a single node,
+    so that a node's values do not depend on the nodes stacked with it.
+    """
+    V = M_inv @ P[:, :, None]
+    return (P[:, None, :] @ V)[:, 0, 0], V[:, :, 0]
+
+
+def _per_node(sys: MultirateSystem, name: str, shape: tuple, *points) -> np.ndarray:
+    """Values of the callable ``name`` of a batched system at the stacked
+    macro nodes, which must come one per node."""
+    values = np.asarray(getattr(sys, name)(*points), dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"batched {name} returned shape {values.shape} for "
+                         f"{shape[0]} stacked points, expected {shape}")
+    return values
 
 
 def angular_momentum_series(traj: Trajectory, sys: MultirateSystem, axis=None) -> np.ndarray:

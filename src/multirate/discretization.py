@@ -252,6 +252,15 @@ class _IntervalKernel:
         self.ff_V, self.ff_W = second[:, :k_V], second[:, k_V:]
         self.shared = (np.array_equal(self.V.gather, self.W.gather)
                        and np.array_equal(self.V.equations, self.W.equations))
+        # Constants of the explicit recurrence, read only for explicit-solvable
+        # rules (slow potential at the macro nodes, trapezoidal-family W): the
+        # weights of the slow and of the fast gradient at node 0 in its kicks,
+        # and whether V's one term sits at node 0 and W's term m at node m, so
+        # that the node gradients serve as the term gradients.
+        self.kick_V = dT * quad.alpha_V
+        self.kick_W = self.dt * _left_weight(quad.alpha_W, quad.gamma_W)
+        self.node_terms = (np.array_equal(self.V.node, [0])
+                           and np.array_equal(self.W.node, np.arange(p)))
 
     def points(self, q0, q1, fast):
         """Slow and fast quadrature points ``(Qs, QfV, QfW)``; arguments may

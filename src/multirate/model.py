@@ -304,7 +304,10 @@ class MultirateSystem:
     of shape (k, n_slow) and (k, n_fast) map to gradients of shape
     (k, n_slow) and (k, n_fast) and to Hessians of shape (k, n, n), row i
     being the value at point i.  Otherwise :meth:`evaluate_batch` loops over
-    the points and stacks the per-point results.
+    the points and stacks the per-point results.  The same holds for
+    ``slow_potential`` and ``fast_potential``, which then return k values,
+    and for ``oscillatory_energy``, which returns (k, n_fast): the energy
+    series calls them once on the stacked macro nodes.
 
     The package calls them from one thread at a time; it runs independent
     integrations one after another.

@@ -90,7 +90,7 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
     def slow_potential(q_s, q_f):
         d = elongations(q_s, q_f)
         d2 = d * d
-        return 0.25 * float(np.sum(d2 * d2))
+        return 0.25 * np.sum(d2 * d2, axis=-1)
 
     def slow_potential_grad(q_s, q_f):
         d = elongations(q_s, q_f)
@@ -105,7 +105,7 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
         return H[..., :l, :l], H[..., :l, l:], H[..., l:, l:]
 
     def fast_potential(q_f):
-        return 0.5 * omega_sq * float(q_f @ q_f)
+        return 0.5 * omega_sq * np.sum(q_f * q_f, axis=-1)
 
     def fast_potential_grad(q_f):
         return omega_sq * q_f
@@ -215,11 +215,10 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
         return Q[..., next_idx, :] - Q
 
     def slow_potential(q_s, q_f):
-        Q = assemble(q_s, q_f)
-        u = ring_edges(Q)
-        ring = 0.25 * eps * float(np.sum(np.sum(u * u, axis=1) ** 2))
-        radial = 0.5 * cfg.omega1 * float(q_s @ q_s)
-        gravity = float(grav_slow @ q_s) + float(grav_fast @ q_f)
+        u = ring_edges(assemble(q_s, q_f))
+        ring = 0.25 * eps * np.sum(np.sum(u * u, axis=-1) ** 2, axis=-1)
+        radial = 0.5 * cfg.omega1 * np.sum(q_s * q_s, axis=-1)
+        gravity = np.sum(grav_slow * q_s, axis=-1) + np.sum(grav_fast * q_f, axis=-1)
         return radial + ring + gravity
 
     def slow_potential_grad(q_s, q_f):
@@ -258,7 +257,7 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
                 _block_view(B, fast_mass_idx, fast_mass_idx))
 
     def fast_potential(q_f):
-        return 0.5 * cfg.omega2 * float(q_f @ q_f)
+        return 0.5 * cfg.omega2 * np.sum(q_f * q_f, axis=-1)
 
     def fast_potential_grad(q_f):
         return cfg.omega2 * q_f

@@ -10,6 +10,7 @@ import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
 from multirate.discretization import interval_kernel
+from multirate.solver import MacroStep
 
 
 def central_diff(f, x, h):
@@ -241,6 +242,81 @@ def closed_form_pq_residual(quad, state, sys, grid, x):
             pf = fast_momenta(dt * (force_l + force_r))
             r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ Minv_f.T)
     return np.concatenate([s1 - s0 - dT * (sys.mass_slow_inv @ p_slow), r_f.ravel()])
+
+
+def explicit_step_position_form(index, start, sys, quad, grid):
+    """Macro step of the explicit recurrence in position form, as the
+    library's ``solver._explicit_step`` (same signature, a ``MacroStep``).
+
+    The interior fast nodes follow the two-step recurrence
+    ``fast[m+1] = 2 fast[m] - fast[m-1] - dt^2 M_f^-1 g_W(fast[m])``; the
+    first fast node and the next slow node from one kick at node 0 with
+    the rule's left weights.  The momenta come from the kernel, from the
+    gradients at the terms' nodes gathered per term.
+    """
+    kern = interval_kernel(quad, grid)
+    p, dt, dT = grid.micro_per_macro, grid.dt, grid.dT
+    q0, f0 = start.q_slow, start.q_fast
+
+    def slow_gradient(q_s, q_f):
+        g_s, g_f = sys.slow_potential_grad(q_s, q_f)
+        return np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
+
+    slow_at = {0: slow_gradient(q0, f0)}
+    g_s, g_f = slow_at[0]
+    g_W_node = np.empty((p + 1, sys.n_fast))
+    g_W_node[0] = sys.fast_potential_grad(f0)
+    w_left = quad.alpha_W * quad.gamma_W + (1.0 - quad.alpha_W) * (1.0 - quad.gamma_W)
+    fast = np.empty((p + 1, sys.n_fast))
+    fast[0] = f0
+    kick0 = start.p_fast - dT * quad.alpha_V * g_f - dt * w_left * g_W_node[0]
+    fast[1] = f0 + dt * (sys.mass_fast_inv @ kick0)
+    for m in range(1, p):
+        g_W_node[m] = sys.fast_potential_grad(fast[m])
+        fast[m + 1] = 2.0 * fast[m] - fast[m - 1] - dt * dt * (sys.mass_fast_inv @ g_W_node[m])
+    q1 = q0 + dT * (sys.mass_slow_inv @ (start.p_slow - dT * quad.alpha_V * g_s))
+    if kern.V.at_end:
+        slow_at[p] = slow_gradient(q1, fast[p])
+    if kern.W.at_end:
+        g_W_node[p] = sys.fast_potential_grad(fast[p])
+    g_sV = np.array([slow_at[n][0] for n in kern.V.node])
+    g_fV = np.array([slow_at[n][1] for n in kern.V.node])
+    g_W = g_W_node[kern.W.node]
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta_from(q0, q1, fast, sys,
+                                                                 g_sV, g_fV, g_W)
+    return MacroStep(index, q0, q1, fast, np.concatenate([p_f_minus, p_f_plus[-1:]]),
+                     np.stack([p_s_minus, p_s_plus]))
+
+
+def write_trajectory_rows(path, traj, sys):
+    """trajectory.csv as the ``simulate`` command writes it, row by row
+    with per-row conversions: one row per micro node, slow columns filled
+    at macro nodes only (at node 0 alone when the grid has no interval)."""
+    grid = traj.grid
+    p, N = grid.micro_per_macro, grid.n_macro
+    header = (["t", "k", "m"]
+              + [f"qs_{i}" for i in range(sys.n_slow)]
+              + [f"qf_{i}" for i in range(sys.n_fast)]
+              + [f"ps_{i}" for i in range(sys.n_slow)]
+              + [f"pf_{i}" for i in range(sys.n_fast)])
+    slow, fast = ["%.17g"] * sys.n_slow, ["%.17g"] * sys.n_fast
+    macro_row = ",".join(["%.17g", "%d", "%d"] + slow + fast + slow + fast) + "\r\n"
+    micro_row = ",".join(["%.17g", "%d", "%d"] + [""] * sys.n_slow + fast
+                         + [""] * sys.n_slow + fast) + "\r\n"
+    times = grid.micro_times()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(times.size):
+            k, m = divmod(i, p)
+            if k == N > 0:  # the end node closes the last interval
+                k, m = N - 1, p
+            q_f, p_f = traj.fast_q[i].tolist(), traj.fast_p[i].tolist()
+            if m == 0 or m == p:
+                j = k + 1 if m == p else k
+                fh.write(macro_row % (times[i], k, m, *traj.slow_q[j].tolist(), *q_f,
+                                      *traj.slow_p[j].tolist(), *p_f))
+            else:
+                fh.write(micro_row % (times[i], k, m, *q_f, *p_f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from multirate import analysis
 from multirate.analysis import _orders
 
 from _oracles import spectral_radius
-from conftest import make_harmonic_slow
+from conftest import make_coupled_toy, make_harmonic_slow, toy_state
 
 MIDMID = QuadratureSpec.midpoint_midpoint()
 
@@ -95,6 +96,54 @@ def test_series_bit_identical_to_per_state_formula(request, system, quad, mode):
     if sys.oscillatory_energy:
         assert np.array_equal(es.stiff_energies, stiff)
     assert np.array_equal(angular_momentum_series(traj, sys), L)
+
+
+def _stacked(sys):
+    """A ``batched`` copy of a per-point system whose potentials loop over
+    stacked points (energy_series calls nothing else of it)."""
+    def each(fn):
+        def values(*points):
+            if np.ndim(points[0]) == 1:
+                return fn(*points)
+            return np.array([fn(*pt) for pt in zip(*points)])
+        return values
+
+    return dataclasses.replace(sys, batched=True, slow_potential=each(sys.slow_potential),
+                               fast_potential=each(sys.fast_potential))
+
+
+class TestBatchedEnergySeries:
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring", "toy"])
+    @pytest.mark.parametrize("n_macro", [0, 40])
+    def test_batched_and_per_node_paths_agree(self, request, system, n_macro):
+        if system == "toy":
+            per_node, q0 = make_coupled_toy(), toy_state()
+            batched = _stacked(per_node)
+        else:
+            batched, q0 = request.getfixturevalue(system)
+            per_node = dataclasses.replace(batched, batched=False)
+        grid = TimeGrid(dT=0.01, micro_per_macro=10, n_macro=n_macro)
+        traj, _ = integrate(q0, batched, QuadratureSpec.explicit(), grid, SolverConfig(),
+                            IntegratorMode.EXPLICIT)
+        a, b = energy_series(traj, batched), energy_series(traj, per_node)
+        fields = ["kinetic", "slow_potential", "fast_potential", "total", "stiff_energies"]
+        for name in fields:
+            x, ref = getattr(a, name), getattr(b, name)
+            if ref is None:
+                assert x is None
+                continue
+            assert x.shape == ref.shape and ref.shape[0] == n_macro + 1
+            assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    def test_batched_potential_must_return_one_value_per_node(self, fpu):
+        sys, q0 = fpu
+        total_only = dataclasses.replace(
+            sys, fast_potential=lambda qf: 0.5 * 2500.0 * float(np.sum(qf * qf)))
+        grid = build_time_grid(0.01, 10, 3)
+        traj, _ = integrate(q0, sys, QuadratureSpec.explicit(), grid, SolverConfig(),
+                            IntegratorMode.EXPLICIT)
+        with pytest.raises(ValueError, match="fast_potential"):
+            energy_series(traj, total_only)
 
 
 class TestAngularMomentum:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import multirate
-from multirate import analysis
+from multirate import analysis, cli
 from multirate.cli import _HASH_CHUNK, _build_quadrature, _sha256, build_parser, main
 
 from multirate import QuadratureSpec, SlowPlacement, empirical_stability_probe
+
+from _oracles import write_trajectory_rows
 
 
 def read_csv(path):
@@ -145,6 +147,32 @@ class TestSimulate:
                    "--p", "5", "--t-end", "0.05", "--out", str(explicit)) == 0
         stats = json.loads((explicit / "manifest.json").read_text())["stats"]
         assert stats["matrix_builds_total"] == 0
+
+
+class TestTrajectoryWriter:
+    @pytest.mark.parametrize("argv", [
+        # 250 intervals of 10 rows: two full chunks of rows and a part
+        ("--system", "spring-ring", "--scheme", "explicit", "--dT", "0.01", "--p", "10",
+         "--t-end", "2.5"),
+        ("--system", "fpu", "--scheme", "explicit", "--dT", "0.009", "--p", "3",
+         "--t-end", "6.3"),
+        # more rows per interval than per chunk
+        ("--system", "spring-ring", "--scheme", "explicit", "--dT", "1.024", "--p", "1024",
+         "--t-end", "2.048"),
+        ("--system", "fpu", "--dT", "0.3", "--p", "5", "--t-end", "0.0"),
+    ], ids=["ring", "fpu", "ring-long-interval", "zero-intervals"])
+    def test_bytes_equal_row_by_row_writer(self, tmp_path, monkeypatch, argv):
+        write = cli._write_trajectory
+        reference = tmp_path / "rows.csv"
+
+        def both(out, traj, sys):
+            write_trajectory_rows(reference, traj, sys)
+            return write(out, traj, sys)
+
+        monkeypatch.setattr(cli, "_write_trajectory", both)
+        assert run("simulate", *argv, "--out", str(tmp_path / "run")) == 0
+        written = (tmp_path / "run" / "trajectory.csv").read_bytes()
+        assert written == reference.read_bytes()
 
 
 class TestManifestHash:

@@ -44,6 +44,7 @@ from multirate.solver import (
 
 from _oracles import (
     block_mass_inv,
+    explicit_step_position_form,
     full_grad_potential,
     implicit_midpoint_trajectory,
     momentum_mismatch_residual,
@@ -745,6 +746,42 @@ class TestExplicitStep:
         cause = info.value.cause
         assert isinstance(cause, EvaluationError) and "slow-potential" in str(cause)
         assert cause.node_index == 0
+
+
+class TestIncrementForm:
+    """The explicit step's increment-form recurrence against the position
+    form (``_oracles.explicit_step_position_form``)."""
+
+    RULES = pytest.mark.parametrize("rule", [(1.0, 1.0, 1.0), (0.5, 0.5, 1.0), (0.3, 0.8, 0.0)],
+                                    ids=["1-1-1", "half-half-1", "0.3-0.8-0"])
+
+    @staticmethod
+    def run(sys, q0, quad):
+        return integrate(q0, sys, quad, build_time_grid(0.01, 10, 50), SolverConfig(),
+                         IntegratorMode.EXPLICIT)[0]
+
+    @RULES
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_matches_position_form(self, request, monkeypatch, system, rule):
+        sys, q0 = request.getfixturevalue(system)
+        alpha_v, alpha_w, gamma_w = rule
+        quad = QuadratureSpec(alpha_v, 1.0, alpha_w, gamma_w, SlowPlacement.MACRO_NODES_ONLY)
+        traj = self.run(sys, q0, quad)
+        # both the first step and explicit_macro_step go through _explicit_step
+        monkeypatch.setattr(solver, "_explicit_step", explicit_step_position_form)
+        ref = self.run(sys, q0, quad)
+        for name in ("slow_q", "fast_q", "slow_p", "fast_p"):
+            a, b = getattr(traj, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    @RULES
+    def test_reruns_are_bit_identical(self, spring_ring, rule):
+        sys, q0 = spring_ring
+        alpha_v, alpha_w, gamma_w = rule
+        quad = QuadratureSpec(alpha_v, 1.0, alpha_w, gamma_w, SlowPlacement.MACRO_NODES_ONLY)
+        first, again = self.run(sys, q0, quad), self.run(sys, q0, quad)
+        for name in ("slow_q", "fast_q", "slow_p", "fast_p"):
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
 
 class TestIntegrate:
