@@ -32,7 +32,9 @@ within one :func:`integrate` call, many steps:
 
 All integrator modes (this implicit DEL solve, the explicit recurrence and
 the closed-form p/q maps of :mod:`multirate.schemes`) share one step record,
-:class:`MacroStep`, and one integration loop, :func:`integrate`.
+:class:`MacroStep`, and one integration loop, :func:`integrate`.  The p/q
+maps run this implicit step and measure its residual as T F, a fixed
+linear map of F (:func:`_newton`).
 """
 
 from __future__ import annotations
@@ -140,12 +142,14 @@ class SolverConfig:
 
     - The Newton matrix is analytic when the system supplies both Hessians
       (``MultirateSystem.has_hessians``), and forward differences with
-      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise, in both implicit
-      modes (``_linearization``): the closed-form p/q maps solve T F = 0
-      for a fixed linear map T of the DEL residual F, with the matrix T J.
-      A difference matrix costs one batched residual call per chunk of
-      columns (``_fd_jacobian``), and each column is bit-identical to the
-      one-unknown-at-a-time difference.
+      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise
+      (``_linearization``).  A difference matrix costs one batched residual
+      call per chunk of columns (``_fd_jacobian``), and each column is
+      bit-identical to the one-unknown-at-a-time difference.
+    - Both implicit modes run the same Newton iteration on the DEL
+      residual F.  The closed-form p/q maps solve T F = 0 for a fixed
+      invertible linear map T of F, whose Newton update is the DEL one;
+      their stop and refresh rules read the norm of T F instead of F's.
     - The iteration is simplified Newton: one factored matrix serves many
       iterations, and within one ``integrate`` call many steps.  It is
       rebuilt at the current iterate when the last contraction
@@ -162,7 +166,7 @@ class SolverConfig:
       Accepted residuals are thus parked far below ``newton_tol``, so
       long-run conservation certificates are limited by the discretization
       instead of the stopping rule.
-    - The implicit DEL step factors its matrices by block elimination when
+    - Both implicit modes factor their matrices by block elimination when
       the Jacobian is analytic and the step has at least
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
       a dense inverse otherwise.  Elimination's cost grows linearly in p,
@@ -329,23 +333,20 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
     return residual
 
 
-def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                   transform: Callable | None = None):
+def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     """``(linear, jacobian)`` of the implicit steps on ``grid``.
 
     ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
-    step from ``start`` at x, F being ``residual``'s value there, and the
-    :class:`_LinearSolver` ``linear`` factors and applies it.  ``residual``
-    is :func:`_step_residual`, or with ``transform`` the fixed linear map T
-    of that residual that the p/q maps solve (``transform(F) -> T F`` along
-    the last axis, overwriting its input).  The matrix is analytic where
-    the system supplies both Hessians and forward differences of
-    ``residual`` otherwise (:func:`_fd_jacobian`, dense, from batched
-    residual calls).  An analytic DEL matrix is kept as blocks
+    step from ``start`` at x, F being the value there of ``residual``
+    (:func:`_step_residual`), and the :class:`_LinearSolver` ``linear``
+    factors and applies it.  Both implicit modes take it: the p/q maps'
+    Newton update is the DEL one (:func:`_iterate`).  The matrix is
+    analytic where the system supplies both Hessians and forward
+    differences of ``residual`` otherwise (:func:`_fd_jacobian`, dense,
+    from batched residual calls).  An analytic matrix is kept as blocks
     (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on and
-    assembled densely below; a transformed one is the dense T J, its rows
-    transformed as ``transform(J.T).T``.  Analytic blocks are written into
-    the arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
+    assembled densely below; its blocks are written into the arrays of the
+    :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
@@ -357,13 +358,11 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     def jacobian_blocks(start, residual, x, F, ws):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
 
-    if transform is None and sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
+    if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
         return _STRUCTURED, jacobian_blocks
 
     def jacobian(start, residual, x, F, ws):
-        # a fresh dense J, which nothing else reads: the transform may overwrite it
-        J = _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
-        return J if transform is None else transform(J.T).T
+        return _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
     return _DENSE, jacobian
 
 
@@ -552,13 +551,13 @@ def _apply_blocks(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_assemble_jacobian(F.J), b)
 
 
-def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> float:
+def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> np.ndarray:
     if F.absolute is None:
         J = F.J
         F.absolute = _JacobianBlocks(J.p, np.abs(J.slow), *(
             np.abs(a, out=J.ws(name, a.shape))
             for name, a in (("|row|", J.row), ("|col|", J.col), ("|band|", J.band))), J.ws)
-    return float(np.max(_block_matvec(F.absolute, np.abs(x)), initial=0.0))
+    return _block_matvec(F.absolute, np.abs(x))
 
 
 def _factor_dense(J: np.ndarray):
@@ -569,8 +568,8 @@ def _apply_dense(factors, b: np.ndarray) -> np.ndarray:
     return factors[1] @ b
 
 
-def _dense_magnitude(factors, x: np.ndarray) -> float:
-    return float(np.max(np.abs(factors[0]) @ np.abs(x), initial=0.0))
+def _dense_magnitude(factors, x: np.ndarray) -> np.ndarray:
+    return np.abs(factors[0]) @ np.abs(x)
 
 
 @dataclass(frozen=True)
@@ -579,8 +578,8 @@ class _LinearSolver:
 
     ``factor(J)`` does the work that depends on J alone, ``apply(factors,
     b)`` solves J x = b with its result, and ``magnitude(factors, x)`` is
-    max_i sum_j |J_ij| |x_j|: the size of the largest terms that make up a
-    residual near x, whose rounding floors the residual.
+    |J| |x|, row i the size of the largest terms that make up residual
+    entry i near x, whose rounding floors that entry.
     """
 
     name: str
@@ -659,14 +658,21 @@ def _inf_norm(F: np.ndarray) -> float:
 
 
 def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm: float,
-                   tol: float) -> float:
+                   tol: float, transform: Callable | None) -> float:
     """Residual that a polish iteration has to reach: four orders of
     magnitude below the tolerance, or the rounding floor of the residual's
-    largest terms (``_EPS`` times ``linear.magnitude``) where that is
-    higher.  The floor is only looked up for a residual within tolerance."""
+    largest terms where that is higher.  The floor is only looked up for a
+    residual within tolerance.  It is ``_EPS`` times the largest row of
+    ``linear.magnitude``, |J| |x|, or of |T| |J| |x| for a residual
+    measured as T F (``transform``, see :func:`_newton`): T F is computed
+    as T applied to the computed F, so the rounding of each entry of F
+    reaches T F through |T|."""
     target = 1e-4 * tol
     if target < norm <= tol:
-        target = max(target, _EPS * linear.magnitude(held.factors, x))
+        rows = linear.magnitude(held.factors, x)
+        if transform is not None:
+            rows = transform(rows, absolute=True)
+        target = max(target, _EPS * float(np.max(rows, initial=0.0)))
     return target
 
 
@@ -681,15 +687,20 @@ def _predicted_iters(theta: float, norm: float, target: float) -> float:
 
 
 def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
-            linear: _LinearSolver = _DENSE, held: _HeldMatrix | None = None):
+            linear: _LinearSolver = _DENSE, held: _HeldMatrix | None = None,
+            transform: Callable | None = None):
     """Simplified Newton iteration on ``residual(x) -> (F, aux)``.
 
     ``jacobian(x, F, ws)`` builds the Newton matrix J at x, writing any
     blocks it keeps into the arrays of the holder's workspace ``ws``, and
-    ``linear`` solves with it.  The factored matrix in ``held`` is kept
-    across iterations and rebuilt at the current iterate when
-    :func:`_iterate` asks for it; a holder that arrives with factors from
-    earlier steps is used as it is.
+    ``linear`` solves with it.  ``transform`` is a fixed invertible linear
+    map T whose residual T F the stop and refresh rules measure instead of
+    F, None for F itself: ``transform(F)`` applies T along F's last axis
+    and ``transform(F, absolute=True)`` |T|.  Since (T J)^-1 T F = J^-1 F,
+    the iterates are those of Newton on T F.  The factored matrix in
+    ``held`` is kept across iterations and rebuilt at the current iterate
+    when :func:`_iterate` asks for it; a holder that arrives with factors
+    from earlier steps is used as it is.
     If the iteration then fails (no convergence within
     ``config.max_newton_iters``, a non-finite iterate or a non-finite value
     of the system at one), the step restarts from ``x0`` with a matrix built
@@ -704,17 +715,20 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
         held = _HeldMatrix()
     elif held.factors is not None:
         try:
-            return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
+            return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats,
+                            transform)
         except (DivergenceError, AbortedStepError, EvaluationError):
             held.factors = None
-    return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats)
+    return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats, transform)
 
 
 def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray,
-             F: np.ndarray, aux, config: SolverConfig, stats: StepStats):
+             F: np.ndarray, aux, config: SolverConfig, stats: StepStats,
+             transform: Callable | None):
     """One attempt of :func:`_newton` from x, where the residual is ``(F, aux)``.
 
-    Stop rule: the residual is within ``newton_tol`` and either at the
+    The rules read the infinity norm of the residual: of F, or of T F with
+    ``transform``.  Stop rule: the residual is within ``newton_tol`` and either at the
     target of :func:`_polish_target` (four orders of magnitude below the
     tolerance, or the residual's rounding floor where that is higher) or
     reached by a polish, an iteration that started within tolerance, with
@@ -727,7 +741,11 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
     residual, unless the residual already sits at the target.
     """
     tol = config.newton_tol
-    norm = _inf_norm(F)
+
+    def measure(F):
+        return _inf_norm(F if transform is None else transform(F))
+
+    norm = measure(F)
     theta = math.nan
     iters = 0
     settled = False
@@ -769,9 +787,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
         F, aux = residual(x)
         iters += 1
         stats.newton_iters += 1
-        new_norm = _inf_norm(F)
+        new_norm = measure(F)
         theta, norm = new_norm / norm, new_norm
-        target = _polish_target(linear, held, x, norm, tol)
+        target = _polish_target(linear, held, x, norm, tol, transform)
         settled = (polish and fresh) or norm <= target
         if _predicted_iters(theta, norm, target) > _MAX_PREDICTED_ITERS:
             held.factors = None
@@ -801,11 +819,14 @@ def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSys
 
 def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSystem,
                 quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig,
-                held: _HeldMatrix | None) -> tuple[MacroStep, StepStats]:
+                held: _HeldMatrix | None, transform: Callable | None = None,
+                ) -> tuple[MacroStep, StepStats]:
+    """The implicit step from ``start``: Newton on the DEL residual from
+    ``guess``, its norm measured through ``transform`` (:func:`_newton`)."""
     residual = _step_residual(start, sys, quad, grid)
     linear, jacobian = _linearization(sys, quad, grid)
     x, aux, stats = _newton(residual, functools.partial(jacobian, start, residual),
-                            guess, config, linear, held)
+                            guess, config, linear, held, transform)
     return _step_record(index, start, x, aux, sys, quad, grid), stats
 
 
@@ -929,21 +950,21 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     their module attributes, so that a wrapper installed on one sees every
     call.
     """
-    if mode is IntegratorMode.CLOSED_FORM_PQ:
-        from . import schemes
-        schemes._update_map(quad)  # raises for a quadrature without a closed-form map
-        return ((lambda q0: schemes.pq_step(q0, sys, quad, grid, config, held=held)),
-                (lambda prev: schemes.pq_step(prev.end_state(), sys, quad, grid, config,
-                                              prev.index + 1, held)),
-                _DENSE.name)
     if mode is IntegratorMode.EXPLICIT:
         if not quad.explicit_solvable:
             raise ConfigurationError("quadrature is not explicit-solvable")
         return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), StepStats())),
                 (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())), None)
+    linear_solver = _linearization(sys, quad, grid)[0].name
+    if mode is IntegratorMode.CLOSED_FORM_PQ:
+        from . import schemes
+        schemes._check_map(quad)
+        return ((lambda q0: schemes.pq_step(q0, sys, quad, grid, config, held=held)),
+                (lambda prev: schemes.pq_step(prev.end_state(), sys, quad, grid, config,
+                                              prev.index + 1, held)),
+                linear_solver)
     return ((lambda q0: initial_step(q0, sys, quad, grid, config, held)),
-            (lambda prev: macro_step(prev, sys, quad, grid, config, held)),
-            _linearization(sys, quad, grid)[0].name)
+            (lambda prev: macro_step(prev, sys, quad, grid, config, held)), linear_solver)
 
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:

@@ -10,7 +10,8 @@ import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
 from multirate.discretization import interval_kernel
-from multirate.solver import MacroStep
+from multirate.schemes import _pq_transform
+from multirate.solver import MacroStep, _step_residual
 
 
 def central_diff(f, x, h):
@@ -242,6 +243,22 @@ def closed_form_pq_residual(quad, state, sys, grid, x):
             pf = fast_momenta(dt * (force_l + force_r))
             r_f = fast[1:] - fast[:-1] - dt * ((pf[:-1] - dt * force_l) @ Minv_f.T)
     return np.concatenate([s1 - s0 - dT * (sys.mass_slow_inv @ p_slow), r_f.ravel()])
+
+
+def pq_residual(quad, state, sys, grid):
+    """``evaluate(x) -> (T F, aux)``: the p/q residual of the step from
+    ``state``, the library's transform T applied to its DEL residual
+    ``(F, aux)`` at x.  Each point of a batch is transformed as it would be
+    alone.  Not independent of the library: the tests hold it against
+    :func:`closed_form_pq_residual`, and measure the p/q stop rule with it."""
+    residual = _step_residual(state, sys, quad, grid)
+    transform = _pq_transform(sys, grid)
+
+    def evaluate(x):
+        F, aux = residual(x)
+        return transform(F), aux
+
+    return evaluate
 
 
 def explicit_step_position_form(index, start, sys, quad, grid):

@@ -3,9 +3,9 @@
 ``solver._fd_jacobian`` passes all perturbed points of a column chunk to the
 residual in one call.  Every column must equal the one-column-at-a-time
 forward difference of ``_oracles.fd_jacobian_loop`` bit for bit, for the DEL
-residual and the three closed-form p/q maps of systems without Hessians,
-and a non-finite value met by one perturbed column must be reported as the
-loop reports it.
+residual and the p/q residual T F of the three closed-form maps
+(``_oracles.pq_residual``) of systems without Hessians, and a non-finite
+value met by one perturbed column must be reported as the loop reports it.
 """
 
 import dataclasses
@@ -26,9 +26,9 @@ from multirate import (
     integrate,
     pq_step,
 )
-from multirate import schemes, solver
+from multirate import solver
 
-from _oracles import fd_jacobian_loop
+from _oracles import fd_jacobian_loop, pq_residual
 from conftest import make_coupled_toy, toy_state
 from test_solver import QUADRATURES, QUADRATURE_IDS, with_full_masses, without_hessians
 
@@ -100,7 +100,7 @@ class TestBitIdentity:
     def test_pq_maps(self, system, quad, p, chunking):
         sys, q0 = SYSTEMS[system]()
         grid = build_time_grid(0.05, p, 1)
-        evaluate = schemes._update_map(quad)(q0, sys, grid)
+        evaluate = pq_residual(quad, q0, sys, grid)
         x = perturbed_guess(q0, sys, grid)
         chunking(x.size)
         assert_matches_loop(evaluate, x)
@@ -119,7 +119,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("quad", PQ_QUADRATURES, ids=PQ_IDS)
     def test_pq_integration_with_loop_oracle(self, fpu, quad, monkeypatch):
-        # without Hessians the p/q maps difference their residual
+        # without Hessians the p/q maps difference the DEL residual
         sys, q0 = fpu
         sys = without_hessians(sys)
         grid = build_time_grid(0.3, 10, 20)
@@ -213,7 +213,7 @@ def evaluation_error(fn, *args):
 def residual_of(kind, quad, sys, grid):
     if kind == "del":
         return solver._step_residual(START, sys, quad, grid)
-    return schemes._update_map(quad)(START, sys, grid)
+    return pq_residual(quad, START, sys, grid)
 
 
 CASES = [("del", name, quad) for name, quad in DEL_QUADS.items()] + \
@@ -289,7 +289,7 @@ class TestNonFinite:
         # nodes 0, 0.1, 0.2, 0.3, 0.9 against a cliff at 0.5: the last
         # midpoint (0.6) and node 4 (interval 3) are bad
         grid = build_time_grid(1.0, P, 1)
-        evaluate = schemes._update_map(quad)(START, fast_cliff_system(0.5, batched), grid)
+        evaluate = pq_residual(quad, START, fast_cliff_system(0.5, batched), grid)
         assert evaluation_error(evaluate, X0).node_index == P - 1
         # stacked points: only the second one goes bad, at node 1 (0.6) and
         # from the midpoint of interval 1 on; a trapezoidal rule meets node 1

@@ -1,4 +1,5 @@
-"""Micro-benchmark of the Newton linear algebra, dense vs block elimination.
+"""Micro-benchmark of the Newton linear algebra, dense vs block elimination,
+and of one implicit macro step in each mode.
 
 Newton builds a matrix (assembly plus ``factor``) now and then and solves
 with it (``apply``) at every iteration, so the two are timed apart;
@@ -8,8 +9,10 @@ call, every build of a case writes into one workspace.  The
 matrix is the one of the first macro step of FPU chains, midpoint-midpoint
 quadrature, at sizes on both sides of the crossover
 (``solver._STRUCTURED_MIN_UNKNOWNS``), which each case moves to force its
-path.  It makes no speed assertion; for comparable numbers pin BLAS to one
-thread::
+path.  ``test_macro_step`` times a whole first step, its matrix builds
+included, of the DEL equations and of the p/q map of the same
+configuration, which share that linear algebra.  It makes no speed
+assertion; for comparable numbers pin BLAS to one thread::
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/test_linear_solver_bench.py \\
         --benchmark-group-by=func,param:l,param:p
@@ -22,7 +25,8 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multirate import QuadratureSpec, build_fpu, build_time_grid, solver  # noqa: E402
+from multirate import (QuadratureSpec, SolverConfig, build_fpu, build_time_grid,  # noqa: E402
+                       initial_step, pq_step, solver)
 from multirate.discretization import _Workspace  # noqa: E402
 from multirate.solver import _drift_guess, _linearization, _step_residual  # noqa: E402
 from multirate.systems import FpuConfig  # noqa: E402
@@ -82,3 +86,16 @@ def test_newton_update(benchmark, monkeypatch, l, p, structured):
     benchmark.extra_info["unknowns"] = x.size
     dx = benchmark(lambda: linear.apply(factors, -F))
     assert dx.shape == x.shape
+
+
+@pytest.mark.parametrize("mode", ["del", "pq"])
+@pytest.mark.parametrize("l,p", [(3, 10), (30, 50)])
+def test_macro_step(benchmark, l, p, mode):
+    sys, q0 = build_fpu(FpuConfig(l=l))
+    grid = build_time_grid(0.3, p, 1)
+    step = initial_step if mode == "del" else pq_step
+    config = SolverConfig()
+    _, stats = benchmark(lambda: step(q0, sys, QuadratureSpec.midpoint_midpoint(), grid, config))
+    benchmark.extra_info["unknowns"] = sys.n_slow + p * sys.n_fast
+    benchmark.extra_info["newton_iters"] = stats.newton_iters
+    benchmark.extra_info["matrix_builds"] = stats.matrix_builds

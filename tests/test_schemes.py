@@ -24,6 +24,7 @@ from _oracles import (
     fd_jacobian_loop,
     full_grad_potential,
     implicit_midpoint_step,
+    pq_residual,
     stormer_verlet_step,
     symplectic_euler_momentum_first,
     symplectic_euler_position_first,
@@ -187,7 +188,7 @@ class TestClosedFormOracle:
         sys, q0 = fpu if masses == "diagonal" else fpu_nondiagonal_masses(True)
         grid = build_time_grid(0.3, p, 1)
         X = np.stack([perturbed_guess(q0, sys, grid, seed) for seed in range(4)])
-        R = schemes._update_map(quad)(q0, sys, grid)(X)[0]
+        R = pq_residual(quad, q0, sys, grid)(X)[0]
         assert R.shape == X.shape
         for x, r in zip(X, R):
             ref = closed_form_pq_residual(quad, q0, sys, grid, x)
@@ -208,14 +209,14 @@ MATRIX_SYSTEMS = {
 }
 
 
-def pq_newton_matrix(sys, quad, state, grid, x):
-    """``(J, evaluate, F)``: the Newton matrix that pq_step builds at x, the
-    p/q residual and its value there."""
-    evaluate = schemes._update_map(quad)(state, sys, grid)
-    F = evaluate(x)[0]
-    linear, jacobian = solver._linearization(sys, quad, grid, schemes._pq_transform(sys, grid))
-    assert linear is solver._DENSE
-    return jacobian(state, evaluate, x, F, _Workspace()), evaluate, F
+def pq_newton_update(sys, quad, state, grid, x):
+    """``(dx, evaluate)``: the Newton update that pq_step takes at x, -J^-1 F
+    with the DEL step's matrix and linear solver, and the p/q residual T F."""
+    residual = solver._step_residual(state, sys, quad, grid)
+    F = residual(x)[0]
+    linear, jacobian = solver._linearization(sys, quad, grid)
+    factors = linear.factor(jacobian(state, residual, x, F, _Workspace()))
+    return linear.apply(factors, -F), pq_residual(quad, state, sys, grid)
 
 
 def max_rel_diff(A, B):
@@ -223,8 +224,9 @@ def max_rel_diff(A, B):
 
 
 class TestNewtonMatrix:
-    """With both Hessians the p/q Newton matrix is T J, from the DEL step's
-    analytic blocks; without them it is the difference matrix of T F."""
+    """A p/q step takes the DEL step's Newton update -J^-1 F, J analytic with
+    both Hessians and differences of F without them.  Since T is constant,
+    that is the Newton update -(T J)^-1 T F of the p/q residual T F."""
 
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("quad", PQ_MAPS.values(), ids=list(PQ_MAPS))
@@ -234,15 +236,18 @@ class TestNewtonMatrix:
         sys, q0 = build()
         grid = build_time_grid(dT, p, 1)
         x = perturbed_guess(q0, sys, grid)
-        J, evaluate, F = pq_newton_matrix(sys, quad, q0, grid, x)
-        assert max_rel_diff(J, solver._fd_jacobian(evaluate, x, F)) <= 1e-6
+        dx, evaluate = pq_newton_update(sys, quad, q0, grid, x)
+        TF = evaluate(x)[0]
+        J_fd = solver._fd_jacobian(evaluate, x, TF)
+        assert max_rel_diff(dx, -np.linalg.solve(J_fd, TF)) <= 1e-6
 
-        # and of the hand-derived closed forms
+        # and with the hand-derived closed forms
         def closed(y):
             return closed_form_pq_residual(quad, q0, sys, grid, y), None
 
-        J_closed = fd_jacobian_loop(closed, x, closed(x)[0], solver._FD_STEP)
-        assert max_rel_diff(J, J_closed) <= 1e-6
+        R = closed(x)[0]
+        J_closed = fd_jacobian_loop(closed, x, R, solver._FD_STEP)
+        assert max_rel_diff(dx, -np.linalg.solve(J_closed, R)) <= 1e-6
 
     @pytest.mark.parametrize("hessians", [True, False], ids=["analytic", "hessian-free"])
     def test_differences_only_without_hessians(self, fpu, hessians, monkeypatch):
@@ -260,6 +265,34 @@ class TestNewtonMatrix:
                              IntegratorMode.CLOSED_FORM_PQ)
         assert stats.matrix_builds_total > 0
         assert len(calls) == (0 if hessians else stats.matrix_builds_total)
+
+
+class TestStopRule:
+    def test_pq_steps_stop_on_the_norm_of_T_F(self, fpu, monkeypatch):
+        # Newton runs on the DEL residual F, but the p/q stop rule reads
+        # ||T F||: at a loose tolerance each accepted step is within it in
+        # that norm, and reports that norm
+        sys, q0 = fpu
+        quad = QuadratureSpec.midpoint_midpoint()
+        cfg = SolverConfig(newton_tol=1e-6)
+        grid = build_time_grid(0.3, 10, 20)
+        steps = []
+
+        def recorded(state, *args, **kwargs):
+            step, stats = pq_step(state, *args, **kwargs)
+            steps.append((state, step, stats))
+            return step, stats
+
+        monkeypatch.setattr(schemes, "pq_step", recorded)
+        integrate(q0, sys, quad, grid, cfg, IntegratorMode.CLOSED_FORM_PQ)
+        assert len(steps) == grid.n_macro
+        for state, step, stats in steps:
+            x = np.concatenate([step.q_slow_end, step.fast[1:].ravel()])
+            norm = np.max(np.abs(pq_residual(quad, state, sys, grid)(x)[0]))
+            assert norm <= cfg.newton_tol
+            assert stats.residual_norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+            F = solver._step_residual(state, sys, quad, grid)(x)[0]
+            assert np.max(np.abs(F)) != pytest.approx(norm, rel=1e-3, abs=0.0)
 
 
 class TestTransformedFormConsistency:

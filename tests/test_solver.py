@@ -349,13 +349,15 @@ class TestLinearSolver:
         _, stats = integrate(q0, sys_fd, MIDMID, grid, SolverConfig())
         assert stats.linear_solver == "dense"
 
-    def test_dense_and_structured_integrations_agree(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    def test_dense_and_structured_integrations_agree(self, mode, monkeypatch):
         sys, q0 = build_fpu(FpuConfig(l=10))
         grid = build_time_grid(0.3, 20, 5)
         cfg = SolverConfig(newton_tol=1e-9)
-        t_blocks, s_blocks = integrate(q0, sys, MIDMID, grid, cfg)
+        t_blocks, s_blocks = integrate(q0, sys, MIDMID, grid, cfg, mode)
         monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", math.inf)
-        t_dense, s_dense = integrate(q0, sys, MIDMID, grid, cfg)
+        t_dense, s_dense = integrate(q0, sys, MIDMID, grid, cfg, mode)
         assert (s_blocks.linear_solver, s_dense.linear_solver) == ("structured", "dense")
         assert s_blocks.newton_iters_total == s_dense.newton_iters_total
         assert max_diff(t_dense, t_blocks) <= 10 * cfg.newton_tol
@@ -372,12 +374,12 @@ class TestLinearSolver:
         assert s_default.newton_iters_total == s_dense.newton_iters_total
         assert max_diff(t_default, t_dense) == 0.0
 
-    def test_pq_maps_solve_densely(self, fpu):
-        # 153 unknowns, but the p/q maps solve their transformed matrix T J densely
+    def test_pq_maps_solve_with_the_del_solver(self, fpu):
+        # FPU l=3, p=50: 153 unknowns, above the crossover in both implicit modes
         sys, q0 = fpu
         _, stats = integrate(q0, sys, MIDMID, build_time_grid(0.01, 50, 2), SolverConfig(),
                              IntegratorMode.CLOSED_FORM_PQ)
-        assert stats.linear_solver == "dense"
+        assert stats.linear_solver == "structured"
 
 
 def fpu_structured(monkeypatch):
