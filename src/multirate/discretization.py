@@ -75,6 +75,22 @@ def _slow_coeffs(u_l: float, m: int, p: int) -> tuple[float, float]:
     return 1.0 - c1, c1
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    """True only if every entry of ``arrays`` is finite: an inf or NaN makes
+    the sum of the squares of a contiguous array's entries (one dot product,
+    a third of the cost of ``ndarray.sum`` on a few dozen entries), or of
+    the entries of another array, inf or NaN.  False may also mean overflow,
+    so the caller then looks into the entries (:func:`_check_finite`)."""
+    total = 0.0
+    for a in arrays:
+        if a.flags.c_contiguous:
+            a = a.reshape(-1)
+            total += a.dot(a)
+        else:
+            total += np.add.reduce(a, axis=None)
+    return math.isfinite(total)
+
+
 def _check_finite(values, intervals: np.ndarray, what: str):
     """Raise naming the micro interval of the first point with a non-finite value.
 
@@ -82,9 +98,8 @@ def _check_finite(values, intervals: np.ndarray, what: str):
     trailing term axis of length ``intervals.size``; ``intervals[t]`` is the
     micro interval of term t.
     """
-    # a sum is finite only if every entry is; one that overflowed is
-    # looked into and passes
-    if all(math.isfinite(a.sum()) for a in values):
+    # one that overflowed is looked into and passes
+    if _finite(*values):
         return
     bad = np.zeros(values[0].shape[0], dtype=bool)
     for a in values:
@@ -110,6 +125,13 @@ class _Workspace:
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
             a = self._arrays[name] = np.empty(shape)
+        return a
+
+    def zeros(self, name: str, shape: tuple) -> np.ndarray:
+        """As a call, but zero-filled where the array is allocated."""
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.zeros(shape)
         return a
 
     def rows(self, name: str, a: np.ndarray, index) -> np.ndarray:
@@ -262,10 +284,16 @@ class _IntervalKernel:
         self.node_terms = (np.array_equal(self.V.node, [0])
                            and np.array_equal(self.W.node, np.arange(p)))
 
-    def points(self, q0, q1, fast):
+    def start_points(self, q0):
+        """The start node's share ``c0 * q0`` of the slow quadrature points,
+        (..., k, n_slow): the same for every iterate of one step."""
+        return self.c0 * q0[..., None, :]
+
+    def points(self, q0, q1, fast, start=None):
         """Slow and fast quadrature points ``(Qs, QfV, QfW)``; arguments may
-        carry leading batch axes.  QfW is QfV itself where ``shared``."""
-        Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
+        carry leading batch axes.  QfW is QfV itself where ``shared``.
+        ``start`` is :meth:`start_points` of q0 where the caller keeps it."""
+        Qs = (self.start_points(q0) if start is None else start) + self.c1 * q1[..., None, :]
         QfV = self.V.gather @ fast
         return Qs, QfV, QfV if self.shared else self.W.gather @ fast
 
@@ -276,30 +304,35 @@ class _IntervalKernel:
         leading axes index independent intervals, whose points all go to the
         callbacks in one batch.
         """
-        return self.momenta_from(q0, q1, fast, sys, *self.gradients(q0, q1, fast, sys))
+        return self.momenta_from(q0, q1, fast, sys,
+                                 *self.gradients(self.points(q0, q1, fast), sys))
 
-    def gradients(self, q0, q1, fast, sys: MultirateSystem):
-        """Potential gradients ``(g_s, g_fV, g_W)`` at the quadrature points,
-        of shape (..., k, n) with the terms of ``V`` resp. ``W`` on axis -2.
-        Both callbacks run before one sum tests all gradients for
-        finiteness; a non-finite one raises naming its micro interval, slow
-        before fast (:func:`_check_finite`)."""
-        Qs, QfV, QfW = self.points(q0, q1, fast)
+    def gradients(self, points, sys: MultirateSystem):
+        """Potential gradients ``(g_s, g_fV, g_W)`` at the quadrature points
+        ``points`` (as :meth:`points` returns them), of shape (..., k, n)
+        with the terms of ``V`` resp. ``W`` on axis -2.  Both callbacks run
+        before one test of all gradients for finiteness (:func:`_finite`);
+        a non-finite one raises naming its micro interval, slow before fast
+        (:func:`_check_finite`)."""
+        Qs, QfV, QfW = points
         g_s, g_fV = sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV))
         g_W = sys.evaluate_batch("fast_potential_grad", _rows(QfW))
-        # a sum is finite only if every entry is (see _check_finite)
-        if not math.isfinite(g_s.sum() + g_fV.sum() + g_W.sum()):
+        if not _finite(g_s, g_fV, g_W):
             _check_finite((g_s, g_fV), self.V.m, "slow-potential gradient")
             _check_finite((g_W,), self.W.m, "fast-potential gradient")
+        if Qs.ndim == 2:
+            return g_s, g_fV, g_W
         return g_s.reshape(Qs.shape), g_fV.reshape(QfV.shape), g_W.reshape(QfW.shape)
 
-    def kinetic_momenta(self, q0, q1, fast, sys: MultirateSystem):
+    def kinetic_momenta(self, q0, q1, fast, sys: MultirateSystem, out=None):
         """Mass times the difference quotients: slow (..., n_slow) over the
-        macro interval, fast (..., p, n_fast) over each micro interval."""
+        macro interval, fast (..., p, n_fast) over each micro interval,
+        written into ``out`` where given."""
         # one vector-matrix product per interval, as for a single interval,
         # so that a point's momenta do not depend on the batch it comes in
         Mv_s = (((q1 - q0) / self.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]
-        Mv_f = ((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt) @ sys.mass_fast.T
+        Mv_f = np.matmul((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt, sys.mass_fast.T,
+                         out=out)
         return Mv_s, Mv_f
 
     def fast_forces(self, g_fV, g_W):
@@ -310,10 +343,11 @@ class _IntervalKernel:
             return self.V.equations @ (g_fV + g_W)
         return self.V.equations @ g_fV + self.W.equations @ g_W
 
-    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
+    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W, kinetic=None):
         """Discrete momenta as :meth:`momenta`, from the gradients at the
-        quadrature points (as :meth:`gradients` returns them)."""
-        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys)
+        quadrature points (as :meth:`gradients` returns them); ``kinetic``
+        is :meth:`kinetic_momenta` at these nodes where the caller has it."""
+        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys) if kinetic is None else kinetic
         return (Mv_s + self.w_c0 @ g_s,
                 Mv_s - self.w_c1 @ g_s,
                 Mv_f + (self.V.left @ g_fV + self.W.left @ g_W),
@@ -346,8 +380,7 @@ class _IntervalKernel:
         # the terms' H_ss side by side, for one vector-matrix product
         H = ws("H_ss", H_ss.shape)
         H[...] = H_ss
-        # a sum is finite only if every entry is (see _check_finite)
-        if not math.isfinite(H.sum() + H_sf.sum() + H_ff.sum() + H_W.sum()):
+        if not _finite(H, H_sf, H_ff, H_W):
             _check_finite((H_ss, H_sf, H_ff), self.V.m, "slow-potential Hessian")
             _check_finite((H_W,), self.W.m, "fast-potential Hessian")
         ss = (self.w_c0c1 @ H.reshape(k, -1)).reshape(H_ss.shape[1:])

@@ -231,6 +231,14 @@ class State:
         self.p_slow = np.atleast_1d(np.asarray(self.p_slow, dtype=float))
         self.p_fast = np.atleast_1d(np.asarray(self.p_fast, dtype=float))
 
+    @classmethod
+    def _of_arrays(cls, q_slow, q_fast, p_slow, p_fast) -> "State":
+        """State of float arrays that the integrator made itself: stored as
+        they are, without the conversions of ``__init__``."""
+        state = cls.__new__(cls)
+        state.q_slow, state.q_fast, state.p_slow, state.p_fast = q_slow, q_fast, p_slow, p_fast
+        return state
+
     def copy(self) -> "State":
         return State(self.q_slow.copy(), self.q_fast.copy(), self.p_slow.copy(), self.p_fast.copy())
 

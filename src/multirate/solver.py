@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import _check_finite, _Workspace, interval_kernel
+from .discretization import _check_finite, _finite, _Workspace, interval_kernel
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -81,14 +81,16 @@ __all__ = [
 # OpenBLAS 0.3.31, one BLAS thread, medians of one matrix build (assembly
 # plus factor, into one workspace) and of one solve with it, dense vs blocks
 # (tests/test_linear_solver_bench.py, the lower of two runs):
-#   l=3,  p=10,   33 unknowns: 0.19 ms + 3 us   vs 0.22 ms + 107 us
-#   l=10, p=10,  110 unknowns: 0.66 ms + 3 us   vs 0.30 ms + 81 us
-#   l=3,  p=50,  153 unknowns: 1.39 ms + 5 us   vs 0.49 ms + 153 us
-#   l=10, p=20,  210 unknowns: 3.66 ms + 7 us   vs 0.40 ms + 90 us
-#   l=30, p=50, 1530 unknowns: 340 ms + 0.87 ms vs 3.2 ms + 0.33 ms
-# At about one build and five solves per step the two break even between
-# 110 and 153 unknowns.  Other machines, BLAS builds or potentials may
-# place it elsewhere.
+#   l=3,  p=10,   33 unknowns: 0.10 ms + 1 us   vs 0.15 ms + 59 us
+#   l=10, p=10,  110 unknowns: 0.48 ms + 3 us   vs 0.20 ms + 92 us
+#   l=3,  p=50,  153 unknowns: 0.96 ms + 6 us   vs 0.44 ms + 267 us
+#   l=10, p=20,  210 unknowns: 2.11 ms + 8 us   vs 0.27 ms + 90 us
+#   l=30, p=50, 1530 unknowns: 296 ms + 0.81 ms vs 3.2 ms + 0.40 ms
+# A solve by blocks loops over the p row blocks, so the break-even depends
+# on p, not on the unknowns alone: whole integrations (about one build and
+# five solves per step) ran 1.3x faster by blocks at l=10, p=10 and 1.1x
+# faster dense at l=3, p=50.  Other machines, BLAS builds or potentials
+# may place it elsewhere.
 _STRUCTURED_MIN_UNKNOWNS = 128
 
 # Forward-difference step of unknown i, times 1 + |x_i|, for systems that
@@ -171,7 +173,7 @@ class SolverConfig:
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
       a dense inverse otherwise.  Elimination's cost grows linearly in p,
       dense factoring as p^3; with matrix reuse the two take the same time
-      between about 110 and 150 unknowns on the FPU chain.
+      between about 110 and 210 unknowns on the FPU chain, depending on p.
       ``IntegrationStats.linear_solver`` records which ran.
     - ``jacobian_time`` counts matrix assembly (analytic or difference),
       ``solve_time`` factoring and every solve with the factors, and
@@ -260,7 +262,8 @@ class MacroStep:
         return self.p_fast[-1]
 
     def end_state(self) -> State:
-        return State(self.q_slow_end, self.fast[-1], self.p_slow_end, self.p_fast_end)
+        return State._of_arrays(self.q_slow_end, self.fast[-1], self.p_slow_end,
+                                self.p_fast_end)
 
 
 def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroStep:
@@ -268,8 +271,11 @@ def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroS
     ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``: the left values at nodes
     0..p-1 and the right values at the end node."""
     p_s_minus, p_s_plus, p_f_minus, p_f_plus = momenta
-    return MacroStep(index, q_slow_k, q_slow_next, fast,
-                     np.concatenate([p_f_minus, p_f_plus[-1:]]), np.stack([p_s_minus, p_s_plus]))
+    p_slow = np.empty((2,) + p_s_minus.shape)
+    p_slow[0], p_slow[1] = p_s_minus, p_s_plus
+    p_fast = np.empty((len(p_f_minus) + 1,) + p_f_minus.shape[1:])
+    p_fast[:-1], p_fast[-1] = p_f_minus, p_f_plus[-1]
+    return MacroStep(index, q_slow_k, q_slow_next, fast, p_fast, p_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +287,24 @@ def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
     from the stacked unknowns ``x`` (..., n_slow + p*n_fast), whose layout
     this defines: ``[q_slow_next; fast node 1; ...; fast node p]``.  Fast
     node 0 is the start's; leading axes index independent points."""
-    n_s = sys.n_slow
-    fast = np.empty(x.shape[:-1] + (p + 1, sys.n_fast))
-    fast[..., 0, :] = start.q_fast
-    fast[..., 1:, :] = x[..., n_s:].reshape(fast[..., 1:, :].shape)
+    n_s, n_f = sys.n_slow, sys.n_fast
+    fast = np.empty(x.shape[:-1] + (p + 1, n_f))
+    # the nodes of each point side by side: a view, as fast is contiguous
+    nodes = fast.reshape(x.shape[:-1] + ((p + 1) * n_f,))
+    nodes[..., :n_f] = start.q_fast
+    nodes[..., n_f:] = x[..., n_s:]
     return x[..., :n_s], fast
 
 
 def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, (fast, gradients))``, F with the shape of
-    x, ``fast`` the fast nodes 0..p and ``gradients`` the kernel's
-    ``(g_s, g_fV, g_W)`` at x, from which
-    :meth:`~multirate.discretization._IntervalKernel.momenta_from` builds
-    the momenta of an accepted iterate.  x may carry leading batch axes,
-    whose points go to the callbacks in one batch.
+    ``residual(x)`` returns ``(F, (fast, gradients, kinetic))``, F with the
+    shape of x, ``fast`` the fast nodes 0..p, ``gradients`` the kernel's
+    ``(g_s, g_fV, g_W)`` and ``kinetic`` its kinetic momenta at x, from
+    which :meth:`~multirate.discretization._IntervalKernel.momenta_from`
+    builds the momenta of an accepted iterate.  x may carry leading batch
+    axes, whose points go to the callbacks in one batch.
 
     Each entry of F is a momentum mismatch (incoming minus left momenta at
     the slow node and at fast node 0, right minus left momenta at the
@@ -310,25 +318,31 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
 
     F agrees with the difference of the momenta to within rounding of the
     largest momentum terms, and every point of a batch gets the F it would
-    get alone.
+    get alone.  What depends on the start alone, its share ``c0 q0`` of the
+    slow quadrature points, is computed once per step.
     """
     kern = interval_kernel(quad, grid)
     p = grid.micro_per_macro
     n_s = sys.n_slow
+    q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
+    Qs0 = kern.start_points(q0)
 
     def residual(x):
         q_slow_next, fast = _step_nodes(start, x, sys, p)
-        grads = kern.gradients(start.q_slow, q_slow_next, fast, sys)
-        g_s, g_fV, g_W = grads
-        Mv_s, Mv_f = kern.kinetic_momenta(start.q_slow, q_slow_next, fast, sys)
+        grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast, Qs0), sys)
+        # p_f0 above the fast kinetic momenta: the kinetic differences of all
+        # fast rows are then one subtraction
+        P_f = np.empty(fast.shape)
+        P_f[..., 0, :] = p_f0
+        kinetic = Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys,
+                                                    out=P_f[..., 1:, :])
         F = np.empty(x.shape)
-        F[..., :n_s] = start.p_slow - Mv_s - kern.w_c0 @ g_s
+        F[..., :n_s] = p_s0 - Mv_s - kern.w_c0 @ g_s
         # the fast rows as (..., p, n_fast): splitting the last axis is a view
         F_f = F[..., n_s:].reshape(Mv_f.shape)
-        np.subtract(start.p_fast, Mv_f[..., 0, :], out=F_f[..., 0, :])
-        np.subtract(Mv_f[..., :-1, :], Mv_f[..., 1:, :], out=F_f[..., 1:, :])
+        np.subtract(P_f[..., :-1, :], Mv_f, out=F_f)
         F_f -= kern.fast_forces(g_fV, g_W)
-        return F, (fast, grads)
+        return F, (fast, grads, kinetic)
 
     return residual
 
@@ -345,8 +359,8 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     differences of ``residual`` otherwise (:func:`_fd_jacobian`, dense,
     from batched residual calls).  An analytic matrix is kept as blocks
     (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on and
-    assembled densely below; its blocks are written into the arrays of the
-    :class:`~multirate.discretization._Workspace` ``ws``.
+    assembled densely below.  Its blocks, and the dense matrix, are written
+    into arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
@@ -418,26 +432,35 @@ def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: Qu
 
 
 def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
-    """Dense matrix of the blocks; the fast band goes in with one assignment
-    through a (p, n_fast, p, n_fast) view."""
+    """Dense matrix of the blocks in the workspace's array ``"dense"``, which
+    is zero-filled where it is allocated: each assembly writes only the
+    nonzero pattern, the fast band by flat positions (:func:`_band_positions`)."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    A = np.zeros((n_s + p * n_f, n_s + p * n_f))
+    A = J.ws.zeros("dense", (n_s + p * n_f, n_s + p * n_f))
     A[:n_s, :n_s] = J.slow
     A[:n_s, n_s:] = J.row
     A[n_s:, :n_s] = J.col
-    blocks, rows, cols = _chain_band(p)
-    A[n_s:, n_s:].reshape(p, n_f, p, n_f)[rows, :, cols, :] = J.band[blocks]
+    band_at, g_at = _band_positions(p, n_s, n_f)
+    flat = A.reshape(-1)
+    flat[band_at] = J.band
+    flat[g_at] = J.band[1:p - 1]
     return A
 
 
 @functools.lru_cache(maxsize=64)
-def _chain_band(p: int):
-    """``band`` index, row block and column block of the fast chain's nonzero
-    blocks, in the order (row i, node i+1) D_i, (row i, node i) E_i,
-    (row i, node i-1) G_i = D_{i-1}."""
-    i = np.arange(p)
-    return (np.concatenate([np.arange(2 * p - 1), i[1:p - 1]]),
-            np.concatenate([i, i[1:], i[2:]]), np.concatenate([i, i[:-1], i[:-2]]))
+def _band_positions(p: int, n_s: int, n_f: int):
+    """Flat positions in the dense matrix of the fast chain's nonzero
+    blocks: of ``band`` (D_i at row block i, node i+1; E_i at row block i,
+    node i), and of G_i = D_{i-1} = ``band[i-1]`` at row block i, node i-1
+    for i = 2..p-1; each (blocks, n_fast, n_fast)."""
+    n = n_s + p * n_f
+    i, a = np.arange(p), np.arange(n_f)
+
+    def at(rows, cols):
+        return ((n_s + n_f * rows[:, None, None] + a[:, None]) * n
+                + n_s + n_f * cols[:, None, None] + a)
+
+    return at(np.concatenate([i, i[1:]]), np.concatenate([i, i[:-1]])), at(i[2:], i[:-2])
 
 
 @dataclass
@@ -564,12 +587,13 @@ def _factor_dense(J: np.ndarray):
     return J, np.linalg.inv(J)
 
 
+# ndarray.dot: the BLAS matrix-vector product of @, at half its call cost
 def _apply_dense(factors, b: np.ndarray) -> np.ndarray:
-    return factors[1] @ b
+    return factors[1].dot(b)
 
 
 def _dense_magnitude(factors, x: np.ndarray) -> np.ndarray:
-    return np.abs(factors[0]) @ np.abs(x)
+    return np.abs(factors[0]).dot(np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -639,8 +663,9 @@ class _HeldMatrix:
     iterations and, when :func:`integrate` hands one holder to all its
     steps, across steps.  ``factors`` is None until the next build.
 
-    ``ws`` holds the arrays that its structured builds write: J's blocks,
-    their interval sums, the elimination's ``ge`` and Z, and |J|.  A build
+    ``ws`` holds the arrays that its builds write: J's blocks, their
+    interval sums, the elimination's ``ge`` and Z, |J|, and the dense
+    matrix that :func:`_assemble_jacobian` writes.  A build
     happens only once the held factors have been dropped, so one set serves
     every build of the holder, and its iterations read blocks that no build
     overwrites.  Each holder has its own.  A 20-step integration of an FPU
@@ -654,7 +679,7 @@ class _HeldMatrix:
 
 
 def _inf_norm(F: np.ndarray) -> float:
-    return float(np.abs(F).max()) if F.size else 0.0
+    return float(np.maximum.reduce(np.abs(F), axis=None)) if F.size else 0.0
 
 
 def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm: float,
@@ -672,7 +697,7 @@ def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm
         rows = linear.magnitude(held.factors, x)
         if transform is not None:
             rows = transform(rows, absolute=True)
-        target = max(target, _EPS * float(np.max(rows, initial=0.0)))
+        target = max(target, _EPS * float(np.maximum.reduce(rows, axis=None, initial=0.0)))
     return target
 
 
@@ -770,8 +795,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
                 stats.matrix_builds += 1
                 held.factors = linear.factor(J)
                 stats.solve_time += time.perf_counter() - t1
+            # J u = F: x - u is x + dx for J dx = -F bit for bit
             t0 = time.perf_counter()
-            dx = linear.apply(held.factors, -F)
+            u = linear.apply(held.factors, F)
             stats.solve_time += time.perf_counter() - t0
         except np.linalg.LinAlgError as exc:
             raise DivergenceError(
@@ -779,10 +805,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
                 residual_norm=norm, iterations=stats.newton_iters,
                 matrix_builds=stats.matrix_builds, contraction=theta) from exc
         polish = norm <= tol
-        x = x + dx
-        # a sum is finite only if every entry is; one that overflowed is
-        # looked into
-        if not math.isfinite(x.sum()) and not np.isfinite(x).all():
+        x = x - u
+        # an overflow of the test is looked into
+        if not _finite(x) and not np.isfinite(x).all():
             raise AbortedStepError("Newton iterate became non-finite")
         F, aux = residual(x)
         iters += 1
@@ -809,11 +834,13 @@ def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarr
 def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSystem,
                  quad: QuadratureSpec, grid: TimeGrid) -> MacroStep:
     """Record of the step from ``start`` at the accepted iterate x, ``aux``
-    being the ``(fast, gradients)`` of :func:`_step_residual` there: the
-    momenta are built once, from those gradients."""
-    fast, grads = aux
+    being the ``(fast, gradients, kinetic)`` of :func:`_step_residual`
+    there: the momenta are built once, from those gradients and kinetic
+    momenta."""
+    fast, grads, kinetic = aux
     q_slow_next = x[:sys.n_slow]
-    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
+    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads,
+                                                   kinetic)
     return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
 
 
@@ -851,8 +878,10 @@ def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid
     """Advance one macro interval given the completed previous interval
     (``held`` as for :func:`initial_step`)."""
     # linear extrapolation for the slow node, constant continuation for fast
-    guess = np.concatenate([2.0 * prev.q_slow_end - prev.q_slow_start,
-                            np.tile(prev.fast[-1], grid.micro_per_macro)])
+    n_s = sys.n_slow
+    guess = np.empty(n_s + grid.micro_per_macro * sys.n_fast)
+    np.subtract(2.0 * prev.q_slow_end, prev.q_slow_start, out=guess[:n_s])
+    guess[n_s:].reshape(grid.micro_per_macro, sys.n_fast)[...] = prev.fast[-1]
     return _solve_step(prev.index + 1, prev.end_state(), guess, sys, quad, grid, config, held)
 
 
@@ -900,8 +929,7 @@ def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: Quadrat
         g_sV = np.array([slow_at[n][0] for n in kern.V.node])
         g_fV = np.array([slow_at[n][1] for n in kern.V.node])
         g_W = g_W_node[kern.W.node]
-    # a sum is finite only if every entry is (see _check_finite)
-    if not math.isfinite(g_sV.sum() + g_fV.sum() + g_W.sum()):
+    if not _finite(g_sV, g_fV, g_W):
         _check_finite((g_sV, g_fV), kern.V.m, "slow-potential gradient")
         _check_finite((g_W,), kern.W.m, "fast-potential gradient")
     return _interval_record(index, q0, q1, fast,
@@ -1005,6 +1033,9 @@ def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeG
     inputs produce bit-identical trajectories.  On a step failure an
     :class:`IntegrationError` carrying the partial trajectory is raised.
     """
+    # the caller's state is converted here, once: the loop makes every later
+    # start itself, from the float arrays of its records (MacroStep.end_state)
+    q0 = State(q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast)
     step_fn, advance, linear_solver = _step_functions(sys, quad, grid, config, mode,
                                                       _HeldMatrix())
     traj = _empty_trajectory(q0, grid, sys)

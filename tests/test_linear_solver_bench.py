@@ -11,8 +11,12 @@ quadrature, at sizes on both sides of the crossover
 (``solver._STRUCTURED_MIN_UNKNOWNS``), which each case moves to force its
 path.  ``test_macro_step`` times a whole first step, its matrix builds
 included, of the DEL equations and of the p/q map of the same
-configuration, which share that linear algebra.  It makes no speed
-assertion; for comparable numbers pin BLAS to one thread::
+configuration, which share that linear algebra.  ``test_integrate`` times
+whole ``integrate`` calls, with the Newton matrix that their steps share:
+FPU l=3, p=10 over 50 steps, and single-rate steps at the reference step
+dT = 0.02/2560 of acceptance criterion 3 over 2,000 steps; the Newton
+totals go to ``extra_info``.  No case makes a speed assertion; for
+comparable numbers pin BLAS to one thread::
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/test_linear_solver_bench.py \\
         --benchmark-group-by=func,param:l,param:p
@@ -26,7 +30,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from multirate import (QuadratureSpec, SolverConfig, build_fpu, build_time_grid,  # noqa: E402
-                       initial_step, pq_step, solver)
+                       initial_step, integrate, pq_step, solver)
 from multirate.discretization import _Workspace  # noqa: E402
 from multirate.solver import _drift_guess, _linearization, _step_residual  # noqa: E402
 from multirate.systems import FpuConfig  # noqa: E402
@@ -99,3 +103,17 @@ def test_macro_step(benchmark, l, p, mode):
     benchmark.extra_info["unknowns"] = sys.n_slow + p * sys.n_fast
     benchmark.extra_info["newton_iters"] = stats.newton_iters
     benchmark.extra_info["matrix_builds"] = stats.matrix_builds
+
+
+@pytest.mark.parametrize("p,dT,steps", [(10, 0.3, 50), (1, 0.02 / 2560, 2000)],
+                         ids=["p10", "criterion3-reference"])
+def test_integrate(benchmark, p, dT, steps):
+    sys, q0 = build_fpu(FpuConfig(l=3))
+    grid = build_time_grid(dT, p, steps)
+    config = SolverConfig()
+    _, stats = benchmark(lambda: integrate(q0, sys, QuadratureSpec.midpoint_midpoint(), grid,
+                                           config))
+    benchmark.extra_info["unknowns"] = sys.n_slow + p * sys.n_fast
+    benchmark.extra_info["steps"] = steps
+    benchmark.extra_info["newton_iters_total"] = stats.newton_iters_total
+    benchmark.extra_info["matrix_builds_total"] = stats.matrix_builds_total

@@ -27,7 +27,7 @@ from multirate import (
     macro_step,
     verify_trajectory,
 )
-from multirate import solver
+from multirate import discretization, solver
 from multirate.discretization import _IntervalKernel, _Workspace, interval_kernel
 from multirate.systems import FpuConfig
 
@@ -455,6 +455,38 @@ class TestWorkspace:
         assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
 
 
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_dense_rebuilds_equal_a_fresh_build(self, request, system, quad, p):
+        # a dense assembly writes only the nonzero pattern into the matrix
+        # that the holder's workspace keeps: a build at another iterate
+        # leaves no entry of the one before it
+        sys, q0 = request.getfixturevalue(system)
+        grid = build_time_grid(0.02, p, 1)
+        linear, jacobian = _linearization(sys, quad, grid)
+        assert linear is solver._DENSE
+        rng = np.random.default_rng(p)
+        held = solver._HeldMatrix()
+        built = []
+        # two steps from different starts, at different iterates
+        for _ in range(2):
+            start = State(*(a + 0.05 * rng.standard_normal(a.size) for a in (
+                q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast)))
+            residual = solver._step_residual(start, sys, quad, grid)
+            x0 = solver._drift_guess(start, sys, grid)
+            x = x0 + 0.05 * rng.standard_normal(x0.size)
+            F = residual(x)[0]
+            J = jacobian(start, residual, x, F, held.ws)
+            assert np.array_equal(J, jacobian(start, residual, x, F, _Workspace()))
+            built.append(J.copy())
+        assert np.shares_memory(J, held.ws("dense", J.shape))
+        # the midpoint rule's matrices differ; under the others, F may weight
+        # only terms at the start, and the matrix is then constant
+        if quad == MIDMID:
+            assert not np.array_equal(*built)
+
+
 class TestMatrixReuse:
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
     def test_agrees_with_a_fresh_matrix_every_iteration(self, case, monkeypatch):
@@ -787,6 +819,31 @@ class TestIncrementForm:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("mode,quad", [
+        (IntegratorMode.IMPLICIT_DEL, MIDMID),
+        (IntegratorMode.IMPLICIT_DEL, QuadratureSpec.trapezoidal_trapezoidal(0.5, 1.0)),
+        (IntegratorMode.CLOSED_FORM_PQ, MIDMID),
+        (IntegratorMode.EXPLICIT, QuadratureSpec.explicit()),
+    ], ids=["del-midpoint", "del-trapezoidal", "pq", "explicit"])
+    def test_runs_with_other_masses_leave_nothing_behind(self, mode, quad):
+        # the interval kernel is cached per (quadrature, dT, p) only: what
+        # depends on the masses or the system's shape must not outlive a run
+        grid = build_time_grid(0.02, 4, 10)
+
+        def run(mass):
+            sys, q0 = build_fpu(FpuConfig(l=3, masses=np.full(6, mass)))
+            return integrate(q0, sys, quad, grid, SolverConfig(), mode)[0]
+
+        def alone(mass):
+            discretization._kernel.cache_clear()
+            return run(mass)
+
+        ref = {mass: alone(mass) for mass in (1.0, 2.0)}
+        discretization._kernel.cache_clear()
+        for mass in (1.0, 2.0, 1.0):
+            assert max_diff(run(mass), ref[mass]) == 0.0
+        assert max_diff(ref[1.0], ref[2.0]) > 0.0
+
     def test_zero_intervals_returns_initial_state(self, fpu, config):
         sys, q0 = fpu
         grid = TimeGrid(dT=0.3, micro_per_macro=5, n_macro=0)
