@@ -84,7 +84,7 @@ def _finite(*arrays: np.ndarray) -> bool:
     total = 0.0
     for a in arrays:
         if a.flags.c_contiguous:
-            a = a.reshape(-1)
+            a = a.ravel()
             total += a.dot(a)
         else:
             total += np.add.reduce(a, axis=None)
@@ -283,6 +283,11 @@ class _IntervalKernel:
         self.kick_W = self.dt * _left_weight(quad.alpha_W, quad.gamma_W)
         self.node_terms = (np.array_equal(self.V.node, [0])
                            and np.array_equal(self.W.node, np.arange(p)))
+        # The weights of the four momenta with the gradient each applies to (0:
+        # g_s, 1: g_fV, 2: g_W), less the all-zero ones: they add only zeros.
+        self.momentum_terms = [[(a, i) for a, i in terms if a.any()] for terms in (
+            [(self.w_c0, 0)], [(self.w_c1, 0)], [(self.V.left, 1), (self.W.left, 2)],
+            [(self.V.right, 1), (self.W.right, 2)])]
 
     def start_points(self, q0):
         """The start node's share ``c0 * q0`` of the slow quadrature points,
@@ -346,12 +351,16 @@ class _IntervalKernel:
     def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W, kinetic=None):
         """Discrete momenta as :meth:`momenta`, from the gradients at the
         quadrature points (as :meth:`gradients` returns them); ``kinetic``
-        is :meth:`kinetic_momenta` at these nodes where the caller has it."""
+        is :meth:`kinetic_momenta` at these nodes where the caller has it.
+        A momentum whose weights are all zero (:attr:`momentum_terms`) is
+        the kinetic momentum array itself."""
         Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys) if kinetic is None else kinetic
-        return (Mv_s + self.w_c0 @ g_s,
-                Mv_s - self.w_c1 @ g_s,
-                Mv_f + (self.V.left @ g_fV + self.W.left @ g_W),
-                Mv_f - (self.V.right @ g_fV + self.W.right @ g_W))
+        g = (g_s, g_fV, g_W)
+        s0, s1, f0, f1 = [_weighted_sum(terms, g) for terms in self.momentum_terms]
+        return (Mv_s if s0 is None else Mv_s + s0,
+                Mv_s if s1 is None else Mv_s - s1,
+                Mv_f if f0 is None else Mv_f + f0,
+                Mv_f if f1 is None else Mv_f - f1)
 
     def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem, ws: _Workspace | None = None):
         """Potential second-derivative sums of one interval, for the Newton Jacobian.
@@ -396,6 +405,15 @@ class _IntervalKernel:
         return ss, border, ws.rows("ff rows", ff, self.ff_rows)
 
 
+def _weighted_sum(terms, g):
+    """Sum of ``a @ g[i]`` over the (weights a, gradient index i) of
+    ``terms``, in their order; None where there is no term."""
+    s = None
+    for a, i in terms:
+        s = a @ g[i] if s is None else s + a @ g[i]
+    return s
+
+
 def _rows(a: np.ndarray) -> np.ndarray:
     """Stack all leading axes into one row axis; a 2-D array is returned as it is."""
     if a.ndim == 2:
@@ -408,9 +426,19 @@ def _kernel(quad: QuadratureSpec, dT: float, p: int) -> _IntervalKernel:
     return _IntervalKernel(quad, dT, p)
 
 
+_last = (None, None, None)
+
+
 def interval_kernel(quad: QuadratureSpec, grid: TimeGrid) -> _IntervalKernel:
-    """Quadrature kernel of one macro interval, cached per (quad, dT, p)."""
-    return _kernel(quad, grid.dT, grid.micro_per_macro)
+    """Quadrature kernel of one macro interval, cached per (quad, dT, p); the
+    last one also by the identity of its frozen arguments, which each step
+    passes again (hashing quad costs more than the rest of the lookup)."""
+    global _last
+    q, g, kern = _last
+    if q is not quad or g is not grid:
+        kern = _kernel(quad, grid.dT, grid.micro_per_macro)
+        _last = quad, grid, kern
+    return kern
 
 
 # ---------------------------------------------------------------------------

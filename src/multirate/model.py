@@ -10,6 +10,7 @@ stiff fast part ``W(q_f)`` depending on the fast variables only.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -133,7 +134,7 @@ class QuadratureSpec:
     def fast_rule(self) -> str:
         return self.classify_rule(self.alpha_W, self.gamma_W)
 
-    @property
+    @functools.cached_property
     def explicit_solvable(self) -> bool:
         """True if the update equations decouple into sequential linear solves."""
         return (

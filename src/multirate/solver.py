@@ -901,21 +901,22 @@ def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: Quadrat
     q0, f0 = start.q_slow, start.q_fast
     fast_grad = sys.fast_potential_grad
 
-    g_s, g_f = _slow_gradient(sys, q0, f0)
+    g_s, g_f = sys.slow_potential_grad(q0, f0)
+    g_s, g_f = np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
     g_W_node = np.empty((p + 1, sys.n_fast))  # fast-potential gradient per node
     g_W_node[0] = fast_grad(f0)
     fast = np.empty((p + 1, sys.n_fast))
     fast[0] = f0
-    u = dt * (sys.mass_fast_inv @ (start.p_fast - kern.kick_V * g_f - kern.kick_W * g_W_node[0]))
+    u = dt * sys.mass_fast_inv.dot(start.p_fast - kern.kick_V * g_f - kern.kick_W * g_W_node[0])
     np.add(f0, u, out=fast[1])
     K = (dt * dt) * sys.mass_fast_inv
-    # three numpy calls per micro step; ndarray.dot costs about half of
-    # matmul's call overhead on a small matrix
+    # three numpy calls per micro step; ndarray.dot makes matmul's BLAS call
+    # at about half its overhead on a small matrix
     for f, f_next, g in zip(fast[1:p], fast[2:], g_W_node[1:p]):
         g[:] = fast_grad(f)
         u -= K.dot(g)
         np.add(f, u, out=f_next)
-    q1 = q0 + kern.dT * (sys.mass_slow_inv @ (start.p_slow - kern.kick_V * g_s))
+    q1 = q0 + kern.dT * sys.mass_slow_inv.dot(start.p_slow - kern.kick_V * g_s)
 
     if kern.node_terms:
         g_sV, g_fV, g_W = g_s[None], g_f[None], g_W_node[:p]
@@ -923,23 +924,17 @@ def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: Quadrat
         # each term's gradient by its node: a row no term uses is never read
         slow_at = {0: (g_s, g_f)}
         if kern.V.at_end:
-            slow_at[p] = _slow_gradient(sys, q1, fast[p])
+            slow_at[p] = sys.slow_potential_grad(q1, fast[p])
         if kern.W.at_end:
             g_W_node[p] = fast_grad(fast[p])
-        g_sV = np.array([slow_at[n][0] for n in kern.V.node])
-        g_fV = np.array([slow_at[n][1] for n in kern.V.node])
+        g_sV = np.array([slow_at[n][0] for n in kern.V.node], dtype=float)
+        g_fV = np.array([slow_at[n][1] for n in kern.V.node], dtype=float)
         g_W = g_W_node[kern.W.node]
     if not _finite(g_sV, g_fV, g_W):
         _check_finite((g_sV, g_fV), kern.V.m, "slow-potential gradient")
         _check_finite((g_W,), kern.W.m, "fast-potential gradient")
     return _interval_record(index, q0, q1, fast,
                             kern.momenta_from(q0, q1, fast, sys, g_sV, g_fV, g_W))
-
-
-def _slow_gradient(sys: MultirateSystem, q_slow, q_fast):
-    """Slow-potential gradients ``(g_s, g_f)`` at one point, as float arrays."""
-    g_s, g_f = sys.slow_potential_grad(q_slow, q_fast)
-    return np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
 
 
 def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec,
@@ -981,8 +976,9 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     if mode is IntegratorMode.EXPLICIT:
         if not quad.explicit_solvable:
             raise ConfigurationError("quadrature is not explicit-solvable")
-        return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), StepStats())),
-                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), StepStats())), None)
+        none = StepStats()  # of every explicit step: no Newton work
+        return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), none)),
+                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), none)), None)
     linear_solver = _linearization(sys, quad, grid)[0].name
     if mode is IntegratorMode.CLOSED_FORM_PQ:
         from . import schemes

@@ -305,6 +305,85 @@ def explicit_step_position_form(index, start, sys, quad, grid):
                      np.stack([p_s_minus, p_s_plus]))
 
 
+def full_momenta(kern, q0, q1, fast, sys, g_s, g_fV, g_W):
+    """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)`` of
+    the interval kernel ``kern`` by the full four-product formula: every
+    weight matrix applied, all-zero ones included, and the kinetic momenta
+    as one vector-matrix product (matmul) per interval."""
+    Mv_s = (((q1 - q0) / kern.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]
+    Mv_f = np.matmul((fast[..., 1:, :] - fast[..., :-1, :]) / kern.dt, sys.mass_fast.T)
+    return (Mv_s + kern.w_c0 @ g_s,
+            Mv_s - kern.w_c1 @ g_s,
+            Mv_f + (kern.V.left @ g_fV + kern.W.left @ g_W),
+            Mv_f - (kern.V.right @ g_fV + kern.W.right @ g_W))
+
+
+def fancy_index_ring(cfg):
+    """Slow-potential callbacks ``(potential, gradient, hessian)`` of the
+    spring ring of ``cfg`` (a ``SpringRingConfig``), batched like the
+    library's, written by fancy indexing: the stacked coordinates are
+    scattered into per-mass 3-vectors, the ring edges gathered as
+    ``Q[j+1] - Q[j]``, and the edge forces and Hessian blocks scattered back
+    onto the masses."""
+    l, eps = cfg.l, cfg.epsilon
+    n_masses, n = 2 * l, 3 * l
+    slow_idx = np.arange(0, n_masses, 2)
+    fast_idx = np.arange(1, n_masses, 2)
+    g_vec = np.array([0.0, 0.0, -cfg.g_mag])
+    grav_slow = np.repeat(cfg.masses[slow_idx], 3) * np.tile(g_vec, l)
+    grav_fast = np.repeat(cfg.masses[fast_idx], 3) * np.tile(g_vec, l)
+    next_idx = (np.arange(n_masses) + 1) % n_masses
+    prev_idx = (np.arange(n_masses) - 1) % n_masses
+
+    def assemble(q_s, q_f):
+        lead = q_s.shape[:-1]
+        Q = np.empty(lead + (n_masses, 3))
+        Q[..., slow_idx, :] = q_s.reshape(lead + (l, 3))
+        Q[..., fast_idx, :] = q_f.reshape(lead + (l, 3))
+        return Q
+
+    def edges(Q):
+        return Q[..., next_idx, :] - Q
+
+    def potential(q_s, q_f):
+        u = edges(assemble(q_s, q_f))
+        ring = 0.25 * eps * np.sum(np.sum(u * u, axis=-1) ** 2, axis=-1)
+        radial = 0.5 * cfg.omega1 * np.sum(q_s * q_s, axis=-1)
+        gravity = np.sum(grav_slow * q_s, axis=-1) + np.sum(grav_fast * q_f, axis=-1)
+        return radial + ring + gravity
+
+    def gradient(q_s, q_f):
+        lead = q_s.shape[:-1]
+        u = edges(assemble(q_s, q_f))
+        su = np.sum(u * u, axis=-1)[..., None] * u
+        dQ = eps * (su[..., prev_idx, :] - su)
+        g_s = dQ[..., slow_idx, :].reshape(lead + (n,)) + cfg.omega1 * q_s + grav_slow
+        g_f = dQ[..., fast_idx, :].reshape(lead + (n,)) + grav_fast
+        return g_s, g_f
+
+    def block_view(B, rows, cols):
+        sub = B[..., rows[:, None], cols[None, :], :, :]
+        lead = sub.shape[:-4]
+        return np.swapaxes(sub, -3, -2).reshape(lead + (3 * len(rows), 3 * len(cols)))
+
+    def hessian(q_s, q_f):
+        Q = assemble(q_s, q_f)
+        u = edges(Q)
+        Bedge = eps * (2.0 * u[..., :, None] * u[..., None, :]
+                       + np.sum(u * u, axis=-1)[..., None, None] * np.eye(3))
+        B = np.zeros(Q.shape[:-2] + (n_masses, n_masses, 3, 3))
+        j = np.arange(n_masses)
+        B[..., j, j, :, :] += Bedge
+        B[..., next_idx, next_idx, :, :] += Bedge
+        B[..., j, next_idx, :, :] -= Bedge
+        B[..., next_idx, j, :, :] -= Bedge
+        H_ss = block_view(B, slow_idx, slow_idx)
+        H_ss[..., np.arange(n), np.arange(n)] += cfg.omega1
+        return H_ss, block_view(B, slow_idx, fast_idx), block_view(B, fast_idx, fast_idx)
+
+    return potential, gradient, hessian
+
+
 def write_trajectory_rows(path, traj, sys):
     """trajectory.csv as the ``simulate`` command writes it, row by row
     with per-row conversions: one row per micro node, slow columns filled

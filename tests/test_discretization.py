@@ -26,10 +26,11 @@ from _oracles import (
     discrete_lagrangian,
     discrete_lagrangian_micro,
     discrete_slow_potential,
+    full_momenta,
     hessian_blocks_dense,
 )
 from conftest import make_fast_only, make_slow_only
-from test_solver import QUADRATURES, QUADRATURE_IDS
+from test_solver import QUADRATURES, QUADRATURE_IDS, with_full_masses
 
 
 def scalar_system(V=None, gradV=None, W=None, gradW=None):
@@ -276,6 +277,40 @@ class TestDiscreteMomenta:
                 return discrete_lagrangian_micro(s0, s1, ff, sys, quad, grid, m - 1)
             fd = central_diff(f_right, fast[m].copy(), h)
             assert np.max(np.abs(mom.p_f_plus[m - 1] - fd)) < 1e-10
+
+
+class TestMomentaWithoutZeroTerms:
+    """``momenta_from`` skips the weight matrices that are all zero; the full
+    four-product formula (``_oracles.full_momenta``) gives the same bits."""
+
+    RULES = QUADRATURES + [
+        QuadratureSpec.explicit(0.3, 0.8),
+        # gamma_W = 0: slow potential at the end node only, W right-rectangle
+        QuadratureSpec(0.0, 1.0, 1.0, 0.0, SlowPlacement.MACRO_NODES_ONLY),
+    ]
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("quad", RULES, ids=QUADRATURE_IDS + ["explicit-0.3-0.8", "gamma0"])
+    def test_equal_to_full_formula(self, fpu, quad, p, batch):
+        # full mass matrices: the kinetic products sum several terms
+        sys = with_full_masses(fpu[0])
+        kern = interval_kernel(quad, build_time_grid(0.3, p, 1))
+        rng = np.random.default_rng(p)
+        n = sys.n_slow
+        q0, q1 = rng.normal(size=(2,) + batch + (n,))
+        fast = rng.normal(size=batch + (p + 1, n))
+        grads = (rng.normal(size=batch + (kern.V.m.size, n)),
+                 rng.normal(size=batch + (kern.V.m.size, n)),
+                 rng.normal(size=batch + (kern.W.m.size, n)))
+        got = kern.momenta_from(q0, q1, fast, sys, *grads)
+        want = full_momenta(kern, q0, q1, fast, sys, *grads)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_explicit_rule_skips_the_right_weights(self):
+        kern = interval_kernel(QuadratureSpec.explicit(), build_time_grid(0.3, 4, 1))
+        assert [len(terms) for terms in kern.momentum_terms] == [1, 0, 2, 0]
 
 
 class TestEvaluationErrors:

@@ -14,9 +14,13 @@ included, of the DEL equations and of the p/q map of the same
 configuration, which share that linear algebra.  ``test_integrate`` times
 whole ``integrate`` calls, with the Newton matrix that their steps share:
 FPU l=3, p=10 over 50 steps, and single-rate steps at the reference step
-dT = 0.02/2560 of acceptance criterion 3 over 2,000 steps; the Newton
-totals go to ``extra_info``.  No case makes a speed assertion; for
-comparable numbers pin BLAS to one thread::
+dT = 0.02/2560 of acceptance criterion 3 over 2,000 steps; and 1,000
+explicit steps of the spring ring (dT = 0.01, p = 10), which run no Newton
+iteration.  The Newton totals and the gradient points per step, counted in
+one more run outside the timing, go to ``extra_info``; an explicit step
+calls each gradient callback with one point, so there they are its calls
+(1 slow and 10 fast).  No case makes a speed assertion; for comparable
+numbers pin BLAS to one thread::
 
     OPENBLAS_NUM_THREADS=1 python -m pytest tests/test_linear_solver_bench.py \\
         --benchmark-group-by=func,param:l,param:p
@@ -29,11 +33,14 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multirate import (QuadratureSpec, SolverConfig, build_fpu, build_time_grid,  # noqa: E402
-                       initial_step, integrate, pq_step, solver)
+from multirate import (IntegratorMode, QuadratureSpec, SolverConfig, build_fpu,  # noqa: E402
+                       build_spring_ring, build_time_grid, initial_step, integrate, pq_step,
+                       solver)
 from multirate.discretization import _Workspace  # noqa: E402
 from multirate.solver import _drift_guess, _linearization, _step_residual  # noqa: E402
 from multirate.systems import FpuConfig  # noqa: E402
+
+from conftest import count_points  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
@@ -105,15 +112,24 @@ def test_macro_step(benchmark, l, p, mode):
     benchmark.extra_info["matrix_builds"] = stats.matrix_builds
 
 
-@pytest.mark.parametrize("p,dT,steps", [(10, 0.3, 50), (1, 0.02 / 2560, 2000)],
-                         ids=["p10", "criterion3-reference"])
-def test_integrate(benchmark, p, dT, steps):
-    sys, q0 = build_fpu(FpuConfig(l=3))
+@pytest.mark.parametrize("system,p,dT,steps", [("fpu", 10, 0.3, 50), ("fpu", 1, 0.02 / 2560, 2000),
+                                               ("ring", 10, 0.01, 1000)],
+                         ids=["p10", "criterion3-reference", "ring-explicit"])
+def test_integrate(benchmark, system, p, dT, steps):
+    if system == "ring":
+        sys, q0 = build_spring_ring()
+        quad, mode = QuadratureSpec.explicit(), IntegratorMode.EXPLICIT
+    else:
+        sys, q0 = build_fpu(FpuConfig(l=3))
+        quad, mode = QuadratureSpec.midpoint_midpoint(), IntegratorMode.IMPLICIT_DEL
     grid = build_time_grid(dT, p, steps)
     config = SolverConfig()
-    _, stats = benchmark(lambda: integrate(q0, sys, QuadratureSpec.midpoint_midpoint(), grid,
-                                           config))
+    _, stats = benchmark(lambda: integrate(q0, sys, quad, grid, config, mode))
+    counted, points = count_points(sys)
+    integrate(q0, counted, quad, grid, config, mode)
     benchmark.extra_info["unknowns"] = sys.n_slow + p * sys.n_fast
     benchmark.extra_info["steps"] = steps
     benchmark.extra_info["newton_iters_total"] = stats.newton_iters_total
     benchmark.extra_info["matrix_builds_total"] = stats.matrix_builds_total
+    benchmark.extra_info["slow_grad_points_per_step"] = points["slow"] / steps
+    benchmark.extra_info["fast_grad_points_per_step"] = points["fast"] / steps

@@ -3,14 +3,20 @@ import pytest
 
 from multirate import (
     FpuConfig,
+    IntegratorMode,
+    QuadratureSpec,
+    SolverConfig,
     SpringRingConfig,
     State,
     build_fpu,
     build_spring_ring,
+    build_time_grid,
+    integrate,
     validate_system,
 )
+from multirate.errors import EvaluationError, IntegrationError
 
-from _oracles import central_diff
+from _oracles import central_diff, fancy_index_ring
 
 
 def random_probes(q0, n, seed, scale=0.2):
@@ -185,3 +191,47 @@ class TestSpringRing:
         assert sys.n_slow == 12
         rep = validate_system(sys, random_probes(q0, 10, seed=5), h=1e-6)
         assert rep.passed
+
+
+class TestRingEdgeMap:
+    """The ring's slow-potential callbacks take the ring edges from one
+    incidence product; written by fancy indexing instead
+    (``_oracles.fancy_index_ring``), they give the same bits."""
+
+    @pytest.mark.parametrize("l", [1, 3, 4], ids=["l1", "l3", "l4"])
+    @pytest.mark.parametrize("where", ["reference", "batched"])
+    def test_callbacks_equal_fancy_indexing(self, l, where):
+        # l = 1: two masses, whose two ring edges join the same pair
+        cfg = SpringRingConfig(l=l)
+        sys, q0 = build_spring_ring(cfg)
+        q_s, q_f = q0.q_slow, q0.q_fast
+        if where == "batched":
+            rng = np.random.default_rng(l)
+            q_s = q_s + rng.uniform(-1.0, 1.0, (64, 3 * l))
+            q_f = q_f + rng.uniform(-1.0, 1.0, (64, 3 * l))
+        potential, grad, hessian = fancy_index_ring(cfg)
+        pairs = [(sys.slow_potential(q_s, q_f), potential(q_s, q_f))]
+        pairs += zip(sys.slow_potential_grad(q_s, q_f), grad(q_s, q_f))
+        pairs += zip(sys.slow_potential_hessian(q_s, q_f), hessian(q_s, q_f))
+        assert len(pairs) == 6
+        for got, want in pairs:
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_slow_start_names_micro_interval(self, spring_ring, value):
+        # a non-finite coordinate reaches every edge of the incidence
+        # product, but the step still fails at its first slow gradient
+        sys, q0 = spring_ring
+        q_slow = q0.q_slow.copy()
+        q_slow[4] = value
+        with pytest.raises(IntegrationError) as info:
+            integrate(State(q_slow, q0.q_fast, q0.p_slow, q0.p_fast), sys,
+                      QuadratureSpec.explicit(), build_time_grid(0.01, 10, 3), SolverConfig(),
+                      IntegratorMode.EXPLICIT)
+        assert info.value.step_index == 0
+        cause = info.value.cause
+        assert isinstance(cause, EvaluationError) and "slow-potential" in str(cause)
+        assert cause.node_index == 0
