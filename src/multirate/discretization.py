@@ -426,19 +426,9 @@ def _kernel(quad: QuadratureSpec, dT: float, p: int) -> _IntervalKernel:
     return _IntervalKernel(quad, dT, p)
 
 
-_last = (None, None, None)
-
-
 def interval_kernel(quad: QuadratureSpec, grid: TimeGrid) -> _IntervalKernel:
-    """Quadrature kernel of one macro interval, cached per (quad, dT, p); the
-    last one also by the identity of its frozen arguments, which each step
-    passes again (hashing quad costs more than the rest of the lookup)."""
-    global _last
-    q, g, kern = _last
-    if q is not quad or g is not grid:
-        kern = _kernel(quad, grid.dT, grid.micro_per_macro)
-        _last = quad, grid, kern
-    return kern
+    """Quadrature kernel of one macro interval, cached per (quad, dT, p)."""
+    return _kernel(quad, grid.dT, grid.micro_per_macro)
 
 
 # ---------------------------------------------------------------------------

@@ -204,16 +204,17 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
     # The incidence matrix E takes the stacked coordinates [q_s; q_f] to the
     # edges, and E^T the edge forces back to the masses.  Each edge joins a
     # slow and a fast mass and each mass ends two edges, so every entry of
-    # either product is one rounded difference, as by indexing.
+    # either product is one rounded difference, as by indexing.  E is dense,
+    # so a product costs O(l^2) per point: below indexing's call overhead
+    # up to rings of some 30 cells, several times it at l = 100.
     j = np.arange(n_masses)
     pos = j // 2 + l * (j % 2)                  # position of mass j in [q_s; q_f]
+    nxt = pos[(j + 1) % n_masses]               # ... and of mass j+1
     inc = np.zeros((n_masses, n_masses))
-    inc[j, pos[(j + 1) % n_masses]] = 1.0
+    inc[j, nxt] = 1.0
     inc[j, pos] = -1.0
     eye3 = np.eye(3)
     E = np.kron(inc, eye3)
-    # the Hessian's (i, k) mass block sums inc[j, i] inc[j, k] B_j over edges j
-    hess_map = (inc[:, :, None] * inc[:, None, :]).reshape(n_masses, -1).T
     diag_s = np.arange(n)
 
     # ndarray.dot and np.add.reduce: half the overhead of matmul and np.sum
@@ -240,7 +241,12 @@ def build_spring_ring(config: SpringRingConfig = None) -> tuple[MultirateSystem,
         lead = u.shape[:-2]
         Bedge = eps * (2.0 * u[..., :, None] * u[..., None, :]
                        + np.sum(u * u, axis=-1)[..., None, None] * eye3)
-        B = (hess_map @ Bedge.reshape(lead + (-1, 9))).reshape(lead + (n_masses,) * 2 + (3, 3))
+        # edge j's block onto its two masses, by position in [q_s; q_f]
+        B = np.zeros(lead + (n_masses, n_masses, 3, 3))
+        B[..., pos, pos, :, :] += Bedge
+        B[..., nxt, nxt, :, :] += Bedge
+        B[..., pos, nxt, :, :] -= Bedge
+        B[..., nxt, pos, :, :] -= Bedge
         H = np.swapaxes(B, -3, -2).reshape(lead + (2 * n, 2 * n))
         H[..., diag_s, diag_s] += cfg.omega1
         return H[..., :n, :n], H[..., :n, n:], H[..., n:, n:]
