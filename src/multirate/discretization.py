@@ -24,18 +24,22 @@ Hessians per micro interval.  The discrete momenta, the DEL residual and
 the Newton Jacobian of :mod:`multirate.solver`, and through the DEL
 residual the p/q maps of :mod:`multirate.schemes`, all derive from it.
 Where both potentials place their fast points alike (midpoint-midpoint),
-one set of points and one scatter serve both.
+one set of points and one scatter serve both.  A small DEL step uses the
+same terms as fixed maps (:class:`_StepMaps`): one product of the unknowns
+gives the points, one product of the gradients the residual, and fixed
+indices scatter each term's Hessian block into the Newton matrix.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError
-from .model import MultirateSystem, QuadratureSpec, SlowPlacement, TimeGrid
+from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
 
 __all__ = [
     "IntervalMomenta",
@@ -120,6 +124,7 @@ class _Workspace:
 
     def __init__(self):
         self._arrays = {}
+        self._kept = {}
 
     def __call__(self, name: str, shape: tuple) -> np.ndarray:
         a = self._arrays.get(name)
@@ -133,6 +138,14 @@ class _Workspace:
         if a is None or a.shape != shape:
             a = self._arrays[name] = np.zeros(shape)
         return a
+
+    def kept(self, name: str, build, *args):
+        """``build(*args)``, made once and kept under ``name`` for as long as
+        it is asked for with the same arguments (the same objects)."""
+        entry = self._kept.get(name)
+        if entry is None or any(a is not b for a, b in zip(entry[0], args)):
+            entry = self._kept[name] = (args, build(*args))
+        return entry[1]
 
     def rows(self, name: str, a: np.ndarray, index) -> np.ndarray:
         """``a[index]`` for an ``index`` from :func:`_distinct`: ``a`` itself
@@ -348,13 +361,12 @@ class _IntervalKernel:
             return self.V.equations @ (g_fV + g_W)
         return self.V.equations @ g_fV + self.W.equations @ g_W
 
-    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W, kinetic=None):
+    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
         """Discrete momenta as :meth:`momenta`, from the gradients at the
-        quadrature points (as :meth:`gradients` returns them); ``kinetic``
-        is :meth:`kinetic_momenta` at these nodes where the caller has it.
-        A momentum whose weights are all zero (:attr:`momentum_terms`) is
-        the kinetic momentum array itself."""
-        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys) if kinetic is None else kinetic
+        quadrature points (as :meth:`gradients` returns them).  A momentum
+        whose weights are all zero (:attr:`momentum_terms`) is the kinetic
+        momentum array itself."""
+        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys)
         g = (g_s, g_fV, g_W)
         s0, s1, f0, f1 = [_weighted_sum(terms, g) for terms in self.momentum_terms]
         return (Mv_s if s0 is None else Mv_s + s0,
@@ -419,6 +431,232 @@ def _rows(a: np.ndarray) -> np.ndarray:
     if a.ndim == 2:
         return a
     return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+class _StepMaps:
+    """The DEL step of one macro interval as fixed linear maps around the
+    potential callbacks, for the terms of the kernel ``kern`` and given
+    n_slow, n_fast.  No map carries a mass.
+
+    With x the stacked unknowns ``[q1; f_1; ...; f_p]`` (N entries) and z0
+    = ``[q0; f_0; p_s0; p_f0]`` the start, ``points @ x + start @ z0`` is z
+    = ``[y; d; p_s0; p_f0]``: the quadrature points y = ``[Qs; QfV; QfW]``,
+    a row per term, raveled (QfW only where V and W do not share their
+    points; ``split`` holds the three lengths), and the node differences d
+    = ``[q1 - q0; f_1 - f_0; ...; f_p - f_{p-1}]``.  The residual is
+    ``forces @ [g_s; g_fV; g_W; d; p_s0; p_f0]``, the gradients taken at y:
+    minus the slow weights ``w_c0`` and the equation weights of V and W,
+    the kinetic terms of d from the columns ``kinetic_cols`` (zero here,
+    they carry the masses) and the start momenta in the rows of the slow
+    node and fast node 0.
+
+    The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
+    ``coef * h[src]`` summed in order over each run of entries with one
+    flat position (``run`` numbers the runs) into the positions ``dest`` of
+    the (N, N) matrix.  h holds the terms' Hessian blocks ``H_ss, H_sf,
+    H_ff, H_W`` raveled and a final 1.  A term adds at most (n_slow + 2
+    n_fast)^2 entries, at the equations and unknowns of its interval, so a
+    build costs O(p).  The entries ``kinetic`` of coef, first in their runs
+    and zero here, read that 1: the kinetic part of the matrix at the flat
+    positions ``kinetic_dest``.
+    """
+
+    def __init__(self, kern: _IntervalKernel, n_s: int, n_f: int):
+        p, V, W = kern.p, kern.V, kern.W
+        k_V, k_W = V.m.size, W.m.size
+        self.n_s, self.n_f, self.k_V, self.k_W = n_s, n_f, k_V, k_W
+        self.N = N = n_s + p * n_f
+        self.shared = kern.shared
+        self.split = (k_V * n_s, k_V * n_f, 0 if kern.shared else k_W * n_f)
+        M, n_0 = sum(self.split), n_s + n_f
+        I_s, I_f = np.eye(n_s), np.eye(n_f)
+        at_fV, at_gW = k_V * n_s, k_V * n_0     # g_fV and g_W in the gradients
+        at_fW = at_fV if kern.shared else at_gW  # W's points in y
+        self.points = np.zeros((M + N + n_0, N))
+        self.start = np.zeros((M + N + n_0, 2 * n_0))
+        for pot, at in ((V, at_fV),) if kern.shared else ((V, at_fV), (W, at_fW)):
+            span = slice(at, at + pot.m.size * n_f)
+            self.points[span, n_s:] = np.kron(pot.gather[:, 1:], I_f)
+            self.start[span, n_s:n_0] = np.kron(pot.gather[:, :1], I_f)
+        self.points[:at_fV, :n_s] = np.kron(kern.c1, I_s)
+        self.start[:at_fV, :n_s] = np.kron(kern.c0, I_s)
+        self.points[M:M + n_s, :n_s] = I_s
+        self.points[M + n_s:M + N, n_s:] = np.kron(np.eye(p) - np.eye(p, k=-1), I_f)
+        self.start[M:M + n_0, :n_0] = -np.eye(n_0)
+        self.start[M + N:, n_0:] = np.eye(n_0)
+        self.kinetic_cols = slice(at_gW + k_W * n_f, at_gW + k_W * n_f + N)
+        self.forces = np.zeros((N, self.kinetic_cols.stop + n_0))
+        self.forces[:n_s, :at_fV] = np.kron(-kern.w_c0, I_s)
+        self.forces[n_s:, at_fV:at_gW] = np.kron(-V.equations, I_f)
+        self.forces[n_s:, at_gW:self.kinetic_cols.start] = np.kron(-W.equations, I_f)
+        self.forces[:n_0, self.kinetic_cols.stop:] = np.eye(n_0)
+
+        # each term's gradient entries, point entries and second derivatives
+        # as positions in h: of V, the (n_s + n_f)^2 Hessian in the order of
+        # its point, H_fs being H_sf transposed; of W, the n_f^2 block
+        s, f = np.arange(n_s), np.arange(n_f)
+        self.h_shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
+        self.h_at = [0, *itertools.accumulate(math.prod(shape) for shape in self.h_shapes)]
+        at_sf, at_ff, at_W, one = self.h_at[1:]
+        terms = []
+        for t in range(k_V):
+            h = np.empty((n_0, n_0), dtype=int)
+            h[:n_s, :n_s] = t * n_s * n_s + s[:, None] * n_s + s
+            h[:n_s, n_s:] = at_sf + t * n_s * n_f + s[:, None] * n_f + f
+            h[n_s:, :n_s] = h[:n_s, n_s:].T
+            h[n_s:, n_s:] = at_ff + t * n_f * n_f + f[:, None] * n_f + f
+            at = np.concatenate([t * n_s + s, at_fV + t * n_f + f])
+            terms.append((at, at, h))
+        for t in range(k_W):
+            terms.append((at_gW + t * n_f + f, at_fW + t * n_f + f,
+                          at_W + t * n_f * n_f + f[:, None] * n_f + f))
+        # the kinetic pattern: the slow block, and equation i against nodes
+        # i-1, i and i+1 of the fast chain
+        pattern = np.zeros((N, N), dtype=bool)
+        pattern[:n_s, :n_s] = True
+        pattern[n_s:, n_s:] = np.kron(np.eye(p) + np.eye(p, k=-1) + np.eye(p, k=-2),
+                                      np.ones((n_f, n_f))) > 0
+        kinetic = np.flatnonzero(pattern)
+        src, dest, coef = [np.full(kinetic.size, one)], [kinetic], [np.zeros(kinetic.size)]
+        for g_at, y_at, h in terms:
+            rows, cols = self.forces[:, g_at], self.points[y_at]
+            e, a = np.nonzero(rows)
+            b, u = np.nonzero(cols)
+            src.append(h[a[:, None], b].ravel())
+            dest.append((e[:, None] * N + u).ravel())
+            coef.append((rows[e, a][:, None] * cols[b, u]).ravel())
+        # entries by position, stably, so the kinetic ones first; a Python
+        # sort, since numpy's sorts and cumsum add some 0.5 MB of their code
+        # to a process's resident memory
+        dest = np.concatenate(dest)
+        order = np.array(sorted(range(dest.size), key=dest.tolist().__getitem__), dtype=int)
+        dest = dest[order]
+        self.src = np.concatenate(src)[order]
+        self.coef = np.concatenate(coef)[order]
+        first = np.flatnonzero(np.diff(dest, prepend=-1))
+        self.run = np.repeat(np.arange(first.size), np.diff(first, append=dest.size))
+        self.dest = dest[first]
+        self.kinetic = np.flatnonzero(order < kinetic.size)
+        self.kinetic_dest = dest[self.kinetic]
+
+
+@functools.lru_cache(maxsize=64)
+def step_maps(kern: _IntervalKernel, n_s: int, n_f: int) -> _StepMaps:
+    """The :class:`_StepMaps` of ``kern``, cached per (kernel, n_slow, n_fast)."""
+    return _StepMaps(kern, n_s, n_f)
+
+
+def _matvec(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``m @ a`` for vectors a (..., n) along the last axis: one
+    matrix-vector product each, so that a vector's result does not depend
+    on the batch it comes in."""
+    if a.ndim == 1:
+        return m @ a
+    return (m @ a[..., None])[..., 0]
+
+
+class _DenseStep:
+    """A DEL step below ``solver._STRUCTURED_MIN_UNKNOWNS`` unknowns as
+    fixed linear maps around the potential callbacks: the kernel's
+    :class:`_StepMaps` with the masses of ``sys`` in the kinetic columns of
+    ``forces``, -M_s/dT on q1 - q0 in the slow row and -M_f/dt on d_i in
+    fast row i, plus it in row i+1.  Written in node differences, the
+    kinetic terms keep the accuracy of difference quotients at small steps.
+    The Newton matrix is ``A - sum_t S_t H_t P_t``, A the kinetic matrix,
+    taken into ``coef``.  Everything that carries a mass is made here, once
+    per Newton matrix holder.
+    """
+
+    def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
+        self.kern, self.sys = kern, sys
+        self.maps = maps = step_maps(kern, sys.n_slow, sys.n_fast)
+        n_s, p, N = sys.n_slow, kern.p, maps.N
+        M_s, M_f = sys.mass_slow / kern.dT, sys.mass_fast / kern.dt
+        self.forces = maps.forces.copy()
+        kinetic = self.forces[:, maps.kinetic_cols]
+        kinetic[:n_s, :n_s] = -M_s
+        kinetic[n_s:, n_s:] = np.kron(np.eye(p, k=-1) - np.eye(p), M_f)
+        # equation i against nodes i+1, i and i-1: -M_f/dt, 2 M_f/dt, -M_f/dt
+        A = np.zeros((N, N))
+        A[:n_s, :n_s] = -M_s
+        A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2), M_f)
+        self.coef = maps.coef.copy()
+        self.coef[maps.kinetic] = A.reshape(-1)[maps.kinetic_dest]
+        # the terms' Hessians side by side, then the 1 of the kinetic entries
+        self.h = np.empty(maps.h_at[-1] + 1)
+        self.h[-1] = 1.0
+        self.h_blocks = [self.h[at:at + math.prod(shape)].reshape(shape)
+                         for at, shape in zip(maps.h_at, maps.h_shapes)]
+        # (start, x, z) of the last residual: Newton builds its matrix at the
+        # iterate it has just evaluated, and takes the points from there
+        # instead of from a product of O(p^2) work
+        self.last = None
+
+    def _points(self, z: np.ndarray, n: int):
+        """``(Qs, QfV, QfW)`` of n points from their vectors z."""
+        maps = self.maps
+        a, b, c = maps.split
+        Qs = z[..., :a].reshape(n * maps.k_V, maps.n_s)
+        QfV = z[..., a:a + b].reshape(n * maps.k_V, maps.n_f)
+        return Qs, QfV, QfV if maps.shared else z[..., a + b:a + b + c].reshape(
+            n * maps.k_W, maps.n_f)
+
+    def _shift(self, start: State) -> np.ndarray:
+        """``start @ z0``: what the start adds to z."""
+        return self.maps.start @ np.concatenate(
+            (start.q_slow, start.q_fast, start.p_slow, start.p_fast))
+
+    def residual(self, start: State):
+        """The residual of the step from ``start``, as
+        :func:`multirate.solver._step_residual` returns it."""
+        maps, sys, kern, forces = self.maps, self.sys, self.kern, self.forces
+        M, N = sum(maps.split), maps.N
+        shift = self._shift(start)
+
+        def residual(x):
+            z = _matvec(maps.points, x)
+            z += shift
+            n = x.size // N
+            Qs, QfV, QfW = self._points(z, n)
+            g_s, g_fV = sys.evaluate_batch("slow_potential_grad", Qs, QfV)
+            g_W = sys.evaluate_batch("fast_potential_grad", QfW)
+            if x.ndim == 1:
+                G = np.concatenate((g_s, g_fV, g_W, z[M:]), axis=None)
+                self.last = start, x, z
+            else:
+                lead = x.shape[:-1]
+                G = np.concatenate([g.reshape(lead + (g.size // n,)) for g in (g_s, g_fV, g_W)]
+                                   + [z[..., M:]], axis=-1)
+            # a non-finite gradient makes G non-finite
+            if not _finite(G):
+                _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
+                _check_finite((g_W,), kern.W.m, "fast-potential gradient")
+            return _matvec(forces, G), (g_s, g_fV, g_W)
+
+        return residual
+
+    def matrix(self, start: State, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+        """The Newton matrix at x, in the workspace's array ``"dense"``,
+        zero-filled where it is allocated: a build writes only the fixed
+        nonzero pattern."""
+        maps, sys, kern = self.maps, self.sys, self.kern
+        if self.last is not None and self.last[0] is start and self.last[1] is x:
+            z = self.last[2]
+        else:
+            z = maps.points @ x + self._shift(start)
+        Qs, QfV, QfW = self._points(z, 1)
+        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
+        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+        for block, H in zip(self.h_blocks, (H_ss, H_sf, H_ff, H_W)):
+            block[...] = H
+        if not _finite(self.h):
+            _check_finite((H_ss, H_sf, H_ff), kern.V.m, "slow-potential Hessian")
+            _check_finite((H_W,), kern.W.m, "fast-potential Hessian")
+        J = ws.zeros("dense", (maps.N, maps.N))
+        # bincount adds each run's entries in order, from the kinetic one on
+        J.reshape(-1)[maps.dest] = np.bincount(maps.run, self.h.take(maps.src) * self.coef,
+                                               maps.dest.size)
+        return J
 
 
 @functools.lru_cache(maxsize=64)

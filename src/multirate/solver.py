@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import _check_finite, _finite, _Workspace, interval_kernel
+from .discretization import _check_finite, _DenseStep, _finite, _Workspace, interval_kernel
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -77,20 +77,21 @@ __all__ = [
 
 
 # Unknowns n_slow + p*n_fast from which an analytic Newton matrix is factored
-# by blocks (_linearization).  FPU chains, midpoint-midpoint, 2-vCPU Xeon,
-# OpenBLAS 0.3.31, one BLAS thread, medians of one matrix build (assembly
-# plus factor, into one workspace) and of one solve with it, dense vs blocks
-# (tests/test_linear_solver_bench.py, the lower of two runs):
-#   l=3,  p=10,   33 unknowns: 0.10 ms + 1 us   vs 0.15 ms + 59 us
-#   l=10, p=10,  110 unknowns: 0.48 ms + 3 us   vs 0.20 ms + 92 us
-#   l=3,  p=50,  153 unknowns: 0.96 ms + 6 us   vs 0.44 ms + 267 us
-#   l=10, p=20,  210 unknowns: 2.11 ms + 8 us   vs 0.27 ms + 90 us
-#   l=30, p=50, 1530 unknowns: 296 ms + 0.81 ms vs 3.2 ms + 0.40 ms
-# A solve by blocks loops over the p row blocks, so the break-even depends
-# on p, not on the unknowns alone: whole integrations (about one build and
-# five solves per step) ran 1.3x faster by blocks at l=10, p=10 and 1.1x
-# faster dense at l=3, p=50.  Other machines, BLAS builds or potentials
-# may place it elsewhere.
+# by blocks (_linearization); below, a step runs as fixed dense maps.  FPU
+# chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, one BLAS thread,
+# medians of one matrix build (assembly plus factor, into one workspace) and
+# of one solve with it, dense vs blocks (tests/test_linear_solver_bench.py,
+# the lowest of four runs):
+#   l=3,  p=10,   33 unknowns: 0.11 ms + 1 us   vs 0.24 ms + 58 us
+#   l=10, p=10,  110 unknowns: 0.77 ms + 4 us   vs 0.34 ms + 110 us
+#   l=3,  p=50,  153 unknowns: 1.04 ms + 5 us   vs 0.29 ms + 272 us
+#   l=10, p=20,  210 unknowns: 3.2 ms + 7 us    vs 0.49 ms + 93 us
+#   l=30, p=50, 1530 unknowns: 360 ms + 0.87 ms vs 3.4 ms + 0.49 ms
+# The break-even depends on p and n_fast, not on the unknowns alone: whole
+# integrations (about one build and five solves per step) tie at l=10, p=10
+# (110), run 1.1x faster dense at l=3, p=50 (153) and 1.2x faster by blocks
+# at l=5, p=30 (155).  Other machines, BLAS builds or potentials may place
+# it elsewhere.
 _STRUCTURED_MIN_UNKNOWNS = 128
 
 # Forward-difference step of unknown i, times 1 + |x_i|, for systems that
@@ -171,10 +172,11 @@ class SolverConfig:
     - Both implicit modes factor their matrices by block elimination when
       the Jacobian is analytic and the step has at least
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
-      a dense inverse otherwise.  Elimination's cost grows linearly in p,
-      dense factoring as p^3; with matrix reuse the two take the same time
-      between about 110 and 210 unknowns on the FPU chain, depending on p.
-      ``IntegrationStats.linear_solver`` records which ran.
+      a dense inverse otherwise, the step then being fixed dense maps
+      around the callbacks.  Elimination's cost grows linearly in p, dense
+      factoring as p^3; with matrix reuse the two take the same time
+      between about 110 and 155 unknowns on the FPU chain, depending on p
+      and n_fast.  ``IntegrationStats.linear_solver`` records which ran.
     - ``jacobian_time`` counts matrix assembly (analytic or difference),
       ``solve_time`` factoring and every solve with the factors, and
       ``matrix_builds`` the matrices built.
@@ -296,15 +298,19 @@ def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
     return x[..., :n_s], fast
 
 
-def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+def _small(sys: MultirateSystem, grid: TimeGrid) -> bool:
+    """Whether a step has fewer than ``_STRUCTURED_MIN_UNKNOWNS`` unknowns."""
+    return sys.n_slow + grid.micro_per_macro * sys.n_fast < _STRUCTURED_MIN_UNKNOWNS
+
+
+def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
+                   ws: _Workspace | None = None):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, (fast, gradients, kinetic))``, F with the
-    shape of x, ``fast`` the fast nodes 0..p, ``gradients`` the kernel's
-    ``(g_s, g_fV, g_W)`` and ``kinetic`` its kinetic momenta at x, from
-    which :meth:`~multirate.discretization._IntervalKernel.momenta_from`
-    builds the momenta of an accepted iterate.  x may carry leading batch
-    axes, whose points go to the callbacks in one batch.
+    ``residual(x)`` returns ``(F, gradients)``, F with the shape of x and
+    ``gradients`` the kernel's ``(g_s, g_fV, g_W)`` at x, from which
+    :func:`_step_record` builds the momenta of an accepted iterate.  x may
+    carry leading batch axes, whose points go to the callbacks in one batch.
 
     Each entry of F is a momentum mismatch (incoming minus left momenta at
     the slow node and at fast node 0, right minus left momenta at the
@@ -313,18 +319,23 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
     - slow row: ``p_s0 - M_s (q1 - q0) / dT - w_c0 . g_s``;
     - fast rows: the kinetic differences ``p_f0 - M_f v_0`` at node 0 and
       ``M_f (v_{i-1} - v_i)`` at node i, v_i the velocity of micro interval
-      i, minus the kernel's equation weights applied to the gradients
-      (:meth:`~multirate.discretization._IntervalKernel.fast_forces`).
+      i, minus the kernel's equation weights applied to the gradients.
 
-    F agrees with the difference of the momenta to within rounding of the
+    Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns the step is a few fixed
+    linear maps around the callbacks (:class:`_DenseStep`), kept in the
+    workspace ``ws`` (a new one by default); above, the kernel's products
+    (:meth:`~multirate.discretization._IntervalKernel.fast_forces`).  F
+    agrees with the difference of the momenta to within rounding of the
     largest momentum terms, and every point of a batch gets the F it would
-    get alone.  What depends on the start alone, its share ``c0 q0`` of the
-    slow quadrature points, is computed once per step.
+    get alone.
     """
+    if _small(sys, grid):
+        return _dense_step(sys, quad, grid, _Workspace() if ws is None else ws).residual(start)
     kern = interval_kernel(quad, grid)
     p = grid.micro_per_macro
     n_s = sys.n_slow
     q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
+    # the start's share c0 q0 of the slow points, the same for every iterate
     Qs0 = kern.start_points(q0)
 
     def residual(x):
@@ -334,17 +345,22 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
         # fast rows are then one subtraction
         P_f = np.empty(fast.shape)
         P_f[..., 0, :] = p_f0
-        kinetic = Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys,
-                                                    out=P_f[..., 1:, :])
+        Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys, out=P_f[..., 1:, :])
         F = np.empty(x.shape)
         F[..., :n_s] = p_s0 - Mv_s - kern.w_c0 @ g_s
         # the fast rows as (..., p, n_fast): splitting the last axis is a view
         F_f = F[..., n_s:].reshape(Mv_f.shape)
         np.subtract(P_f[..., :-1, :], Mv_f, out=F_f)
         F_f -= kern.fast_forces(g_fV, g_W)
-        return F, (fast, grads, kinetic)
+        return F, grads
 
     return residual
+
+
+def _dense_step(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
+                ws: _Workspace) -> _DenseStep:
+    """The :class:`_DenseStep` of the system and quadrature kept in ``ws``."""
+    return ws.kept("dense step", _DenseStep, interval_kernel(quad, grid), sys)
 
 
 def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
@@ -358,9 +374,10 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     analytic where the system supplies both Hessians and forward
     differences of ``residual`` otherwise (:func:`_fd_jacobian`, dense,
     from batched residual calls).  An analytic matrix is kept as blocks
-    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on and
-    assembled densely below.  Its blocks, and the dense matrix, are written
-    into arrays of the :class:`~multirate.discretization._Workspace` ``ws``.
+    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on; below,
+    the step's fixed maps (:class:`~multirate.discretization._DenseStep`)
+    write it densely.  The blocks, the maps and the dense matrix are kept in
+    the :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
@@ -369,15 +386,14 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
             return _fd_jacobian(residual, x, F)
         return _DENSE, fd_jacobian
 
+    if _small(sys, grid):
+        def jacobian(start, residual, x, F, ws):
+            return _dense_step(sys, quad, grid, ws).matrix(start, x, ws)
+        return _DENSE, jacobian
+
     def jacobian_blocks(start, residual, x, F, ws):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
-
-    if sys.n_slow + p * sys.n_fast >= _STRUCTURED_MIN_UNKNOWNS:
-        return _STRUCTURED, jacobian_blocks
-
-    def jacobian(start, residual, x, F, ws):
-        return _assemble_jacobian(jacobian_blocks(start, residual, x, F, ws))
-    return _DENSE, jacobian
+    return _STRUCTURED, jacobian_blocks
 
 
 @dataclass
@@ -432,35 +448,19 @@ def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: Qu
 
 
 def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
-    """Dense matrix of the blocks in the workspace's array ``"dense"``, which
-    is zero-filled where it is allocated: each assembly writes only the
-    nonzero pattern, the fast band by flat positions (:func:`_band_positions`)."""
+    """Dense matrix of the blocks."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    A = J.ws.zeros("dense", (n_s + p * n_f, n_s + p * n_f))
+    A = np.zeros((n_s + p * n_f, n_s + p * n_f))
     A[:n_s, :n_s] = J.slow
     A[:n_s, n_s:] = J.row
     A[n_s:, :n_s] = J.col
-    band_at, g_at = _band_positions(p, n_s, n_f)
-    flat = A.reshape(-1)
-    flat[band_at] = J.band
-    flat[g_at] = J.band[1:p - 1]
+    # row block i, column block j (node j+1) of the fast part
+    fast = A[n_s:, n_s:].reshape(p, n_f, p, n_f)
+    i = np.arange(p)
+    fast[i, :, i] = J.band[:p]
+    fast[i[1:], :, i[:-1]] = J.band[p:]
+    fast[i[2:], :, i[:-2]] = J.band[1:p - 1]
     return A
-
-
-@functools.lru_cache(maxsize=64)
-def _band_positions(p: int, n_s: int, n_f: int):
-    """Flat positions in the dense matrix of the fast chain's nonzero
-    blocks: of ``band`` (D_i at row block i, node i+1; E_i at row block i,
-    node i), and of G_i = D_{i-1} = ``band[i-1]`` at row block i, node i-1
-    for i = 2..p-1; each (blocks, n_fast, n_fast)."""
-    n = n_s + p * n_f
-    i, a = np.arange(p), np.arange(n_f)
-
-    def at(rows, cols):
-        return ((n_s + n_f * rows[:, None, None] + a[:, None]) * n
-                + n_s + n_f * cols[:, None, None] + a)
-
-    return at(np.concatenate([i, i[1:]]), np.concatenate([i, i[:-1]])), at(i[2:], i[:-2])
 
 
 @dataclass
@@ -664,8 +664,8 @@ class _HeldMatrix:
     steps, across steps.  ``factors`` is None until the next build.
 
     ``ws`` holds the arrays that its builds write: J's blocks, their
-    interval sums, the elimination's ``ge`` and Z, |J|, and the dense
-    matrix that :func:`_assemble_jacobian` writes.  A build
+    interval sums, the elimination's ``ge`` and Z, |J|, or the small
+    step's fixed maps with the masses and the dense matrix.  A build
     happens only once the held factors have been dropped, so one set serves
     every build of the holder, and its iterations read blocks that no build
     overwrites.  Each holder has its own.  A 20-step integration of an FPU
@@ -711,9 +711,8 @@ def _predicted_iters(theta: float, norm: float, target: float) -> float:
     return math.log(target / norm) / math.log(theta)
 
 
-def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
-            linear: _LinearSolver = _DENSE, held: _HeldMatrix | None = None,
-            transform: Callable | None = None):
+def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig, linear: _LinearSolver,
+            held: _HeldMatrix, transform: Callable | None = None):
     """Simplified Newton iteration on ``residual(x) -> (F, aux)``.
 
     ``jacobian(x, F, ws)`` builds the Newton matrix J at x, writing any
@@ -736,9 +735,7 @@ def _newton(residual, jacobian, x0: np.ndarray, config: SolverConfig,
     """
     stats = StepStats()
     F, aux = residual(x0)
-    if held is None:
-        held = _HeldMatrix()
-    elif held.factors is not None:
+    if held.factors is not None:
         try:
             return _iterate(residual, jacobian, linear, held, x0, F, aux, config, stats,
                             transform)
@@ -831,16 +828,13 @@ def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarr
     return np.concatenate([s1, fast.ravel()])
 
 
-def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSystem,
+def _step_record(index: int, start: State, x: np.ndarray, grads, sys: MultirateSystem,
                  quad: QuadratureSpec, grid: TimeGrid) -> MacroStep:
-    """Record of the step from ``start`` at the accepted iterate x, ``aux``
-    being the ``(fast, gradients, kinetic)`` of :func:`_step_residual`
-    there: the momenta are built once, from those gradients and kinetic
-    momenta."""
-    fast, grads, kinetic = aux
-    q_slow_next = x[:sys.n_slow]
-    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads,
-                                                   kinetic)
+    """Record of the step from ``start`` at the accepted iterate x, ``grads``
+    being the gradients of :func:`_step_residual` there: the momenta are
+    built once, from those gradients and the kinetic momenta at x."""
+    q_slow_next, fast = _step_nodes(start, x, sys, grid.micro_per_macro)
+    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
     return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
 
 
@@ -850,7 +844,8 @@ def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSyste
                 ) -> tuple[MacroStep, StepStats]:
     """The implicit step from ``start``: Newton on the DEL residual from
     ``guess``, its norm measured through ``transform`` (:func:`_newton`)."""
-    residual = _step_residual(start, sys, quad, grid)
+    held = _HeldMatrix() if held is None else held
+    residual = _step_residual(start, sys, quad, grid, held.ws)
     linear, jacobian = _linearization(sys, quad, grid)
     x, aux, stats = _newton(residual, functools.partial(jacobian, start, residual),
                             guess, config, linear, held, transform)
@@ -901,13 +896,19 @@ def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: Quadrat
     q0, f0 = start.q_slow, start.q_fast
     fast_grad = sys.fast_potential_grad
 
-    g_s, g_f = sys.slow_potential_grad(q0, f0)
-    g_s, g_f = np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
+    # the slow gradient at the start enters through its kicks and the slow
+    # term at node 0, both there exactly where alpha_V != 0
+    slow_at = {}
+    p_s, p_f = start.p_slow, start.p_fast
+    if kern.kick_V:
+        g_s, g_f = sys.slow_potential_grad(q0, f0)
+        slow_at[0] = g_s, g_f = np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
+        p_s, p_f = p_s - kern.kick_V * g_s, p_f - kern.kick_V * g_f
     g_W_node = np.empty((p + 1, sys.n_fast))  # fast-potential gradient per node
     g_W_node[0] = fast_grad(f0)
     fast = np.empty((p + 1, sys.n_fast))
     fast[0] = f0
-    u = dt * sys.mass_fast_inv.dot(start.p_fast - kern.kick_V * g_f - kern.kick_W * g_W_node[0])
+    u = dt * sys.mass_fast_inv.dot(p_f - kern.kick_W * g_W_node[0])
     np.add(f0, u, out=fast[1])
     K = (dt * dt) * sys.mass_fast_inv
     # three numpy calls per micro step; ndarray.dot makes matmul's BLAS call
@@ -916,13 +917,12 @@ def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: Quadrat
         g[:] = fast_grad(f)
         u -= K.dot(g)
         np.add(f, u, out=f_next)
-    q1 = q0 + kern.dT * sys.mass_slow_inv.dot(start.p_slow - kern.kick_V * g_s)
+    q1 = q0 + kern.dT * sys.mass_slow_inv.dot(p_s)
 
     if kern.node_terms:
         g_sV, g_fV, g_W = g_s[None], g_f[None], g_W_node[:p]
     else:
         # each term's gradient by its node: a row no term uses is never read
-        slow_at = {0: (g_s, g_f)}
         if kern.V.at_end:
             slow_at[p] = sys.slow_potential_grad(q1, fast[p])
         if kern.W.at_end:
@@ -944,10 +944,10 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
     The shared-node equation yields the first fast node, the interior
     equations advance the fast chain, and the slow equation gives the next
     macro configuration, each by a single mass-matrix solve.  The step
-    evaluates the slow gradient once and the fast gradient at micro nodes
-    0..p-1; a rule that weights the end node (alpha_V != 1 for the slow
-    potential, alpha_W != 1 for gamma_W = 1 or alpha_W != 0 for gamma_W = 0)
-    adds one evaluation there.
+    evaluates the slow gradient at the start node where alpha_V != 0 and
+    the fast gradient at micro nodes 0..p-1; a rule that weights the end
+    node (alpha_V != 1 for the slow potential, alpha_W != 1 for gamma_W = 1
+    or alpha_W != 0 for gamma_W = 0) adds one evaluation there.
     """
     if not quad.explicit_solvable:
         raise ConfigurationError(

@@ -229,6 +229,73 @@ class TestResidualOracle:
         assert np.array_equal(step.p_slow, ref.p_slow)
 
 
+# every family of QUADRATURES, a macro-node rule with a slow term at either
+# end and a rule whose V and W evaluate at different points
+FIXED_MAP_RULES = QUADRATURES + [QuadratureSpec.explicit(0.5, 0.5),
+                                 QuadratureSpec(0.5, 0.5, 0.5, 1.0)]
+FIXED_MAP_IDS = QUADRATURE_IDS + ["explicit-half", "midpoint-trapezoidal"]
+
+
+class TestFixedMaps:
+    """Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns a step is a few fixed
+    linear maps around the callbacks (``discretization._DenseStep``): F
+    against the momentum differences and the Newton matrix against the
+    structured path's blocks, each to rounding, and every point of a batch
+    bit for bit as alone."""
+
+    @staticmethod
+    def points(request, system, quad, p):
+        sys, q0 = request.getfixturevalue(system)
+        sys = with_full_masses(sys)
+        grid = build_time_grid(0.05, p, 1)
+        assert solver._small(sys, grid)
+        x0 = solver._drift_guess(q0, sys, grid)
+        X = x0 + 1e-2 * np.random.default_rng(p).standard_normal((3, x0.size))
+        return sys, q0, grid, X
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_residual_matches_momentum_differences(self, request, system, quad, p):
+        sys, q0, grid, X = self.points(request, system, quad, p)
+        residual = solver._step_residual(q0, sys, quad, grid)
+        F = residual(X)[0]
+        for x, f in zip(X, F):
+            assert np.array_equal(residual(x)[0], f)
+        F_ref, scale = momentum_mismatch_residual(interval_kernel(quad, grid), q0, X, sys)
+        # a few roundings of the largest momentum terms apart: one product
+        # sums the kinetic terms of two node differences with the forces
+        assert np.max(np.abs(F - F_ref)) <= 8.0 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_jacobian_matches_blocks(self, request, system, quad, p):
+        sys, q0, grid, X = self.points(request, system, quad, p)
+        residual = solver._step_residual(q0, sys, quad, grid)
+        linear, jacobian = _linearization(sys, quad, grid)
+        assert linear is solver._DENSE
+        for x in X:
+            J = jacobian(q0, residual, x, residual(x)[0], _Workspace())
+            J_ref = _assemble_jacobian(_jacobian_blocks(
+                q0.q_slow, *solver._step_nodes(q0, x, sys, p), sys, quad, grid))
+            # the kinetic part, which the blocks also hold exactly
+            kinetic = np.abs(step_jacobian(q0, x, potential_free(sys), quad, grid))
+            assert np.array_equal(J == 0.0, J_ref == 0.0)
+            assert np.all(np.abs(J - J_ref) <= 4.0 * np.finfo(float).eps
+                          * (np.abs(J_ref) + kinetic))
+
+
+def potential_free(sys: MultirateSystem) -> MultirateSystem:
+    """The same masses with zero potentials: the Newton matrix is the
+    kinetic one."""
+    return dataclasses.replace(
+        sys, slow_potential_hessian=lambda qs, qf: (
+            np.zeros(qs.shape + qs.shape[-1:]), np.zeros(qs.shape + qf.shape[-1:]),
+            np.zeros(qf.shape + qf.shape[-1:])),
+        fast_potential_hessian=lambda qf: np.zeros(qf.shape + qf.shape[-1:]))
+
+
 class TestJacobian:
     def test_analytic_matches_finite_difference(self, fpu, config):
         sys, q0 = fpu
@@ -300,10 +367,11 @@ class TestLinearSolver:
         rng = np.random.default_rng(5)
         q1 = step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow)
         fast = step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast))
-        J = step_jacobian(step.end_state(), stacked(q1, fast), sys, quad, grid)
         blocks = _jacobian_blocks(step.q_slow_end, q1, np.vstack([step.fast[-1:], fast]),
                                   sys, quad, grid)
-        assert np.array_equal(_assemble_jacobian(blocks), J)
+        # the dense path's own matrix agrees with the blocks to rounding
+        # (TestFixedMaps)
+        J = _assemble_jacobian(blocks)
         b = rng.standard_normal(J.shape[0])
         x = np.linalg.solve(J, b)
         factors = _factor_blocks(blocks)
@@ -712,7 +780,7 @@ class TestExplicitStep:
         assert np.allclose(traj.slow_q[:, 0], 0.0 + v_s[0] * grid.macro_times(), atol=1e-13)
 
     @pytest.mark.parametrize("alpha_v,alpha_w,gamma_w", [
-        (1.0, 1.0, 1.0), (0.5, 0.5, 1.0), (0.3, 0.8, 0.0),
+        (1.0, 1.0, 1.0), (0.5, 0.5, 1.0), (0.3, 0.8, 0.0), (0.0, 1.0, 1.0),
     ])
     def test_matches_implicit_path(self, fpu, alpha_v, alpha_w, gamma_w):
         sys, q0 = fpu
@@ -726,7 +794,7 @@ class TestExplicitStep:
         assert np.max(np.abs(t_imp.fast_p - t_exp.fast_p)) < 1e-10
 
     @pytest.mark.parametrize("system", ["fpu", "toy"], ids=["batched", "per-point"])
-    @pytest.mark.parametrize("alpha,slow,fast_extra", [(1.0, 1, 0), (0.5, 2, 1)])
+    @pytest.mark.parametrize("alpha,slow,fast_extra", [(1.0, 1, 0), (0.5, 2, 1), (0.0, 1, 1)])
     def test_evaluates_each_point_once(self, fpu, system, alpha, slow, fast_extra):
         # the momenta come from the recurrence's gradients: one slow point
         # per step and one fast point per micro node, plus the end node where
