@@ -22,8 +22,9 @@ import numpy as np
 
 from . import analysis, systems
 from .errors import ConfigurationError, IntegrationError, MultirateError
-from .model import QuadratureSpec, State, TimeGrid, validate_system
-from .solver import IntegratorMode, SolverConfig, integrate, verify_trajectory
+from .model import QuadratureSpec, State, TimeGrid, Trajectory, validate_system
+from .solver import (_VERIFY_CHUNK, IntegratorMode, SolverConfig, TrajectoryCertificate,
+                     _empty_trajectory, _store_step, integrate, verify_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,68 +142,116 @@ def _resolved_params(args, extra=None) -> dict:
 
 
 # rows of trajectory.csv converted to Python floats at a time, one
-# ``tolist`` per array and chunk: whole arrays would hold about 42 MB of
-# Python floats at once for the 50,000 rows of a 5,000-step spring-ring run
+# ``tolist`` per array
 _CSV_CHUNK_ROWS = 256
 
+# micro rows that simulate holds between writes of its outputs, in whole
+# certificate windows (_Outputs): 946 ring steps at p=10, with which a 5,000
+# step run peaks at 41 MB (chunks of 64 to 2,017 steps: 40-44; whole: 50).
+_CHUNK_ROWS = 10_000
 
-def _write_trajectory(out: Path, traj, sys) -> dict:
-    """Write trajectory.csv, one row per micro node.
 
-    Slow columns are filled at macro nodes only (at node 0 alone when the
-    grid has no interval); ``%.17g`` formats as ``_fmt`` does.  The rows of
-    whole macro intervals are converted to Python floats a chunk at a time;
-    the end node's row closes the last interval.
-    """
-    grid = traj.grid
-    p, N = grid.micro_per_macro, grid.n_macro
-    header = (["t", "k", "m"]
-              + [f"qs_{i}" for i in range(sys.n_slow)]
-              + [f"qf_{i}" for i in range(sys.n_fast)]
-              + [f"ps_{i}" for i in range(sys.n_slow)]
-              + [f"pf_{i}" for i in range(sys.n_fast)])
-    slow, fast = ["%.17g"] * sys.n_slow, ["%.17g"] * sys.n_fast
-    macro_row = ",".join(["%.17g", "%d", "%d"] + slow + fast + slow + fast) + "\r\n"
-    micro_row = ",".join(["%.17g", "%d", "%d"] + [""] * sys.n_slow + fast
-                         + [""] * sys.n_slow + fast) + "\r\n"
-    times = grid.micro_times()
-    per_chunk = max(1, _CSV_CHUNK_ROWS // p)
-    path = out / "trajectory.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k0 in range(0, N, per_chunk):
-            k1 = min(k0 + per_chunk, N)
-            rows = slice(k0 * p, k1 * p)
-            q_s, p_s = traj.slow_q[k0:k1].tolist(), traj.slow_p[k0:k1].tolist()
-            for i, (t, q_f, p_f) in enumerate(zip(times[rows].tolist(), traj.fast_q[rows].tolist(),
-                                                  traj.fast_p[rows].tolist())):
-                k, m = divmod(i, p)
+class _Outputs:
+    """trajectory.csv, energy.csv and the certificate of ``simulate``,
+    written a chunk of steps at a time in memory that does not grow with the
+    horizon.  The buffer holds whole certificate windows (``_VERIFY_CHUNK``
+    intervals, one every ``_VERIFY_CHUNK - 1``) plus one interval, whose end
+    momenta wait for the next step: it becomes the next chunk's first.  Times
+    are the whole grid's; the files open once the steps have started."""
+
+    def __init__(self, out: Path, sys, q0: State, quad: QuadratureSpec, grid: TimeGrid):
+        p = grid.micro_per_macro
+        capacity = max(1, _CHUNK_ROWS // ((_VERIFY_CHUNK - 1) * p)) * (_VERIFY_CHUNK - 1) + 1
+        self.buf = _empty_trajectory(q0, TimeGrid(grid.dT, p, capacity), sys)
+        self.out, self.sys, self.q0, self.quad, self.grid = out, sys, q0, quad, grid
+        self.k0 = self.n = 0    # the buffer holds intervals k0..k0+n-1
+        self.cert, self.files = TrajectoryCertificate(0.0, 0.0, 0.0, 0.0), None
+
+    def store(self, step):
+        if self.n == self.buf.n_macro:
+            self._flush()
+        _store_step(self.buf, step, step.index - self.k0)
+        self.n += 1
+
+    def pad(self):
+        """Zero rows after a failed step, as in a partial trajectory."""
+        buf, p, self.cert = self.buf, self.grid.micro_per_macro, None
+        while self.k0 + self.n < self.grid.n_macro:
+            if self.n == buf.n_macro:
+                self._flush()
+            for a, stride in ((buf.slow_q, 1), (buf.slow_p, 1), (buf.fast_q, p), (buf.fast_p, p)):
+                a[self.n * stride + 1:] = 0.0
+            self.n = min(buf.n_macro, self.grid.n_macro - self.k0)
+
+    def close(self) -> dict:
+        """Write the last chunk and its end node; the manifest's outputs."""
+        self._flush(final=True)
+        N, p = self.grid.n_macro, self.grid.micro_per_macro
+        for fh, _ in self.files.values():
+            fh.close()
+        return {name: {"sha256": sha.hexdigest(), "rows": rows}
+                for (name, (_, sha)), rows in zip(self.files.items(), (N * p + 1, N + 1))}
+
+    def _write(self, name: str, text: str):
+        """Write ``text`` to output ``name``, hashing it as written."""
+        fh, sha = self.files[name]
+        fh.write(text)
+        sha.update(text.encode())
+
+    def _flush(self, final: bool = False):
+        buf, sys, grid, k0 = self.buf, self.sys, self.grid, self.k0
+        p, n_s, n_f = grid.micro_per_macro, sys.n_slow, sys.n_fast
+        macro_row = ",".join(["%.17g", "%d", "%d"] + ["%.17g"] * (2 * n_s + 2 * n_f)) + "\r\n"
+        micro_row = ",".join(["%.17g", "%d", "%d"] + 2 * ([""] * n_s + ["%.17g"] * n_f)) + "\r\n"
+        if self.files is None:
+            self.files = {name: (open(self.out / name, "w", newline=""), hashlib.sha256())
+                          for name in ("trajectory.csv", "energy.csv")}
+            energy = ["t", "kinetic", "slow_potential", "fast_potential", "total"]
+            if sys.oscillatory_energy:
+                energy += [f"stiff_{j}" for j in range(n_f)] + ["stiff_total"]
+            self._write("trajectory.csv", ",".join(["t", "k", "m"] + [
+                f"{c}_{i}" for c, n in (("qs", n_s), ("qf", n_f), ("ps", n_s), ("pf", n_f))
+                for i in range(n)]) + "\r\n")
+            self._write("energy.csv", ",".join(energy) + "\r\n")
+        n = self.n if final else self.n - 1
+        per_chunk = max(1, _CSV_CHUNK_ROWS // p)
+        for a in range(0, n, per_chunk):
+            b = min(a + per_chunk, n)
+            times = ((grid.t0 + np.arange(k0 + a, k0 + b)[:, None] * grid.dT)
+                     + np.arange(p) * grid.dt).ravel()
+            q_s, p_s, rows = buf.slow_q[a:b].tolist(), buf.slow_p[a:b].tolist(), []
+            for i, (t, q_f, p_f) in enumerate(zip(times.tolist(), buf.fast_q[a * p:b * p].tolist(),
+                                                  buf.fast_p[a * p:b * p].tolist())):
+                j, m = divmod(i, p)
                 if m == 0:
-                    fh.write(macro_row % (t, k0 + k, 0, *q_s[k], *q_f, *p_s[k], *p_f))
+                    rows.append(macro_row % (t, k0 + a + j, 0, *q_s[j], *q_f, *p_s[j], *p_f))
                 else:
-                    fh.write(micro_row % (t, k0 + k, m, *q_f, *p_f))
-        k, m = (N - 1, p) if N else (0, 0)
-        fh.write(macro_row % (times[-1], k, m, *traj.slow_q[N].tolist(), *traj.fast_q[-1].tolist(),
-                              *traj.slow_p[N].tolist(), *traj.fast_p[-1].tolist()))
-    return {"trajectory.csv": _manifest_entry(path, times.size)}
-
-
-def _write_energy(out: Path, traj, sys) -> dict:
-    es = analysis.energy_series(traj, sys)
-    header = ["t", "kinetic", "slow_potential", "fast_potential", "total"]
-    stiff = es.stiff_energies is not None
-    if stiff:
-        header += [f"stiff_{j}" for j in range(es.stiff_energies.shape[1])] + ["stiff_total"]
-    rows = []
-    for i, t in enumerate(es.times):
-        row = [_fmt(t), _fmt(es.kinetic[i]), _fmt(es.slow_potential[i]),
-               _fmt(es.fast_potential[i]), _fmt(es.total[i])]
-        if stiff:
-            row += [_fmt(v) for v in es.stiff_energies[i]] + [_fmt(es.stiff_total[i])]
-        rows.append(row)
-    path = out / "energy.csv"
-    _write_csv(path, header, rows)
-    return {"energy.csv": _manifest_entry(path, len(rows))}
+                    rows.append(micro_row % (t, k0 + a + j, m, *q_f, *p_f))
+            self._write("trajectory.csv", "".join(rows))
+        if final:
+            self._write("trajectory.csv", macro_row % (
+                grid.t_end, *((k0 + n - 1, p) if k0 + n else (0, 0)), *buf.slow_q[n].tolist(),
+                *buf.fast_q[n * p].tolist(), *buf.slow_p[n].tolist(), *buf.fast_p[n * p].tolist()))
+        nodes, upto = n + final, slice(0, (n + final - 1) * p + 1)
+        es = analysis.energy_series(Trajectory(TimeGrid(grid.dT, p, nodes - 1), buf.slow_q[:nodes],
+                                               buf.slow_p[:nodes], buf.fast_q[upto],
+                                               buf.fast_p[upto]), sys)
+        cols = [grid.t0 + grid.dT * np.arange(k0, k0 + nodes), es.kinetic, es.slow_potential,
+                es.fast_potential, es.total]
+        if es.stiff_energies is not None:
+            cols += [*es.stiff_energies.T, es.stiff_total]
+        energy_row = ",".join(["%.17g"] * len(cols)) + "\r\n"
+        self._write("energy.csv", "".join(energy_row % r for r in zip(*(c.tolist() for c in cols))))
+        if self.cert is not None:
+            # maxima over the chunks' windows: those over the whole trajectory's
+            cert = verify_trajectory(buf, self.q0 if k0 == 0 else None, sys, self.quad,
+                                     TimeGrid(grid.dT, p, self.n))
+            self.cert = TrajectoryCertificate(*map(max, zip(dataclasses.astuple(self.cert),
+                                                            dataclasses.astuple(cert))))
+        if not final:
+            for a, stride in ((buf.slow_q, 1), (buf.slow_p, 1), (buf.fast_q, p), (buf.fast_p, p)):
+                a[:stride + 1] = a[n * stride:(n + 1) * stride + 1]
+            self.k0, self.n = k0 + n, 1
 
 
 def cmd_simulate(args) -> int:
@@ -219,40 +268,25 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    status = "ok"
-    partial = False
-    stats = None
+    status, partial, stats = "ok", False, None
+    outputs = _Outputs(out, sysm, q0, quad, grid)
     try:
-        traj, stats = integrate(q0, sysm, quad, grid, config, mode)
+        _, stats = integrate(q0, sysm, quad, grid, config, mode, store=outputs.store)
     except IntegrationError as exc:
-        traj = exc.partial_trajectory
         status = f"diverged at macro step {exc.step_index}: {exc.cause}"
         partial = True
-
-    outputs = {}
-    outputs.update(_write_trajectory(out, traj, sysm))
-    outputs.update(_write_energy(out, traj, sysm))
-    cert = None
-    if not partial and grid.n_macro:
-        c = verify_trajectory(traj, q0, sysm, quad, grid)
-        cert = {"residual_max": c.residual_max, "matching_macro_max": c.matching_macro_max,
-                "matching_micro_max": c.matching_micro_max, "initial_max": c.initial_max}
+        outputs.pad()
+    written = outputs.close()
     _write_manifest(out, {
         "command": "simulate",
         "params": _resolved_params(args, {"n_macro": n_macro, "newton_tol": config.newton_tol}),
         "status": status,
         "partial": partial,
-        "stats": None if stats is None else {
-            "newton_iters_total": stats.newton_iters_total,
-            "matrix_builds_total": stats.matrix_builds_total,
-            "wall_time_total": stats.wall_time_total,
-            "solve_time_total": stats.solve_time_total,
-            "jacobian_time_total": stats.jacobian_time_total,
-            "residual_max": stats.residual_max,
-            "linear_solver": stats.linear_solver,
-        },
-        "certificate": cert,
-        "outputs": outputs,
+        "stats": None if stats is None else {name: getattr(stats, name) for name in (
+            "newton_iters_total", "matrix_builds_total", "wall_time_total", "solve_time_total",
+            "jacobian_time_total", "residual_max", "linear_solver")},
+        "certificate": dataclasses.asdict(outputs.cert) if outputs.cert and n_macro else None,
+        "outputs": written,
     })
     print(f"simulate: {status}; outputs in {out}")
     return EXIT_DIVERGED if partial else EXIT_OK

@@ -111,14 +111,14 @@ _FD_CHUNK_ENTRIES = 1 << 16
 # last contraction ||F_new|| / ||F_old|| predicts more than this many further
 # iterations to the polish target (_iterate).  A larger bound trades matrix
 # builds for iterations, which pays where a build costs many iterations.
-# FPU chains, midpoint-midpoint, dT = 0.3, speed-up over a matrix built at
-# every iteration, medians of 3 alternated pairs on a 2-vCPU Xeon, one BLAS
-# thread, bound 2 | 3 | 4:
-#   l=3,  p=10 (build ~2 iterations):       0.98 | 1.18 | 1.13
-#   l=3,  p=10, p/q map (difference matrix): 1.26 | 1.47 | 1.31
-#   l=30, p=50 (blocks, build ~10 iterations): 1.48 | 1.77 | 1.96
-# With 3, these take about one build and 4.5-5 iterations per step, against
-# 3.2 iterations and builds before.  -1 rebuilds at every iteration.
+# FPU chains, midpoint-midpoint, dT = 0.3, speed-up over -1 (a build at every
+# iteration), medians of alternated runs on a 2-vCPU Xeon, one BLAS thread:
+#   l=3,  p=10, bound 2 | 3 | 4:                      0.98 | 1.18 | 1.13
+#   l=3,  p=10, p/q map (difference matrix), 2 | 3 | 4: 1.26 | 1.47 | 1.31
+#   l=30, p=50, 20 steps, 3 | 6 | 8 | 12 | 20: 1.93 | 1.62 | 1.59 | 1.70 | 1.81,
+#     with 21 | 19 | 10 | 4 | 1 builds and 97 | 102 | 153 | 207 | 265 iterations
+# With 3, a step takes about one build and 4.5-5 iterations.  At l=3, p=10
+# every larger bound moved the trajectory, by up to 9e-2 over 667 steps.
 _MAX_PREDICTED_ITERS = 3
 
 _EPS = float(np.finfo(float).eps)
@@ -213,6 +213,7 @@ class IntegrationStats:
     newton_iters_total: int = 0
     solve_time_total: float = 0.0
     jacobian_time_total: float = 0.0
+    # in the step functions alone: not storing or writing their records
     wall_time_total: float = 0.0
     residual_max: float = 0.0
     matrix_builds_total: int = 0
@@ -993,24 +994,20 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
 
 def _empty_trajectory(q0: State, grid: TimeGrid, sys: MultirateSystem) -> Trajectory:
     N, p = grid.n_macro, grid.micro_per_macro
-    slow_q = np.zeros((N + 1, sys.n_slow))
-    slow_p = np.zeros((N + 1, sys.n_slow))
-    fast_q = np.zeros((N * p + 1, sys.n_fast))
-    fast_p = np.zeros((N * p + 1, sys.n_fast))
-    slow_q[0] = q0.q_slow
-    slow_p[0] = q0.p_slow
-    fast_q[0] = q0.q_fast
-    fast_p[0] = q0.p_fast
-    return Trajectory(grid, slow_q, slow_p, fast_q, fast_p)
+    traj = Trajectory(grid, np.zeros((N + 1, sys.n_slow)), np.zeros((N + 1, sys.n_slow)),
+                      np.zeros((N * p + 1, sys.n_fast)), np.zeros((N * p + 1, sys.n_fast)))
+    traj.slow_q[0], traj.slow_p[0] = q0.q_slow, q0.p_slow
+    traj.fast_q[0], traj.fast_p[0] = q0.q_fast, q0.p_fast
+    return traj
 
 
-def _store_step(traj: Trajectory, step: MacroStep):
-    """Write the rows of one step record.
+def _store_step(traj: Trajectory, step: MacroStep, k: int):
+    """Write the rows of one step record as interval ``k`` of ``traj``.
 
-    Its start momenta replace the previous step's provisional end momenta;
-    row 0 keeps the given initial state.
+    Its start momenta replace the previous interval's provisional end
+    momenta; row 0 keeps the given initial state.
     """
-    k, p = step.index, traj.grid.micro_per_macro
+    p = traj.grid.micro_per_macro
     lo = 1 if k == 0 else 0
     traj.slow_q[k + 1] = step.q_slow_end
     traj.fast_q[k * p + 1 : (k + 1) * p + 1] = step.fast[1:]
@@ -1020,7 +1017,8 @@ def _store_step(traj: Trajectory, step: MacroStep):
 
 def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
               config: SolverConfig, mode: IntegratorMode = IntegratorMode.IMPLICIT_DEL,
-              ) -> tuple[Trajectory, IntegrationStats]:
+              store: Callable[[MacroStep], None] | None = None,
+              ) -> tuple[Trajectory | None, IntegrationStats]:
     """Integrate the full trajectory over ``grid.n_macro`` macro steps.
 
     Every mode runs through this loop: its step functions return one
@@ -1028,27 +1026,32 @@ def integrate(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeG
     matrix is held here, for the steps of this call only, so identical
     inputs produce bit-identical trajectories.  On a step failure an
     :class:`IntegrationError` carrying the partial trajectory is raised.
+
+    ``store``, where given, takes each record in order instead, and None
+    stands for the trajectory.  ``IntegrationStats.wall_time_total`` counts
+    the step functions alone, not the stores.
     """
     # the caller's state is converted here, once: the loop makes every later
     # start itself, from the float arrays of its records (MacroStep.end_state)
     q0 = State(q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast)
     step_fn, advance, linear_solver = _step_functions(sys, quad, grid, config, mode,
                                                       _HeldMatrix())
-    traj = _empty_trajectory(q0, grid, sys)
+    traj = _empty_trajectory(q0, grid, sys) if store is None else None
+    store = store or (lambda step: _store_step(traj, step, step.index))
     stats = IntegrationStats(linear_solver=linear_solver)
-    t_wall = time.perf_counter()
     prev = q0
     for k in range(grid.n_macro):
+        t0 = time.perf_counter()
         try:
             step, sstats = step_fn(prev)
         except Exception as exc:
-            stats.wall_time_total = time.perf_counter() - t_wall
+            stats.wall_time_total += time.perf_counter() - t0
             raise IntegrationError(f"macro step {k} failed: {exc}",
                                    partial_trajectory=traj, step_index=k, cause=exc) from exc
-        _store_step(traj, step)
+        stats.wall_time_total += time.perf_counter() - t0
+        store(step)
         stats.add(sstats)
         prev, step_fn = step, advance
-    stats.wall_time_total = time.perf_counter() - t_wall
     return traj, stats
 
 
@@ -1086,15 +1089,17 @@ class TrajectoryCertificate:
 _VERIFY_CHUNK = 64
 
 
-def verify_trajectory(traj: Trajectory, q0: State, sys: MultirateSystem, quad: QuadratureSpec,
-                      grid: TimeGrid) -> TrajectoryCertificate:
+def verify_trajectory(traj: Trajectory, q0: State | None, sys: MultirateSystem,
+                      quad: QuadratureSpec, grid: TimeGrid) -> TrajectoryCertificate:
     """Recompute the discrete equations along a trajectory.
 
     The stacked residual at each interior macro node equals the mismatch of
     left and right discrete momenta, so the certificate reports both the
     residual norm and the per-node matching norms.  The momenta of up to
     ``_VERIFY_CHUNK`` intervals come from one kernel call; consecutive chunks
-    overlap by one interval so that every macro node is checked.
+    overlap by one interval so that every macro node is checked.  ``q0`` is
+    the initial state, or None for a part of a trajectory that does not
+    begin there (``initial_max`` is then 0).
     """
     N, p = grid.n_macro, grid.micro_per_macro
     kern = interval_kernel(quad, grid)
@@ -1109,7 +1114,7 @@ def verify_trajectory(traj: Trajectory, q0: State, sys: MultirateSystem, quad: Q
         nodes = np.arange(lo, hi)[:, None] * p + np.arange(p + 1)
         p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta(
             traj.slow_q[lo:hi], traj.slow_q[lo + 1:hi + 1], traj.fast_q[nodes], sys)
-        if lo == 0:
+        if lo == 0 and q0 is not None:
             initial_max = max(inf(p_s_minus[0] - q0.p_slow), inf(p_f_minus[0, 0] - q0.p_fast))
         match_macro = max(match_macro, inf(p_s_plus[:-1] - p_s_minus[1:]),
                           inf(p_f_plus[:-1, -1] - p_f_minus[1:, 0]))

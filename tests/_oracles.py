@@ -5,6 +5,8 @@ scipy's generic root finder) so that agreement with the package is a real
 cross-check rather than a tautology.
 """
 
+import csv
+
 import numpy as np
 import scipy.optimize
 
@@ -413,6 +415,23 @@ def write_trajectory_rows(path, traj, sys):
                                       *traj.slow_p[j].tolist(), *p_f))
             else:
                 fh.write(micro_row % (times[i], k, m, *q_f, *p_f))
+
+
+def write_energy_rows(path, es):
+    """energy.csv as the ``simulate`` command writes it from the energy
+    series ``es`` of a whole trajectory: one row per macro node."""
+    header = ["t", "kinetic", "slow_potential", "fast_potential", "total"]
+    stiff = es.stiff_energies is not None
+    if stiff:
+        header += [f"stiff_{j}" for j in range(es.stiff_energies.shape[1])] + ["stiff_total"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, t in enumerate(es.times):
+            row = [t, es.kinetic[i], es.slow_potential[i], es.fast_potential[i], es.total[i]]
+            if stiff:
+                row += [*es.stiff_energies[i], es.stiff_total[i]]
+            w.writerow([format(float(v), ".17g") for v in row])
 
 
 # ---------------------------------------------------------------------------

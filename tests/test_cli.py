@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 import multirate
-from multirate import analysis, cli
+from multirate import analysis, cli, solver
 from multirate.cli import _HASH_CHUNK, _build_quadrature, _sha256, build_parser, main
+from multirate.errors import EvaluationError, IntegrationError
+from multirate.solver import integrate, verify_trajectory
 
-from multirate import QuadratureSpec, SlowPlacement, empirical_stability_probe
+from multirate import QuadratureSpec, SlowPlacement, TimeGrid, empirical_stability_probe
 
-from _oracles import write_trajectory_rows
+from _oracles import write_energy_rows, write_trajectory_rows
 
 
 def read_csv(path):
@@ -149,30 +152,120 @@ class TestSimulate:
         assert stats["matrix_builds_total"] == 0
 
 
-class TestTrajectoryWriter:
-    @pytest.mark.parametrize("argv", [
-        # 250 intervals of 10 rows: two full chunks of rows and a part
-        ("--system", "spring-ring", "--scheme", "explicit", "--dT", "0.01", "--p", "10",
-         "--t-end", "2.5"),
-        ("--system", "fpu", "--scheme", "explicit", "--dT", "0.009", "--p", "3",
-         "--t-end", "6.3"),
+def reference_outputs(path, argv):
+    """Write to ``path`` trajectory.csv and energy.csv as the oracles write
+    them from ``integrate()``'s whole trajectory for the simulate options
+    ``argv``; return its certificate as the manifest holds it and whether the
+    run stopped at a failed step."""
+    args = build_parser().parse_args(["simulate", *argv])
+    sysm, q0 = cli._build_system(args)
+    quad = cli._build_quadrature(args)
+    grid = TimeGrid(args.dT, args.p, int(round(args.t_end / args.dT)))
+    try:
+        traj, _ = integrate(q0, sysm, quad, grid, cli._solver_config(args),
+                            cli._resolve_mode(args))
+    except IntegrationError as exc:
+        traj, cert, partial = exc.partial_trajectory, None, True
+    else:
+        partial = False
+        cert = (dataclasses.asdict(verify_trajectory(traj, q0, sysm, quad, grid))
+                if grid.n_macro else None)
+    write_trajectory_rows(path / "trajectory.csv", traj, sysm)
+    write_energy_rows(path / "energy.csv", analysis.energy_series(traj, sysm))
+    return cert, partial
+
+
+RING = ("--system", "spring-ring", "--scheme", "explicit")
+
+
+class TestStreamedOutputs:
+    """simulate writes its outputs a chunk of steps at a time.  They must
+    equal those of the whole trajectory byte for byte, at chunk and
+    certificate-window boundaries alike.  ``_CHUNK_ROWS = 1`` makes chunks
+    of one window, 64 intervals."""
+
+    @pytest.mark.parametrize("argv,chunk_rows", [
+        # 250 intervals: three full buffers of 64 (sharing an interval), then 61
+        (RING + ("--dT", "0.01", "--p", "10", "--t-end", "2.5"), 1),
+        # 1,000 intervals: one chunk of the default size and a part
+        (RING + ("--dT", "0.001", "--p", "10", "--t-end", "1.0"), None),
+        # 1, 64 and 127 intervals: N - 1 a multiple of 63 for the last two
+        (RING + ("--dT", "0.01", "--p", "10", "--t-end", "0.01"), 1),
+        (RING + ("--dT", "0.01", "--p", "10", "--t-end", "0.64"), 1),
+        (RING + ("--dT", "0.01", "--p", "10", "--t-end", "1.27"), 1),
+        (("--system", "fpu", "--dT", "0.3", "--p", "5", "--t-end", "0.0"), None),
+        (("--system", "fpu", "--dT", "0.3", "--p", "5", "--t-end", "30"), 1),
+        (("--system", "fpu", "--mode", "pq", "--dT", "0.3", "--p", "3", "--t-end", "30"), 1),
+        (("--system", "fpu", "--scheme", "explicit", "--dT", "0.009", "--p", "3",
+          "--t-end", "6.3"), 1),
         # more rows per interval than per chunk
-        ("--system", "spring-ring", "--scheme", "explicit", "--dT", "1.024", "--p", "1024",
-         "--t-end", "2.048"),
-        ("--system", "fpu", "--dT", "0.3", "--p", "5", "--t-end", "0.0"),
-    ], ids=["ring", "fpu", "ring-long-interval", "zero-intervals"])
-    def test_bytes_equal_row_by_row_writer(self, tmp_path, monkeypatch, argv):
-        write = cli._write_trajectory
-        reference = tmp_path / "rows.csv"
+        (RING + ("--dT", "1.024", "--p", "1024", "--t-end", "2.048"), None),
+        # diverges at step 7 of 200: zero rows after it, over several chunks
+        (("--system", "fpu", "--scheme", "trapezoidal-trapezoidal", "--dT", "0.05",
+          "--p", "1", "--t-end", "10.0"), 1),
+    ], ids=["ring-chunks", "ring-default-chunk", "n1", "n64", "n127", "zero-intervals",
+            "fpu-del", "fpu-pq", "fpu-explicit", "ring-p1024", "diverged"])
+    def test_bytes_equal_whole_trajectory_outputs(self, tmp_path, monkeypatch, argv,
+                                                   chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        self.check(tmp_path, argv)
 
-        def both(out, traj, sys):
-            write_trajectory_rows(reference, traj, sys)
-            return write(out, traj, sys)
+    # steps 127 and 150 fail with the buffer full and part full: the rows
+    # before them keep their provisional end momenta, then zero rows follow
+    @pytest.mark.parametrize("fail_at", [127, 150])
+    def test_failure_after_some_chunks(self, tmp_path, monkeypatch, fail_at):
+        step = solver.explicit_macro_step
 
-        monkeypatch.setattr(cli, "_write_trajectory", both)
-        assert run("simulate", *argv, "--out", str(tmp_path / "run")) == 0
-        written = (tmp_path / "run" / "trajectory.csv").read_bytes()
-        assert written == reference.read_bytes()
+        def failing(prev, *args):
+            if prev.index + 1 == fail_at:
+                raise EvaluationError("planted failure")
+            return step(prev, *args)
+
+        monkeypatch.setattr(solver, "explicit_macro_step", failing)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 1)
+        self.check(tmp_path, RING + ("--dT", "0.01", "--p", "10", "--t-end", "3.0"))
+
+    @staticmethod
+    def check(tmp_path, argv):
+        out = tmp_path / "run"
+        code = run("simulate", *argv, "--out", str(out))
+        cert, partial = reference_outputs(tmp_path, argv)
+        assert code == (3 if partial else 0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["partial"] is partial
+        assert manifest["certificate"] == cert
+        for name in ("trajectory.csv", "energy.csv"):
+            written = (out / name).read_bytes()
+            assert written == (tmp_path / name).read_bytes(), name
+            assert manifest["outputs"][name]["sha256"] == hashlib.sha256(written).hexdigest()
+
+
+def source_env():
+    """The environment of a child interpreter that imports this source tree."""
+    src = str(Path(multirate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.slow
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # peak RSS of whole simulate runs, each in its own interpreter: 5,000
+    # steps hold ten times the rows of 500
+    def peak_mb(t_end):
+        # VmHWM, not ru_maxrss: Linux carries ru_maxrss over from the forking
+        # process (this one) into the child
+        code = ("import sys; from multirate.cli import main; main(sys.argv[1:]); "
+                "print(next(l.split()[1] for l in open('/proc/self/status') "
+                "if l.startswith('VmHWM')))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "simulate", *RING, "--dT", "0.01", "--p", "10",
+             "--t-end", t_end, "--out", str(tmp_path / t_end)],
+            env=source_env(), capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.split()[-1]) / 1024
+
+    assert abs(peak_mb("50") - peak_mb("5")) < 2.0
 
 
 class TestManifestHash:
@@ -456,10 +549,7 @@ class TestSchemaAndExitCodes:
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         # runs from the source tree, without an installed console script
-        src = str(Path(multirate.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         done = subprocess.run([sys.executable, "-m", "multirate", "--help"], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=source_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: multirate")
