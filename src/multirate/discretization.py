@@ -117,6 +117,7 @@ class _Workspace:
     """Arrays that a sequence of Newton matrix builds writes into, by name.
 
     ``ws(name, shape)`` returns the array kept under ``name``, allocated
+    by ``alloc`` (``np.empty``, or ``np.zeros`` for one zero-filled there)
     only where it is missing or has another shape; its contents are what
     the last build left there.  Reusing the arrays keeps a large build from
     taking fresh megabytes, page by page, from the system.
@@ -126,17 +127,10 @@ class _Workspace:
         self._arrays = {}
         self._kept = {}
 
-    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+    def __call__(self, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape)
-        return a
-
-    def zeros(self, name: str, shape: tuple) -> np.ndarray:
-        """As a call, but zero-filled where the array is allocated."""
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape:
-            a = self._arrays[name] = np.zeros(shape)
+            a = self._arrays[name] = alloc(shape)
         return a
 
     def kept(self, name: str, build, *args):
@@ -444,11 +438,13 @@ class _StepMaps:
     a row per term, raveled (QfW only where V and W do not share their
     points; ``split`` holds the three lengths), and the node differences d
     = ``[q1 - q0; f_1 - f_0; ...; f_p - f_{p-1}]``.  The residual is
-    ``forces @ [g_s; g_fV; g_W; d; p_s0; p_f0]``, the gradients taken at y:
-    minus the slow weights ``w_c0`` and the equation weights of V and W,
-    the kinetic terms of d from the columns ``kinetic_cols`` (zero here,
-    they carry the masses) and the start momenta in the rows of the slow
-    node and fast node 0.
+    ``forces @ G``, G = ``[g_s; g_fV; g_W; d; p_s0; p_f0]`` with the
+    gradients taken at y: minus the slow weights ``w_c0`` and the equation
+    weights of V and W, the kinetic terms of d from the columns
+    ``kinetic_cols`` (zero here, they carry the masses) and the start
+    momenta in the rows of the slow node and fast node 0.  ``momenta @ G``
+    is the step record's ``[p_s-; p_s+; p_f-(0..p-1); p_f+(p-1)]``: the
+    left and right weights, and again zero kinetic columns.
 
     The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
     ``coef * h[src]`` summed in order over each run of entries with one
@@ -490,6 +486,11 @@ class _StepMaps:
         self.forces[n_s:, at_fV:at_gW] = np.kron(-V.equations, I_f)
         self.forces[n_s:, at_gW:self.kinetic_cols.start] = np.kron(-W.equations, I_f)
         self.forces[:n_0, self.kinetic_cols.stop:] = np.eye(n_0)
+        self.momenta = np.zeros((2 * n_s + (p + 1) * n_f, self.forces.shape[1]))
+        self.momenta[:2 * n_s, :at_fV] = np.kron(np.stack([kern.w_c0, -kern.w_c1]), I_s)
+        for pot, at in ((V, at_fV), (W, at_gW)):
+            self.momenta[2 * n_s:, at:at + pot.m.size * n_f] = np.kron(
+                np.vstack([pot.left, -pot.right[-1:]]), I_f)
 
         # each term's gradient entries, point entries and second derivatives
         # as positions in h: of V, the (n_s + n_f)^2 Hessian in the order of
@@ -551,7 +552,7 @@ def _matvec(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     matrix-vector product each, so that a vector's result does not depend
     on the batch it comes in."""
     if a.ndim == 1:
-        return m @ a
+        return m.dot(a)
     return (m @ a[..., None])[..., 0]
 
 
@@ -564,7 +565,8 @@ class _DenseStep:
     kinetic terms keep the accuracy of difference quotients at small steps.
     The Newton matrix is ``A - sum_t S_t H_t P_t``, A the kinetic matrix,
     taken into ``coef``.  Everything that carries a mass is made here, once
-    per Newton matrix holder.
+    per Newton matrix holder: also the record's ``momenta`` and the p/q
+    maps' T and |T| (:mod:`multirate.schemes`).
     """
 
     def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
@@ -580,6 +582,15 @@ class _DenseStep:
         A = np.zeros((N, N))
         A[:n_s, :n_s] = -M_s
         A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2), M_f)
+        # the record's kinetic momenta: d_m at fast node m < p, d_{p-1} at p
+        self.momenta = maps.momenta.copy()
+        kinetic = self.momenta[:, maps.kinetic_cols]
+        kinetic[:2 * n_s, :n_s] = np.vstack([M_s, M_s])
+        kinetic[2 * n_s:, n_s:] = np.kron(np.eye(p)[np.r_[:p, p - 1]], M_f)
+        self.T = np.zeros((N, N))
+        self.T[:n_s, :n_s] = -kern.dT * sys.mass_slow_inv
+        self.T[n_s:, n_s:] = np.kron(np.tri(p), -kern.dt * sys.mass_fast_inv)
+        self.abs_T = np.abs(self.T)
         self.coef = maps.coef.copy()
         self.coef[maps.kinetic] = A.reshape(-1)[maps.kinetic_dest]
         # the terms' Hessians side by side, then the 1 of the kinetic entries
@@ -631,9 +642,19 @@ class _DenseStep:
             if not _finite(G):
                 _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
                 _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-            return _matvec(forces, G), (g_s, g_fV, g_W)
+            return _matvec(forces, G), G
 
         return residual
+
+    def transform(self, F, absolute=False):
+        """T F, or |T| F with ``absolute``, along F's last axis."""
+        return _matvec(self.abs_T if absolute else self.T, F)
+
+    def record_momenta(self, G: np.ndarray):
+        """``(p_fast, p_slow)``, in the step record's order, from the G that
+        :meth:`residual` returns with F at the accepted iterate."""
+        mom, n_s = self.momenta.dot(G), self.maps.n_s
+        return mom[2 * n_s:].reshape(self.kern.p + 1, -1), mom[:2 * n_s].reshape(2, n_s)
 
     def matrix(self, start: State, x: np.ndarray, ws: _Workspace) -> np.ndarray:
         """The Newton matrix at x, in the workspace's array ``"dense"``,
@@ -652,7 +673,7 @@ class _DenseStep:
         if not _finite(self.h):
             _check_finite((H_ss, H_sf, H_ff), kern.V.m, "slow-potential Hessian")
             _check_finite((H_W,), kern.W.m, "fast-potential Hessian")
-        J = ws.zeros("dense", (maps.N, maps.N))
+        J = ws("dense", (maps.N, maps.N), np.zeros)
         # bincount adds each run's entries in order, from the kinetic one on
         J.reshape(-1)[maps.dest] = np.bincount(maps.run, self.h.take(maps.src) * self.coef,
                                                maps.dest.size)

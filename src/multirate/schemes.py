@@ -15,15 +15,16 @@ compound DEL residual F of :func:`multirate.solver._step_residual`:
   propagated by the node forces of intervals 0..m.
 
 A p/q step is therefore the DEL step of
-:func:`multirate.solver._solve_step`, from the free-drift guess, with one
-difference: its stop and refresh rules read the norm of T F instead of
-F's.  Since T is constant and invertible, (T J)^-1 T F = J^-1 F, so the
-Newton update, the Newton matrix (analytic blocks, a dense inverse, or
-differences of F for a system without Hessians,
-:func:`multirate.solver._linearization`) and the evaluated points are the
-DEL step's, and so are the errors a non-finite gradient raises.  T F
-agrees to rounding with the hand-derived closed forms, which the tests keep
-as the reference.
+:func:`multirate.solver._solve_step` from the free-drift guess, whose stop
+and refresh rules read the norm of T F instead of F's.  Since T is constant
+and invertible, (T J)^-1 T F = J^-1 F: the Newton update, the Newton matrix
+(:func:`multirate.solver._linearization`), the evaluated points and the
+errors a non-finite gradient raises are the DEL step's.  T is made once
+per Newton matrix holder, so once per :func:`~multirate.solver.integrate`
+call (:func:`_transform`): below the size rule as the dense maps T and |T|
+of the step's fixed maps, one product per norm, above as running sums.
+T F agrees to rounding with the hand-derived closed forms, which the tests
+keep as the reference.
 
 The :class:`~multirate.model.QuadratureSpec` alone selects the map.  With
 micro-grid slow placement, midpoint rules for both potentials give the
@@ -40,31 +41,37 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
-from .solver import MacroStep, SolverConfig, StepStats, _drift_guess, _HeldMatrix, _solve_step
+from .solver import (MacroStep, SolverConfig, StepStats, _dense_step, _drift_guess, _HeldMatrix,
+                     _small, _solve_step, _Workspace)
 
 __all__ = ["pq_step"]
 
 
 def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
-    """``transform(F, absolute=False) -> T F``, or |T| F with ``absolute``:
-    T applied along F's last axis, whose layout is that of the stacked
-    unknowns; leading axes are transformed one by one, and F is left as it
-    was."""
-    n_s = sys.n_slow
-    fast_shape = (grid.micro_per_macro, sys.n_fast)
-    T_s = -grid.dT * sys.mass_slow_inv
-    T_f = -grid.dt * sys.mass_fast_inv.T
-    abs_T_s, abs_T_f = np.abs(T_s), np.abs(T_f)
+    """``transform(F, absolute=False) -> T F``, or |T| F with ``absolute``,
+    along F's last axis, whose layout is that of the stacked unknowns, as
+    running sums of F's fast rows; leading axes are transformed one by one."""
+    n_s, fast_shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
+    T = (-grid.dT * sys.mass_slow_inv, -grid.dt * sys.mass_fast_inv.T)
+    abs_T = tuple(np.abs(a) for a in T)
 
     def transform(F, absolute=False):
+        T_s, T_f = abs_T if absolute else T
         res = np.empty(F.shape)
-        res[..., :n_s] = ((abs_T_s if absolute else T_s) @ F[..., :n_s, None])[..., 0]
-        # the running sums of F's fast rows (splitting the last axis is a view)
+        res[..., :n_s] = (T_s @ F[..., :n_s, None])[..., 0]
         sums = np.cumsum(F[..., n_s:].reshape(F.shape[:-1] + fast_shape), axis=-2)
-        res[..., n_s:] = (sums @ (abs_T_f if absolute else T_f)).reshape(res[..., n_s:].shape)
+        res[..., n_s:] = (sums @ T_f).reshape(res[..., n_s:].shape)
         return res
 
     return transform
+
+
+def _transform(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid, ws: _Workspace):
+    """T of the p/q steps whose matrices the workspace ``ws`` holds, made once
+    per holder: the dense maps of the step's fixed maps below the size rule
+    (``solver._small``), one product per vector, else :func:`_pq_transform`."""
+    return (_dense_step(sys, quad, grid, ws).transform if _small(sys, grid)
+            else ws.kept("pq transform", _pq_transform, sys, grid))
 
 
 def _check_map(quad: QuadratureSpec):
@@ -93,5 +100,6 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
     steps; without one, the step builds its own matrix.
     """
     _check_map(quad)
+    held = _HeldMatrix() if held is None else held
     return _solve_step(index, state, _drift_guess(state, sys, grid), sys, quad, grid, config,
-                       held, _pq_transform(sys, grid))
+                       held, _transform(sys, quad, grid, held.ws))

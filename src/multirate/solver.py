@@ -149,10 +149,8 @@ class SolverConfig:
       (``_linearization``).  A difference matrix costs one batched residual
       call per chunk of columns (``_fd_jacobian``), and each column is
       bit-identical to the one-unknown-at-a-time difference.
-    - Both implicit modes run the same Newton iteration on the DEL
-      residual F.  The closed-form p/q maps solve T F = 0 for a fixed
-      invertible linear map T of F, whose Newton update is the DEL one;
-      their stop and refresh rules read the norm of T F instead of F's.
+    - The closed-form p/q maps run the DEL step's Newton iteration on F;
+      their stop and refresh rules read ||T F|| (:mod:`multirate.schemes`).
     - The iteration is simplified Newton: one factored matrix serves many
       iterations, and within one ``integrate`` call many steps.  It is
       rebuilt at the current iterate when the last contraction
@@ -308,10 +306,10 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
                    ws: _Workspace | None = None):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, gradients)``, F with the shape of x and
-    ``gradients`` the kernel's ``(g_s, g_fV, g_W)`` at x, from which
-    :func:`_step_record` builds the momenta of an accepted iterate.  x may
-    carry leading batch axes, whose points go to the callbacks in one batch.
+    ``residual(x)`` returns ``(F, aux)``, F with the shape of x and aux what
+    :func:`_step_record` builds an accepted iterate's momenta from: the
+    gradients ``(g_s, g_fV, g_W)`` at x, or the fixed maps' stacked vector G.
+    x may carry leading batch axes, whose points go to the callbacks in one batch.
 
     Each entry of F is a momentum mismatch (incoming minus left momenta at
     the slow node and at fast node 0, right minus left momenta at the
@@ -820,22 +818,35 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
     return x, aux, stats
 
 
+@functools.lru_cache(maxsize=64)
+def _drift_times(grid: TimeGrid) -> np.ndarray:
+    """``dt * [1, ..., p]`` as a column, the times of the fast nodes 1..p."""
+    return grid.dt * np.arange(1, grid.micro_per_macro + 1)[:, None]
+
+
 def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarray:
     """Free-drift prediction of the stacked unknowns of the interval after ``state``."""
-    p = grid.micro_per_macro
-    s1 = state.q_slow + grid.dT * (sys.mass_slow_inv @ state.p_slow)
-    v_f = sys.mass_fast_inv @ state.p_fast
-    fast = state.q_fast[None, :] + grid.dt * np.arange(1, p + 1)[:, None] * v_f[None, :]
-    return np.concatenate([s1, fast.ravel()])
+    n_s, shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
+    x = np.empty(n_s + math.prod(shape))
+    np.add(state.q_slow, grid.dT * sys.mass_slow_inv.dot(state.p_slow), out=x[:n_s])
+    np.add(state.q_fast, _drift_times(grid) * sys.mass_fast_inv.dot(state.p_fast),
+           out=x[n_s:].reshape(shape))
+    return x
 
 
-def _step_record(index: int, start: State, x: np.ndarray, grads, sys: MultirateSystem,
-                 quad: QuadratureSpec, grid: TimeGrid) -> MacroStep:
-    """Record of the step from ``start`` at the accepted iterate x, ``grads``
-    being the gradients of :func:`_step_residual` there: the momenta are
-    built once, from those gradients and the kinetic momenta at x."""
+def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSystem,
+                 quad: QuadratureSpec, grid: TimeGrid, ws: _Workspace) -> MacroStep:
+    """Record of the step from ``start`` at the accepted iterate x, ``aux``
+    being what :func:`_step_residual` returned there.  Below the size rule
+    the momenta are one product of aux, the stacked vector G, by a map of
+    the fixed maps in the holder's workspace ``ws``, made with the masses
+    once per holder, as are the p/q maps' T and |T|
+    (:func:`multirate.schemes._transform`); above, from the gradients."""
     q_slow_next, fast = _step_nodes(start, x, sys, grid.micro_per_macro)
-    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *grads)
+    if _small(sys, grid):
+        return MacroStep(index, start.q_slow, q_slow_next, fast,
+                         *_dense_step(sys, quad, grid, ws).record_momenta(aux))
+    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *aux)
     return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
 
 
@@ -850,7 +861,7 @@ def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSyste
     linear, jacobian = _linearization(sys, quad, grid)
     x, aux, stats = _newton(residual, functools.partial(jacobian, start, residual),
                             guess, config, linear, held, transform)
-    return _step_record(index, start, x, aux, sys, quad, grid), stats
+    return _step_record(index, start, x, aux, sys, quad, grid, held.ws), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,

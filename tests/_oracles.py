@@ -11,8 +11,8 @@ import numpy as np
 import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
-from multirate.discretization import interval_kernel
-from multirate.schemes import _pq_transform
+from multirate.discretization import _Workspace, interval_kernel
+from multirate.schemes import _transform
 from multirate.solver import MacroStep, _step_residual
 
 
@@ -249,12 +249,14 @@ def closed_form_pq_residual(quad, state, sys, grid, x):
 
 def pq_residual(quad, state, sys, grid):
     """``evaluate(x) -> (T F, aux)``: the p/q residual of the step from
-    ``state``, the library's transform T applied to its DEL residual
-    ``(F, aux)`` at x.  Each point of a batch is transformed as it would be
-    alone.  Not independent of the library: the tests hold it against
+    ``state``, the transform T that the p/q step uses (dense below the
+    size rule, running sums above) applied to its DEL residual ``(F, aux)``
+    at x.  Each point of a batch is transformed as it would be alone.  Not
+    independent of the library: the tests hold it against
     :func:`closed_form_pq_residual`, and measure the p/q stop rule with it."""
-    residual = _step_residual(state, sys, quad, grid)
-    transform = _pq_transform(sys, grid)
+    ws = _Workspace()
+    residual = _step_residual(state, sys, quad, grid, ws)
+    transform = _transform(sys, quad, grid, ws)
 
     def evaluate(x):
         F, aux = residual(x)

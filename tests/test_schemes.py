@@ -101,6 +101,22 @@ class TestFreeDrift:
         assert np.allclose(end.p_slow, st.p_slow, atol=1e-13)
         assert np.allclose(end.p_fast, st.p_fast, atol=1e-13)
 
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    @pytest.mark.parametrize("build", [build_fpu, build_spring_ring], ids=["fpu", "spring-ring"])
+    def test_guess_is_the_drift_formula_bit_for_bit(self, build, p):
+        sys, q0 = build()
+        sys = with_full_masses(sys)
+        grid = build_time_grid(0.3, p, 1)
+        rng = np.random.default_rng(p)
+        for _ in range(3):
+            st = State(*(a + rng.standard_normal(a.size) for a in (
+                q0.q_slow, q0.q_fast, q0.p_slow, q0.p_fast)))
+            s1 = st.q_slow + grid.dT * (sys.mass_slow_inv @ st.p_slow)
+            v_f = sys.mass_fast_inv @ st.p_fast
+            fast = st.q_fast[None, :] + grid.dt * np.arange(1, p + 1)[:, None] * v_f[None, :]
+            assert np.array_equal(solver._drift_guess(st, sys, grid),
+                                  np.concatenate([s1, fast.ravel()]))
+
 
 class TestSingleRateOracles:
     def test_midmid_is_implicit_midpoint(self, toy_coupled):

@@ -27,7 +27,7 @@ from multirate import (
     macro_step,
     verify_trajectory,
 )
-from multirate import discretization, solver
+from multirate import discretization, schemes, solver
 from multirate.discretization import _IntervalKernel, _Workspace, interval_kernel
 from multirate.systems import FpuConfig
 
@@ -188,7 +188,7 @@ class TestResidualOracle:
         grid = build_time_grid(0.3, 10, 2)
         cfg = SolverConfig(newton_tol=1e-9)
         first, _ = initial_step(q0, sys, MIDMID, grid, cfg)
-        calls = {"momenta": 0, "residual": 0}
+        calls = {"momenta": 0, "record": 0, "residual": 0}
         points = {"slow": [], "fast": []}
 
         def slow(qs, qf):
@@ -200,10 +200,15 @@ class TestResidualOracle:
             return sys.fast_potential_grad(qf)
 
         momenta_from = _IntervalKernel.momenta_from
+        record_momenta = discretization._DenseStep.record_momenta
 
         def counted_momenta(*args):
             calls["momenta"] += 1
             return momenta_from(*args)
+
+        def counted_record(*args):
+            calls["record"] += 1
+            return record_momenta(*args)
 
         step_residual = solver._step_residual
 
@@ -216,10 +221,14 @@ class TestResidualOracle:
             return counted
 
         monkeypatch.setattr(_IntervalKernel, "momenta_from", counted_momenta)
+        monkeypatch.setattr(discretization._DenseStep, "record_momenta", counted_record)
         monkeypatch.setattr(solver, "_step_residual", counted_step_residual)
         counted_sys = dataclasses.replace(sys, slow_potential_grad=slow, fast_potential_grad=fast)
         step, stats = macro_step(first, counted_sys, MIDMID, grid, cfg)
-        assert calls["momenta"] == 1
+        # 33 unknowns, below the size rule: the record's momenta are one
+        # product of the accepted residual's stacked vector
+        assert solver._small(sys, grid)
+        assert (calls["record"], calls["momenta"]) == (1, 0)
         assert calls["residual"] == stats.newton_iters + 1
         assert len(points["slow"]) == len(points["fast"]) == calls["residual"]
         # midpoint-midpoint: the fast callback gets the slow callback's points
@@ -239,9 +248,11 @@ FIXED_MAP_IDS = QUADRATURE_IDS + ["explicit-half", "midpoint-trapezoidal"]
 class TestFixedMaps:
     """Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns a step is a few fixed
     linear maps around the callbacks (``discretization._DenseStep``): F
-    against the momentum differences and the Newton matrix against the
-    structured path's blocks, each to rounding, and every point of a batch
-    bit for bit as alone."""
+    against the momentum differences, the Newton matrix against the
+    structured path's blocks, the record's momenta against the kernel's and
+    the p/q maps' T against its running sums, each to rounding, and every
+    point of a batch bit for bit as alone.  These maps are made once per
+    ``integrate`` call, and no small step builds its record by the kernel."""
 
     @staticmethod
     def points(request, system, quad, p):
@@ -284,6 +295,103 @@ class TestFixedMaps:
             assert np.array_equal(J == 0.0, J_ref == 0.0)
             assert np.all(np.abs(J - J_ref) <= 4.0 * np.finfo(float).eps
                           * (np.abs(J_ref) + kinetic))
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_record_matches_momenta_from(self, request, system, quad, p):
+        # the record's momenta as one product of the residual's stacked
+        # vector G, against the kernel's momenta from the gradients at x
+        sys, q0, grid, X = self.points(request, system, quad, p)
+        ws = _Workspace()
+        residual = solver._step_residual(q0, sys, quad, grid, ws)
+        dense = solver._dense_step(sys, quad, grid, ws)
+        kern = interval_kernel(quad, grid)
+        for x in X:
+            G = residual(x)[1]
+            p_fast, p_slow = dense.record_momenta(G)
+            q1, fast = solver._step_nodes(q0, x, sys, p)
+            grads = kern.gradients(kern.points(q0.q_slow, q1, fast), sys)
+            ref = solver._interval_record(0, q0.q_slow, q1, fast, kern.momenta_from(
+                q0.q_slow, q1, fast, sys, *grads))
+            # the rounding floor of each entry: its terms' magnitudes, the
+            # kinetic momentum of one node difference and the weighted gradients
+            floor = np.abs(dense.momenta).dot(np.abs(G))
+            got = np.concatenate([p_slow.ravel(), p_fast.ravel()])
+            want = np.concatenate([ref.p_slow.ravel(), ref.p_fast.ravel()])
+            assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_dense_transform_matches_running_sums(self, request, system, p):
+        # T and |T| of the p/q maps as dense maps, against the running sums
+        sys, q0, grid, _ = self.points(request, system, MIDMID, p)
+        dense = solver._dense_step(sys, MIDMID, grid, _Workspace())
+        running = schemes._pq_transform(sys, grid)
+        F = np.random.default_rng(p).standard_normal((3, dense.T.shape[0]))
+        for absolute in (False, True):
+            got = dense.transform(F, absolute)
+            for f, g in zip(F, got):
+                assert np.array_equal(dense.transform(f, absolute), g)
+            # a sum of at most p + n_fast products per entry, in another order
+            n_terms = p + sys.n_fast
+            bound = n_terms * np.finfo(float).eps * dense.abs_T.dot(np.abs(F).T).T
+            assert np.all(np.abs(got - running(F, absolute)) <= bound)
+
+    @pytest.mark.parametrize("p", [10, 50], ids=["dense", "structured"])
+    def test_pq_integrate_builds_its_transform_once(self, fpu, p, monkeypatch):
+        # T and |T| are made with the holder's fixed maps below the size
+        # rule, as running sums above it, once per integrate call
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, p, 4)
+        builds = {"dense": 0, "running": 0}
+        DenseStep, pq_transform = discretization._DenseStep, schemes._pq_transform
+
+        class CountedDenseStep(DenseStep):
+            def __init__(self, *args):
+                builds["dense"] += 1
+                super().__init__(*args)
+
+        def counted_transform(*args):
+            builds["running"] += 1
+            return pq_transform(*args)
+
+        monkeypatch.setattr(solver, "_DenseStep", CountedDenseStep)
+        monkeypatch.setattr(schemes, "_pq_transform", counted_transform)
+        for _ in range(2):
+            _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9),
+                                 IntegratorMode.CLOSED_FORM_PQ)
+            assert stats.n_steps == grid.n_macro
+        assert builds == ({"dense": 2, "running": 0} if solver._small(sys, grid)
+                          else {"dense": 0, "running": 2})
+
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    def test_small_steps_record_without_the_kernel(self, fpu, mode, monkeypatch):
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, 10, 4)
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("momenta_from", "kinetic_momenta"):
+            monkeypatch.setattr(_IntervalKernel, name,
+                                counted(name, getattr(_IntervalKernel, name)))
+        monkeypatch.setattr(solver, "_interval_record",
+                            counted("_interval_record", solver._interval_record))
+        _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)
+        assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
+        assert calls == []
+
+
+# Roundings of a record entry's largest terms by which the one product and
+# the kernel's momenta may differ: the kernel rounds the difference quotient,
+# its product with the mass and the sums, in another order.
+RECORD_ROUNDINGS = 4
 
 
 def potential_free(sys: MultirateSystem) -> MultirateSystem:
