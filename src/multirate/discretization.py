@@ -125,21 +125,12 @@ class _Workspace:
 
     def __init__(self):
         self._arrays = {}
-        self._kept = {}
 
     def __call__(self, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
             a = self._arrays[name] = alloc(shape)
         return a
-
-    def kept(self, name: str, build, *args):
-        """``build(*args)``, made once and kept under ``name`` for as long as
-        it is asked for with the same arguments (the same objects)."""
-        entry = self._kept.get(name)
-        if entry is None or any(a is not b for a, b in zip(entry[0], args)):
-            entry = self._kept[name] = (args, build(*args))
-        return entry[1]
 
     def rows(self, name: str, a: np.ndarray, index) -> np.ndarray:
         """``a[index]`` for an ``index`` from :func:`_distinct`: ``a`` itself
@@ -603,35 +594,29 @@ class _DenseStep:
         # instead of from a product of O(p^2) work
         self.last = None
 
-    def _points(self, z: np.ndarray, n: int):
-        """``(Qs, QfV, QfW)`` of n points from their vectors z."""
-        maps = self.maps
-        a, b, c = maps.split
-        Qs = z[..., :a].reshape(n * maps.k_V, maps.n_s)
-        QfV = z[..., a:a + b].reshape(n * maps.k_V, maps.n_f)
-        return Qs, QfV, QfV if maps.shared else z[..., a + b:a + b + c].reshape(
-            n * maps.k_W, maps.n_f)
-
     def _shift(self, start: State) -> np.ndarray:
         """``start @ z0``: what the start adds to z."""
-        return self.maps.start @ np.concatenate(
-            (start.q_slow, start.q_fast, start.p_slow, start.p_fast))
+        return self.maps.start.dot(np.concatenate(
+            (start.q_slow, start.q_fast, start.p_slow, start.p_fast)))
 
     def residual(self, start: State):
-        """The residual of the step from ``start``, as
-        :func:`multirate.solver._step_residual` returns it."""
-        maps, sys, kern, forces = self.maps, self.sys, self.kern, self.forces
-        M, N = sum(maps.split), maps.N
+        """:func:`multirate.solver._step_residual` of the step from ``start``: a
+        product for z, slices of z, the callbacks, a concatenation, a
+        finiteness test and a product for F."""
+        maps, kern, forces = self.maps, self.kern, self.forces
+        points, N, k_V, k_W, n_s, n_f = maps.points, maps.N, maps.k_V, maps.k_W, maps.n_s, maps.n_f
+        a, b, M = itertools.accumulate(maps.split)
         shift = self._shift(start)
+        slow, fast = map(self.sys.batch_callable, ("slow_potential_grad", "fast_potential_grad"))
 
         def residual(x):
-            z = _matvec(maps.points, x)
+            single, n = x.ndim == 1, x.size // N
+            z = points.dot(x) if single else (points @ x[..., None])[..., 0]
             z += shift
-            n = x.size // N
-            Qs, QfV, QfW = self._points(z, n)
-            g_s, g_fV = sys.evaluate_batch("slow_potential_grad", Qs, QfV)
-            g_W = sys.evaluate_batch("fast_potential_grad", QfW)
-            if x.ndim == 1:
+            QfV = z[..., a:b].reshape(n * k_V, n_f)
+            g_s, g_fV = slow(z[..., :a].reshape(n * k_V, n_s), QfV)
+            g_W = fast(QfV if maps.shared else z[..., b:M].reshape(n * k_W, n_f))
+            if single:
                 G = np.concatenate((g_s, g_fV, g_W, z[M:]), axis=None)
                 self.last = start, x, z
             else:
@@ -642,7 +627,7 @@ class _DenseStep:
             if not _finite(G):
                 _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
                 _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-            return _matvec(forces, G), G
+            return (forces.dot(G) if single else (forces @ G[..., None])[..., 0]), G
 
         return residual
 
@@ -665,9 +650,12 @@ class _DenseStep:
             z = self.last[2]
         else:
             z = maps.points @ x + self._shift(start)
-        Qs, QfV, QfW = self._points(z, 1)
-        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
-        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+        a, b, M = itertools.accumulate(maps.split)
+        QfV = z[a:b].reshape(maps.k_V, maps.n_f)
+        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian",
+                                              z[:a].reshape(maps.k_V, maps.n_s), QfV)
+        H_W = sys.evaluate_batch("fast_potential_hessian",
+                                 QfV if maps.shared else z[b:M].reshape(maps.k_W, maps.n_f))
         for block, H in zip(self.h_blocks, (H_ss, H_sf, H_ff, H_W)):
             block[...] = H
         if not _finite(self.h):

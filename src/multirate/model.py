@@ -363,17 +363,20 @@ class MultirateSystem:
         Returns float arrays with a leading axis of length k (a tuple of them
         for the ``slow_*`` callables).
         """
+        return self.batch_callable(name)(*points)
+
+    def batch_callable(self, name: str) -> Callable:
+        """:meth:`evaluate_batch` of ``name`` as a callable of the points alone."""
         fn = getattr(self, name)
         if self.batched:
-            out = fn(*points)
             if name.startswith("slow"):
                 # a list, not a generator: this runs once per residual
-                return tuple([np.asarray(a, dtype=float) for a in out])
-            return np.asarray(out, dtype=float)
-        rows = [fn(*pt) for pt in zip(*points)]
+                return lambda *points: tuple([np.asarray(a, dtype=float) for a in fn(*points)])
+            return lambda *points: np.asarray(fn(*points), dtype=float)
         if name.startswith("slow"):
-            return tuple([np.array(col, dtype=float) for col in zip(*rows)])
-        return np.array(rows, dtype=float)
+            return lambda *points: tuple([np.array(col, dtype=float)
+                                          for col in zip(*[fn(*pt) for pt in zip(*points)])])
+        return lambda *points: np.array([fn(*pt) for pt in zip(*points)], dtype=float)
 
 
 def momenta_from_velocities(sys: MultirateSystem, v_slow, v_fast) -> tuple[np.ndarray, np.ndarray]:

@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
-from .solver import (MacroStep, SolverConfig, StepStats, _dense_step, _drift_guess, _HeldMatrix,
-                     _small, _solve_step, _Workspace)
+from .solver import MacroStep, SolverConfig, StepStats, _drift_guess, _HeldMatrix, _solve_step
 
 __all__ = ["pq_step"]
 
@@ -66,12 +65,14 @@ def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
     return transform
 
 
-def _transform(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid, ws: _Workspace):
-    """T of the p/q steps whose matrices the workspace ``ws`` holds, made once
-    per holder: the dense maps of the step's fixed maps below the size rule
-    (``solver._small``), one product per vector, else :func:`_pq_transform`."""
-    return (_dense_step(sys, quad, grid, ws).transform if _small(sys, grid)
-            else ws.kept("pq transform", _pq_transform, sys, grid))
+def _transform(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid, held: _HeldMatrix):
+    """T of the p/q steps bound to the holder ``held``, made once per
+    binding: the fixed maps' dense T below the size rule, else
+    :func:`_pq_transform`."""
+    step = held.bind(sys, quad, grid)
+    if step.pq is None:
+        step.pq = step.dense.transform if step.dense is not None else _pq_transform(sys, grid)
+    return step.pq
 
 
 def _check_map(quad: QuadratureSpec):
@@ -102,4 +103,4 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
     _check_map(quad)
     held = _HeldMatrix() if held is None else held
     return _solve_step(index, state, _drift_guess(state, sys, grid), sys, quad, grid, config,
-                       held, _transform(sys, quad, grid, held.ws))
+                       held, _transform(sys, quad, grid, held))

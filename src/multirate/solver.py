@@ -303,11 +303,11 @@ def _small(sys: MultirateSystem, grid: TimeGrid) -> bool:
 
 
 def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                   ws: _Workspace | None = None):
+                   held: _HeldMatrix | None = None):
     """Stacked equations of the interval that begins at ``start``.
 
     ``residual(x)`` returns ``(F, aux)``, F with the shape of x and aux what
-    :func:`_step_record` builds an accepted iterate's momenta from: the
+    :meth:`_BoundStep.record` builds an accepted iterate's momenta from: the
     gradients ``(g_s, g_fV, g_W)`` at x, or the fixed maps' stacked vector G.
     x may carry leading batch axes, whose points go to the callbacks in one batch.
 
@@ -321,48 +321,18 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
       i, minus the kernel's equation weights applied to the gradients.
 
     Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns the step is a few fixed
-    linear maps around the callbacks (:class:`_DenseStep`), kept in the
-    workspace ``ws`` (a new one by default); above, the kernel's products
+    linear maps around the callbacks (:class:`_DenseStep`) bound to the
+    holder ``held`` (a new one by default); above, the kernel's products
     (:meth:`~multirate.discretization._IntervalKernel.fast_forces`).  F
     agrees with the difference of the momenta to within rounding of the
     largest momentum terms, and every point of a batch gets the F it would
     get alone.
     """
-    if _small(sys, grid):
-        return _dense_step(sys, quad, grid, _Workspace() if ws is None else ws).residual(start)
-    kern = interval_kernel(quad, grid)
-    p = grid.micro_per_macro
-    n_s = sys.n_slow
-    q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
-    # the start's share c0 q0 of the slow points, the same for every iterate
-    Qs0 = kern.start_points(q0)
-
-    def residual(x):
-        q_slow_next, fast = _step_nodes(start, x, sys, p)
-        grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast, Qs0), sys)
-        # p_f0 above the fast kinetic momenta: the kinetic differences of all
-        # fast rows are then one subtraction
-        P_f = np.empty(fast.shape)
-        P_f[..., 0, :] = p_f0
-        Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys, out=P_f[..., 1:, :])
-        F = np.empty(x.shape)
-        F[..., :n_s] = p_s0 - Mv_s - kern.w_c0 @ g_s
-        # the fast rows as (..., p, n_fast): splitting the last axis is a view
-        F_f = F[..., n_s:].reshape(Mv_f.shape)
-        np.subtract(P_f[..., :-1, :], Mv_f, out=F_f)
-        F_f -= kern.fast_forces(g_fV, g_W)
-        return F, grads
-
-    return residual
+    return (_HeldMatrix() if held is None else held).bind(sys, quad, grid).residual(start)
 
 
-def _dense_step(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                ws: _Workspace) -> _DenseStep:
-    """The :class:`_DenseStep` of the system and quadrature kept in ``ws``."""
-    return ws.kept("dense step", _DenseStep, interval_kernel(quad, grid), sys)
-
-
-def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
+                   dense: _DenseStep | None = None):
     """``(linear, jacobian)`` of the implicit steps on ``grid``.
 
     ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
@@ -374,9 +344,9 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
     differences of ``residual`` otherwise (:func:`_fd_jacobian`, dense,
     from batched residual calls).  An analytic matrix is kept as blocks
     (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on; below,
-    the step's fixed maps (:class:`~multirate.discretization._DenseStep`)
-    write it densely.  The blocks, the maps and the dense matrix are kept in
-    the :class:`~multirate.discretization._Workspace` ``ws``.
+    the step's fixed maps ``dense`` (:class:`_DenseStep`, made here where
+    not given) write it densely.  The blocks and the dense matrix are kept
+    in the :class:`~multirate.discretization._Workspace` ``ws``.
     """
     p = grid.micro_per_macro
 
@@ -386,13 +356,68 @@ def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         return _DENSE, fd_jacobian
 
     if _small(sys, grid):
+        dense = _DenseStep(interval_kernel(quad, grid), sys) if dense is None else dense
+
         def jacobian(start, residual, x, F, ws):
-            return _dense_step(sys, quad, grid, ws).matrix(start, x, ws)
+            return dense.matrix(start, x, ws)
         return _DENSE, jacobian
 
     def jacobian_blocks(start, residual, x, F, ws):
         return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
     return _STRUCTURED, jacobian_blocks
+
+
+class _BoundStep:
+    """The implicit steps of one system, quadrature and grid, decided once
+    per Newton matrix holder (:meth:`_HeldMatrix.bind`): the kernel, the
+    fixed maps ``dense`` (:class:`_DenseStep`, None from the size rule on),
+    ``(linear, jacobian)`` (:func:`_linearization`), the record, and ``pq``,
+    the p/q maps' T once made (:func:`multirate.schemes._transform`)."""
+
+    def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+        self.sys, self.quad, self.grid = sys, quad, grid
+        self.kern = interval_kernel(quad, grid)
+        self.dense = _DenseStep(self.kern, sys) if _small(sys, grid) else None
+        self.linear, self.jacobian = _linearization(sys, quad, grid, self.dense)
+        self.pq = None
+
+    def residual(self, start: State):
+        """:func:`_step_residual` of the step from ``start``."""
+        if self.dense is not None:
+            return self.dense.residual(start)
+        kern, sys, n_s = self.kern, self.sys, self.sys.n_slow
+        q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
+        # the start's share c0 q0 of the slow points, the same for every iterate
+        Qs0 = kern.start_points(q0)
+
+        def residual(x):
+            q_slow_next, fast = _step_nodes(start, x, sys, kern.p)
+            grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast, Qs0), sys)
+            # p_f0 above the fast kinetic momenta: the kinetic differences of
+            # all fast rows are then one subtraction
+            P_f = np.empty(fast.shape)
+            P_f[..., 0, :] = p_f0
+            Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys, out=P_f[..., 1:, :])
+            F = np.empty(x.shape)
+            F[..., :n_s] = p_s0 - Mv_s - kern.w_c0 @ g_s
+            # the fast rows as (..., p, n_fast): splitting the last axis is a view
+            F_f = F[..., n_s:].reshape(Mv_f.shape)
+            np.subtract(P_f[..., :-1, :], Mv_f, out=F_f)
+            F_f -= kern.fast_forces(g_fV, g_W)
+            return F, grads
+
+        return residual
+
+    def record(self, index: int, start: State, x: np.ndarray, aux) -> MacroStep:
+        """Record of the step from ``start`` at the accepted iterate x, ``aux``
+        being what :meth:`residual` returned there: below the size rule one
+        product of aux, the stacked vector G (``_DenseStep.record_momenta``)."""
+        q_slow_next, fast = _step_nodes(start, x, self.sys, self.kern.p)
+        if self.dense is not None:
+            return MacroStep(index, start.q_slow, q_slow_next, fast,
+                             *self.dense.record_momenta(aux))
+        mom = self.kern.momenta_from(start.q_slow, q_slow_next, fast, self.sys, *aux)
+        return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
 
 
 @dataclass
@@ -473,7 +498,8 @@ class _BlockFactors:
     the slow row then gives the Schur complement (A - B Z) s = b_s - B a, and
     back-substitution the fast update.  ``d_inv`` is None where a D_i could
     not be inverted; every solve then takes the dense fallback.  ``absolute``
-    holds |J| once :func:`_block_magnitude` has needed it.
+    holds |J| once :func:`_block_magnitude` has needed it; ``sweep`` the
+    blocks of ``a``, which every solve overwrites after two zero blocks.
     """
 
     J: _JacobianBlocks
@@ -483,11 +509,20 @@ class _BlockFactors:
     schur_inv: np.ndarray | None = None  # (n_slow, n_slow): (A - B Z)^-1
     j_max: float = 0.0
     absolute: _JacobianBlocks | None = None
+    a: np.ndarray | None = None         # (p + 2, n_fast)
+    sweep: list | None = None           # _sweep(ge, a)
 
 
 def _abs_max(a: np.ndarray) -> float:
     """max |a_ij| without an array of the magnitudes."""
     return max(float(np.max(a, initial=0.0)), -float(np.min(a, initial=0.0)))
+
+
+def _sweep(ge: np.ndarray, Y: np.ndarray) -> list:
+    """Per i, the views ge[i], [y_i; y_{i+1}] and y_{i+2} of Y (p+2, n_fast, ...)."""
+    n = Y.shape[1]
+    flat = Y.reshape((len(Y) * n,) + Y.shape[2:])
+    return [(g, flat[i * n:(i + 2) * n], Y[i + 2]) for i, g in enumerate(ge)]
 
 
 def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
@@ -514,36 +549,40 @@ def _factor_blocks(J: _JacobianBlocks) -> _BlockFactors:
             Z = J.ws("Z", (p + 2, n_f, n_s))
             Z[:2] = 0.0
             np.matmul(d_inv, J.col.reshape(p, n_f, n_s), out=Z[2:])
-            for i in range(p):
-                Z[i + 2] -= ge[i] @ Z[i:i + 2].reshape(2 * n_f, n_s)
+            for g, prev, y in _sweep(ge, Z):
+                y -= g.dot(prev)
             Z = Z[2:].reshape(p * n_f, n_s)
             schur_inv = np.linalg.inv(J.slow - J.row @ Z)
     except np.linalg.LinAlgError:
         return _BlockFactors(J, j_max=j_max)
-    return _BlockFactors(J, d_inv, ge, Z, schur_inv, j_max)
+    # a's two leading blocks stay zero: solves write a[2:] only
+    a = np.zeros((p + 2, n_f))
+    return _BlockFactors(J, d_inv, ge, Z, schur_inv, j_max, a=a, sweep=_sweep(ge, a))
 
 
 def _eliminate(F: _BlockFactors, b: np.ndarray) -> np.ndarray:
     """Solve ``J x = b`` with the elimination factors, without any check."""
     J = F.J
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
-    a = np.zeros((p + 2, n_f))
-    np.matmul(F.d_inv, b[n_s:].reshape(p, n_f, 1), out=a[2:, :, None])
-    for i in range(p):
-        a[i + 2] -= F.ge[i] @ a[i:i + 2].ravel()
-    a = a[2:].ravel()
+    np.matmul(F.d_inv, b[n_s:].reshape(p, n_f, 1), out=F.a[2:, :, None])
+    for g, prev, y in F.sweep:
+        y -= g.dot(prev)
+    a = F.a[2:].ravel()
     s = F.schur_inv @ (b[:n_s] - J.row @ a)
     return np.concatenate([s, a - F.z @ s])
 
 
 def _block_matvec(J: _JacobianBlocks, x: np.ndarray) -> np.ndarray:
-    """``J @ x`` from the blocks."""
+    """``J @ x`` from the blocks, summed into one output array."""
     p, n_s, n_f = J.p, J.slow.shape[0], J.band.shape[1]
     s, y = x[:n_s], x[n_s:].reshape(p, n_f, 1)
-    fast = (J.col @ s).reshape(p, n_f) + (J.band[:p] @ y)[..., 0]
-    fast[1:] += (J.band[p:] @ y[:-1])[..., 0]
-    fast[2:] += (J.band[1:p - 1] @ y[:-2])[..., 0]
-    return np.concatenate([J.slow @ s + J.row @ x[n_s:], fast.ravel()])
+    out = np.empty(x.shape)
+    np.add(J.slow @ s, J.row @ x[n_s:], out=out[:n_s])
+    fast = np.matmul(J.band[:p], y, out=out[n_s:].reshape(p, n_f, 1))
+    fast += (J.col @ s).reshape(fast.shape)
+    fast[1:] += J.band[p:] @ y[:-1]
+    fast[2:] += J.band[1:p - 1] @ y[:-2]
+    return out
 
 
 # Largest backward error ||J x - b|| / (max|J_ij| ||x||_1 + ||b||), infinity
@@ -583,7 +622,8 @@ def _block_magnitude(F: _BlockFactors, x: np.ndarray) -> np.ndarray:
 
 
 def _factor_dense(J: np.ndarray):
-    return J, np.linalg.inv(J)
+    # |J| for the polish checks (_polish_target), once per matrix
+    return J, np.linalg.inv(J), np.abs(J)
 
 
 # ndarray.dot: the BLAS matrix-vector product of @, at half its call cost
@@ -592,7 +632,7 @@ def _apply_dense(factors, b: np.ndarray) -> np.ndarray:
 
 
 def _dense_magnitude(factors, x: np.ndarray) -> np.ndarray:
-    return np.abs(factors[0]).dot(np.abs(x))
+    return factors[2].dot(np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -662,38 +702,50 @@ class _HeldMatrix:
     iterations and, when :func:`integrate` hands one holder to all its
     steps, across steps.  ``factors`` is None until the next build.
 
+    ``step`` is the :class:`_BoundStep` its steps run on (:meth:`bind`):
+    the size decision, fixed maps, solver, Jacobian, T and record.
     ``ws`` holds the arrays that its builds write: J's blocks, their
     interval sums, the elimination's ``ge`` and Z, |J|, or the small
-    step's fixed maps with the masses and the dense matrix.  A build
-    happens only once the held factors have been dropped, so one set serves
-    every build of the holder, and its iterations read blocks that no build
-    overwrites.  Each holder has its own.  A 20-step integration of an FPU
-    chain with l=30, p=50 then takes about 105 minor page faults per build,
-    most of them in the Hessian callback's own arrays, against about 370
-    with fresh arrays.
+    step's dense matrix.  A build happens only once the held factors have
+    been dropped, so one set serves every build of the holder, and its
+    iterations read blocks that no build overwrites.  Each holder has its
+    own.  A 20-step integration of an FPU chain with l=30, p=50 then takes
+    about 105 minor page faults per build, most of them in the Hessian
+    callback's own arrays, against about 370 with fresh arrays.
     """
 
     factors: object = None
     ws: _Workspace = field(default_factory=_Workspace)
+    step: _BoundStep | None = None
+
+    def bind(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid) -> _BoundStep:
+        """The bound step of these objects, made where the holder has none or
+        one of other objects, whose matrix and arrays it then drops."""
+        step = self.step
+        if step is None or step.sys is not sys or step.quad is not quad or step.grid is not grid:
+            if step is not None:
+                self.factors, self.ws = None, _Workspace()
+            step = self.step = _BoundStep(sys, quad, grid)
+        return step
 
 
 def _inf_norm(F: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(F), axis=None)) if F.size else 0.0
 
 
-def _polish_target(linear: _LinearSolver, held: _HeldMatrix, x: np.ndarray, norm: float,
-                   tol: float, transform: Callable | None) -> float:
+def _polish_target(magnitude: Callable, factors, x: np.ndarray, norm: float, tol: float,
+                   transform: Callable | None) -> float:
     """Residual that a polish iteration has to reach: four orders of
     magnitude below the tolerance, or the rounding floor of the residual's
     largest terms where that is higher.  The floor is only looked up for a
     residual within tolerance.  It is ``_EPS`` times the largest row of
-    ``linear.magnitude``, |J| |x|, or of |T| |J| |x| for a residual
+    ``magnitude(factors, x)``, |J| |x|, or of |T| |J| |x| for a residual
     measured as T F (``transform``, see :func:`_newton`): T F is computed
     as T applied to the computed F, so the rounding of each entry of F
     reaches T F through |T|."""
     target = 1e-4 * tol
     if target < norm <= tol:
-        rows = linear.magnitude(held.factors, x)
+        rows = magnitude(factors, x)
         if transform is not None:
             rows = transform(rows, absolute=True)
         target = max(target, _EPS * float(np.maximum.reduce(rows, axis=None, initial=0.0)))
@@ -762,11 +814,8 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
     residual, unless the residual already sits at the target.
     """
     tol = config.newton_tol
-
-    def measure(F):
-        return _inf_norm(F if transform is None else transform(F))
-
-    norm = measure(F)
+    apply, magnitude = linear.apply, linear.magnitude
+    norm = _inf_norm(F if transform is None else transform(F))
     theta = math.nan
     iters = 0
     settled = False
@@ -793,7 +842,7 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
                 stats.solve_time += time.perf_counter() - t1
             # J u = F: x - u is x + dx for J dx = -F bit for bit
             t0 = time.perf_counter()
-            u = linear.apply(held.factors, F)
+            u = apply(held.factors, F)
             stats.solve_time += time.perf_counter() - t0
         except np.linalg.LinAlgError as exc:
             raise DivergenceError(
@@ -808,9 +857,9 @@ def _iterate(residual, jacobian, linear: _LinearSolver, held: _HeldMatrix, x: np
         F, aux = residual(x)
         iters += 1
         stats.newton_iters += 1
-        new_norm = measure(F)
+        new_norm = _inf_norm(F if transform is None else transform(F))
         theta, norm = new_norm / norm, new_norm
-        target = _polish_target(linear, held, x, norm, tol, transform)
+        target = _polish_target(magnitude, held.factors, x, norm, tol, transform)
         settled = (polish and fresh) or norm <= target
         if _predicted_iters(theta, norm, target) > _MAX_PREDICTED_ITERS:
             held.factors = None
@@ -834,34 +883,19 @@ def _drift_guess(state: State, sys: MultirateSystem, grid: TimeGrid) -> np.ndarr
     return x
 
 
-def _step_record(index: int, start: State, x: np.ndarray, aux, sys: MultirateSystem,
-                 quad: QuadratureSpec, grid: TimeGrid, ws: _Workspace) -> MacroStep:
-    """Record of the step from ``start`` at the accepted iterate x, ``aux``
-    being what :func:`_step_residual` returned there.  Below the size rule
-    the momenta are one product of aux, the stacked vector G, by a map of
-    the fixed maps in the holder's workspace ``ws``, made with the masses
-    once per holder, as are the p/q maps' T and |T|
-    (:func:`multirate.schemes._transform`); above, from the gradients."""
-    q_slow_next, fast = _step_nodes(start, x, sys, grid.micro_per_macro)
-    if _small(sys, grid):
-        return MacroStep(index, start.q_slow, q_slow_next, fast,
-                         *_dense_step(sys, quad, grid, ws).record_momenta(aux))
-    mom = interval_kernel(quad, grid).momenta_from(start.q_slow, q_slow_next, fast, sys, *aux)
-    return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
-
-
 def _solve_step(index: int, start: State, guess: np.ndarray, sys: MultirateSystem,
                 quad: QuadratureSpec, grid: TimeGrid, config: SolverConfig,
                 held: _HeldMatrix | None, transform: Callable | None = None,
                 ) -> tuple[MacroStep, StepStats]:
     """The implicit step from ``start``: Newton on the DEL residual from
-    ``guess``, its norm measured through ``transform`` (:func:`_newton`)."""
+    ``guess``, its norm measured through ``transform`` (:func:`_newton`),
+    on the machinery bound to ``held`` (a new holder by default)."""
     held = _HeldMatrix() if held is None else held
-    residual = _step_residual(start, sys, quad, grid, held.ws)
-    linear, jacobian = _linearization(sys, quad, grid)
-    x, aux, stats = _newton(residual, functools.partial(jacobian, start, residual),
-                            guess, config, linear, held, transform)
-    return _step_record(index, start, x, aux, sys, quad, grid, held.ws), stats
+    step = held.bind(sys, quad, grid)
+    residual = _step_residual(start, sys, quad, grid, held)
+    x, aux, stats = _newton(residual, functools.partial(step.jacobian, start, residual),
+                            guess, config, step.linear, held, transform)
+    return step.record(index, start, x, aux), stats
 
 
 def initial_step(q0: State, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
@@ -991,7 +1025,7 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
         none = StepStats()  # of every explicit step: no Newton work
         return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), none)),
                 (lambda prev: (explicit_macro_step(prev, sys, quad, grid), none)), None)
-    linear_solver = _linearization(sys, quad, grid)[0].name
+    linear_solver = held.bind(sys, quad, grid).linear.name
     if mode is IntegratorMode.CLOSED_FORM_PQ:
         from . import schemes
         schemes._check_map(quad)

@@ -81,9 +81,13 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
     mass_slow = np.diag(cfg.masses[:l])
     mass_fast = np.diag(cfg.masses[l:])
 
-    # configurations are row vectors, so leading batch axes pass through
+    # configurations are row vectors, so leading batch axes pass through;
+    # ndarray.dot at half matmul's overhead, and the same bits: each entry
+    # of these products sums at most two nonzero terms, q_i or -q_i
+    D_sT, D_fT = D_s.T, D_f.T
+
     def elongations(q_s, q_f):
-        return q_s @ D_s.T + q_f @ D_f.T
+        return q_s.dot(D_sT) + q_f.dot(D_fT)
 
     # powers as products: on a (10, 4) array d ** 3 takes about four times as
     # long as d * d * d (3.3 vs 0.8 us on a 2-vCPU Xeon)
@@ -95,7 +99,7 @@ def build_fpu(config: FpuConfig = None) -> tuple[MultirateSystem, State]:
     def slow_potential_grad(q_s, q_f):
         d = elongations(q_s, q_f)
         d3 = d * d * d
-        return d3 @ D_s, d3 @ D_f
+        return d3.dot(D_s), d3.dot(D_f)
 
     D = np.hstack([D_s, D_f])
 

@@ -11,9 +11,9 @@ import numpy as np
 import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
-from multirate.discretization import _Workspace, interval_kernel
+from multirate.discretization import interval_kernel
 from multirate.schemes import _transform
-from multirate.solver import MacroStep, _step_residual
+from multirate.solver import MacroStep, _HeldMatrix, _step_residual
 
 
 def central_diff(f, x, h):
@@ -254,9 +254,9 @@ def pq_residual(quad, state, sys, grid):
     at x.  Each point of a batch is transformed as it would be alone.  Not
     independent of the library: the tests hold it against
     :func:`closed_form_pq_residual`, and measure the p/q stop rule with it."""
-    ws = _Workspace()
-    residual = _step_residual(state, sys, quad, grid, ws)
-    transform = _transform(sys, quad, grid, ws)
+    held = _HeldMatrix()
+    residual = _step_residual(state, sys, quad, grid, held)
+    transform = _transform(sys, quad, grid, held)
 
     def evaluate(x):
         F, aux = residual(x)

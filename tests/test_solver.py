@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -303,9 +304,9 @@ class TestFixedMaps:
         # the record's momenta as one product of the residual's stacked
         # vector G, against the kernel's momenta from the gradients at x
         sys, q0, grid, X = self.points(request, system, quad, p)
-        ws = _Workspace()
-        residual = solver._step_residual(q0, sys, quad, grid, ws)
-        dense = solver._dense_step(sys, quad, grid, ws)
+        held = solver._HeldMatrix()
+        residual = solver._step_residual(q0, sys, quad, grid, held)
+        dense = held.bind(sys, quad, grid).dense
         kern = interval_kernel(quad, grid)
         for x in X:
             G = residual(x)[1]
@@ -326,7 +327,7 @@ class TestFixedMaps:
     def test_dense_transform_matches_running_sums(self, request, system, p):
         # T and |T| of the p/q maps as dense maps, against the running sums
         sys, q0, grid, _ = self.points(request, system, MIDMID, p)
-        dense = solver._dense_step(sys, MIDMID, grid, _Workspace())
+        dense = solver._HeldMatrix().bind(sys, MIDMID, grid).dense
         running = schemes._pq_transform(sys, grid)
         F = np.random.default_rng(p).standard_normal((3, dense.T.shape[0]))
         for absolute in (False, True):
@@ -386,6 +387,125 @@ class TestFixedMaps:
         _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)
         assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
         assert calls == []
+
+
+def with_nan_gradient(sys: MultirateSystem, which: str, m: int, k: int) -> MultirateSystem:
+    """``sys`` whose slow- or fast-potential gradient (``which``) is NaN at
+    point m of every k stacked points, the midpoint of micro interval m of a
+    step with k midpoint terms, in a batch or one point per call."""
+    name = f"{which}_potential_grad"
+    fn, calls = getattr(sys, name), itertools.count()
+
+    def spoil(g, rows):
+        g = np.array(g, dtype=float)
+        g[rows] = np.nan
+        return g
+
+    def grad(*args):
+        if sys.batched:
+            rows = slice(m, None, k)
+        else:
+            rows = slice(None) if next(calls) % k == m else slice(0)
+        out = fn(*args)
+        return tuple(spoil(g, rows) for g in out) if which == "slow" else spoil(out, rows)
+
+    return dataclasses.replace(sys, **{name: grad})
+
+
+class TestBoundStep:
+    """A holder binds the machinery of its steps once (``_HeldMatrix.bind``):
+    a small step's fixed maps are resolved once per ``integrate`` call, a
+    holder handed steps of other objects takes what a fresh one would, and
+    the bound residual of one point is its row of a batch, bit for bit,
+    failures included."""
+
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    def test_small_integrate_resolves_its_maps_once(self, fpu, mode, monkeypatch):
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, 10, 6)
+        lookups, builds = [], []
+        kernel, DenseStep = solver.interval_kernel, discretization._DenseStep
+
+        def counted_kernel(*args):
+            lookups.append(args)
+            return kernel(*args)
+
+        class CountedDenseStep(DenseStep):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "interval_kernel", counted_kernel)
+        monkeypatch.setattr(solver, "_DenseStep", CountedDenseStep)
+        _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)
+        assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
+        # not once or more per step: the residual, each matrix build, the
+        # record and the p/q maps' T all read the bound step
+        assert (len(lookups), len(builds)) == (1, 1)
+
+    @pytest.mark.parametrize("step_fn", ["del", "pq"])
+    @pytest.mark.parametrize("change", ["grid", "quadrature", "system"])
+    @pytest.mark.parametrize("linear", ["dense", "structured"])
+    def test_holder_handed_other_steps_matches_a_fresh_one(self, fpu, linear, change, step_fn,
+                                                            monkeypatch):
+        # steps of the same size, so that a held matrix or dense array of
+        # the other objects would fit, and change the step if kept
+        if linear == "structured":
+            monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+        sys, q0 = fpu
+        grid = build_time_grid(0.3, 4, 1)
+        other = {"grid": (sys, MIDMID, build_time_grid(0.2, 4, 1)),
+                 "quadrature": (sys, QuadratureSpec.trapezoidal_midpoint(1.0), grid),
+                 "system": (with_full_masses(sys), MIDMID, grid)}[change]
+        cfg = SolverConfig(newton_tol=1e-9)
+
+        def step(args, held):
+            if step_fn == "pq":
+                return schemes.pq_step(q0, *args, cfg, held=held)
+            return initial_step(q0, *args, cfg, held)
+
+        held = solver._HeldMatrix()
+        for args in ((sys, MIDMID, grid), other, (sys, MIDMID, grid)):
+            got, got_stats = step(args, held)
+            want, want_stats = step(args, solver._HeldMatrix())
+            assert held.step.linear.name == linear
+            assert (got_stats.newton_iters, got_stats.matrix_builds) == \
+                (want_stats.newton_iters, want_stats.matrix_builds)
+            for a, b in ((got.q_slow_end, want.q_slow_end), (got.fast, want.fast),
+                         (got.p_fast, want.p_fast), (got.p_slow, want.p_slow)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+    @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_one_point_is_its_row_of_a_batch(self, request, system, quad, batched):
+        sys, q0 = request.getfixturevalue(system)
+        sys = dataclasses.replace(sys, batched=batched)
+        grid = build_time_grid(0.05, 4, 1)
+        assert solver._small(sys, grid)
+        x0 = solver._drift_guess(q0, sys, grid)
+        X = x0 + 1e-2 * np.random.default_rng(3).standard_normal((2, 3, x0.size))
+        residual = solver._step_residual(q0, sys, quad, grid)
+        F, G = residual(X)
+        assert F.shape == X.shape and G.shape[:2] == X.shape[:2]
+        for x, f, g in zip(X.reshape(-1, x0.size), F.reshape(6, -1), G.reshape(6, -1)):
+            f1, g1 = residual(x)
+            assert np.array_equal(f1, f) and np.array_equal(g1, g)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
+    @pytest.mark.parametrize("which", ["slow", "fast"])
+    def test_nonfinite_gradient_names_its_micro_interval(self, fpu, which, batched):
+        sys, q0 = fpu
+        p, m = 10, 3
+        grid = build_time_grid(0.3, p, 1)
+        bad = with_nan_gradient(dataclasses.replace(sys, batched=batched), which, m, p)
+        residual = solver._step_residual(q0, bad, MIDMID, grid)
+        x = solver._drift_guess(q0, sys, grid)
+        for point in (x, np.stack([x, x])):
+            with pytest.raises(EvaluationError, match=f"{which}-potential gradient") as info:
+                residual(point)
+            assert info.value.node_index == m
 
 
 # Roundings of a record entry's largest terms by which the one product and
