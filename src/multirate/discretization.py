@@ -272,15 +272,6 @@ class _IntervalKernel:
         self.ff_V, self.ff_W = second[:, :k_V], second[:, k_V:]
         self.shared = (np.array_equal(self.V.gather, self.W.gather)
                        and np.array_equal(self.V.equations, self.W.equations))
-        # Constants of the explicit recurrence, read only for explicit-solvable
-        # rules (slow potential at the macro nodes, trapezoidal-family W): the
-        # weights of the slow and of the fast gradient at node 0 in its kicks,
-        # and whether V's one term sits at node 0 and W's term m at node m, so
-        # that the node gradients serve as the term gradients.
-        self.kick_V = dT * quad.alpha_V
-        self.kick_W = self.dt * _left_weight(quad.alpha_W, quad.gamma_W)
-        self.node_terms = (np.array_equal(self.V.node, [0])
-                           and np.array_equal(self.W.node, np.arange(p)))
         # The weights of the four momenta with the gradient each applies to (0:
         # g_s, 1: g_fV, 2: g_W), less the all-zero ones: they add only zeros.
         self.momentum_terms = [[(a, i) for a, i in terms if a.any()] for terms in (
@@ -318,8 +309,10 @@ class _IntervalKernel:
         a non-finite one raises naming its micro interval, slow before fast
         (:func:`_check_finite`)."""
         Qs, QfV, QfW = points
-        g_s, g_fV = sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV))
-        g_W = sys.evaluate_batch("fast_potential_grad", _rows(QfW))
+        # contiguous: numpy rounds products with row-strided views otherwise
+        g_s, g_fV = map(np.ascontiguousarray,
+                        sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV)))
+        g_W = np.ascontiguousarray(sys.evaluate_batch("fast_potential_grad", _rows(QfW)))
         if not _finite(g_s, g_fV, g_W):
             _check_finite((g_s, g_fV), self.V.m, "slow-potential gradient")
             _check_finite((g_W,), self.W.m, "fast-potential gradient")
@@ -433,9 +426,8 @@ class _StepMaps:
     gradients taken at y: minus the slow weights ``w_c0`` and the equation
     weights of V and W, the kinetic terms of d from the columns
     ``kinetic_cols`` (zero here, they carry the masses) and the start
-    momenta in the rows of the slow node and fast node 0.  ``momenta @ G``
-    is the step record's ``[p_s-; p_s+; p_f-(0..p-1); p_f+(p-1)]``: the
-    left and right weights, and again zero kinetic columns.
+    momenta in the rows of the slow node and fast node 0 (the record of G:
+    :class:`_StepRecord`, which an explicit step makes without these maps).
 
     The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
     ``coef * h[src]`` summed in order over each run of entries with one
@@ -477,11 +469,6 @@ class _StepMaps:
         self.forces[n_s:, at_fV:at_gW] = np.kron(-V.equations, I_f)
         self.forces[n_s:, at_gW:self.kinetic_cols.start] = np.kron(-W.equations, I_f)
         self.forces[:n_0, self.kinetic_cols.stop:] = np.eye(n_0)
-        self.momenta = np.zeros((2 * n_s + (p + 1) * n_f, self.forces.shape[1]))
-        self.momenta[:2 * n_s, :at_fV] = np.kron(np.stack([kern.w_c0, -kern.w_c1]), I_s)
-        for pot, at in ((V, at_fV), (W, at_gW)):
-            self.momenta[2 * n_s:, at:at + pot.m.size * n_f] = np.kron(
-                np.vstack([pot.left, -pot.right[-1:]]), I_f)
 
         # each term's gradient entries, point entries and second derivatives
         # as positions in h: of V, the (n_s + n_f)^2 Hessian in the order of
@@ -547,7 +534,34 @@ def _matvec(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (m @ a[..., None])[..., 0]
 
 
-class _DenseStep:
+class _StepRecord:
+    """The record of a small DEL or explicit step: ``momenta @ G`` is
+    ``[p_s-; p_s+; p_f-(0..p-1); p_f+(p-1)]`` for G = ``[g_s; g_fV; g_W; d;
+    p_s0; p_f0]`` as in :class:`_StepMaps`: the slow, left and right weights,
+    M_s/dT on q1 - q0, M_f/dt on d_m at node m < p and d_{p-1} at p (the
+    columns ``d``), and zero on the start momenta."""
+
+    def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
+        self.kern, self.sys = kern, sys
+        p, V, W, n_s, n_f = kern.p, kern.V, kern.W, sys.n_slow, sys.n_fast
+        at_fV, at_gW = V.m.size * n_s, V.m.size * (n_s + n_f)
+        self.d = slice(at_gW + W.m.size * n_f, at_gW + W.m.size * n_f + n_s + p * n_f)
+        self.momenta = np.zeros((2 * n_s + (p + 1) * n_f, self.d.stop + n_s + n_f))
+        self.momenta[:2 * n_s, :at_fV] = np.kron(np.stack([kern.w_c0, -kern.w_c1]), np.eye(n_s))
+        for pot, at in ((V, at_fV), (W, at_gW)):
+            self.momenta[2 * n_s:, at:at + pot.m.size * n_f] = np.kron(
+                np.vstack([pot.left, -pot.right[-1:]]), np.eye(n_f))
+        kinetic = self.momenta[:, self.d]
+        kinetic[:2 * n_s, :n_s] = np.vstack([sys.mass_slow, sys.mass_slow]) / kern.dT
+        kinetic[2 * n_s:, n_s:] = np.kron(np.eye(p)[np.r_[:p, p - 1]], sys.mass_fast / kern.dt)
+
+    def record_momenta(self, G: np.ndarray):
+        """``(p_fast, p_slow)`` in the step record's order: views of ``momenta @ G``."""
+        mom, n_s, n_f = self.momenta.dot(G), self.sys.n_slow, self.sys.n_fast
+        return mom[2 * n_s:].reshape(self.kern.p + 1, n_f), mom[:2 * n_s].reshape(2, n_s)
+
+
+class _DenseStep(_StepRecord):
     """A DEL step below ``solver._STRUCTURED_MIN_UNKNOWNS`` unknowns as
     fixed linear maps around the potential callbacks: the kernel's
     :class:`_StepMaps` with the masses of ``sys`` in the kinetic columns of
@@ -556,12 +570,12 @@ class _DenseStep:
     kinetic terms keep the accuracy of difference quotients at small steps.
     The Newton matrix is ``A - sum_t S_t H_t P_t``, A the kinetic matrix,
     taken into ``coef``.  Everything that carries a mass is made here, once
-    per Newton matrix holder: also the record's ``momenta`` and the p/q
-    maps' T and |T| (:mod:`multirate.schemes`).
+    per Newton matrix holder: also the record, of the G that
+    :meth:`residual` returns, and the p/q maps' T and |T| (:mod:`multirate.schemes`).
     """
 
     def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
-        self.kern, self.sys = kern, sys
+        super().__init__(kern, sys)
         self.maps = maps = step_maps(kern, sys.n_slow, sys.n_fast)
         n_s, p, N = sys.n_slow, kern.p, maps.N
         M_s, M_f = sys.mass_slow / kern.dT, sys.mass_fast / kern.dt
@@ -573,11 +587,6 @@ class _DenseStep:
         A = np.zeros((N, N))
         A[:n_s, :n_s] = -M_s
         A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2), M_f)
-        # the record's kinetic momenta: d_m at fast node m < p, d_{p-1} at p
-        self.momenta = maps.momenta.copy()
-        kinetic = self.momenta[:, maps.kinetic_cols]
-        kinetic[:2 * n_s, :n_s] = np.vstack([M_s, M_s])
-        kinetic[2 * n_s:, n_s:] = np.kron(np.eye(p)[np.r_[:p, p - 1]], M_f)
         self.T = np.zeros((N, N))
         self.T[:n_s, :n_s] = -kern.dT * sys.mass_slow_inv
         self.T[n_s:, n_s:] = np.kron(np.tri(p), -kern.dt * sys.mass_fast_inv)
@@ -634,12 +643,6 @@ class _DenseStep:
     def transform(self, F, absolute=False):
         """T F, or |T| F with ``absolute``, along F's last axis."""
         return _matvec(self.abs_T if absolute else self.T, F)
-
-    def record_momenta(self, G: np.ndarray):
-        """``(p_fast, p_slow)``, in the step record's order, from the G that
-        :meth:`residual` returns with F at the accepted iterate."""
-        mom, n_s = self.momenta.dot(G), self.maps.n_s
-        return mom[2 * n_s:].reshape(self.kern.p + 1, -1), mom[:2 * n_s].reshape(2, n_s)
 
     def matrix(self, start: State, x: np.ndarray, ws: _Workspace) -> np.ndarray:
         """The Newton matrix at x, in the workspace's array ``"dense"``,

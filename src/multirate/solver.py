@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import _check_finite, _DenseStep, _finite, _Workspace, interval_kernel
+from .discretization import (_check_finite, _DenseStep, _finite, _left_weight, _StepRecord,
+                             _Workspace, interval_kernel)
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -702,8 +703,8 @@ class _HeldMatrix:
     iterations and, when :func:`integrate` hands one holder to all its
     steps, across steps.  ``factors`` is None until the next build.
 
-    ``step`` is the :class:`_BoundStep` its steps run on (:meth:`bind`):
-    the size decision, fixed maps, solver, Jacobian, T and record.
+    ``step`` is the :class:`_BoundStep` or :class:`_ExplicitStep` its steps
+    run on (:meth:`bind`): the size decision, maps, solver, T and record.
     ``ws`` holds the arrays that its builds write: J's blocks, their
     interval sums, the elimination's ``ge`` and Z, |J|, or the small
     step's dense matrix.  A build happens only once the held factors have
@@ -716,16 +717,16 @@ class _HeldMatrix:
 
     factors: object = None
     ws: _Workspace = field(default_factory=_Workspace)
-    step: _BoundStep | None = None
+    step: _BoundStep | _ExplicitStep | None = None
 
-    def bind(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid) -> _BoundStep:
-        """The bound step of these objects, made where the holder has none or
-        one of other objects, whose matrix and arrays it then drops."""
+    def bind(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid, kind=_BoundStep):
+        """The bound step of these objects, a ``kind``, made where the holder
+        has none of them, whose matrix and arrays it then drops."""
         step = self.step
-        if step is None or step.sys is not sys or step.quad is not quad or step.grid is not grid:
+        if not (type(step) is kind and step.sys is sys and step.quad is quad and step.grid is grid):
             if step is not None:
                 self.factors, self.ws = None, _Workspace()
-            step = self.step = _BoundStep(sys, quad, grid)
+            step = self.step = kind(sys, quad, grid)
         return step
 
 
@@ -926,65 +927,96 @@ def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid
     return _solve_step(prev.index + 1, prev.end_state(), guess, sys, quad, grid, config, held)
 
 
+class _ExplicitStep:
+    """The explicit steps of one system, quadrature and grid, bound once per
+    holder (:meth:`_HeldMatrix.bind`): the kernel, K = dt^2 M_f^-1, a vector
+    G = ``[g_s; g_fV; g_W; d; p_s0; p_f0]`` and, below the size rule, the
+    record map (:class:`~multirate.discretization._StepRecord`).  The fast
+    chain advances in increment form (Hairer, Lubich & Wanner, *Geometric
+    Numerical Integration*, VIII.5): u = fast[m+1] - fast[m] takes ``u -= K
+    @ g_m``.  The node gradients go into G, or one gather takes the terms'
+    from them; the record is one product of G, or the kernel's momenta."""
+
+    def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+        if not quad.explicit_solvable:
+            raise ConfigurationError(
+                "explicit stepping requires macro-node slow placement and a "
+                "trapezoidal-family fast quadrature (gamma_W in {0, 1})")
+        self.sys, self.quad, self.grid = sys, quad, grid
+        self.kern = kern = interval_kernel(quad, grid)
+        p, n_s, n_f, k_V, k_W = kern.p, sys.n_slow, sys.n_fast, kern.V.m.size, kern.W.m.size
+        self.K = (kern.dt * kern.dt) * sys.mass_fast_inv
+        # the kick weights of the gradients at node 0; whether V's term is node 0, W's t node t
+        self.kick_V = kern.dT * quad.alpha_V
+        self.kick_W = kern.dt * _left_weight(quad.alpha_W, quad.gamma_W)
+        self.node_terms = (np.array_equal(kern.V.node, [0])
+                           and np.array_equal(kern.W.node, np.arange(p)))
+        self.record = _StepRecord(kern, sys) if _small(sys, grid) else None
+        a, b = k_V * n_s, k_V * (n_s + n_f)
+        self.n_grads = c = b + k_W * n_f
+        # the record map's columns of p_s0 and p_f0 are zero: so are these
+        self.G = np.zeros(c + 2 * n_s + (p + 1) * n_f)
+        self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
+                      self.G[b:c].reshape(k_W, n_f))
+        self.d = self.G[c:c + n_s], self.G[c + n_s:c + n_s + p * n_f].reshape(p, n_f)
+        self.at_nodes = self.grads if self.node_terms else (
+            np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
+
+    def __call__(self, index: int, start: State) -> MacroStep:
+        """The step from ``start``."""
+        kern, sys, K, p, dt = self.kern, self.sys, self.K, self.kern.p, self.kern.dt
+        q0, f0 = start.q_slow, start.q_fast
+        fast_grad = sys.fast_potential_grad
+        slow_s, slow_f, g_W_node = self.at_nodes
+
+        # the slow gradient at the start enters through its kicks and the slow
+        # term at node 0, both there exactly where alpha_V != 0
+        p_s, p_f = start.p_slow, start.p_fast
+        if self.kick_V:
+            slow_s[0], slow_f[0] = sys.slow_potential_grad(q0, f0)
+            p_s, p_f = p_s - self.kick_V * slow_s[0], p_f - self.kick_V * slow_f[0]
+        g_W_node[0] = fast_grad(f0)
+        fast = np.empty((p + 1, sys.n_fast))
+        fast[0] = f0
+        u = dt * sys.mass_fast_inv.dot(p_f - self.kick_W * g_W_node[0])
+        np.add(f0, u, out=fast[1])
+        # three numpy calls per micro step; ndarray.dot makes matmul's BLAS call
+        # at about half its overhead on a small matrix
+        for f, f_next, g in zip(fast[1:p], fast[2:], g_W_node[1:p]):
+            g[:] = fast_grad(f)
+            u -= K.dot(g)
+            np.add(f, u, out=f_next)
+        q1 = q0 + kern.dT * sys.mass_slow_inv.dot(p_s)
+
+        g_s, g_fV, g_W = self.grads
+        if not self.node_terms:
+            # each term's gradient by its node: a row no term uses is never read
+            if kern.V.at_end:
+                slow_s[p], slow_f[p] = sys.slow_potential_grad(q1, fast[p])
+            if kern.W.at_end:
+                g_W_node[p] = fast_grad(fast[p])
+            for rows, terms, out in zip(self.at_nodes, (kern.V, kern.V, kern.W), self.grads):
+                np.take(rows, terms.node, axis=0, out=out)
+        if not _finite(self.G[:self.n_grads]):
+            _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
+            _check_finite((g_W,), kern.W.m, "fast-potential gradient")
+        if self.record is None:
+            return _interval_record(index, q0, q1, fast,
+                                    kern.momenta_from(q0, q1, fast, sys, g_s, g_fV, g_W))
+        np.subtract(q1, q0, out=self.d[0])
+        np.subtract(fast[1:], fast[:-1], out=self.d[1])
+        return MacroStep(index, q0, q1, fast, *self.record.record_momenta(self.G))
+
+
 def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,
-                   grid: TimeGrid) -> MacroStep:
-    """Macro step of the explicit recurrence (:func:`explicit_macro_step`).
-
-    The fast chain advances in increment form (Hairer, Lubich & Wanner,
-    *Geometric Numerical Integration*, VIII.5): u = fast[m+1] - fast[m]
-    takes ``u -= K @ g_m`` with K = dt^2 M_f^-1, and fast[m+1] = fast[m] + u.
-    Every quadrature point of an explicit-solvable rule is a node, so the
-    momenta are combined from the gradients the recurrence evaluated, taken
-    per term by its node.
-    """
-    kern = interval_kernel(quad, grid)
-    p, dt = kern.p, kern.dt
-    q0, f0 = start.q_slow, start.q_fast
-    fast_grad = sys.fast_potential_grad
-
-    # the slow gradient at the start enters through its kicks and the slow
-    # term at node 0, both there exactly where alpha_V != 0
-    slow_at = {}
-    p_s, p_f = start.p_slow, start.p_fast
-    if kern.kick_V:
-        g_s, g_f = sys.slow_potential_grad(q0, f0)
-        slow_at[0] = g_s, g_f = np.asarray(g_s, dtype=float), np.asarray(g_f, dtype=float)
-        p_s, p_f = p_s - kern.kick_V * g_s, p_f - kern.kick_V * g_f
-    g_W_node = np.empty((p + 1, sys.n_fast))  # fast-potential gradient per node
-    g_W_node[0] = fast_grad(f0)
-    fast = np.empty((p + 1, sys.n_fast))
-    fast[0] = f0
-    u = dt * sys.mass_fast_inv.dot(p_f - kern.kick_W * g_W_node[0])
-    np.add(f0, u, out=fast[1])
-    K = (dt * dt) * sys.mass_fast_inv
-    # three numpy calls per micro step; ndarray.dot makes matmul's BLAS call
-    # at about half its overhead on a small matrix
-    for f, f_next, g in zip(fast[1:p], fast[2:], g_W_node[1:p]):
-        g[:] = fast_grad(f)
-        u -= K.dot(g)
-        np.add(f, u, out=f_next)
-    q1 = q0 + kern.dT * sys.mass_slow_inv.dot(p_s)
-
-    if kern.node_terms:
-        g_sV, g_fV, g_W = g_s[None], g_f[None], g_W_node[:p]
-    else:
-        # each term's gradient by its node: a row no term uses is never read
-        if kern.V.at_end:
-            slow_at[p] = sys.slow_potential_grad(q1, fast[p])
-        if kern.W.at_end:
-            g_W_node[p] = fast_grad(fast[p])
-        g_sV = np.array([slow_at[n][0] for n in kern.V.node], dtype=float)
-        g_fV = np.array([slow_at[n][1] for n in kern.V.node], dtype=float)
-        g_W = g_W_node[kern.W.node]
-    if not _finite(g_sV, g_fV, g_W):
-        _check_finite((g_sV, g_fV), kern.V.m, "slow-potential gradient")
-        _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-    return _interval_record(index, q0, q1, fast,
-                            kern.momenta_from(q0, q1, fast, sys, g_sV, g_fV, g_W))
+                   grid: TimeGrid, held: _HeldMatrix | None = None) -> MacroStep:
+    """Macro step ``index`` from ``start`` (:func:`explicit_macro_step`)."""
+    return (_HeldMatrix() if held is None else held).bind(sys, quad, grid, _ExplicitStep)(
+        index, start)
 
 
 def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec,
-                        grid: TimeGrid) -> MacroStep:
+                        grid: TimeGrid, held: _HeldMatrix | None = None) -> MacroStep:
     """Iteration-free macro step; requires an explicit-solvable quadrature.
 
     The shared-node equation yields the first fast node, the interior
@@ -993,13 +1025,9 @@ def explicit_macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureS
     evaluates the slow gradient at the start node where alpha_V != 0 and
     the fast gradient at micro nodes 0..p-1; a rule that weights the end
     node (alpha_V != 1 for the slow potential, alpha_W != 1 for gamma_W = 1
-    or alpha_W != 0 for gamma_W = 0) adds one evaluation there.
-    """
-    if not quad.explicit_solvable:
-        raise ConfigurationError(
-            "explicit stepping requires macro-node slow placement and a "
-            "trapezoidal-family fast quadrature (gamma_W in {0, 1})")
-    return _explicit_step(prev.index + 1, prev.end_state(), sys, quad, grid)
+    or alpha_W != 0 for gamma_W = 0) adds one evaluation there, by the
+    :class:`_ExplicitStep` bound to ``held`` (a new holder by default)."""
+    return _explicit_step(prev.index + 1, prev.end_state(), sys, quad, grid, held)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,11 +1048,10 @@ def _step_functions(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
     call.
     """
     if mode is IntegratorMode.EXPLICIT:
-        if not quad.explicit_solvable:
-            raise ConfigurationError("quadrature is not explicit-solvable")
+        held.bind(sys, quad, grid, _ExplicitStep)  # raises for a rule that is not explicit
         none = StepStats()  # of every explicit step: no Newton work
-        return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid), none)),
-                (lambda prev: (explicit_macro_step(prev, sys, quad, grid), none)), None)
+        return ((lambda q0: (_explicit_step(0, q0, sys, quad, grid, held), none)),
+                (lambda prev: (explicit_macro_step(prev, sys, quad, grid, held), none)), None)
     linear_solver = held.bind(sys, quad, grid).linear.name
     if mode is IntegratorMode.CLOSED_FORM_PQ:
         from . import schemes

@@ -265,9 +265,10 @@ def pq_residual(quad, state, sys, grid):
     return evaluate
 
 
-def explicit_step_position_form(index, start, sys, quad, grid):
+def explicit_step_position_form(index, start, sys, quad, grid, held=None):
     """Macro step of the explicit recurrence in position form, as the
-    library's ``solver._explicit_step`` (same signature, a ``MacroStep``).
+    library's ``solver._explicit_step`` (same signature, a ``MacroStep``;
+    the holder ``held`` of the library's bound step is not read).
 
     The interior fast nodes follow the two-step recurrence
     ``fast[m+1] = 2 fast[m] - fast[m-1] - dt^2 M_f^-1 g_W(fast[m])``; the

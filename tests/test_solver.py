@@ -28,7 +28,7 @@ from multirate import (
     macro_step,
     verify_trajectory,
 )
-from multirate import discretization, schemes, solver
+from multirate import discretization, schemes, solver, systems
 from multirate.discretization import _IntervalKernel, _Workspace, interval_kernel
 from multirate.systems import FpuConfig
 
@@ -245,6 +245,26 @@ FIXED_MAP_RULES = QUADRATURES + [QuadratureSpec.explicit(0.5, 0.5),
                                  QuadratureSpec(0.5, 0.5, 0.5, 1.0)]
 FIXED_MAP_IDS = QUADRATURE_IDS + ["explicit-half", "midpoint-trapezoidal"]
 
+# (alpha_V, alpha_W, gamma_W) of macro-node rules, as in TestIncrementForm.RULES
+EXPLICIT_RULES = pytest.mark.parametrize(
+    "rule", [(1.0, 1.0, 1.0), (0.5, 0.5, 1.0), (0.3, 0.8, 0.0)],
+    ids=["1-1-1", "half-half-1", "0.3-0.8-0"])
+
+
+def explicit_rule(rule) -> QuadratureSpec:
+    alpha_v, alpha_w, gamma_w = rule
+    return QuadratureSpec(alpha_v, 1.0, alpha_w, gamma_w, SlowPlacement.MACRO_NODES_ONLY)
+
+
+def kernel_record(step, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+    """The record of ``step`` with the kernel's momenta from the gradients
+    at its quadrature points, and those gradients."""
+    kern = interval_kernel(quad, grid)
+    q0, q1, fast = step.q_slow_start, step.q_slow_end, step.fast
+    grads = kern.gradients(kern.points(q0, q1, fast), sys)
+    return solver._interval_record(step.index, q0, q1, fast,
+                                   kern.momenta_from(q0, q1, fast, sys, *grads)), grads
+
 
 class TestFixedMaps:
     """Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns a step is a few fixed
@@ -323,6 +343,54 @@ class TestFixedMaps:
             assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
 
     @pytest.mark.parametrize("p", [1, 4, 10])
+    @EXPLICIT_RULES
+    @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
+    def test_explicit_record_matches_momenta_from(self, request, system, rule, p):
+        # the explicit step's record as one product of its stacked vector G,
+        # against the kernel's momenta from the gradients at the step's nodes
+        sys, q0, grid, _ = self.points(request, system, MIDMID, p)
+        quad, held = explicit_rule(rule), solver._HeldMatrix()
+        step = solver._explicit_step(0, q0, sys, quad, grid, held)
+        bound = held.step
+        ref, grads = kernel_record(step, sys, quad, grid)
+        # G holds each term's gradient, gathered by its node where needed
+        for got, want in zip(bound.grads, grads):
+            assert np.array_equal(got, want)
+        floor = np.abs(bound.record.momenta).dot(np.abs(bound.G))
+        got = np.concatenate([step.p_slow.ravel(), step.p_fast.ravel()])
+        want = np.concatenate([ref.p_slow.ravel(), ref.p_fast.ravel()])
+        assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
+
+    @EXPLICIT_RULES
+    def test_large_explicit_steps_keep_the_kernel_path(self, spring_ring, rule, monkeypatch):
+        # 189 unknowns: the record is the kernel's momenta of the term
+        # gradients, bit for bit, and the positions are those of the small
+        # path's recurrence
+        sys, q0 = spring_ring
+        quad, grid = explicit_rule(rule), build_time_grid(0.01, 20, 5)
+        assert not solver._small(sys, grid)
+        calls, records = [], []
+        momenta_from = _IntervalKernel.momenta_from
+
+        def counted(*args):
+            calls.append(args)
+            return momenta_from(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(_IntervalKernel, "momenta_from", counted)
+            integrate(q0, sys, quad, grid, SolverConfig(), IntegratorMode.EXPLICIT,
+                      store=records.append)
+        assert len(calls) == len(records) == grid.n_macro
+        for step in records:
+            ref, _ = kernel_record(step, sys, quad, grid)
+            assert np.array_equal(step.p_fast, ref.p_fast)
+            assert np.array_equal(step.p_slow, ref.p_slow)
+        monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", math.inf)
+        small = solver._explicit_step(0, q0, sys, quad, grid)
+        assert np.array_equal(small.q_slow_end, records[0].q_slow_end)
+        assert np.array_equal(small.fast, records[0].fast)
+
+    @pytest.mark.parametrize("p", [1, 4, 10])
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
     def test_dense_transform_matches_running_sums(self, request, system, p):
         # T and |T| of the p/q maps as dense maps, against the running sums
@@ -366,9 +434,11 @@ class TestFixedMaps:
         assert builds == ({"dense": 2, "running": 0} if solver._small(sys, grid)
                           else {"dense": 0, "running": 2})
 
-    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
-                             ids=["del", "pq"])
-    def test_small_steps_record_without_the_kernel(self, fpu, mode, monkeypatch):
+    @pytest.mark.parametrize("mode,quad", [
+        (IntegratorMode.IMPLICIT_DEL, MIDMID), (IntegratorMode.CLOSED_FORM_PQ, MIDMID),
+        (IntegratorMode.EXPLICIT, QuadratureSpec.explicit()),
+    ], ids=["del", "pq", "explicit"])
+    def test_small_steps_record_without_the_kernel(self, fpu, mode, quad, monkeypatch):
         sys, q0 = fpu
         grid = build_time_grid(0.3, 10, 4)
         calls = []
@@ -384,7 +454,7 @@ class TestFixedMaps:
                                 counted(name, getattr(_IntervalKernel, name)))
         monkeypatch.setattr(solver, "_interval_record",
                             counted("_interval_record", solver._interval_record))
-        _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)
+        _, stats = integrate(q0, sys, quad, grid, SolverConfig(newton_tol=1e-9), mode)
         assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
         assert calls == []
 
@@ -443,6 +513,41 @@ class TestBoundStep:
         # not once or more per step: the residual, each matrix build, the
         # record and the p/q maps' T all read the bound step
         assert (len(lookups), len(builds)) == (1, 1)
+
+    @pytest.mark.parametrize("p", [10, 20], ids=["small", "large"])
+    def test_explicit_integrate_binds_its_step_once(self, spring_ring, p, monkeypatch):
+        # the kernel, the constants, G and, below the size rule, the record
+        # map are made once per integrate call, not once per step
+        sys, q0 = spring_ring
+        grid = build_time_grid(0.01, p, 6)
+        made = {"kernel": 0, "step": 0, "record": 0}
+        kernel, ExplicitStep, StepRecord = (solver.interval_kernel, solver._ExplicitStep,
+                                            solver._StepRecord)
+
+        def counted_kernel(*args):
+            made["kernel"] += 1
+            return kernel(*args)
+
+        class CountedStep(ExplicitStep):
+            def __init__(self, *args):
+                made["step"] += 1
+                super().__init__(*args)
+
+        class CountedRecord(StepRecord):
+            def __init__(self, *args):
+                made["record"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "interval_kernel", counted_kernel)
+        monkeypatch.setattr(solver, "_ExplicitStep", CountedStep)
+        monkeypatch.setattr(solver, "_StepRecord", CountedRecord)
+        for _ in range(2):
+            _, stats = integrate(q0, sys, QuadratureSpec.explicit(), grid, SolverConfig(),
+                                 IntegratorMode.EXPLICIT)
+            assert stats.n_steps == grid.n_macro
+        small = solver._small(sys, grid)
+        assert small == (p == 10)
+        assert made == {"kernel": 2, "step": 2, "record": 2 if small else 0}
 
     @pytest.mark.parametrize("step_fn", ["del", "pq"])
     @pytest.mark.parametrize("change", ["grid", "quadrature", "system"])
@@ -1021,6 +1126,18 @@ class TestExplicitStep:
         assert np.max(np.abs(t_imp.fast_q - t_exp.fast_q)) < 1e-12
         assert np.max(np.abs(t_imp.fast_p - t_exp.fast_p)) < 1e-10
 
+    @pytest.mark.parametrize("system", ["fast_only", "slow_only"])
+    def test_matches_implicit_path_on_one_sided_systems(self, request, system):
+        # no slow or no fast unknowns: empty blocks of the bound step's G
+        sys, q0 = request.getfixturevalue(system)
+        cfg = SolverConfig(newton_tol=1e-12)
+        quad, grid = QuadratureSpec.explicit(0.5, 0.5), build_time_grid(0.01, 4, 10)
+        t_imp, _ = integrate(q0, sys, quad, grid, cfg, IntegratorMode.IMPLICIT_DEL)
+        t_exp, _ = integrate(q0, sys, quad, grid, cfg, IntegratorMode.EXPLICIT)
+        for name in ("slow_q", "fast_q", "slow_p", "fast_p"):
+            a, b = getattr(t_imp, name), getattr(t_exp, name)
+            assert np.max(np.abs(a - b), initial=0.0) < 1e-10, name
+
     @pytest.mark.parametrize("system", ["fpu", "toy"], ids=["batched", "per-point"])
     @pytest.mark.parametrize("alpha,slow,fast_extra", [(1.0, 1, 0), (0.5, 2, 1), (0.0, 1, 1)])
     def test_evaluates_each_point_once(self, fpu, system, alpha, slow, fast_extra):
@@ -1139,6 +1256,32 @@ class TestIntegrate:
         for mass in (1.0, 2.0, 1.0):
             assert max_diff(run(mass), ref[mass]) == 0.0
         assert max_diff(ref[1.0], ref[2.0]) > 0.0
+
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    def test_row_strided_gradients_give_the_same_bits(self, mode):
+        # a batched slow gradient returned as two slices of one product,
+        # views whose rows are strided, gives the stock chain's trajectory
+        sys, q0 = build_fpu(FpuConfig(l=3))
+        D_s, D_f = systems._fpu_difference_matrices(3)
+        D = np.hstack([D_s, D_f])
+
+        def sliced(q_s, q_f):
+            d = q_s.dot(D_s.T) + q_f.dot(D_f.T)
+            g = (d * d * d).dot(D)
+            return g[..., :3], g[..., 3:]
+
+        strided = dataclasses.replace(sys, slow_potential_grad=sliced)
+        g_s, _ = strided.slow_potential_grad(np.ones((2, 3)), np.ones((2, 3)))
+        assert not g_s.flags.c_contiguous
+        grid = build_time_grid(0.3, 50, 20)
+        assert not solver._small(sys, grid)
+        cfg = SolverConfig(newton_tol=1e-9)
+        ref, ref_stats = integrate(q0, sys, MIDMID, grid, cfg, mode)
+        got, got_stats = integrate(q0, strided, MIDMID, grid, cfg, mode)
+        assert ref_stats.linear_solver == "structured"
+        assert got_stats.newton_iters_total == ref_stats.newton_iters_total
+        assert max_diff(got, ref) == 0.0
 
     def test_zero_intervals_returns_initial_state(self, fpu, config):
         sys, q0 = fpu
