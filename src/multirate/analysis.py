@@ -50,9 +50,10 @@ def energy_series(traj: Trajectory, sys: MultirateSystem) -> EnergySeries:
 
     Velocities are recovered from the stored momenta via the inverse mass
     matrices.  Systems that define per-degree-of-freedom oscillatory energies
-    also get the stiff energy series and its sum.  A ``batched`` system's
-    potentials and oscillatory energy are called once on the stacked macro
-    nodes, another system's once per node.
+    also get the stiff energy series and its sum.  The potentials and the
+    oscillatory energy are evaluated at the stacked macro nodes
+    (:meth:`MultirateSystem.evaluate_batch`): a ``batched`` system's in one
+    call, another system's once per node.
     """
     grid = traj.grid
     n_nodes = grid.n_macro + 1
@@ -62,19 +63,11 @@ def energy_series(traj: Trajectory, sys: MultirateSystem) -> EnergySeries:
     T_s, v_s = _kinetic(p_s, sys.mass_slow_inv)
     T_f, v_f = _kinetic(p_f, sys.mass_fast_inv)
     kin = 0.5 * T_s + 0.5 * T_f
+    vpot = _per_node(sys, "slow_potential", (n_nodes,), q_s, q_f)
+    wpot = _per_node(sys, "fast_potential", (n_nodes,), q_f)
     stiff = None
-    if sys.batched:
-        vpot = _per_node(sys, "slow_potential", (n_nodes,), q_s, q_f)
-        wpot = _per_node(sys, "fast_potential", (n_nodes,), q_f)
-        if sys.oscillatory_energy:
-            stiff = _per_node(sys, "oscillatory_energy", (n_nodes, sys.n_fast), q_f, v_f)
-    else:
-        vpot = np.array([float(sys.slow_potential(a, b)) for a, b in zip(q_s, q_f)])
-        wpot = np.array([float(sys.fast_potential(b)) for b in q_f])
-        if sys.oscillatory_energy:
-            stiff = np.empty((n_nodes, sys.n_fast))
-            for k in range(n_nodes):
-                stiff[k] = sys.oscillatory_energy(q_f[k], v_f[k])
+    if sys.oscillatory_energy:
+        stiff = _per_node(sys, "oscillatory_energy", (n_nodes, sys.n_fast), q_f, v_f)
     total = kin + vpot + wpot
     return EnergySeries(grid.macro_times(), kin, vpot, wpot, total, stiff,
                         stiff.sum(axis=1) if stiff is not None else None)
@@ -91,11 +84,11 @@ def _kinetic(P: np.ndarray, M_inv: np.ndarray):
 
 
 def _per_node(sys: MultirateSystem, name: str, shape: tuple, *points) -> np.ndarray:
-    """Values of the callable ``name`` of a batched system at the stacked
-    macro nodes, which must come one per node."""
-    values = np.asarray(getattr(sys, name)(*points), dtype=float)
+    """Values of the callable ``name`` at the stacked macro nodes, which
+    must come one per node."""
+    values = sys.evaluate_batch(name, *points)
     if values.shape != shape:
-        raise ValueError(f"batched {name} returned shape {values.shape} for "
+        raise ValueError(f"{name} returned shape {values.shape} for "
                          f"{shape[0]} stacked points, expected {shape}")
     return values
 

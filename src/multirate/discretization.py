@@ -117,36 +117,21 @@ class _Workspace:
     """Arrays that a sequence of Newton matrix builds writes into, by name.
 
     ``ws(name, shape)`` returns the array kept under ``name``, allocated
-    by ``alloc`` (``np.empty``, or ``np.zeros`` for one zero-filled there)
-    only where it is missing or has another shape; its contents are what
-    the last build left there.  Reusing the arrays keeps a large build from
-    taking fresh megabytes, page by page, from the system.
+    uninitialized only where it is missing or has another shape; its
+    contents are what the last build left there.  Reusing the arrays keeps
+    a large build from taking fresh megabytes, page by page, from the
+    system.  Only the block builds of large steps use one: a small step's
+    Newton matrix is one fresh ``np.bincount`` (:meth:`_DenseStep.matrix`).
     """
 
     def __init__(self):
         self._arrays = {}
 
-    def __call__(self, name: str, shape: tuple, alloc=np.empty) -> np.ndarray:
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
         a = self._arrays.get(name)
         if a is None or a.shape != shape:
-            a = self._arrays[name] = alloc(shape)
+            a = self._arrays[name] = np.empty(shape)
         return a
-
-    def rows(self, name: str, a: np.ndarray, index) -> np.ndarray:
-        """``a[index]`` for an ``index`` from :func:`_distinct`: ``a`` itself
-        where it holds every row, a view that repeats its one row where it
-        holds one, else a copy.  The view is made once per array ``a`` and
-        kept under ``name``: a small build would otherwise spend a few
-        microseconds on it."""
-        if len(a) == len(index):
-            return a
-        if len(a) > 1:
-            return a[index]
-        v = self._arrays.get(name)
-        if v is None or v.base is not a:
-            v = self._arrays[name] = np.ndarray((len(index),) + a.shape[1:], a.dtype, a,
-                                                strides=(0,) + a.strides[1:])
-        return v
 
 
 def _distinct(rows: np.ndarray):
@@ -272,22 +257,11 @@ class _IntervalKernel:
         self.ff_V, self.ff_W = second[:, :k_V], second[:, k_V:]
         self.shared = (np.array_equal(self.V.gather, self.W.gather)
                        and np.array_equal(self.V.equations, self.W.equations))
-        # The weights of the four momenta with the gradient each applies to (0:
-        # g_s, 1: g_fV, 2: g_W), less the all-zero ones: they add only zeros.
-        self.momentum_terms = [[(a, i) for a, i in terms if a.any()] for terms in (
-            [(self.w_c0, 0)], [(self.w_c1, 0)], [(self.V.left, 1), (self.W.left, 2)],
-            [(self.V.right, 1), (self.W.right, 2)])]
 
-    def start_points(self, q0):
-        """The start node's share ``c0 * q0`` of the slow quadrature points,
-        (..., k, n_slow): the same for every iterate of one step."""
-        return self.c0 * q0[..., None, :]
-
-    def points(self, q0, q1, fast, start=None):
+    def points(self, q0, q1, fast):
         """Slow and fast quadrature points ``(Qs, QfV, QfW)``; arguments may
-        carry leading batch axes.  QfW is QfV itself where ``shared``.
-        ``start`` is :meth:`start_points` of q0 where the caller keeps it."""
-        Qs = (self.start_points(q0) if start is None else start) + self.c1 * q1[..., None, :]
+        carry leading batch axes.  QfW is QfV itself where ``shared``."""
+        Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
         QfV = self.V.gather @ fast
         return Qs, QfV, QfV if self.shared else self.W.gather @ fast
 
@@ -341,16 +315,11 @@ class _IntervalKernel:
 
     def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
         """Discrete momenta as :meth:`momenta`, from the gradients at the
-        quadrature points (as :meth:`gradients` returns them).  A momentum
-        whose weights are all zero (:attr:`momentum_terms`) is the kinetic
-        momentum array itself."""
+        quadrature points (as :meth:`gradients` returns them)."""
         Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys)
-        g = (g_s, g_fV, g_W)
-        s0, s1, f0, f1 = [_weighted_sum(terms, g) for terms in self.momentum_terms]
-        return (Mv_s if s0 is None else Mv_s + s0,
-                Mv_s if s1 is None else Mv_s - s1,
-                Mv_f if f0 is None else Mv_f + f0,
-                Mv_f if f1 is None else Mv_f - f1)
+        V, W = self.V, self.W
+        return (Mv_s + self.w_c0 @ g_s, Mv_s - self.w_c1 @ g_s,
+                Mv_f + (V.left @ g_fV + W.left @ g_W), Mv_f - (V.right @ g_fV + W.right @ g_W))
 
     def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem, ws: _Workspace | None = None):
         """Potential second-derivative sums of one interval, for the Newton Jacobian.
@@ -363,8 +332,9 @@ class _IntervalKernel:
         each micro interval.  Every block is a sum over the terms of one
         micro interval (:meth:`_Terms.interval_sums`), computed once per
         distinct weight row; ``ff`` hands out repeated rows from that one
-        sum (:meth:`_Workspace.rows`).  A fast node's border block adds the
-        sums of the two intervals it bounds.  A non-finite Hessian raises
+        sum, as a read-only view where the three rows are one.  A fast
+        node's border block adds the sums of the two intervals it bounds.
+        A non-finite Hessian raises
         :class:`~multirate.errors.EvaluationError` naming its micro interval.
 
         The results are written into arrays of the workspace ``ws`` (a new
@@ -392,16 +362,9 @@ class _IntervalKernel:
         np.add(s1[1:], s3[:-1], out=border[1, 1:])
         ff = self.V.interval_sums(self.ff_V, H_ff, ws, "ff")
         ff += self.W.interval_sums(self.ff_W, H_W, ws, "ff W")
-        return ss, border, ws.rows("ff rows", ff, self.ff_rows)
-
-
-def _weighted_sum(terms, g):
-    """Sum of ``a @ g[i]`` over the (weights a, gradient index i) of
-    ``terms``, in their order; None where there is no term."""
-    s = None
-    for a, i in terms:
-        s = a @ g[i] if s is None else s + a @ g[i]
-    return s
+        if len(ff) == 1:
+            return ss, border, np.broadcast_to(ff, (3,) + ff.shape[1:])
+        return ss, border, ff if len(ff) == 3 else ff[self.ff_rows]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -430,14 +393,12 @@ class _StepMaps:
     :class:`_StepRecord`, which an explicit step makes without these maps).
 
     The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
-    ``coef * h[src]`` summed in order over each run of entries with one
-    flat position (``run`` numbers the runs) into the positions ``dest`` of
-    the (N, N) matrix.  h holds the terms' Hessian blocks ``H_ss, H_sf,
-    H_ff, H_W`` raveled and a final 1.  A term adds at most (n_slow + 2
+    ``coef * h[src]`` summed, term by term in order, into the flat
+    positions ``dest`` of the (N, N) matrix.  h holds the terms' Hessian
+    blocks ``H_ss, H_sf, H_ff, H_W`` raveled (and, in :class:`_DenseStep`,
+    a final 1 for the kinetic entries).  A term adds at most (n_slow + 2
     n_fast)^2 entries, at the equations and unknowns of its interval, so a
-    build costs O(p).  The entries ``kinetic`` of coef, first in their runs
-    and zero here, read that 1: the kinetic part of the matrix at the flat
-    positions ``kinetic_dest``.
+    build costs O(p).
     """
 
     def __init__(self, kern: _IntervalKernel, n_s: int, n_f: int):
@@ -476,7 +437,7 @@ class _StepMaps:
         s, f = np.arange(n_s), np.arange(n_f)
         self.h_shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
         self.h_at = [0, *itertools.accumulate(math.prod(shape) for shape in self.h_shapes)]
-        at_sf, at_ff, at_W, one = self.h_at[1:]
+        at_sf, at_ff, at_W = self.h_at[1:-1]
         terms = []
         for t in range(k_V):
             h = np.empty((n_0, n_0), dtype=int)
@@ -489,14 +450,7 @@ class _StepMaps:
         for t in range(k_W):
             terms.append((at_gW + t * n_f + f, at_fW + t * n_f + f,
                           at_W + t * n_f * n_f + f[:, None] * n_f + f))
-        # the kinetic pattern: the slow block, and equation i against nodes
-        # i-1, i and i+1 of the fast chain
-        pattern = np.zeros((N, N), dtype=bool)
-        pattern[:n_s, :n_s] = True
-        pattern[n_s:, n_s:] = np.kron(np.eye(p) + np.eye(p, k=-1) + np.eye(p, k=-2),
-                                      np.ones((n_f, n_f))) > 0
-        kinetic = np.flatnonzero(pattern)
-        src, dest, coef = [np.full(kinetic.size, one)], [kinetic], [np.zeros(kinetic.size)]
+        src, dest, coef = [], [], []
         for g_at, y_at, h in terms:
             rows, cols = self.forces[:, g_at], self.points[y_at]
             e, a = np.nonzero(rows)
@@ -504,34 +458,13 @@ class _StepMaps:
             src.append(h[a[:, None], b].ravel())
             dest.append((e[:, None] * N + u).ravel())
             coef.append((rows[e, a][:, None] * cols[b, u]).ravel())
-        # entries by position, stably, so the kinetic ones first; a Python
-        # sort, since numpy's sorts and cumsum add some 0.5 MB of their code
-        # to a process's resident memory
-        dest = np.concatenate(dest)
-        order = np.array(sorted(range(dest.size), key=dest.tolist().__getitem__), dtype=int)
-        dest = dest[order]
-        self.src = np.concatenate(src)[order]
-        self.coef = np.concatenate(coef)[order]
-        first = np.flatnonzero(np.diff(dest, prepend=-1))
-        self.run = np.repeat(np.arange(first.size), np.diff(first, append=dest.size))
-        self.dest = dest[first]
-        self.kinetic = np.flatnonzero(order < kinetic.size)
-        self.kinetic_dest = dest[self.kinetic]
+        self.src, self.dest, self.coef = map(np.concatenate, (src, dest, coef))
 
 
 @functools.lru_cache(maxsize=64)
 def step_maps(kern: _IntervalKernel, n_s: int, n_f: int) -> _StepMaps:
     """The :class:`_StepMaps` of ``kern``, cached per (kernel, n_slow, n_fast)."""
     return _StepMaps(kern, n_s, n_f)
-
-
-def _matvec(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``m @ a`` for vectors a (..., n) along the last axis: one
-    matrix-vector product each, so that a vector's result does not depend
-    on the batch it comes in."""
-    if a.ndim == 1:
-        return m.dot(a)
-    return (m @ a[..., None])[..., 0]
 
 
 class _StepRecord:
@@ -569,8 +502,9 @@ class _DenseStep(_StepRecord):
     fast row i, plus it in row i+1.  Written in node differences, the
     kinetic terms keep the accuracy of difference quotients at small steps.
     The Newton matrix is ``A - sum_t S_t H_t P_t``, A the kinetic matrix,
-    taken into ``coef``.  Everything that carries a mass is made here, once
-    per Newton matrix holder: also the record, of the G that
+    taken into ``coef`` as the entries at A's nonzeros, first, so that they
+    start each position's sum.  Everything that carries a mass is made
+    here, once per Newton matrix holder: also the record, of the G that
     :meth:`residual` returns, and the p/q maps' T and |T| (:mod:`multirate.schemes`).
     """
 
@@ -591,8 +525,10 @@ class _DenseStep(_StepRecord):
         self.T[:n_s, :n_s] = -kern.dT * sys.mass_slow_inv
         self.T[n_s:, n_s:] = np.kron(np.tri(p), -kern.dt * sys.mass_fast_inv)
         self.abs_T = np.abs(self.T)
-        self.coef = maps.coef.copy()
-        self.coef[maps.kinetic] = A.reshape(-1)[maps.kinetic_dest]
+        at_A = np.flatnonzero(A)
+        self.src = np.concatenate((np.full(at_A.size, maps.h_at[-1]), maps.src))
+        self.dest = np.concatenate((at_A, maps.dest))
+        self.coef = np.concatenate((A.reshape(-1)[at_A], maps.coef))
         # the terms' Hessians side by side, then the 1 of the kinetic entries
         self.h = np.empty(maps.h_at[-1] + 1)
         self.h[-1] = 1.0
@@ -641,13 +577,13 @@ class _DenseStep(_StepRecord):
         return residual
 
     def transform(self, F, absolute=False):
-        """T F, or |T| F with ``absolute``, along F's last axis."""
-        return _matvec(self.abs_T if absolute else self.T, F)
+        """T F, or |T| F with ``absolute``, of a vector F."""
+        return (self.abs_T if absolute else self.T).dot(F)
 
-    def matrix(self, start: State, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-        """The Newton matrix at x, in the workspace's array ``"dense"``,
-        zero-filled where it is allocated: a build writes only the fixed
-        nonzero pattern."""
+    def matrix(self, start: State, x: np.ndarray) -> np.ndarray:
+        """The Newton matrix at x: one ``np.bincount`` of the entries into
+        their flat positions, which adds each position's entries in order,
+        the kinetic one first."""
         maps, sys, kern = self.maps, self.sys, self.kern
         if self.last is not None and self.last[0] is start and self.last[1] is x:
             z = self.last[2]
@@ -664,11 +600,8 @@ class _DenseStep(_StepRecord):
         if not _finite(self.h):
             _check_finite((H_ss, H_sf, H_ff), kern.V.m, "slow-potential Hessian")
             _check_finite((H_W,), kern.W.m, "fast-potential Hessian")
-        J = ws("dense", (maps.N, maps.N), np.zeros)
-        # bincount adds each run's entries in order, from the kinetic one on
-        J.reshape(-1)[maps.dest] = np.bincount(maps.run, self.h.take(maps.src) * self.coef,
-                                               maps.dest.size)
-        return J
+        N = maps.N
+        return np.bincount(self.dest, self.h.take(self.src) * self.coef, N * N).reshape(N, N)
 
 
 @functools.lru_cache(maxsize=64)

@@ -358,22 +358,23 @@ class MultirateSystem:
         return float(self.slow_potential(q_slow, q_fast)) + float(self.fast_potential(q_fast))
 
     def evaluate_batch(self, name: str, *points: np.ndarray):
-        """Gradient or Hessian callable ``name`` at k points stacked along axis 0.
+        """Callable ``name`` at k points stacked along axis 0.
 
         Returns float arrays with a leading axis of length k (a tuple of them
-        for the ``slow_*`` callables).
+        for ``slow_potential_grad`` and ``slow_potential_hessian``).
         """
         return self.batch_callable(name)(*points)
 
     def batch_callable(self, name: str) -> Callable:
         """:meth:`evaluate_batch` of ``name`` as a callable of the points alone."""
         fn = getattr(self, name)
+        tuples = name in ("slow_potential_grad", "slow_potential_hessian")
         if self.batched:
-            if name.startswith("slow"):
+            if tuples:
                 # a list, not a generator: this runs once per residual
                 return lambda *points: tuple([np.asarray(a, dtype=float) for a in fn(*points)])
             return lambda *points: np.asarray(fn(*points), dtype=float)
-        if name.startswith("slow"):
+        if tuples:
             return lambda *points: tuple([np.array(col, dtype=float)
                                           for col in zip(*[fn(*pt) for pt in zip(*points)])])
         return lambda *points: np.array([fn(*pt) for pt in zip(*points)], dtype=float)

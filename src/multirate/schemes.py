@@ -17,14 +17,15 @@ compound DEL residual F of :func:`multirate.solver._step_residual`:
 A p/q step is therefore the DEL step of
 :func:`multirate.solver._solve_step` from the free-drift guess, whose stop
 and refresh rules read the norm of T F instead of F's.  Since T is constant
-and invertible, (T J)^-1 T F = J^-1 F: the Newton update, the Newton matrix
-(:func:`multirate.solver._linearization`), the evaluated points and the
-errors a non-finite gradient raises are the DEL step's.  T is made once
-per Newton matrix holder, so once per :func:`~multirate.solver.integrate`
-call (:func:`_transform`): below the size rule as the dense maps T and |T|
-of the step's fixed maps, one product per norm, above as running sums.
-T F agrees to rounding with the hand-derived closed forms, which the tests
-keep as the reference.
+and invertible, (T J)^-1 T F = J^-1 F: the Newton update, the Newton matrix,
+the evaluated points and the errors a non-finite gradient raises are the
+DEL step's.  T is the ``transform`` of the step bound to the Newton matrix
+holder (:class:`multirate.solver._BoundStep`), made once per
+:func:`~multirate.solver.integrate` call by the same size decision as the
+rest of the step: below the size rule the dense maps T and |T| of the
+step's fixed maps, one product per norm, above running sums.  T F agrees
+to rounding with the hand-derived closed forms, which the tests keep as
+the reference.
 
 The :class:`~multirate.model.QuadratureSpec` alone selects the map.  With
 micro-grid slow placement, midpoint rules for both potentials give the
@@ -37,42 +38,11 @@ trapezoidal-family rule take identical steps.  Other quadratures raise
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .model import MultirateSystem, QuadratureSpec, SlowPlacement, State, TimeGrid
 from .solver import MacroStep, SolverConfig, StepStats, _drift_guess, _HeldMatrix, _solve_step
 
 __all__ = ["pq_step"]
-
-
-def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
-    """``transform(F, absolute=False) -> T F``, or |T| F with ``absolute``,
-    along F's last axis, whose layout is that of the stacked unknowns, as
-    running sums of F's fast rows; leading axes are transformed one by one."""
-    n_s, fast_shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
-    T = (-grid.dT * sys.mass_slow_inv, -grid.dt * sys.mass_fast_inv.T)
-    abs_T = tuple(np.abs(a) for a in T)
-
-    def transform(F, absolute=False):
-        T_s, T_f = abs_T if absolute else T
-        res = np.empty(F.shape)
-        res[..., :n_s] = (T_s @ F[..., :n_s, None])[..., 0]
-        sums = np.cumsum(F[..., n_s:].reshape(F.shape[:-1] + fast_shape), axis=-2)
-        res[..., n_s:] = (sums @ T_f).reshape(res[..., n_s:].shape)
-        return res
-
-    return transform
-
-
-def _transform(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid, held: _HeldMatrix):
-    """T of the p/q steps bound to the holder ``held``, made once per
-    binding: the fixed maps' dense T below the size rule, else
-    :func:`_pq_transform`."""
-    step = held.bind(sys, quad, grid)
-    if step.pq is None:
-        step.pq = step.dense.transform if step.dense is not None else _pq_transform(sys, grid)
-    return step.pq
 
 
 def _check_map(quad: QuadratureSpec):
@@ -103,4 +73,4 @@ def pq_step(state: State, sys: MultirateSystem, quad: QuadratureSpec, grid: Time
     _check_map(quad)
     held = _HeldMatrix() if held is None else held
     return _solve_step(index, state, _drift_guess(state, sys, grid), sys, quad, grid, config,
-                       held, _transform(sys, quad, grid, held))
+                       held, held.bind(sys, quad, grid).transform)

@@ -7,7 +7,7 @@ interior fast stationarity equations.  Its Jacobian is an arrowhead: dense
 slow row/column borders around a fast part that is block lower-triangular
 with two sub-diagonals (the equation of fast node i couples the unknown
 nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
-block elimination, the others with a dense inverse (:func:`_linearization`).
+block elimination, the others with a dense inverse (:class:`_BoundStep`).
 
 Newton is simplified Newton with a contraction monitor (Hairer & Wanner,
 *Solving ODEs II*, IV.8).  Each linear solver splits into ``factor(J)``,
@@ -78,7 +78,7 @@ __all__ = [
 
 
 # Unknowns n_slow + p*n_fast from which an analytic Newton matrix is factored
-# by blocks (_linearization); below, a step runs as fixed dense maps.  FPU
+# by blocks (_BoundStep); below, a step runs as fixed dense maps.  FPU
 # chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, one BLAS thread,
 # medians of one matrix build (assembly plus factor, into one workspace) and
 # of one solve with it, dense vs blocks (tests/test_linear_solver_bench.py,
@@ -146,8 +146,9 @@ class SolverConfig:
 
     - The Newton matrix is analytic when the system supplies both Hessians
       (``MultirateSystem.has_hessians``), and forward differences with
-      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise
-      (``_linearization``).  A difference matrix costs one batched residual
+      componentwise steps ``1e-7 * (1 + |x_i|)`` otherwise.  Which one, the
+      linear solver and the p/q maps' T are decided once per ``integrate``
+      call (``_BoundStep``).  A difference matrix costs one batched residual
       call per chunk of columns (``_fd_jacobian``), and each column is
       bit-identical to the one-unknown-at-a-time difference.
     - The closed-form p/q maps run the DEL step's Newton iteration on F;
@@ -216,7 +217,7 @@ class IntegrationStats:
     wall_time_total: float = 0.0
     residual_max: float = 0.0
     matrix_builds_total: int = 0
-    # "dense" or "structured" (see _linearization); None where no Newton
+    # "dense" or "structured" (see _BoundStep); None where no Newton
     # solve runs
     linear_solver: str | None = None
 
@@ -322,65 +323,73 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
       i, minus the kernel's equation weights applied to the gradients.
 
     Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns the step is a few fixed
-    linear maps around the callbacks (:class:`_DenseStep`) bound to the
-    holder ``held`` (a new one by default); above, the kernel's products
-    (:meth:`~multirate.discretization._IntervalKernel.fast_forces`).  F
-    agrees with the difference of the momenta to within rounding of the
-    largest momentum terms, and every point of a batch gets the F it would
-    get alone.
+    linear maps around the callbacks (:class:`_DenseStep`); above, the
+    kernel's products
+    (:meth:`~multirate.discretization._IntervalKernel.fast_forces`), as
+    the :class:`_BoundStep` of the holder ``held`` (a new one by default)
+    decides once.  F agrees with the difference of the momenta to within
+    rounding of the largest momentum terms, and every point of a batch gets
+    the F it would get alone.
     """
     return (_HeldMatrix() if held is None else held).bind(sys, quad, grid).residual(start)
 
 
-def _linearization(sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid,
-                   dense: _DenseStep | None = None):
-    """``(linear, jacobian)`` of the implicit steps on ``grid``.
+def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
+    """``transform(F, absolute=False) -> T F``, or |T| F with ``absolute``,
+    of a vector F laid out as the stacked unknowns: the p/q maps' slow row
+    and running sums of F's fast rows (:mod:`multirate.schemes`)."""
+    n_s, fast_shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
+    T = (-grid.dT * sys.mass_slow_inv, -grid.dt * sys.mass_fast_inv.T)
+    abs_T = tuple(np.abs(a) for a in T)
 
-    ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
-    step from ``start`` at x, F being the value there of ``residual``
-    (:func:`_step_residual`), and the :class:`_LinearSolver` ``linear``
-    factors and applies it.  Both implicit modes take it: the p/q maps'
-    Newton update is the DEL one (:func:`_iterate`).  The matrix is
-    analytic where the system supplies both Hessians and forward
-    differences of ``residual`` otherwise (:func:`_fd_jacobian`, dense,
-    from batched residual calls).  An analytic matrix is kept as blocks
-    (``"structured"``) from ``_STRUCTURED_MIN_UNKNOWNS`` unknowns on; below,
-    the step's fixed maps ``dense`` (:class:`_DenseStep`, made here where
-    not given) write it densely.  The blocks and the dense matrix are kept
-    in the :class:`~multirate.discretization._Workspace` ``ws``.
-    """
-    p = grid.micro_per_macro
+    def transform(F, absolute=False):
+        T_s, T_f = abs_T if absolute else T
+        res = np.empty(F.shape)
+        res[:n_s] = T_s.dot(F[:n_s])
+        np.matmul(np.cumsum(F[n_s:].reshape(fast_shape), axis=0), T_f,
+                  out=res[n_s:].reshape(fast_shape))
+        return res
 
-    if not sys.has_hessians:
-        def fd_jacobian(start, residual, x, F, ws):
-            return _fd_jacobian(residual, x, F)
-        return _DENSE, fd_jacobian
-
-    if _small(sys, grid):
-        dense = _DenseStep(interval_kernel(quad, grid), sys) if dense is None else dense
-
-        def jacobian(start, residual, x, F, ws):
-            return dense.matrix(start, x, ws)
-        return _DENSE, jacobian
-
-    def jacobian_blocks(start, residual, x, F, ws):
-        return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, p), sys, quad, grid, ws)
-    return _STRUCTURED, jacobian_blocks
+    return transform
 
 
 class _BoundStep:
     """The implicit steps of one system, quadrature and grid, decided once
-    per Newton matrix holder (:meth:`_HeldMatrix.bind`): the kernel, the
-    fixed maps ``dense`` (:class:`_DenseStep`, None from the size rule on),
-    ``(linear, jacobian)`` (:func:`_linearization`), the record, and ``pq``,
-    the p/q maps' T once made (:func:`multirate.schemes._transform`)."""
+    per Newton matrix holder (:meth:`_HeldMatrix.bind`), the one place that
+    reads the size rule and whether the system has Hessians: the kernel,
+    the fixed maps ``dense`` (:class:`_DenseStep`, None from the size rule
+    on), the p/q maps' ``transform`` T (:func:`_newton`; ``dense``'s below
+    the rule, running sums from it on), the record, and the Newton matrix.
+
+    ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
+    step from ``start`` at x, F being the value there of ``residual``
+    (:meth:`residual`), and the :class:`_LinearSolver` ``linear`` factors
+    and applies it; both implicit modes take it, since the p/q maps' Newton
+    update is the DEL one (:func:`_iterate`).  The matrix is forward
+    differences of ``residual`` where the system lacks a Hessian
+    (:func:`_fd_jacobian`, dense); else analytic, below the size rule
+    ``dense``'s one bincount, from it on kept as blocks (``"structured"``)
+    in the :class:`~multirate.discretization._Workspace` ``ws``."""
 
     def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         self.sys, self.quad, self.grid = sys, quad, grid
-        self.kern = interval_kernel(quad, grid)
-        self.dense = _DenseStep(self.kern, sys) if _small(sys, grid) else None
-        self.linear, self.jacobian = _linearization(sys, quad, grid, self.dense)
-        self.pq = None
+        self.kern = kern = interval_kernel(quad, grid)
+        self.dense = dense = _DenseStep(kern, sys) if _small(sys, grid) else None
+        self.transform = _pq_transform(sys, grid) if dense is None else dense.transform
+        self.linear = _DENSE
+        if not sys.has_hessians:
+            def jacobian(start, residual, x, F, ws):
+                return _fd_jacobian(residual, x, F)
+        elif dense is not None:
+            def jacobian(start, residual, x, F, ws):
+                return dense.matrix(start, x)
+        else:
+            self.linear = _STRUCTURED
+
+            def jacobian(start, residual, x, F, ws):
+                return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, kern.p), sys,
+                                        quad, grid, ws)
+        self.jacobian = jacobian
 
     def residual(self, start: State):
         """:func:`_step_residual` of the step from ``start``."""
@@ -388,12 +397,10 @@ class _BoundStep:
             return self.dense.residual(start)
         kern, sys, n_s = self.kern, self.sys, self.sys.n_slow
         q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
-        # the start's share c0 q0 of the slow points, the same for every iterate
-        Qs0 = kern.start_points(q0)
 
         def residual(x):
             q_slow_next, fast = _step_nodes(start, x, sys, kern.p)
-            grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast, Qs0), sys)
+            grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast), sys)
             # p_f0 above the fast kinetic momenta: the kinetic differences of
             # all fast rows are then one subtraction
             P_f = np.empty(fast.shape)
@@ -705,9 +712,8 @@ class _HeldMatrix:
 
     ``step`` is the :class:`_BoundStep` or :class:`_ExplicitStep` its steps
     run on (:meth:`bind`): the size decision, maps, solver, T and record.
-    ``ws`` holds the arrays that its builds write: J's blocks, their
-    interval sums, the elimination's ``ge`` and Z, |J|, or the small
-    step's dense matrix.  A build happens only once the held factors have
+    ``ws`` holds the arrays that its block builds write: J's blocks, their
+    interval sums, the elimination's ``ge`` and Z and |J|.  A build happens only once the held factors have
     been dropped, so one set serves every build of the holder, and its
     iterations read blocks that no build overwrites.  Each holder has its
     own.  A 20-step integration of an FPU chain with l=30, p=50 then takes

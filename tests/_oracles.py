@@ -12,7 +12,6 @@ import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
 from multirate.discretization import interval_kernel
-from multirate.schemes import _transform
 from multirate.solver import MacroStep, _HeldMatrix, _step_residual
 
 
@@ -251,16 +250,18 @@ def pq_residual(quad, state, sys, grid):
     """``evaluate(x) -> (T F, aux)``: the p/q residual of the step from
     ``state``, the transform T that the p/q step uses (dense below the
     size rule, running sums above) applied to its DEL residual ``(F, aux)``
-    at x.  Each point of a batch is transformed as it would be alone.  Not
-    independent of the library: the tests hold it against
-    :func:`closed_form_pq_residual`, and measure the p/q stop rule with it."""
+    at x.  Each point of a batch is transformed alone, as the library
+    transforms the one vector of a step.  Not independent of the library:
+    the tests hold it against :func:`closed_form_pq_residual`, and measure
+    the p/q stop rule with it."""
     held = _HeldMatrix()
     residual = _step_residual(state, sys, quad, grid, held)
-    transform = _transform(sys, quad, grid, held)
+    transform = held.bind(sys, quad, grid).transform
 
     def evaluate(x):
         F, aux = residual(x)
-        return transform(F), aux
+        rows = F.reshape(-1, F.shape[-1])
+        return np.array([transform(f) for f in rows]).reshape(F.shape), aux
 
     return evaluate
 

@@ -16,7 +16,7 @@ from multirate import (
     interval_momenta,
 )
 from multirate.discretization import _check_finite, interval_kernel
-from multirate.solver import _linearization
+from multirate.solver import _HeldMatrix
 
 from _oracles import (
     affine_quadrature,
@@ -280,8 +280,9 @@ class TestDiscreteMomenta:
 
 
 class TestMomentaWithoutZeroTerms:
-    """``momenta_from`` skips the weight matrices that are all zero; the full
-    four-product formula (``_oracles.full_momenta``) gives the same bits."""
+    """``momenta_from`` gives the bits of the full four-product formula
+    (``_oracles.full_momenta``), and a momentum whose weights are all zero
+    is the kinetic momentum."""
 
     RULES = QUADRATURES + [
         QuadratureSpec.explicit(0.3, 0.8),
@@ -308,9 +309,23 @@ class TestMomentaWithoutZeroTerms:
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_explicit_rule_skips_the_right_weights(self):
-        kern = interval_kernel(QuadratureSpec.explicit(), build_time_grid(0.3, 4, 1))
-        assert [len(terms) for terms in kern.momentum_terms] == [1, 0, 2, 0]
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_explicit_rule_zero_weights_give_the_kinetic_momenta(self, fpu, p):
+        # the explicit rule weights left nodes only: the right momenta take
+        # all-zero weights and are the kinetic momenta bit for bit
+        sys = with_full_masses(fpu[0])
+        kern = interval_kernel(QuadratureSpec.explicit(), build_time_grid(0.3, p, 1))
+        assert not (kern.w_c1.any() or kern.V.right.any() or kern.W.right.any())
+        rng = np.random.default_rng(p)
+        n = sys.n_slow
+        q0, q1 = rng.normal(size=(2, n))
+        fast = rng.normal(size=(p + 1, n))
+        grads = (rng.normal(size=(kern.V.m.size, n)), rng.normal(size=(kern.V.m.size, n)),
+                 rng.normal(size=(kern.W.m.size, n)))
+        _, p_s_plus, _, p_f_plus = kern.momenta_from(q0, q1, fast, sys, *grads)
+        Mv_s, Mv_f = kern.kinetic_momenta(q0, q1, fast, sys)
+        assert p_s_plus.tobytes() == Mv_s.tobytes()
+        assert p_f_plus.tobytes() == Mv_f.tobytes()
 
 
 class TestEvaluationErrors:
@@ -380,7 +395,7 @@ class TestHessianErrors:
         grid = build_time_grid(0.3, p, 1)
         quad = QuadratureSpec.midpoint_midpoint()
         bad = self.with_nan_hessian(sys, which, 3)
-        assert _linearization(bad, quad, grid)[0].name == linear
+        assert _HeldMatrix().bind(bad, quad, grid).linear.name == linear
         with pytest.raises(EvaluationError, match="Hessian") as info:
             initial_step(q0, bad, quad, grid, SolverConfig())
         assert info.value.node_index == 3

@@ -37,7 +37,7 @@ from multirate import (IntegratorMode, QuadratureSpec, SolverConfig, build_fpu, 
                        build_spring_ring, build_time_grid, initial_step, integrate, pq_step,
                        solver)
 from multirate.discretization import _Workspace  # noqa: E402
-from multirate.solver import _drift_guess, _linearization, _step_residual  # noqa: E402
+from multirate.solver import _drift_guess, _HeldMatrix, _step_residual  # noqa: E402
 from multirate.systems import FpuConfig  # noqa: E402
 
 from conftest import count_points  # noqa: E402
@@ -51,7 +51,8 @@ def first_step(monkeypatch, l, p, structured):
     quad = QuadratureSpec.midpoint_midpoint()
     grid = build_time_grid(0.3, p, 1)
     residual = _step_residual(q0, sys, quad, grid)
-    linear, jacobian = _linearization(sys, quad, grid)
+    step = _HeldMatrix().bind(sys, quad, grid)
+    linear, jacobian = step.linear, step.jacobian
     assert linear.name == ("structured" if structured else "dense")
     x = _drift_guess(q0, sys, grid)
     F = residual(x)[0]

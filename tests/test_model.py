@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +153,18 @@ class TestMultirateSystem:
             MultirateSystem(2, 1, M, np.eye(1),
                             lambda qs, qf: 0.0, lambda qs, qf: (np.zeros(2), np.zeros(1)),
                             lambda qf: 0.0, lambda qf: np.zeros(1))
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-point"])
+    def test_evaluate_batch_of_the_slow_potential_is_one_array(self, fpu, batched):
+        # the slow potential is scalar-valued: k points give one (k,) array,
+        # not a tuple as the slow gradient and Hessian do
+        sys = dataclasses.replace(fpu[0], batched=batched)
+        rng = np.random.default_rng(0)
+        qs, qf = rng.normal(size=(4, sys.n_slow)), rng.normal(size=(4, sys.n_fast))
+        values = sys.evaluate_batch("slow_potential", qs, qf)
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        each = [float(sys.slow_potential(a, b)) for a, b in zip(qs, qf)]
+        assert np.allclose(values, each, rtol=1e-14, atol=0.0)
 
     def test_momenta_from_velocities(self, fpu):
         sys, _ = fpu

@@ -230,7 +230,8 @@ def pq_newton_update(sys, quad, state, grid, x):
     with the DEL step's matrix and linear solver, and the p/q residual T F."""
     residual = solver._step_residual(state, sys, quad, grid)
     F = residual(x)[0]
-    linear, jacobian = solver._linearization(sys, quad, grid)
+    step = solver._HeldMatrix().bind(sys, quad, grid)
+    linear, jacobian = step.linear, step.jacobian
     factors = linear.factor(jacobian(state, residual, x, F, _Workspace()))
     return linear.apply(factors, -F), pq_residual(quad, state, sys, grid)
 

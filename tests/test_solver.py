@@ -40,7 +40,6 @@ from multirate.solver import (
     _eliminate,
     _factor_blocks,
     _jacobian_blocks,
-    _linearization,
 )
 
 from _oracles import (
@@ -81,7 +80,8 @@ def step_jacobian(start, x, sys, quad, grid):
     """Dense Newton matrix of the step from ``start`` at x, as the solver
     builds it: analytic with Hessians, finite differences without."""
     residual = solver._step_residual(start, sys, quad, grid)
-    linear, jacobian = _linearization(sys, quad, grid)
+    step = solver._HeldMatrix().bind(sys, quad, grid)
+    linear, jacobian = step.linear, step.jacobian
     J = jacobian(start, residual, x, residual(x)[0], _Workspace())
     return _assemble_jacobian(J) if linear is solver._STRUCTURED else J
 
@@ -305,7 +305,8 @@ class TestFixedMaps:
     def test_jacobian_matches_blocks(self, request, system, quad, p):
         sys, q0, grid, X = self.points(request, system, quad, p)
         residual = solver._step_residual(q0, sys, quad, grid)
-        linear, jacobian = _linearization(sys, quad, grid)
+        step = solver._HeldMatrix().bind(sys, quad, grid)
+        linear, jacobian = step.linear, step.jacobian
         assert linear is solver._DENSE
         for x in X:
             J = jacobian(q0, residual, x, residual(x)[0], _Workspace())
@@ -396,16 +397,15 @@ class TestFixedMaps:
         # T and |T| of the p/q maps as dense maps, against the running sums
         sys, q0, grid, _ = self.points(request, system, MIDMID, p)
         dense = solver._HeldMatrix().bind(sys, MIDMID, grid).dense
-        running = schemes._pq_transform(sys, grid)
+        running = solver._pq_transform(sys, grid)
         F = np.random.default_rng(p).standard_normal((3, dense.T.shape[0]))
         for absolute in (False, True):
-            got = dense.transform(F, absolute)
-            for f, g in zip(F, got):
-                assert np.array_equal(dense.transform(f, absolute), g)
-            # a sum of at most p + n_fast products per entry, in another order
-            n_terms = p + sys.n_fast
-            bound = n_terms * np.finfo(float).eps * dense.abs_T.dot(np.abs(F).T).T
-            assert np.all(np.abs(got - running(F, absolute)) <= bound)
+            for f in F:
+                got = dense.transform(f, absolute)
+                # a sum of at most p + n_fast products per entry, in another order
+                n_terms = p + sys.n_fast
+                bound = n_terms * np.finfo(float).eps * dense.abs_T.dot(np.abs(f))
+                assert np.all(np.abs(got - running(f, absolute)) <= bound)
 
     @pytest.mark.parametrize("p", [10, 50], ids=["dense", "structured"])
     def test_pq_integrate_builds_its_transform_once(self, fpu, p, monkeypatch):
@@ -414,7 +414,7 @@ class TestFixedMaps:
         sys, q0 = fpu
         grid = build_time_grid(0.3, p, 4)
         builds = {"dense": 0, "running": 0}
-        DenseStep, pq_transform = discretization._DenseStep, schemes._pq_transform
+        DenseStep, pq_transform = discretization._DenseStep, solver._pq_transform
 
         class CountedDenseStep(DenseStep):
             def __init__(self, *args):
@@ -426,7 +426,7 @@ class TestFixedMaps:
             return pq_transform(*args)
 
         monkeypatch.setattr(solver, "_DenseStep", CountedDenseStep)
-        monkeypatch.setattr(schemes, "_pq_transform", counted_transform)
+        monkeypatch.setattr(solver, "_pq_transform", counted_transform)
         for _ in range(2):
             _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9),
                                  IntegratorMode.CLOSED_FORM_PQ)
@@ -745,8 +745,8 @@ class TestLinearSolver:
         sys, q0 = fpu
         grid = build_time_grid(0.3, 50, 1)
         sys_fd = without_hessians(sys)
-        assert _linearization(sys, MIDMID, grid)[0].name == "structured"
-        assert _linearization(sys_fd, MIDMID, grid)[0].name == "dense"
+        assert solver._HeldMatrix().bind(sys, MIDMID, grid).linear.name == "structured"
+        assert solver._HeldMatrix().bind(sys_fd, MIDMID, grid).linear.name == "dense"
         _, stats = integrate(q0, sys_fd, MIDMID, grid, SolverConfig())
         assert stats.linear_solver == "dense"
 
@@ -860,12 +860,12 @@ class TestWorkspace:
     @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
     def test_dense_rebuilds_equal_a_fresh_build(self, request, system, quad, p):
-        # a dense assembly writes only the nonzero pattern into the matrix
-        # that the holder's workspace keeps: a build at another iterate
-        # leaves no entry of the one before it
+        # a dense build at another iterate, after a build with the same
+        # holder, equals a build with a fresh workspace
         sys, q0 = request.getfixturevalue(system)
         grid = build_time_grid(0.02, p, 1)
-        linear, jacobian = _linearization(sys, quad, grid)
+        step = solver._HeldMatrix().bind(sys, quad, grid)
+        linear, jacobian = step.linear, step.jacobian
         assert linear is solver._DENSE
         rng = np.random.default_rng(p)
         held = solver._HeldMatrix()
@@ -881,7 +881,6 @@ class TestWorkspace:
             J = jacobian(start, residual, x, F, held.ws)
             assert np.array_equal(J, jacobian(start, residual, x, F, _Workspace()))
             built.append(J.copy())
-        assert np.shares_memory(J, held.ws("dense", J.shape))
         # the midpoint rule's matrices differ; under the others, F may weight
         # only terms at the start, and the matrix is then constant
         if quad == MIDMID:
