@@ -3,7 +3,9 @@
 Subcommands run simulations, convergence and stability studies, timing
 benchmarks and system validation, writing plot-ready CSV files plus a JSON
 manifest with all parameters, work counters and content hashes.  Numeric CSV
-fields use 17-significant-digit formatting so values round-trip exactly.
+fields use 17-significant-digit formatting so values round-trip exactly;
+``simulate`` makes its trajectory and energy rows a block at a time, as the
+bytes of ``"%.17g"`` computed on whole arrays (:func:`_csv_rows`).
 """
 
 from __future__ import annotations
@@ -141,14 +143,194 @@ def _resolved_params(args, extra=None) -> dict:
     return params
 
 
-# rows of trajectory.csv converted to Python floats at a time, one
-# ``tolist`` per array
-_CSV_CHUNK_ROWS = 256
+# Tables of _format17, built on first use: for each decimal exponent k in
+# [-100, 100], the least double >= 10**k, and 10**(16 - k) as the two halves
+# hi + mid of its nearest double plus the correctly rounded rest lo; the
+# ASCII of each 4-digit group; the masks and byte patterns of the layout.
+_DIGIT_TABLES = None
+
+
+def _digit_tables() -> dict:
+    global _DIGIT_TABLES
+    if _DIGIT_TABLES is not None:
+        return _DIGIT_TABLES
+
+    def ratio(k):       # 10**k as a ratio of integers
+        return (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+
+    floor_pow, scale_hi, scale_mid, scale_lo = [], [], [], []
+    for k in range(-100, 101):
+        num, den = ratio(k)
+        v = num / den   # correctly rounded, as int / int is
+        a, b = v.as_integer_ratio()
+        floor_pow.append(math.nextafter(v, math.inf) if a * den < num * b else v)
+        num, den = ratio(16 - k)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        c = 134217729.0 * h     # Veltkamp's split, exact
+        scale_hi.append(c - (c - h))
+        scale_mid.append(h - scale_hi[-1])
+        scale_lo.append((num * b - a * den) / (den * b))
+
+    def low(nbytes):    # the mask of a word's first nbytes bytes
+        return (1 << 8 * min(max(nbytes, 0), 8)) - 1
+
+    # the 16 digits after the first fill two words, da and db, a byte each;
+    # masks by how many of them come first (kept, or before the point)
+    dots = 0x2E2E2E2E2E2E2E2E
+    lead = [("-" if neg else "") + ("0." + "0" * (-k - 1) if -4 <= k < 0 else "")
+            for neg in (0, 1) for k in range(-100, 102)]
+    group = np.arange(10000, dtype=np.uint64)
+    _DIGIT_TABLES = {
+        "floor_pow": np.array(floor_pow), "scale_hi": np.array(scale_hi),
+        "scale_mid": np.array(scale_mid), "scale_lo": np.array(scale_lo),
+        "ascii4": sum((group // 10 ** (3 - i) % 10 + 48) << np.uint64(8 * i) for i in range(4)),
+        "keep_a": [low(c) for c in range(17)],
+        "keep_b": [low(c - 8) for c in range(17)],
+        # the point after c digits; entries 16 and 17: no point
+        "dot_a": [(low(c + 1) ^ low(c)) & dots for c in range(16)] + [0, 0],
+        "dot_b": [(low(c - 7) ^ low(c - 8)) & dots for c in range(16)] + [0, 0],
+        # by 202 * sign + k + 100: "-", then "0." and zeros for k in -4..-1
+        "lead": [int.from_bytes(t.encode(), "little") for t in lead],
+        # by k + 100: "e+XX" from byte 1, outside the fixed range -4..16
+        "exp": [0 if -4 <= k <= 16 else int.from_bytes(b"\0" + b"e%+03d" % k, "little")
+                for k in range(-100, 102)],
+    }
+    for name in ("keep_a", "keep_b", "dot_a", "dot_b", "lead", "exp"):
+        _DIGIT_TABLES[name] = np.array(_DIGIT_TABLES[name], dtype=np.uint64)
+    return _DIGIT_TABLES
+
+
+def _decimal17(x: np.ndarray):
+    """The decimal exponent k and the 17 significant digits n, an integer,
+    of each value of the float64 array ``x`` as ``"%.17g"`` rounds it (0
+    and 0 for zeros), and which values Python must format instead.
+
+    n is |v| 10**(16 - k) rounded.  Dekker's exact product of |v| by the
+    tables' split power of ten, plus |v| times the power's rest, is within
+    1e-13 of that number, so it rounds as the exact value does unless its
+    fraction is within 1e-9 of 1/2.  Those possible ties, and the values
+    outside the tables (non-finite, subnormal, or with a 3-digit exponent),
+    are left to Python."""
+    t = _digit_tables()
+    k = ((((x.view(np.int64) >> 52) & 0x7FF) - 1023) * 78913) >> 18  # floor(log10 2**e)
+    odd = (k < -100) | (k > 99)
+    a = np.abs(x)
+    a[odd] = 1.0
+    k[odd] = 0
+    k += a >= t["floor_pow"].take(k + 101)      # now 10**k <= a < 10**(k + 1)
+    i = k + 100
+    hi, mid, lo = (t[name].take(i) for name in ("scale_hi", "scale_mid", "scale_lo"))
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    y = a * (hi + mid)      # >= 2**53, an integer
+    lo *= a
+    lo += a_lo * mid
+    lo += ((a_hi * hi - y) + a_hi * mid + a_lo * hi)
+    r = np.rint(lo)
+    n = y.astype(np.int64)
+    n += r.astype(np.int64)
+    up = n == 10 ** 17      # rounded up to the next power of ten
+    n[up] = 10 ** 16
+    k += up
+    zero = x == 0
+    n[zero] = 0
+    k[zero] = 0
+    lo -= r
+    return k, n, (np.abs(lo) > 0.5 - 1e-9) | (odd & ~zero) | (k > 99) | (k < -99)
+
+
+def _format17(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for each value v of the float64 array ``x``, as
+    (x.size, 4) little-endian uint64 words: 32 bytes a value, NUL where no
+    character is.
+
+    Bytes 0-5 hold the sign and, for the exponents -4..-1, "0." and the
+    zeros after it; byte 7 the first of the 17 significant digits; bytes
+    8-24 the other 16 with the point after the integer digits, the
+    fraction's trailing zeros NUL; bytes 25-28 "e+XX" in exponent form.
+    Bytes 29-31 stay NUL for the separator."""
+    t = _digit_tables()
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    k, n, fallback = _decimal17(x)
+    out = np.empty((x.size, 4), "<u8")
+    top = n // 10 ** 8
+    n -= top * 10 ** 8
+    first = top // 10 ** 8
+    out[:, 0] = (t["lead"].take(np.signbit(x) * 202 + k + 100)
+                 | (first + 48).astype(np.uint64) << 56)
+    top -= first * 10 ** 8
+    # the 16 digits after the first, one byte each in the words da and db
+    ascii4 = t["ascii4"]
+    da, db = (ascii4.take(q) | ascii4.take(v - q * 10 ** 4) << 32
+              for v, q in ((top, top // 10 ** 4), (n, n // 10 ** 4)))
+    # how many are significant: up to the highest byte that is not "0", from
+    # the exponent of the word (bytes < 16) as a double
+    zeros = np.uint64(0x3030303030303030)
+    sig = np.maximum(((da ^ zeros).astype(np.float64).view(np.int64) + (1 << 52) >> 55) - 127,
+                     ((db ^ zeros).astype(np.float64).view(np.int64) + (1 << 52) >> 55) - 119)
+    whole = np.where((k >= 0) & (k <= 16), k, 0)  # of the 16, those before the point
+    dot = np.where((sig > whole) & ((k >= 0) | (k < -4)), whole, 17)
+    keep = np.maximum(sig, whole)
+    da &= t["keep_a"].take(keep)
+    db &= t["keep_b"].take(keep)
+    fa = da & ~t["keep_a"].take(whole)  # the fraction's digits move up a byte
+    fb = db & ~t["keep_b"].take(whole)
+    out[:, 1] = da ^ fa | fa << 8 | t["dot_a"].take(dot)
+    out[:, 2] = db ^ fb | fb << 8 | fa >> 56 | t["dot_b"].take(dot)
+    out[:, 3] = fb >> 56 | t["exp"].take(k + 100)
+    text = out.view(np.uint8).reshape(-1, 32)
+    for i in np.flatnonzero(fallback):
+        text[i] = np.frombuffer(_fmt(x[i]).encode().ljust(32, b"\0"), np.uint8)
+    return out
+
+
+def _csv_layout(blank: np.ndarray):
+    """How :func:`_csv_rows` lays out rows whose empty fields the (rows,
+    fields) mask ``blank`` marks: the flat indices of the other fields,
+    their separator words, and the runs of a group of rows, each a slice of
+    the fields' 32-byte slots or the separators of consecutive empty fields."""
+    blank, f = blank.ravel(), blank.shape[1]
+    last = np.arange(blank.size) % f == f - 1
+    kept = np.flatnonzero(~blank)
+    runs, slot, ends = [], 0, [*(np.flatnonzero(np.diff(blank)) + 1), blank.size]
+    for a, b in zip([0, *ends], ends):
+        if blank[a]:
+            runs.append(b"".join(b"\r\n" if e else b"," for e in last[a:b]))
+        else:
+            runs.append(slice(32 * slot, 32 * (slot + b - a)))
+            slot += b - a
+    # a field's separator goes in bytes 29-30 of its _format17 slot
+    seps = np.where(last[kept], ord("\r") << 40 | ord("\n") << 48, ord(",") << 40)
+    return kept, seps.astype(np.uint64), runs
+
+
+def _csv_rows(values: np.ndarray, layout) -> bytes:
+    """The CSV lines of ``values`` (groups, rows, fields), each ended by
+    CRLF: every field is ``"%.17g"`` of its value, or empty where the
+    (rows, fields) mask of the :func:`_csv_layout` ``layout`` is set, in
+    every group alike."""
+    n, r, f = values.shape
+    kept, seps, runs = layout
+    words = _format17(values.reshape(n, r * f)[:, kept]).reshape(n, kept.size, 4)
+    words[:, :, 3] |= seps
+    text = words.view(np.uint8).reshape(n, -1)
+    if len(runs) > 1:
+        empty = {run: np.broadcast_to(np.frombuffer(run, np.uint8), (n, len(run)))
+                 for run in runs if isinstance(run, bytes)}
+        text = np.concatenate([text[:, run] if isinstance(run, slice) else empty[run]
+                               for run in runs], axis=1)
+    return text.tobytes().translate(None, b"\0")
+
+
+# rows of trajectory.csv formatted at a time
+_CSV_CHUNK_ROWS = 128
 
 # micro rows that simulate holds between writes of its outputs, in whole
-# certificate windows (_Outputs): 946 ring steps at p=10, with which a 5,000
-# step run peaks at 41 MB (chunks of 64 to 2,017 steps: 40-44; whole: 50).
-_CHUNK_ROWS = 10_000
+# certificate windows (_Outputs): 441 ring steps at p=10, with which a 5,000
+# step run peaks at 40.7 MB (946 steps: 41.6; 252: 40.3; whole: 50).
+_CHUNK_ROWS = 5_000
 
 
 class _Outputs:
@@ -157,7 +339,9 @@ class _Outputs:
     horizon.  The buffer holds whole certificate windows (``_VERIFY_CHUNK``
     intervals, one every ``_VERIFY_CHUNK - 1``) plus one interval, whose end
     momenta wait for the next step: it becomes the next chunk's first.  Times
-    are the whole grid's; the files open once the steps have started."""
+    are the whole grid's; the files open, in binary, once the steps have
+    started.  A chunk's rows go out ``_CSV_CHUNK_ROWS`` at a time, as the
+    bytes of :func:`_csv_rows`, which are hashed and written once."""
 
     def __init__(self, out: Path, sys, q0: State, quad: QuadratureSpec, grid: TimeGrid):
         p = grid.micro_per_macro
@@ -166,6 +350,16 @@ class _Outputs:
         self.out, self.sys, self.q0, self.quad, self.grid = out, sys, q0, quad, grid
         self.k0 = self.n = 0    # the buffer holds intervals k0..k0+n-1
         self.cert, self.files = TrajectoryCertificate(0.0, 0.0, 0.0, 0.0), None
+        # trajectory rows t, k, m, q_s, q_f, p_s, p_f; micro rows leave the
+        # slow ones empty
+        n_s, n_f = sys.n_slow, sys.n_fast
+        self.cols = [slice(3 + a, 3 + a + b) for a, b in (
+            (0, n_s), (n_s, n_f), (n_s + n_f, n_s), (2 * n_s + n_f, n_f))]
+        blank = np.zeros((p, 3 + 2 * n_s + 2 * n_f), bool)
+        blank[1:, self.cols[0]] = blank[1:, self.cols[2]] = True
+        self.layouts = {"rows": _csv_layout(blank), "end": _csv_layout(blank[:1]),
+                        "energy": _csv_layout(np.zeros(
+                            (1, 5 + (n_f + 1 if sys.oscillatory_energy else 0)), bool))}
 
     def store(self, step):
         if self.n == self.buf.n_macro:
@@ -192,46 +386,44 @@ class _Outputs:
         return {name: {"sha256": sha.hexdigest(), "rows": rows}
                 for (name, (_, sha)), rows in zip(self.files.items(), (N * p + 1, N + 1))}
 
-    def _write(self, name: str, text: str):
-        """Write ``text`` to output ``name``, hashing it as written."""
+    def _write(self, name: str, data: bytes):
+        """Write ``data`` to output ``name``, hashing it as written."""
         fh, sha = self.files[name]
-        fh.write(text)
-        sha.update(text.encode())
+        fh.write(data)
+        sha.update(data)
 
     def _flush(self, final: bool = False):
         buf, sys, grid, k0 = self.buf, self.sys, self.grid, self.k0
         p, n_s, n_f = grid.micro_per_macro, sys.n_slow, sys.n_fast
-        macro_row = ",".join(["%.17g", "%d", "%d"] + ["%.17g"] * (2 * n_s + 2 * n_f)) + "\r\n"
-        micro_row = ",".join(["%.17g", "%d", "%d"] + 2 * ([""] * n_s + ["%.17g"] * n_f)) + "\r\n"
         if self.files is None:
-            self.files = {name: (open(self.out / name, "w", newline=""), hashlib.sha256())
+            self.files = {name: (open(self.out / name, "wb"), hashlib.sha256())
                           for name in ("trajectory.csv", "energy.csv")}
             energy = ["t", "kinetic", "slow_potential", "fast_potential", "total"]
             if sys.oscillatory_energy:
                 energy += [f"stiff_{j}" for j in range(n_f)] + ["stiff_total"]
             self._write("trajectory.csv", ",".join(["t", "k", "m"] + [
                 f"{c}_{i}" for c, n in (("qs", n_s), ("qf", n_f), ("ps", n_s), ("pf", n_f))
-                for i in range(n)]) + "\r\n")
-            self._write("energy.csv", ",".join(energy) + "\r\n")
-        n = self.n if final else self.n - 1
+                for i in range(n)]).encode() + b"\r\n")
+            self._write("energy.csv", ",".join(energy).encode() + b"\r\n")
+        n, layouts = (self.n if final else self.n - 1), self.layouts
+        q_s, q_f, p_s, p_f = self.cols
         per_chunk = max(1, _CSV_CHUNK_ROWS // p)
         for a in range(0, n, per_chunk):
             b = min(a + per_chunk, n)
-            times = ((grid.t0 + np.arange(k0 + a, k0 + b)[:, None] * grid.dT)
-                     + np.arange(p) * grid.dt).ravel()
-            q_s, p_s, rows = buf.slow_q[a:b].tolist(), buf.slow_p[a:b].tolist(), []
-            for i, (t, q_f, p_f) in enumerate(zip(times.tolist(), buf.fast_q[a * p:b * p].tolist(),
-                                                  buf.fast_p[a * p:b * p].tolist())):
-                j, m = divmod(i, p)
-                if m == 0:
-                    rows.append(macro_row % (t, k0 + a + j, 0, *q_s[j], *q_f, *p_s[j], *p_f))
-                else:
-                    rows.append(micro_row % (t, k0 + a + j, m, *q_f, *p_f))
-            self._write("trajectory.csv", "".join(rows))
+            k = np.arange(k0 + a, k0 + b)[:, None]
+            rows = np.empty((b - a, p, p_f.stop))
+            rows[:, :, 0] = (grid.t0 + k * grid.dT) + np.arange(p) * grid.dt
+            rows[:, :, 1] = k
+            rows[:, :, 2] = np.arange(p)
+            rows[:, :, q_s], rows[:, :, p_s] = buf.slow_q[a:b, None], buf.slow_p[a:b, None]
+            rows[:, :, q_f] = buf.fast_q[a * p:b * p].reshape(b - a, p, n_f)
+            rows[:, :, p_f] = buf.fast_p[a * p:b * p].reshape(b - a, p, n_f)
+            self._write("trajectory.csv", _csv_rows(rows, layouts["rows"]))
         if final:
-            self._write("trajectory.csv", macro_row % (
-                grid.t_end, *((k0 + n - 1, p) if k0 + n else (0, 0)), *buf.slow_q[n].tolist(),
-                *buf.fast_q[n * p].tolist(), *buf.slow_p[n].tolist(), *buf.fast_p[n * p].tolist()))
+            end = np.concatenate(([grid.t_end, *((k0 + n - 1, p) if k0 + n else (0, 0))],
+                                  buf.slow_q[n], buf.fast_q[n * p], buf.slow_p[n],
+                                  buf.fast_p[n * p]))
+            self._write("trajectory.csv", _csv_rows(end[None, None], layouts["end"]))
         nodes, upto = n + final, slice(0, (n + final - 1) * p + 1)
         es = analysis.energy_series(Trajectory(TimeGrid(grid.dT, p, nodes - 1), buf.slow_q[:nodes],
                                                buf.slow_p[:nodes], buf.fast_q[upto],
@@ -240,8 +432,7 @@ class _Outputs:
                 es.fast_potential, es.total]
         if es.stiff_energies is not None:
             cols += [*es.stiff_energies.T, es.stiff_total]
-        energy_row = ",".join(["%.17g"] * len(cols)) + "\r\n"
-        self._write("energy.csv", "".join(energy_row % r for r in zip(*(c.tolist() for c in cols))))
+        self._write("energy.csv", _csv_rows(np.stack(cols, axis=1)[:, None], layouts["energy"]))
         if self.cert is not None:
             # maxima over the chunks' windows: those over the whole trajectory's
             cert = verify_trajectory(buf, self.q0 if k0 == 0 else None, sys, self.quad,

@@ -394,9 +394,9 @@ class _StepMaps:
 
     The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
     ``coef * h[src]`` summed, term by term in order, into the flat
-    positions ``dest`` of the (N, N) matrix.  h holds the terms' Hessian
-    blocks ``H_ss, H_sf, H_ff, H_W`` raveled (and, in :class:`_DenseStep`,
-    a final 1 for the kinetic entries).  A term adds at most (n_slow + 2
+    positions ``dest`` of the (N, N) matrix (:attr:`scatter`).  h holds
+    the terms' Hessian blocks ``H_ss, H_sf, H_ff, H_W`` raveled (and, in
+    :class:`_DenseStep`, a final 1 for the kinetic entries).  A term adds at most (n_slow + 2
     n_fast)^2 entries, at the equations and unknowns of its interval, so a
     build costs O(p).
     """
@@ -431,12 +431,20 @@ class _StepMaps:
         self.forces[n_s:, at_gW:self.kinetic_cols.start] = np.kron(-W.equations, I_f)
         self.forces[:n_0, self.kinetic_cols.stop:] = np.eye(n_0)
 
+        self.h_shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
+        self.h_at = [0, *itertools.accumulate(math.prod(shape) for shape in self.h_shapes)]
+
+    @functools.cached_property
+    def scatter(self):
+        """``(src, dest, coef)``, made on first use: a step whose Newton
+        matrix is differenced never reads them."""
+        n_s, n_f, k_V, k_W, N = self.n_s, self.n_f, self.k_V, self.k_W, self.N
+        n_0, at_fV, at_gW = n_s + n_f, k_V * n_s, k_V * (n_s + n_f)
+        at_fW = at_fV if self.shared else at_gW
         # each term's gradient entries, point entries and second derivatives
         # as positions in h: of V, the (n_s + n_f)^2 Hessian in the order of
         # its point, H_fs being H_sf transposed; of W, the n_f^2 block
         s, f = np.arange(n_s), np.arange(n_f)
-        self.h_shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
-        self.h_at = [0, *itertools.accumulate(math.prod(shape) for shape in self.h_shapes)]
         at_sf, at_ff, at_W = self.h_at[1:-1]
         terms = []
         for t in range(k_V):
@@ -458,7 +466,7 @@ class _StepMaps:
             src.append(h[a[:, None], b].ravel())
             dest.append((e[:, None] * N + u).ravel())
             coef.append((rows[e, a][:, None] * cols[b, u]).ravel())
-        self.src, self.dest, self.coef = map(np.concatenate, (src, dest, coef))
+        return tuple(map(np.concatenate, (src, dest, coef)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -512,28 +520,14 @@ class _DenseStep(_StepRecord):
         super().__init__(kern, sys)
         self.maps = maps = step_maps(kern, sys.n_slow, sys.n_fast)
         n_s, p, N = sys.n_slow, kern.p, maps.N
-        M_s, M_f = sys.mass_slow / kern.dT, sys.mass_fast / kern.dt
         self.forces = maps.forces.copy()
         kinetic = self.forces[:, maps.kinetic_cols]
-        kinetic[:n_s, :n_s] = -M_s
-        kinetic[n_s:, n_s:] = np.kron(np.eye(p, k=-1) - np.eye(p), M_f)
-        # equation i against nodes i+1, i and i-1: -M_f/dt, 2 M_f/dt, -M_f/dt
-        A = np.zeros((N, N))
-        A[:n_s, :n_s] = -M_s
-        A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2), M_f)
+        kinetic[:n_s, :n_s] = -sys.mass_slow / kern.dT
+        kinetic[n_s:, n_s:] = np.kron(np.eye(p, k=-1) - np.eye(p), sys.mass_fast / kern.dt)
         self.T = np.zeros((N, N))
         self.T[:n_s, :n_s] = -kern.dT * sys.mass_slow_inv
         self.T[n_s:, n_s:] = np.kron(np.tri(p), -kern.dt * sys.mass_fast_inv)
         self.abs_T = np.abs(self.T)
-        at_A = np.flatnonzero(A)
-        self.src = np.concatenate((np.full(at_A.size, maps.h_at[-1]), maps.src))
-        self.dest = np.concatenate((at_A, maps.dest))
-        self.coef = np.concatenate((A.reshape(-1)[at_A], maps.coef))
-        # the terms' Hessians side by side, then the 1 of the kinetic entries
-        self.h = np.empty(maps.h_at[-1] + 1)
-        self.h[-1] = 1.0
-        self.h_blocks = [self.h[at:at + math.prod(shape)].reshape(shape)
-                         for at, shape in zip(maps.h_at, maps.h_shapes)]
         # (start, x, z) of the last residual: Newton builds its matrix at the
         # iterate it has just evaluated, and takes the points from there
         # instead of from a product of O(p^2) work
@@ -580,6 +574,28 @@ class _DenseStep(_StepRecord):
         """T F, or |T| F with ``absolute``, of a vector F."""
         return (self.abs_T if absolute else self.T).dot(F)
 
+    @functools.cached_property
+    def scatter(self):
+        """``(src, dest, coef, h, h_blocks)``, made at the first
+        :meth:`matrix`: the maps' scatter with A's entries first, and h,
+        the terms' Hessians side by side and then the 1 of A's entries,
+        with views of its blocks."""
+        maps, sys, kern = self.maps, self.sys, self.kern
+        n_s, p, N = sys.n_slow, kern.p, maps.N
+        # equation i against nodes i+1, i and i-1: -M_f/dt, 2 M_f/dt, -M_f/dt
+        A = np.zeros((N, N))
+        A[:n_s, :n_s] = -sys.mass_slow / kern.dT
+        A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2),
+                                sys.mass_fast / kern.dt)
+        at_A = np.flatnonzero(A)
+        src, dest, coef = maps.scatter
+        h = np.empty(maps.h_at[-1] + 1)
+        h[-1] = 1.0
+        return (np.concatenate((np.full(at_A.size, maps.h_at[-1]), src)),
+                np.concatenate((at_A, dest)), np.concatenate((A.reshape(-1)[at_A], coef)), h,
+                [h[at:at + math.prod(shape)].reshape(shape)
+                 for at, shape in zip(maps.h_at, maps.h_shapes)])
+
     def matrix(self, start: State, x: np.ndarray) -> np.ndarray:
         """The Newton matrix at x: one ``np.bincount`` of the entries into
         their flat positions, which adds each position's entries in order,
@@ -595,13 +611,14 @@ class _DenseStep(_StepRecord):
                                               z[:a].reshape(maps.k_V, maps.n_s), QfV)
         H_W = sys.evaluate_batch("fast_potential_hessian",
                                  QfV if maps.shared else z[b:M].reshape(maps.k_W, maps.n_f))
-        for block, H in zip(self.h_blocks, (H_ss, H_sf, H_ff, H_W)):
+        src, dest, coef, h, h_blocks = self.scatter
+        for block, H in zip(h_blocks, (H_ss, H_sf, H_ff, H_W)):
             block[...] = H
-        if not _finite(self.h):
+        if not _finite(h):
             _check_finite((H_ss, H_sf, H_ff), kern.V.m, "slow-potential Hessian")
             _check_finite((H_W,), kern.W.m, "fast-potential Hessian")
         N = maps.N
-        return np.bincount(self.dest, self.h.take(self.src) * self.coef, N * N).reshape(N, N)
+        return np.bincount(dest, h.take(src) * coef, N * N).reshape(N, N)
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multirate
 from multirate import analysis, cli, solver
-from multirate.cli import _HASH_CHUNK, _build_quadrature, _sha256, build_parser, main
+from multirate.cli import (_HASH_CHUNK, _build_quadrature, _csv_layout, _csv_rows, _format17,
+                          _sha256, build_parser, main)
 from multirate.errors import EvaluationError, IntegrationError
 from multirate.solver import integrate, verify_trajectory
 
@@ -187,7 +189,7 @@ class TestStreamedOutputs:
     @pytest.mark.parametrize("argv,chunk_rows", [
         # 250 intervals: three full buffers of 64 (sharing an interval), then 61
         (RING + ("--dT", "0.01", "--p", "10", "--t-end", "2.5"), 1),
-        # 1,000 intervals: one chunk of the default size and a part
+        # 1,000 intervals: chunks of the default size and a part
         (RING + ("--dT", "0.001", "--p", "10", "--t-end", "1.0"), None),
         # 1, 64 and 127 intervals: N - 1 a multiple of 63 for the last two
         (RING + ("--dT", "0.01", "--p", "10", "--t-end", "0.01"), 1),
@@ -225,6 +227,15 @@ class TestStreamedOutputs:
         monkeypatch.setattr(solver, "explicit_macro_step", failing)
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 1)
         self.check(tmp_path, RING + ("--dT", "0.01", "--p", "10", "--t-end", "3.0"))
+
+    # formatter blocks (_CSV_CHUNK_ROWS) of one interval, of one row less
+    # (still one interval) and of two intervals: 63 intervals a chunk, so the
+    # last end mid-chunk
+    @pytest.mark.parametrize("csv_rows", [10, 9, 29], ids=["interval", "row-below-p", "odd"])
+    def test_formatter_blocks_within_chunks(self, tmp_path, monkeypatch, csv_rows):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", csv_rows)
+        self.check(tmp_path, RING + ("--dT", "0.01", "--p", "10", "--t-end", "1.5"))
 
     @staticmethod
     def check(tmp_path, argv):
@@ -266,6 +277,66 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
         return int(done.stdout.split()[-1]) / 1024
 
     assert abs(peak_mb("50") - peak_mb("5")) < 2.0
+
+
+def formatted(values):
+    """The strings that _format17 makes of ``values``."""
+    words = _format17(np.asarray(values, dtype=float))
+    return [bytes(slot).replace(b"\0", b"").decode()
+            for slot in words.view(np.uint8).reshape(-1, 32)]
+
+
+class TestFormat17:
+    """simulate's number formatting: the bytes of ``"%.17g"``, made with
+    integer arithmetic on whole arrays and Python's formatting left only
+    for possible ties and values outside the tables."""
+
+    EDGES = {
+        "zeros": [0.0, -0.0],
+        "smallest subnormal": [5e-324, -5e-324],
+        "switch to exponent form": [1e-5, 9.9999999999999999e-5, 1e-4, 0.0001 * (1 - 2 ** -52)],
+        "rounds up a decade": [9.99999999999999999e22, 99999999999999999.0, 9.999999999999999e-5,
+                               0.099999999999999999],
+        "17 integer digits": [1e16, 1e17, 12345678901234567.0, 99999999999999984.0, 1e16 - 2],
+        "table bounds": [1e-99, 1e-100, 9.9999999999999e-100, 1e99, 9.999999999999999e99,
+                         1e100, np.nextafter(1e-99, 0), np.nextafter(1e100, 0)],
+        "3-digit exponents": [1e100, 1e-100, 1.7976931348623157e308, 2.2250738585072014e-308,
+                              -1.5e-200],
+        "non-finite": [np.inf, -np.inf, np.nan],
+        # 2**51 + 0.25 is the double 2**51; the others are 18-digit, exact
+        # ties at 17 digits, which round to even
+        "ties": [2 ** 51 + 0.25, 2 ** 50 + 0.25, 2 ** 50 + 0.75, 2 ** 49 + 0.125],
+    }
+
+    @pytest.mark.parametrize("values", EDGES.values(), ids=EDGES.keys())
+    def test_edge_cases(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_ties_and_values_outside_the_tables_go_through_python(self, monkeypatch):
+        fallback, fmt = [], cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: fallback.append(float(x)) or fmt(x))
+        tie, outside = 2 ** 50 + 0.25, [1e100, -1.5e-200, 5e-324, np.inf, np.nan]
+        ordinary = [0.0, -0.0, 1.0, 0.1, -123.456, 1e16, 1e-99, 9.5e99]
+        assert formatted([tie, *outside, *ordinary]) == [
+            "%.17g" % v for v in [tie, *outside, *ordinary]]
+        assert fallback[:-1] == [tie, *outside[:-1]] and np.isnan(fallback[-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+    def test_floats(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(0).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        values = values.view(np.float64)
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_csv_rows_leave_blank_fields_empty(self):
+        values = np.random.default_rng(1).standard_normal((3, 2, 4)) * 1e3
+        blank = np.array([[False, True, True, False], [True, False, False, True]])
+        lines = "".join(",".join("" if b else "%.17g" % v for v, b in zip(row, blank[i])) + "\r\n"
+                        for group in values for i, row in enumerate(group))
+        assert _csv_rows(values, _csv_layout(blank)) == lines.encode()
 
 
 class TestManifestHash:

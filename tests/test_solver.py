@@ -514,6 +514,39 @@ class TestBoundStep:
         # record and the p/q maps' T all read the bound step
         assert (len(lookups), len(builds)) == (1, 1)
 
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    def test_hessian_free_small_step_makes_no_scatter(self, fpu, mode, monkeypatch):
+        # its Newton matrix is differenced: neither the maps' Hessian scatter
+        # nor the dense step's is made, and the trajectory is the one with
+        # both made
+        sys, q0 = fpu
+        sys = without_hessians(sys)
+        grid = build_time_grid(0.3, 10, 6)     # FPU l=3: 33 unknowns
+        assert solver._small(sys, grid)
+
+        def run():
+            return integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)[0]
+
+        def unmade(self):
+            raise AssertionError(f"{type(self).__name__}.scatter made")
+
+        with monkeypatch.context() as m:
+            for cls in (discretization._StepMaps, discretization._DenseStep):
+                m.setattr(cls, "scatter", property(unmade))
+            traj = run()
+        DenseStep = discretization._DenseStep
+
+        class EagerDenseStep(DenseStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                assert len(self.scatter[0]) > 0
+
+        monkeypatch.setattr(solver, "_DenseStep", EagerDenseStep)
+        eager = run()
+        for name in ("slow_q", "slow_p", "fast_q", "fast_p"):
+            assert getattr(traj, name).tobytes() == getattr(eager, name).tobytes(), name
+
     @pytest.mark.parametrize("p", [10, 20], ids=["small", "large"])
     def test_explicit_integrate_binds_its_step_once(self, spring_ring, p, monkeypatch):
         # the kernel, the constants, G and, below the size rule, the record
