@@ -16,18 +16,19 @@ the two nodes bounding micro interval ``m``:
 
 Macro-node-only placement of the slow potential is expressed in the same
 representation with weights attached to the first and last micro interval.
-The term geometry is cached as arrays per (quadrature, dT, p) in one
-interval kernel, which gathers all quadrature points with one matrix product,
-requests each potential's gradients (or Hessians) once per batch of points,
-scatters the gradients back to the nodes by matrix products and sums the
-Hessians per micro interval.  The discrete momenta, the DEL residual and
-the Newton Jacobian of :mod:`multirate.solver`, and through the DEL
-residual the p/q maps of :mod:`multirate.schemes`, all derive from it.
-Where both potentials place their fast points alike (midpoint-midpoint),
-one set of points and one scatter serve both.  A small DEL step uses the
-same terms as fixed maps (:class:`_StepMaps`): one product of the unknowns
-gives the points, one product of the gradients the residual, and fixed
-indices scatter each term's Hessian block into the Newton matrix.
+The term geometry is cached as arrays per (quad, dT, p) in one interval
+kernel.  From its weights, the step of one macro interval is a few fixed
+linear maps around the potential callbacks (:class:`_StepForm`): the
+quadrature points and node differences, the DEL forces, the discrete
+momenta and the p/q maps' transform, each written once as Kronecker terms
+C ⊗ B of a small weight matrix C and an identity or mass block B
+(:class:`_Map`).  Below the size rule of :mod:`multirate.solver` each map
+is materialized with ``np.kron`` and is one product; from it on its terms
+are applied one at a time.  The DEL residual, the step records, the p/q
+maps, ``verify_trajectory`` and :func:`interval_momenta` all run through
+these maps.  The Newton matrix adds the Hessians at the same points, into
+fixed positions of a dense matrix (:meth:`_StepForm.matrix`) or summed per
+micro interval into blocks (:meth:`_IntervalKernel.hessian_blocks`).
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ class _Workspace:
     contents are what the last build left there.  Reusing the arrays keeps
     a large build from taking fresh megabytes, page by page, from the
     system.  Only the block builds of large steps use one: a small step's
-    Newton matrix is one fresh ``np.bincount`` (:meth:`_DenseStep.matrix`).
+    Newton matrix is one fresh ``np.bincount`` (:meth:`_StepForm.matrix`).
     """
 
     def __init__(self):
@@ -132,6 +133,10 @@ class _Workspace:
         if a is None or a.shape != shape:
             a = self._arrays[name] = np.empty(shape)
         return a
+
+
+# the weight matrix C of a term that is its block B alone
+_ONE = np.ones((1, 1))
 
 
 def _distinct(rows: np.ndarray):
@@ -209,17 +214,19 @@ class _Terms:
 
 
 class _IntervalKernel:
-    """Batched quadrature sums of one macro interval for fixed (quad, dT, p).
+    """Quadrature terms of one macro interval for fixed (quad, dT, p).
 
     The slow potential V is evaluated at the terms of ``V`` with slow point
     ``c0 * q_s_k + c1 * q_s_next`` (``c0``, ``c1`` as (k, 1) columns), the
-    fast potential W at the terms of ``W``.  Each potential's gradients (or Hessians) are requested once per
-    batch of points through :meth:`MultirateSystem.evaluate_batch`.
+    fast potential W at the terms of ``W``.  Their weights write the step's
+    fixed maps (:class:`_StepForm`); the kernel itself computes the points
+    and the Hessian sums of the block Newton matrix, with each potential's
+    Hessians requested once per batch of points through
+    :meth:`MultirateSystem.evaluate_batch`.
 
     ``shared`` tells whether V and W evaluate at the same fast points with
     the same weights, as the midpoint-midpoint rule does.  Then the points
-    are gathered once, both callbacks receive that one array, and the fast
-    equations scatter g_fV + g_W with a single product (:meth:`fast_forces`).
+    are gathered once and both callbacks receive that one array.
     """
 
     def __init__(self, quad: QuadratureSpec, dT: float, p: int):
@@ -264,62 +271,6 @@ class _IntervalKernel:
         Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
         QfV = self.V.gather @ fast
         return Qs, QfV, QfV if self.shared else self.W.gather @ fast
-
-    def momenta(self, q0, q1, fast, sys: MultirateSystem):
-        """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``.
-
-        ``q0``/``q1`` have shape (..., n_slow) and ``fast`` (..., p+1, n_fast);
-        leading axes index independent intervals, whose points all go to the
-        callbacks in one batch.
-        """
-        return self.momenta_from(q0, q1, fast, sys,
-                                 *self.gradients(self.points(q0, q1, fast), sys))
-
-    def gradients(self, points, sys: MultirateSystem):
-        """Potential gradients ``(g_s, g_fV, g_W)`` at the quadrature points
-        ``points`` (as :meth:`points` returns them), of shape (..., k, n)
-        with the terms of ``V`` resp. ``W`` on axis -2.  Both callbacks run
-        before one test of all gradients for finiteness (:func:`_finite`);
-        a non-finite one raises naming its micro interval, slow before fast
-        (:func:`_check_finite`)."""
-        Qs, QfV, QfW = points
-        # contiguous: numpy rounds products with row-strided views otherwise
-        g_s, g_fV = map(np.ascontiguousarray,
-                        sys.evaluate_batch("slow_potential_grad", _rows(Qs), _rows(QfV)))
-        g_W = np.ascontiguousarray(sys.evaluate_batch("fast_potential_grad", _rows(QfW)))
-        if not _finite(g_s, g_fV, g_W):
-            _check_finite((g_s, g_fV), self.V.m, "slow-potential gradient")
-            _check_finite((g_W,), self.W.m, "fast-potential gradient")
-        if Qs.ndim == 2:
-            return g_s, g_fV, g_W
-        return g_s.reshape(Qs.shape), g_fV.reshape(QfV.shape), g_W.reshape(QfW.shape)
-
-    def kinetic_momenta(self, q0, q1, fast, sys: MultirateSystem, out=None):
-        """Mass times the difference quotients: slow (..., n_slow) over the
-        macro interval, fast (..., p, n_fast) over each micro interval,
-        written into ``out`` where given."""
-        # one vector-matrix product per interval, as for a single interval,
-        # so that a point's momenta do not depend on the batch it comes in
-        Mv_s = (((q1 - q0) / self.dT)[..., None, :] @ sys.mass_slow.T)[..., 0, :]
-        Mv_f = np.matmul((fast[..., 1:, :] - fast[..., :-1, :]) / self.dt, sys.mass_fast.T,
-                         out=out)
-        return Mv_s, Mv_f
-
-    def fast_forces(self, g_fV, g_W):
-        """Weighted gradient sums of the fast equations of nodes 0..p-1,
-        (..., p, n_fast): ``equations`` of V and W applied to the gradients,
-        in one product where the two share their points (``shared``)."""
-        if self.shared:
-            return self.V.equations @ (g_fV + g_W)
-        return self.V.equations @ g_fV + self.W.equations @ g_W
-
-    def momenta_from(self, q0, q1, fast, sys: MultirateSystem, g_s, g_fV, g_W):
-        """Discrete momenta as :meth:`momenta`, from the gradients at the
-        quadrature points (as :meth:`gradients` returns them)."""
-        Mv_s, Mv_f = self.kinetic_momenta(q0, q1, fast, sys)
-        V, W = self.V, self.W
-        return (Mv_s + self.w_c0 @ g_s, Mv_s - self.w_c1 @ g_s,
-                Mv_f + (V.left @ g_fV + W.left @ g_W), Mv_f - (V.right @ g_fV + W.right @ g_W))
 
     def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem, ws: _Workspace | None = None):
         """Potential second-derivative sums of one interval, for the Newton Jacobian.
@@ -367,86 +318,250 @@ class _IntervalKernel:
         return ss, border, ff if len(ff) == 3 else ff[self.ff_rows]
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """Stack all leading axes into one row axis; a 2-D array is returned as it is."""
-    if a.ndim == 2:
-        return a
-    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+class _Map:
+    """A fixed linear map of shape ``shape``, written once as Kronecker terms.
 
-
-class _StepMaps:
-    """The DEL step of one macro interval as fixed linear maps around the
-    potential callbacks, for the terms of the kernel ``kern`` and given
-    n_slow, n_fast.  No map carries a mass.
-
-    With x the stacked unknowns ``[q1; f_1; ...; f_p]`` (N entries) and z0
-    = ``[q0; f_0; p_s0; p_f0]`` the start, ``points @ x + start @ z0`` is z
-    = ``[y; d; p_s0; p_f0]``: the quadrature points y = ``[Qs; QfV; QfW]``,
-    a row per term, raveled (QfW only where V and W do not share their
-    points; ``split`` holds the three lengths), and the node differences d
-    = ``[q1 - q0; f_1 - f_0; ...; f_p - f_{p-1}]``.  The residual is
-    ``forces @ G``, G = ``[g_s; g_fV; g_W; d; p_s0; p_f0]`` with the
-    gradients taken at y: minus the slow weights ``w_c0`` and the equation
-    weights of V and W, the kinetic terms of d from the columns
-    ``kinetic_cols`` (zero here, they carry the masses) and the start
-    momenta in the rows of the slow node and fast node 0 (the record of G:
-    :class:`_StepRecord`, which an explicit step makes without these maps).
-
-    The potential part of the Newton matrix, -sum_t S_t H_t P_t, is
-    ``coef * h[src]`` summed, term by term in order, into the flat
-    positions ``dest`` of the (N, N) matrix (:attr:`scatter`).  h holds
-    the terms' Hessian blocks ``H_ss, H_sf, H_ff, H_W`` raveled (and, in
-    :class:`_DenseStep`, a final 1 for the kinetic entries).  A term adds at most (n_slow + 2
-    n_fast)^2 entries, at the equations and unknowns of its interval, so a
-    build costs O(p).
+    Term ``(r, c, C, B)`` is the block C ⊗ B whose first entry sits at row r
+    and column c: C a small matrix of the kernel's weights, B an identity,
+    given by its order, or a mass block.  No two terms share an entry.  A
+    ``dense`` map is materialized with ``np.kron`` on first use
+    (:attr:`matrix`), and :meth:`apply` is one product with it.  Otherwise
+    :meth:`apply` runs the terms one at a time, C V B^T with V a term's
+    columns of x as a (columns of C, order of B) matrix, and no array of
+    the map's shape is made.
     """
 
-    def __init__(self, kern: _IntervalKernel, n_s: int, n_f: int):
-        p, V, W = kern.p, kern.V, kern.W
-        k_V, k_W = V.m.size, W.m.size
-        self.n_s, self.n_f, self.k_V, self.k_W = n_s, n_f, k_V, k_W
-        self.N = N = n_s + p * n_f
-        self.shared = kern.shared
-        self.split = (k_V * n_s, k_V * n_f, 0 if kern.shared else k_W * n_f)
-        M, n_0 = sum(self.split), n_s + n_f
-        I_s, I_f = np.eye(n_s), np.eye(n_f)
-        at_fV, at_gW = k_V * n_s, k_V * n_0     # g_fV and g_W in the gradients
-        at_fW = at_fV if kern.shared else at_gW  # W's points in y
-        self.points = np.zeros((M + N + n_0, N))
-        self.start = np.zeros((M + N + n_0, 2 * n_0))
-        for pot, at in ((V, at_fV),) if kern.shared else ((V, at_fV), (W, at_fW)):
-            span = slice(at, at + pot.m.size * n_f)
-            self.points[span, n_s:] = np.kron(pot.gather[:, 1:], I_f)
-            self.start[span, n_s:n_0] = np.kron(pot.gather[:, :1], I_f)
-        self.points[:at_fV, :n_s] = np.kron(kern.c1, I_s)
-        self.start[:at_fV, :n_s] = np.kron(kern.c0, I_s)
-        self.points[M:M + n_s, :n_s] = I_s
-        self.points[M + n_s:M + N, n_s:] = np.kron(np.eye(p) - np.eye(p, k=-1), I_f)
-        self.start[M:M + n_0, :n_0] = -np.eye(n_0)
-        self.start[M + N:, n_0:] = np.eye(n_0)
-        self.kinetic_cols = slice(at_gW + k_W * n_f, at_gW + k_W * n_f + N)
-        self.forces = np.zeros((N, self.kinetic_cols.stop + n_0))
-        self.forces[:n_s, :at_fV] = np.kron(-kern.w_c0, I_s)
-        self.forces[n_s:, at_fV:at_gW] = np.kron(-V.equations, I_f)
-        self.forces[n_s:, at_gW:self.kinetic_cols.start] = np.kron(-W.equations, I_f)
-        self.forces[:n_0, self.kinetic_cols.stop:] = np.eye(n_0)
+    def __init__(self, shape: tuple, terms: list, dense: bool):
+        self.shape, self.terms, self.dense = shape, terms, dense
 
-        self.h_shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
-        self.h_at = [0, *itertools.accumulate(math.prod(shape) for shape in self.h_shapes)]
+    @functools.cached_property
+    def plan(self) -> list:
+        """Per term: its rows with the shape of its product there, its
+        columns with the shape of V there, the factors that take V to the
+        product in turn, and whether it is the first term on its rows, which
+        its last factor then writes instead of adding to them."""
+        plan, covered = [], np.zeros(self.shape[0], dtype=bool)
+        for r, c, C, B in self.terms:
+            b, b_rows = (B, B) if isinstance(B, int) else B.shape[::-1]
+            rows, h, factors = slice(r, r + len(C) * b_rows), C.shape[1] // 2, []
+            plan.append((rows, (len(C), b_rows), slice(c, c + C.shape[1] * b), (C.shape[1], b),
+                         factors, not covered[rows].any()))
+            covered[rows] = True
+            if h and 2 * h == C.shape[1] and (C[:, :h] == C[:, h:]).all():
+                # C = [A, A], as where V and W share their points and weights:
+                # A applied to the sum of the two blocks of V
+                factors.append(lambda v, out=None, h=h: np.add(v[:, :h], v[:, h:], out=out))
+                C = C[:, :h]
+            identity = len(C) == C.shape[1] and (C == np.eye(len(C))).all()
+            if not identity or isinstance(B, int):
+                # a copy for C = B = I; one product per entry where C has one column
+                factors.append(np.positive if identity else functools.partial(
+                    np.multiply if C.shape[1] == 1 else np.matmul, C))
+            if not isinstance(B, int):
+                factors.append(lambda v, out=None, B_T=B.T: np.matmul(v, B_T, out=out))
+        return plan
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for r, c, C, B in self.terms:
+            block = np.kron(C, np.eye(B) if isinstance(B, int) else B)
+            out[r:r + block.shape[0], c:c + block.shape[1]] = block
+        return out
+
+    def apply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """The map applied along the last axis of x, added into y where given.
+        Every point of a batch gets the bits it gets alone: a dense map
+        takes one matrix-vector product per point, and the terms take the
+        same stacked products for a batch of one as for many."""
+        if self.dense:
+            out = self.matrix.dot(x) if x.ndim == 1 else (self.matrix @ x[..., None])[..., 0]
+            return out if y is None else np.add(y, out, out=y)
+        X = x.reshape(-1, x.shape[-1])
+        n = len(X)
+        Y = np.zeros((n, self.shape[0])) if y is None else y.reshape(n, self.shape[0])
+        for rows, out_shape, cols, v_shape, factors, first in self.plan:
+            v = X[:, cols].reshape((n,) + v_shape)
+            for factor in factors[:-1]:
+                v = factor(v)
+            # the term's rows of Y, split like its product: a view
+            out = Y[:, rows].reshape((n,) + out_shape)
+            if first and y is None:
+                factors[-1](v, out=out)
+            else:
+                out += factors[-1](v)
+        return Y.reshape(x.shape[:-1] + self.shape[:1])
+
+
+class _StepForm:
+    """The DEL step of one macro interval as fixed linear maps around the
+    potential callbacks, for the kernel ``kern`` and the system ``sys``:
+    each a :class:`_Map`, materialized where ``dense``.
+
+    With x the stacked unknowns ``[q1; f_1; ...; f_p]`` (N entries) and z0
+    = ``[q0; f_0; p_s0; p_f0]`` the start, ``points x + start z0`` is z =
+    ``[y; d; p_s0; p_f0]``: the quadrature points y = ``[Qs; QfV; QfW]``, a
+    row per term, raveled (QfW only where V and W do not share their
+    points; ``bounds`` holds where the three end), and the node differences d
+    = ``[q1 - q0; f_1 - f_0; ...; f_p - f_{p-1}]``.  With G = ``[g_s; g_fV;
+    g_W; d; p_s0; p_f0]``, the gradients taken at y, ``forces G`` is the
+    residual F: minus the slow weights ``w_c0`` and the equation weights of
+    V and W, -M_s/dT on q1 - q0 in the slow row, -M_f/dt on d_i in fast row
+    i and plus it in row i+1 (kinetic terms in node differences keep the
+    accuracy of difference quotients at small steps), and the start momenta
+    in the rows of the slow node and fast node 0.  ``momenta G`` is the
+    discrete momenta ``[p_s-; p_s+; p_f-(0..p-1); p_f+(0..p-1)]``, ``record
+    G`` its rows of a step record, ``[p_s-; p_s+; p_f-(0..p-1); p_f+(p-1)]``,
+    and ``T``, ``abs_T`` the p/q maps' T and |T| (:mod:`multirate.schemes`):
+    -dT M_s^-1 on the slow row, -dt M_f^-1 on running sums of the fast rows.
+    """
+
+    def __init__(self, kern: _IntervalKernel, sys: MultirateSystem, dense: bool):
+        self.kern, self.sys = kern, sys
+        self.callbacks = tuple(map(sys.batch_callable, ("slow_potential_grad",
+                                                        "fast_potential_grad")))
+        p, V, W, n_s, n_f = kern.p, kern.V, kern.W, sys.n_slow, sys.n_fast
+        self.n_s, self.n_f, self.k_V, self.k_W = n_s, n_f, V.m.size, W.m.size
+        self.N = N = n_s + p * n_f
+        n_0, at_fV, at_gW = n_s + n_f, self.k_V * n_s, self.k_V * (n_s + n_f)
+        self.bounds = a, b, M = tuple(itertools.accumulate(
+            (at_fV, self.k_V * n_f, 0 if kern.shared else self.k_W * n_f)))
+        # the columns of d in G, W's gradients having their own in any case
+        self.kinetic_cols = slice(at_gW + self.k_W * n_f, at_gW + self.k_W * n_f + N)
+        d, n_G = self.kinetic_cols.start, self.kinetic_cols.stop + n_0
+        # V's fast points and gradients sit right before W's: one term for both
+        gather = V.gather if kern.shared else np.vstack([V.gather, W.gather])
+        self.points = _Map((M + N + n_0, N), [
+            (0, 0, kern.c1, n_s), (at_fV, n_s, gather[:, 1:], n_f),
+            (M, 0, _ONE, n_s), (M + n_s, n_s, np.eye(p) - np.eye(p, k=-1), n_f)], dense)
+        self.start = _Map((M + N + n_0, 2 * n_0), [
+            (0, 0, kern.c0, n_s), (at_fV, n_s, gather[:, :1], n_f),
+            (M, 0, -_ONE, n_0), (M + N, n_0, _ONE, n_0)], dense)
+        self.forces = _Map((N, n_G), [
+            (0, 0, -kern.w_c0[None], n_s), (0, d, _ONE, -sys.mass_slow / kern.dT),
+            (n_s, at_fV, -np.hstack([V.equations, W.equations]), n_f),
+            (n_s, d + n_s, np.eye(p, k=-1) - np.eye(p), sys.mass_fast / kern.dt),
+            (0, d + N, _ONE, n_0)], dense)
+
+        def momenta(plus):
+            # p_s-, p_s+, p_f-(0..p-1) and the rows of p_f+(0..p-1) that
+            # ``plus`` picks
+            left, right = np.hstack([V.left, W.left]), np.hstack([V.right, W.right])
+            at_plus = 2 * n_s + p * n_f
+            return _Map((at_plus + len(plus) * n_f, n_G), [
+                (0, 0, np.stack([kern.w_c0, -kern.w_c1]), n_s),
+                (2 * n_s, at_fV, np.vstack([left, -right[plus]]), n_f),
+                (0, d, np.ones((2, 1)), sys.mass_slow / kern.dT),
+                (2 * n_s, d + n_s, np.eye(p), sys.mass_fast / kern.dt),
+                (at_plus, d + n_s, np.eye(p)[plus], sys.mass_fast / kern.dt)], dense)
+
+        self.momenta, self.record = momenta(np.arange(p)), momenta([p - 1])
+        T = [(0, 0, _ONE, -kern.dT * sys.mass_slow_inv),
+             (n_s, n_s, np.tri(p), -kern.dt * sys.mass_fast_inv)]
+        self.T = _Map((N, N), T, dense)
+        self.abs_T = _Map((N, N), [(r, c, np.abs(C), np.abs(B)) for r, c, C, B in T], dense)
+        # (start, x, z) of the last residual of one point, whose Hessian
+        # points a Newton matrix built at the same iterate reads
+        self.last = None
+
+    def shift(self, start: State) -> np.ndarray:
+        """``start z0``: what the start adds to z."""
+        return self.start.apply(np.concatenate(
+            (start.q_slow, start.q_fast, start.p_slow, start.p_fast)))
+
+    def gradients(self, z: np.ndarray, slow, fast) -> np.ndarray:
+        """G of z (..., rows of ``points``): the gradients at the quadrature
+        points of every z of the batch from one call of each batch callable
+        (``slow``, ``fast``), then z's tail.  A non-finite gradient raises
+        naming its micro interval, slow before fast (:func:`_check_finite`)."""
+        (a, b, M), lead = self.bounds, z.shape[:-1]
+        n = math.prod(lead)
+        QfV = z[..., a:b].reshape(n * self.k_V, self.n_f)
+        g_s, g_fV = slow(z[..., :a].reshape(n * self.k_V, self.n_s), QfV)
+        g_W = fast(QfV if self.kern.shared else z[..., b:M].reshape(n * self.k_W, self.n_f))
+        G = (np.concatenate((g_s, g_fV, g_W, z[M:]), axis=None) if z.ndim == 1 else
+             np.concatenate([g.reshape(lead + (-1,)) for g in (g_s, g_fV, g_W)] + [z[..., M:]],
+                            axis=-1))
+        # a non-finite gradient makes G non-finite
+        if not _finite(G):
+            _check_finite((g_s, g_fV), self.kern.V.m, "slow-potential gradient")
+            _check_finite((g_W,), self.kern.W.m, "fast-potential gradient")
+        return G
+
+    def residual(self, start: State):
+        """``residual(x) -> (F, G)`` of the step from ``start``
+        (:func:`multirate.solver._step_residual`)."""
+        points, forces, gradients = self.points.apply, self.forces.apply, self.gradients
+        shift, (slow, fast) = self.shift(start), self.callbacks
+
+        def residual(x):
+            z = points(x)
+            z += shift
+            if x.ndim == 1:
+                self.last = start, x, z
+            G = gradients(z, slow, fast)
+            return forces(G), G
+
+        return residual
+
+    def interval_momenta(self, q0, q1, fast):
+        """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)`` of
+        the intervals with slow nodes ``q0``, ``q1`` (..., n_slow) and fast
+        nodes ``fast`` (..., p+1, n_fast): ``momenta G`` at their z, all
+        points of the batch in one call of each callback.  The start
+        momenta are zero, which no momentum reads."""
+        lead, p, n_s, n_f = q0.shape[:-1], self.kern.p, self.n_s, self.n_f
+        x = np.concatenate((q1, fast[..., 1:, :].reshape(lead + (p * n_f,))), axis=-1)
+        z0 = np.concatenate((q0, fast[..., 0, :], np.zeros(lead + (n_s + n_f,))), axis=-1)
+        z = self.start.apply(z0, self.points.apply(x))
+        mom = self.momenta.apply(self.gradients(z, *self.callbacks))
+        return (mom[..., :n_s], mom[..., n_s:2 * n_s], *(mom[..., at:at + p * n_f].reshape(
+            lead + (p, n_f)) for at in (2 * n_s, self.N + n_s)))
+
+    def record_momenta(self, G: np.ndarray):
+        """``(p_fast, p_slow)`` in the step record's order: views of ``record G``."""
+        mom, n_s = self.record.apply(G), self.n_s
+        return mom[2 * n_s:].reshape(self.kern.p + 1, self.n_f), mom[:2 * n_s].reshape(2, n_s)
+
+    def transform(self, F, absolute=False):
+        """T F, or |T| F with ``absolute``, of a vector F."""
+        return (self.abs_T if absolute else self.T).apply(F)
 
     @functools.cached_property
     def scatter(self):
-        """``(src, dest, coef)``, made on first use: a step whose Newton
-        matrix is differenced never reads them."""
+        """``(src, dest, coef, h, h_blocks)``, made at the first
+        :meth:`matrix`: the Newton matrix ``A - sum_t S_t H_t P_t``, A the
+        kinetic matrix, is ``coef * h[src]`` summed in order into the flat
+        positions ``dest``.  h holds the terms' Hessian blocks ``H_ss, H_sf,
+        H_ff, H_W`` raveled (``h_blocks`` views them) and a final 1 for A's
+        entries, which come first.  A term adds at most (n_slow + 2
+        n_fast)^2 entries, at its interval's equations and unknowns."""
         n_s, n_f, k_V, k_W, N = self.n_s, self.n_f, self.k_V, self.k_W, self.N
         n_0, at_fV, at_gW = n_s + n_f, k_V * n_s, k_V * (n_s + n_f)
-        at_fW = at_fV if self.shared else at_gW
+        at_fW = at_fV if self.kern.shared else at_gW
+        forces, points = self.forces.matrix, self.points.matrix
+        shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
+        h_at = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
         # each term's gradient entries, point entries and second derivatives
         # as positions in h: of V, the (n_s + n_f)^2 Hessian in the order of
         # its point, H_fs being H_sf transposed; of W, the n_f^2 block
         s, f = np.arange(n_s), np.arange(n_f)
-        at_sf, at_ff, at_W = self.h_at[1:-1]
-        terms = []
+        at_sf, at_ff, at_W = h_at[1:-1]
+        # A is forces' kinetic columns times points' node-difference rows:
+        # one or two products of +-1 and an entry of M/dt per position, exact
+        at_d = self.bounds[2]
+        A = forces[:, self.kinetic_cols] @ points[at_d:at_d + N]
+        at_A = np.flatnonzero(A)
+        src, dest, coef = [np.full(at_A.size, h_at[-1])], [at_A], [A.reshape(-1)[at_A]]
+
+        def add(g_at, y_at, h):
+            rows, cols = forces[:, g_at], points[y_at]
+            e, a = np.nonzero(rows)
+            b, u = np.nonzero(cols)
+            src.append(h[a[:, None], b].ravel())
+            dest.append((e[:, None] * N + u).ravel())
+            coef.append((rows[e, a][:, None] * cols[b, u]).ravel())
+
         for t in range(k_V):
             h = np.empty((n_0, n_0), dtype=int)
             h[:n_s, :n_s] = t * n_s * n_s + s[:, None] * n_s + s
@@ -454,171 +569,35 @@ class _StepMaps:
             h[n_s:, :n_s] = h[:n_s, n_s:].T
             h[n_s:, n_s:] = at_ff + t * n_f * n_f + f[:, None] * n_f + f
             at = np.concatenate([t * n_s + s, at_fV + t * n_f + f])
-            terms.append((at, at, h))
+            add(at, at, h)
         for t in range(k_W):
-            terms.append((at_gW + t * n_f + f, at_fW + t * n_f + f,
-                          at_W + t * n_f * n_f + f[:, None] * n_f + f))
-        src, dest, coef = [], [], []
-        for g_at, y_at, h in terms:
-            rows, cols = self.forces[:, g_at], self.points[y_at]
-            e, a = np.nonzero(rows)
-            b, u = np.nonzero(cols)
-            src.append(h[a[:, None], b].ravel())
-            dest.append((e[:, None] * N + u).ravel())
-            coef.append((rows[e, a][:, None] * cols[b, u]).ravel())
-        return tuple(map(np.concatenate, (src, dest, coef)))
-
-
-@functools.lru_cache(maxsize=64)
-def step_maps(kern: _IntervalKernel, n_s: int, n_f: int) -> _StepMaps:
-    """The :class:`_StepMaps` of ``kern``, cached per (kernel, n_slow, n_fast)."""
-    return _StepMaps(kern, n_s, n_f)
-
-
-class _StepRecord:
-    """The record of a small DEL or explicit step: ``momenta @ G`` is
-    ``[p_s-; p_s+; p_f-(0..p-1); p_f+(p-1)]`` for G = ``[g_s; g_fV; g_W; d;
-    p_s0; p_f0]`` as in :class:`_StepMaps`: the slow, left and right weights,
-    M_s/dT on q1 - q0, M_f/dt on d_m at node m < p and d_{p-1} at p (the
-    columns ``d``), and zero on the start momenta."""
-
-    def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
-        self.kern, self.sys = kern, sys
-        p, V, W, n_s, n_f = kern.p, kern.V, kern.W, sys.n_slow, sys.n_fast
-        at_fV, at_gW = V.m.size * n_s, V.m.size * (n_s + n_f)
-        self.d = slice(at_gW + W.m.size * n_f, at_gW + W.m.size * n_f + n_s + p * n_f)
-        self.momenta = np.zeros((2 * n_s + (p + 1) * n_f, self.d.stop + n_s + n_f))
-        self.momenta[:2 * n_s, :at_fV] = np.kron(np.stack([kern.w_c0, -kern.w_c1]), np.eye(n_s))
-        for pot, at in ((V, at_fV), (W, at_gW)):
-            self.momenta[2 * n_s:, at:at + pot.m.size * n_f] = np.kron(
-                np.vstack([pot.left, -pot.right[-1:]]), np.eye(n_f))
-        kinetic = self.momenta[:, self.d]
-        kinetic[:2 * n_s, :n_s] = np.vstack([sys.mass_slow, sys.mass_slow]) / kern.dT
-        kinetic[2 * n_s:, n_s:] = np.kron(np.eye(p)[np.r_[:p, p - 1]], sys.mass_fast / kern.dt)
-
-    def record_momenta(self, G: np.ndarray):
-        """``(p_fast, p_slow)`` in the step record's order: views of ``momenta @ G``."""
-        mom, n_s, n_f = self.momenta.dot(G), self.sys.n_slow, self.sys.n_fast
-        return mom[2 * n_s:].reshape(self.kern.p + 1, n_f), mom[:2 * n_s].reshape(2, n_s)
-
-
-class _DenseStep(_StepRecord):
-    """A DEL step below ``solver._STRUCTURED_MIN_UNKNOWNS`` unknowns as
-    fixed linear maps around the potential callbacks: the kernel's
-    :class:`_StepMaps` with the masses of ``sys`` in the kinetic columns of
-    ``forces``, -M_s/dT on q1 - q0 in the slow row and -M_f/dt on d_i in
-    fast row i, plus it in row i+1.  Written in node differences, the
-    kinetic terms keep the accuracy of difference quotients at small steps.
-    The Newton matrix is ``A - sum_t S_t H_t P_t``, A the kinetic matrix,
-    taken into ``coef`` as the entries at A's nonzeros, first, so that they
-    start each position's sum.  Everything that carries a mass is made
-    here, once per Newton matrix holder: also the record, of the G that
-    :meth:`residual` returns, and the p/q maps' T and |T| (:mod:`multirate.schemes`).
-    """
-
-    def __init__(self, kern: _IntervalKernel, sys: MultirateSystem):
-        super().__init__(kern, sys)
-        self.maps = maps = step_maps(kern, sys.n_slow, sys.n_fast)
-        n_s, p, N = sys.n_slow, kern.p, maps.N
-        self.forces = maps.forces.copy()
-        kinetic = self.forces[:, maps.kinetic_cols]
-        kinetic[:n_s, :n_s] = -sys.mass_slow / kern.dT
-        kinetic[n_s:, n_s:] = np.kron(np.eye(p, k=-1) - np.eye(p), sys.mass_fast / kern.dt)
-        self.T = np.zeros((N, N))
-        self.T[:n_s, :n_s] = -kern.dT * sys.mass_slow_inv
-        self.T[n_s:, n_s:] = np.kron(np.tri(p), -kern.dt * sys.mass_fast_inv)
-        self.abs_T = np.abs(self.T)
-        # (start, x, z) of the last residual: Newton builds its matrix at the
-        # iterate it has just evaluated, and takes the points from there
-        # instead of from a product of O(p^2) work
-        self.last = None
-
-    def _shift(self, start: State) -> np.ndarray:
-        """``start @ z0``: what the start adds to z."""
-        return self.maps.start.dot(np.concatenate(
-            (start.q_slow, start.q_fast, start.p_slow, start.p_fast)))
-
-    def residual(self, start: State):
-        """:func:`multirate.solver._step_residual` of the step from ``start``: a
-        product for z, slices of z, the callbacks, a concatenation, a
-        finiteness test and a product for F."""
-        maps, kern, forces = self.maps, self.kern, self.forces
-        points, N, k_V, k_W, n_s, n_f = maps.points, maps.N, maps.k_V, maps.k_W, maps.n_s, maps.n_f
-        a, b, M = itertools.accumulate(maps.split)
-        shift = self._shift(start)
-        slow, fast = map(self.sys.batch_callable, ("slow_potential_grad", "fast_potential_grad"))
-
-        def residual(x):
-            single, n = x.ndim == 1, x.size // N
-            z = points.dot(x) if single else (points @ x[..., None])[..., 0]
-            z += shift
-            QfV = z[..., a:b].reshape(n * k_V, n_f)
-            g_s, g_fV = slow(z[..., :a].reshape(n * k_V, n_s), QfV)
-            g_W = fast(QfV if maps.shared else z[..., b:M].reshape(n * k_W, n_f))
-            if single:
-                G = np.concatenate((g_s, g_fV, g_W, z[M:]), axis=None)
-                self.last = start, x, z
-            else:
-                lead = x.shape[:-1]
-                G = np.concatenate([g.reshape(lead + (g.size // n,)) for g in (g_s, g_fV, g_W)]
-                                   + [z[..., M:]], axis=-1)
-            # a non-finite gradient makes G non-finite
-            if not _finite(G):
-                _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
-                _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-            return (forces.dot(G) if single else (forces @ G[..., None])[..., 0]), G
-
-        return residual
-
-    def transform(self, F, absolute=False):
-        """T F, or |T| F with ``absolute``, of a vector F."""
-        return (self.abs_T if absolute else self.T).dot(F)
-
-    @functools.cached_property
-    def scatter(self):
-        """``(src, dest, coef, h, h_blocks)``, made at the first
-        :meth:`matrix`: the maps' scatter with A's entries first, and h,
-        the terms' Hessians side by side and then the 1 of A's entries,
-        with views of its blocks."""
-        maps, sys, kern = self.maps, self.sys, self.kern
-        n_s, p, N = sys.n_slow, kern.p, maps.N
-        # equation i against nodes i+1, i and i-1: -M_f/dt, 2 M_f/dt, -M_f/dt
-        A = np.zeros((N, N))
-        A[:n_s, :n_s] = -sys.mass_slow / kern.dT
-        A[n_s:, n_s:] = np.kron(2.0 * np.eye(p, k=-1) - np.eye(p) - np.eye(p, k=-2),
-                                sys.mass_fast / kern.dt)
-        at_A = np.flatnonzero(A)
-        src, dest, coef = maps.scatter
-        h = np.empty(maps.h_at[-1] + 1)
-        h[-1] = 1.0
-        return (np.concatenate((np.full(at_A.size, maps.h_at[-1]), src)),
-                np.concatenate((at_A, dest)), np.concatenate((A.reshape(-1)[at_A], coef)), h,
-                [h[at:at + math.prod(shape)].reshape(shape)
-                 for at, shape in zip(maps.h_at, maps.h_shapes)])
+            add(at_gW + t * n_f + f, at_fW + t * n_f + f, at_W + (t * n_f + f[:, None]) * n_f + f)
+        h = np.ones(h_at[-1] + 1)
+        return (*map(np.concatenate, (src, dest, coef)), h,
+                [h[at:at + math.prod(shape)].reshape(shape) for at, shape in zip(h_at, shapes)])
 
     def matrix(self, start: State, x: np.ndarray) -> np.ndarray:
-        """The Newton matrix at x: one ``np.bincount`` of the entries into
-        their flat positions, which adds each position's entries in order,
-        the kinetic one first."""
-        maps, sys, kern = self.maps, self.sys, self.kern
+        """The Newton matrix at x of a dense step: one ``np.bincount`` of the
+        entries into their flat positions, which adds each position's
+        entries in order, the kinetic one first."""
         if self.last is not None and self.last[0] is start and self.last[1] is x:
             z = self.last[2]
         else:
-            z = maps.points @ x + self._shift(start)
-        a, b, M = itertools.accumulate(maps.split)
-        QfV = z[a:b].reshape(maps.k_V, maps.n_f)
-        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian",
-                                              z[:a].reshape(maps.k_V, maps.n_s), QfV)
-        H_W = sys.evaluate_batch("fast_potential_hessian",
-                                 QfV if maps.shared else z[b:M].reshape(maps.k_W, maps.n_f))
+            z = self.points.apply(x) + self.shift(start)
+        a, b, M = self.bounds
+        QfV = z[a:b].reshape(self.k_V, self.n_f)
+        H_ss, H_sf, H_ff = self.sys.evaluate_batch(
+            "slow_potential_hessian", z[:a].reshape(self.k_V, self.n_s), QfV)
+        H_W = self.sys.evaluate_batch(
+            "fast_potential_hessian",
+            QfV if self.kern.shared else z[b:M].reshape(self.k_W, self.n_f))
         src, dest, coef, h, h_blocks = self.scatter
         for block, H in zip(h_blocks, (H_ss, H_sf, H_ff, H_W)):
             block[...] = H
         if not _finite(h):
-            _check_finite((H_ss, H_sf, H_ff), kern.V.m, "slow-potential Hessian")
-            _check_finite((H_W,), kern.W.m, "fast-potential Hessian")
-        N = maps.N
-        return np.bincount(dest, h.take(src) * coef, N * N).reshape(N, N)
+            _check_finite((H_ss, H_sf, H_ff), self.kern.V.m, "slow-potential Hessian")
+            _check_finite((H_W,), self.kern.W.m, "fast-potential Hessian")
+        return np.bincount(dest, h.take(src) * coef, self.N ** 2).reshape(self.N, self.N)
 
 
 @functools.lru_cache(maxsize=64)
@@ -653,7 +632,8 @@ class IntervalMomenta:
 
 def interval_momenta(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
                      quad: QuadratureSpec, grid: TimeGrid) -> IntervalMomenta:
-    """Closed-form discrete momenta of one macro interval."""
-    return IntervalMomenta(*interval_kernel(quad, grid).momenta(
+    """Discrete momenta of one macro interval, by the step's maps applied
+    term by term (:meth:`_StepForm.interval_momenta`)."""
+    return IntervalMomenta(*_StepForm(interval_kernel(quad, grid), sys, False).interval_momenta(
         np.asarray(q_slow_k, dtype=float), np.asarray(q_slow_next, dtype=float),
-        np.asarray(fast_nodes, dtype=float), sys))
+        np.asarray(fast_nodes, dtype=float)))

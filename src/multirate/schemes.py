@@ -20,10 +20,10 @@ and refresh rules read the norm of T F instead of F's.  Since T is constant
 and invertible, (T J)^-1 T F = J^-1 F: the Newton update, the Newton matrix,
 the evaluated points and the errors a non-finite gradient raises are the
 DEL step's.  T is the ``transform`` of the step bound to the Newton matrix
-holder (:class:`multirate.solver._BoundStep`), made once per
-:func:`~multirate.solver.integrate` call by the same size decision as the
-rest of the step: below the size rule the dense maps T and |T| of the
-step's fixed maps, one product per norm, above running sums.  T F agrees
+holder (:class:`multirate.solver._BoundStep`): T and |T| are fixed maps of
+the step (:class:`multirate.discretization._StepForm`), -dT M_s^-1 on the
+slow row and tri(p) ⊗ (-dt M_f^-1) on the fast rows, one dense product per
+norm below the size rule and their Kronecker terms from it on.  T F agrees
 to rounding with the hand-derived closed forms, which the tests keep as
 the reference.
 

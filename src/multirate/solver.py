@@ -8,6 +8,9 @@ slow row/column borders around a fast part that is block lower-triangular
 with two sub-diagonals (the equation of fast node i couples the unknown
 nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
 block elimination, the others with a dense inverse (:class:`_BoundStep`).
+At every size the residual, the record and the p/q maps' transform are the
+fixed maps of :class:`~multirate.discretization._StepForm`; the size rule
+decides only whether they are dense matrices and which Newton matrix runs.
 
 Newton is simplified Newton with a contraction monitor (Hairer & Wanner,
 *Solving ODEs II*, IV.8).  Each linear solver splits into ``factor(J)``,
@@ -48,8 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import (_check_finite, _DenseStep, _finite, _left_weight, _StepRecord,
-                             _Workspace, interval_kernel)
+from .discretization import (_check_finite, _finite, _left_weight, _StepForm, _Workspace,
+                             interval_kernel)
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -78,7 +81,8 @@ __all__ = [
 
 
 # Unknowns n_slow + p*n_fast from which an analytic Newton matrix is factored
-# by blocks (_BoundStep); below, a step runs as fixed dense maps.  FPU
+# by blocks (_BoundStep); below, a step's fixed maps are dense matrices and
+# its Newton matrix one bincount with a dense inverse.  FPU
 # chains, midpoint-midpoint, 2-vCPU Xeon, OpenBLAS 0.3.31, one BLAS thread,
 # medians of one matrix build (assembly plus factor, into one workspace) and
 # of one solve with it, dense vs blocks (tests/test_linear_solver_bench.py,
@@ -172,11 +176,11 @@ class SolverConfig:
     - Both implicit modes factor their matrices by block elimination when
       the Jacobian is analytic and the step has at least
       ``_STRUCTURED_MIN_UNKNOWNS`` (128) unknowns n_slow + p*n_fast, and as
-      a dense inverse otherwise, the step then being fixed dense maps
-      around the callbacks.  Elimination's cost grows linearly in p, dense
-      factoring as p^3; with matrix reuse the two take the same time
-      between about 110 and 155 unknowns on the FPU chain, depending on p
-      and n_fast.  ``IntegrationStats.linear_solver`` records which ran.
+      a dense inverse otherwise, the step's fixed maps then being dense
+      matrices.  Elimination's cost grows linearly in p, dense factoring as
+      p^3; with matrix reuse the two take the same time between about 110
+      and 155 unknowns on the FPU chain, depending on p and n_fast.
+      ``IntegrationStats.linear_solver`` records which ran.
     - ``jacobian_time`` counts matrix assembly (analytic or difference),
       ``solve_time`` factoring and every solve with the factors, and
       ``matrix_builds`` the matrices built.
@@ -269,18 +273,6 @@ class MacroStep:
                                 self.p_fast_end)
 
 
-def _interval_record(index: int, q_slow_k, q_slow_next, fast, momenta) -> MacroStep:
-    """Step record of an interval from its discrete momenta
-    ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)``: the left values at nodes
-    0..p-1 and the right values at the end node."""
-    p_s_minus, p_s_plus, p_f_minus, p_f_plus = momenta
-    p_slow = np.empty((2,) + p_s_minus.shape)
-    p_slow[0], p_slow[1] = p_s_minus, p_s_plus
-    p_fast = np.empty((len(p_f_minus) + 1,) + p_f_minus.shape[1:])
-    p_fast[:-1], p_fast[-1] = p_f_minus, p_f_plus[-1]
-    return MacroStep(index, q_slow_k, q_slow_next, fast, p_fast, p_slow)
-
-
 # ---------------------------------------------------------------------------
 # residual and Jacobian
 
@@ -308,10 +300,11 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
                    held: _HeldMatrix | None = None):
     """Stacked equations of the interval that begins at ``start``.
 
-    ``residual(x)`` returns ``(F, aux)``, F with the shape of x and aux what
-    :meth:`_BoundStep.record` builds an accepted iterate's momenta from: the
-    gradients ``(g_s, g_fV, g_W)`` at x, or the fixed maps' stacked vector G.
-    x may carry leading batch axes, whose points go to the callbacks in one batch.
+    ``residual(x)`` returns ``(F, G)``, F with the shape of x and G the
+    stacked vector of gradients, node differences and start momenta that
+    :meth:`_BoundStep.record` builds an accepted iterate's momenta from.  x
+    may carry leading batch axes, whose points go to the callbacks in one
+    batch.
 
     Each entry of F is a momentum mismatch (incoming minus left momenta at
     the slow node and at fast node 0, right minus left momenta at the
@@ -322,67 +315,44 @@ def _step_residual(start: State, sys: MultirateSystem, quad: QuadratureSpec, gri
       ``M_f (v_{i-1} - v_i)`` at node i, v_i the velocity of micro interval
       i, minus the kernel's equation weights applied to the gradients.
 
-    Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns the step is a few fixed
-    linear maps around the callbacks (:class:`_DenseStep`); above, the
-    kernel's products
-    (:meth:`~multirate.discretization._IntervalKernel.fast_forces`), as
-    the :class:`_BoundStep` of the holder ``held`` (a new one by default)
-    decides once.  F agrees with the difference of the momenta to within
-    rounding of the largest momentum terms, and every point of a batch gets
-    the F it would get alone.
+    The step's fixed maps (:class:`~multirate.discretization._StepForm`)
+    are bound once to the holder ``held`` (a new one by default).  F agrees
+    with the difference of the momenta to within rounding of the largest
+    momentum terms, and every point of a batch gets the F it gets alone.
     """
     return (_HeldMatrix() if held is None else held).bind(sys, quad, grid).residual(start)
-
-
-def _pq_transform(sys: MultirateSystem, grid: TimeGrid):
-    """``transform(F, absolute=False) -> T F``, or |T| F with ``absolute``,
-    of a vector F laid out as the stacked unknowns: the p/q maps' slow row
-    and running sums of F's fast rows (:mod:`multirate.schemes`)."""
-    n_s, fast_shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
-    T = (-grid.dT * sys.mass_slow_inv, -grid.dt * sys.mass_fast_inv.T)
-    abs_T = tuple(np.abs(a) for a in T)
-
-    def transform(F, absolute=False):
-        T_s, T_f = abs_T if absolute else T
-        res = np.empty(F.shape)
-        res[:n_s] = T_s.dot(F[:n_s])
-        np.matmul(np.cumsum(F[n_s:].reshape(fast_shape), axis=0), T_f,
-                  out=res[n_s:].reshape(fast_shape))
-        return res
-
-    return transform
 
 
 class _BoundStep:
     """The implicit steps of one system, quadrature and grid, decided once
     per Newton matrix holder (:meth:`_HeldMatrix.bind`), the one place that
-    reads the size rule and whether the system has Hessians: the kernel,
-    the fixed maps ``dense`` (:class:`_DenseStep`, None from the size rule
-    on), the p/q maps' ``transform`` T (:func:`_newton`; ``dense``'s below
-    the rule, running sums from it on), the record, and the Newton matrix.
+    reads the size rule and whether the system has Hessians for them: the
+    fixed maps ``form`` (:class:`~multirate.discretization._StepForm`,
+    dense below the rule), which give the residual, the record and the p/q
+    maps' ``transform`` T (:func:`_newton`), and the Newton matrix.
 
     ``jacobian(start, residual, x, F, ws)`` builds the Newton matrix of the
     step from ``start`` at x, F being the value there of ``residual``
-    (:meth:`residual`), and the :class:`_LinearSolver` ``linear`` factors
-    and applies it; both implicit modes take it, since the p/q maps' Newton
+    (:func:`_step_residual`), and the :class:`_LinearSolver` ``linear``
+    factors and applies it; both implicit modes take it, since the p/q maps' Newton
     update is the DEL one (:func:`_iterate`).  The matrix is forward
     differences of ``residual`` where the system lacks a Hessian
     (:func:`_fd_jacobian`, dense); else analytic, below the size rule
-    ``dense``'s one bincount, from it on kept as blocks (``"structured"``)
+    ``form``'s one bincount, from it on kept as blocks (``"structured"``)
     in the :class:`~multirate.discretization._Workspace` ``ws``."""
 
     def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         self.sys, self.quad, self.grid = sys, quad, grid
-        self.kern = kern = interval_kernel(quad, grid)
-        self.dense = dense = _DenseStep(kern, sys) if _small(sys, grid) else None
-        self.transform = _pq_transform(sys, grid) if dense is None else dense.transform
+        kern, small = interval_kernel(quad, grid), _small(sys, grid)
+        self.form = form = _StepForm(kern, sys, small)
+        self.residual, self.transform = form.residual, form.transform
         self.linear = _DENSE
         if not sys.has_hessians:
             def jacobian(start, residual, x, F, ws):
                 return _fd_jacobian(residual, x, F)
-        elif dense is not None:
+        elif small:
             def jacobian(start, residual, x, F, ws):
-                return dense.matrix(start, x)
+                return form.matrix(start, x)
         else:
             self.linear = _STRUCTURED
 
@@ -391,41 +361,11 @@ class _BoundStep:
                                         quad, grid, ws)
         self.jacobian = jacobian
 
-    def residual(self, start: State):
-        """:func:`_step_residual` of the step from ``start``."""
-        if self.dense is not None:
-            return self.dense.residual(start)
-        kern, sys, n_s = self.kern, self.sys, self.sys.n_slow
-        q0, p_s0, p_f0 = start.q_slow, start.p_slow, start.p_fast
-
-        def residual(x):
-            q_slow_next, fast = _step_nodes(start, x, sys, kern.p)
-            grads = g_s, g_fV, g_W = kern.gradients(kern.points(q0, q_slow_next, fast), sys)
-            # p_f0 above the fast kinetic momenta: the kinetic differences of
-            # all fast rows are then one subtraction
-            P_f = np.empty(fast.shape)
-            P_f[..., 0, :] = p_f0
-            Mv_s, Mv_f = kern.kinetic_momenta(q0, q_slow_next, fast, sys, out=P_f[..., 1:, :])
-            F = np.empty(x.shape)
-            F[..., :n_s] = p_s0 - Mv_s - kern.w_c0 @ g_s
-            # the fast rows as (..., p, n_fast): splitting the last axis is a view
-            F_f = F[..., n_s:].reshape(Mv_f.shape)
-            np.subtract(P_f[..., :-1, :], Mv_f, out=F_f)
-            F_f -= kern.fast_forces(g_fV, g_W)
-            return F, grads
-
-        return residual
-
-    def record(self, index: int, start: State, x: np.ndarray, aux) -> MacroStep:
-        """Record of the step from ``start`` at the accepted iterate x, ``aux``
-        being what :meth:`residual` returned there: below the size rule one
-        product of aux, the stacked vector G (``_DenseStep.record_momenta``)."""
-        q_slow_next, fast = _step_nodes(start, x, self.sys, self.kern.p)
-        if self.dense is not None:
-            return MacroStep(index, start.q_slow, q_slow_next, fast,
-                             *self.dense.record_momenta(aux))
-        mom = self.kern.momenta_from(start.q_slow, q_slow_next, fast, self.sys, *aux)
-        return _interval_record(index, start.q_slow, q_slow_next, fast, mom)
+    def record(self, index: int, start: State, x: np.ndarray, G: np.ndarray) -> MacroStep:
+        """Record of the step from ``start`` at the accepted iterate x, G
+        being what the residual returned there."""
+        q_slow_next, fast = _step_nodes(start, x, self.sys, self.form.kern.p)
+        return MacroStep(index, start.q_slow, q_slow_next, fast, *self.form.record_momenta(G))
 
 
 @dataclass
@@ -936,12 +876,13 @@ def macro_step(prev: MacroStep, sys: MultirateSystem, quad: QuadratureSpec, grid
 class _ExplicitStep:
     """The explicit steps of one system, quadrature and grid, bound once per
     holder (:meth:`_HeldMatrix.bind`): the kernel, K = dt^2 M_f^-1, a vector
-    G = ``[g_s; g_fV; g_W; d; p_s0; p_f0]`` and, below the size rule, the
-    record map (:class:`~multirate.discretization._StepRecord`).  The fast
-    chain advances in increment form (Hairer, Lubich & Wanner, *Geometric
-    Numerical Integration*, VIII.5): u = fast[m+1] - fast[m] takes ``u -= K
-    @ g_m``.  The node gradients go into G, or one gather takes the terms'
-    from them; the record is one product of G, or the kernel's momenta."""
+    G = ``[g_s; g_fV; g_W; d; p_s0; p_f0]`` and the step's fixed maps
+    (:class:`~multirate.discretization._StepForm`, dense below the size
+    rule), whose record map it reads.  The fast chain advances in increment
+    form (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+    VIII.5): u = fast[m+1] - fast[m] takes ``u -= K @ g_m``.  The node
+    gradients go into G, or one gather takes the terms' from them; the
+    record is the record map applied to G."""
 
     def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         if not quad.explicit_solvable:
@@ -957,14 +898,14 @@ class _ExplicitStep:
         self.kick_W = kern.dt * _left_weight(quad.alpha_W, quad.gamma_W)
         self.node_terms = (np.array_equal(kern.V.node, [0])
                            and np.array_equal(kern.W.node, np.arange(p)))
-        self.record = _StepRecord(kern, sys) if _small(sys, grid) else None
+        self.form = form = _StepForm(kern, sys, _small(sys, grid))
         a, b = k_V * n_s, k_V * (n_s + n_f)
-        self.n_grads = c = b + k_W * n_f
+        self.n_grads = c = form.kinetic_cols.start
         # the record map's columns of p_s0 and p_f0 are zero: so are these
-        self.G = np.zeros(c + 2 * n_s + (p + 1) * n_f)
+        self.G = np.zeros(form.record.shape[1])
         self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
                       self.G[b:c].reshape(k_W, n_f))
-        self.d = self.G[c:c + n_s], self.G[c + n_s:c + n_s + p * n_f].reshape(p, n_f)
+        self.d = self.G[c:c + n_s], self.G[c + n_s:form.kinetic_cols.stop].reshape(p, n_f)
         self.at_nodes = self.grads if self.node_terms else (
             np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
 
@@ -1006,12 +947,9 @@ class _ExplicitStep:
         if not _finite(self.G[:self.n_grads]):
             _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
             _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-        if self.record is None:
-            return _interval_record(index, q0, q1, fast,
-                                    kern.momenta_from(q0, q1, fast, sys, g_s, g_fV, g_W))
         np.subtract(q1, q0, out=self.d[0])
         np.subtract(fast[1:], fast[:-1], out=self.d[1])
-        return MacroStep(index, q0, q1, fast, *self.record.record_momenta(self.G))
+        return MacroStep(index, q0, q1, fast, *self.form.record_momenta(self.G))
 
 
 def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,
@@ -1163,7 +1101,7 @@ class TrajectoryCertificate:
         )
 
 
-# intervals per kernel call in verify_trajectory; bounds its temporaries
+# intervals per batch in verify_trajectory; bounds its temporaries
 _VERIFY_CHUNK = 64
 
 
@@ -1174,13 +1112,15 @@ def verify_trajectory(traj: Trajectory, q0: State | None, sys: MultirateSystem,
     The stacked residual at each interior macro node equals the mismatch of
     left and right discrete momenta, so the certificate reports both the
     residual norm and the per-node matching norms.  The momenta of up to
-    ``_VERIFY_CHUNK`` intervals come from one kernel call; consecutive chunks
-    overlap by one interval so that every macro node is checked.  ``q0`` is
-    the initial state, or None for a part of a trajectory that does not
-    begin there (``initial_max`` is then 0).
+    ``_VERIFY_CHUNK`` intervals come from one batch through the step's fixed
+    maps, applied by terms
+    (:meth:`~multirate.discretization._StepForm.interval_momenta`);
+    consecutive chunks overlap by one interval so that every macro node is
+    checked.  ``q0`` is the initial state, or None for a part of a
+    trajectory that does not begin there (``initial_max`` is then 0).
     """
     N, p = grid.n_macro, grid.micro_per_macro
-    kern = interval_kernel(quad, grid)
+    form = _StepForm(interval_kernel(quad, grid), sys, False)
 
     def inf(a):
         return float(np.max(np.abs(a))) if a.size else 0.0
@@ -1190,8 +1130,8 @@ def verify_trajectory(traj: Trajectory, q0: State | None, sys: MultirateSystem,
     for lo in starts:
         hi = min(N, lo + _VERIFY_CHUNK)
         nodes = np.arange(lo, hi)[:, None] * p + np.arange(p + 1)
-        p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta(
-            traj.slow_q[lo:hi], traj.slow_q[lo + 1:hi + 1], traj.fast_q[nodes], sys)
+        p_s_minus, p_s_plus, p_f_minus, p_f_plus = form.interval_momenta(
+            traj.slow_q[lo:hi], traj.slow_q[lo + 1:hi + 1], traj.fast_q[nodes])
         if lo == 0 and q0 is not None:
             initial_max = max(inf(p_s_minus[0] - q0.p_slow), inf(p_f_minus[0, 0] - q0.p_fast))
         match_macro = max(match_macro, inf(p_s_plus[:-1] - p_s_minus[1:]),

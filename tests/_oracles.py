@@ -6,6 +6,7 @@ cross-check rather than a tautology.
 """
 
 import csv
+import math
 
 import numpy as np
 import scipy.optimize
@@ -154,10 +155,10 @@ def hessian_blocks_dense(kern, q0, q1, fast, sys):
 def momentum_mismatch_residual(kern, start, x, sys):
     """The DEL step residual as differences of the discrete momenta.
 
-    ``kern.momenta`` gives the four momentum arrays at the stacked unknowns
-    x (..., n_slow + p*n_fast); F is incoming minus left momenta at the slow
-    node and at fast node 0, and right minus left momenta at the interior
-    fast nodes.  Returns ``(F, scale)``, scale being the largest magnitude
+    :func:`kernel_momenta` gives the four momentum arrays at the stacked
+    unknowns x (..., n_slow + p*n_fast); F is incoming minus left momenta
+    at the slow node and at fast node 0, and right minus left momenta at
+    the interior fast nodes.  Returns ``(F, scale)``, scale being the largest magnitude
     of the momentum terms that enter F: the incoming momenta, the kinetic
     terms M v and the discrete momenta.
     """
@@ -166,7 +167,7 @@ def momentum_mismatch_residual(kern, start, x, sys):
     fast = np.empty(x.shape[:-1] + (p + 1, n_f))
     fast[..., 0, :] = start.q_fast
     fast[..., 1:, :] = x[..., n_s:].reshape(x.shape[:-1] + (p, n_f))
-    p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta(start.q_slow, q1, fast, sys)
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = kernel_momenta(kern, start.q_slow, q1, fast, sys)
     F = np.empty(x.shape)
     F[..., :n_s] = start.p_slow - p_s_minus
     fast_rows = np.concatenate([(start.p_fast - p_f_minus[..., 0, :])[..., None, :],
@@ -305,8 +306,8 @@ def explicit_step_position_form(index, start, sys, quad, grid, held=None):
     g_sV = np.array([slow_at[n][0] for n in kern.V.node])
     g_fV = np.array([slow_at[n][1] for n in kern.V.node])
     g_W = g_W_node[kern.W.node]
-    p_s_minus, p_s_plus, p_f_minus, p_f_plus = kern.momenta_from(q0, q1, fast, sys,
-                                                                 g_sV, g_fV, g_W)
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = full_momenta(kern, q0, q1, fast, sys,
+                                                            g_sV, g_fV, g_W)
     return MacroStep(index, q0, q1, fast, np.concatenate([p_f_minus, p_f_plus[-1:]]),
                      np.stack([p_s_minus, p_s_plus]))
 
@@ -322,6 +323,51 @@ def full_momenta(kern, q0, q1, fast, sys, g_s, g_fV, g_W):
             Mv_s - kern.w_c1 @ g_s,
             Mv_f + (kern.V.left @ g_fV + kern.W.left @ g_W),
             Mv_f - (kern.V.right @ g_fV + kern.W.right @ g_W))
+
+
+def term_gradients(kern, q0, q1, fast, sys):
+    """Gradients ``(g_s, g_fV, g_W)`` of the potentials at the quadrature
+    points of the interval kernel ``kern`` on the intervals (q0, q1, fast),
+    of shape (..., k, n) with the terms of V resp. W on axis -2: the
+    callbacks on the points of all intervals stacked."""
+    Qs, QfV, QfW = kern.points(q0, q1, fast)
+
+    def rows(a):
+        return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+    g_s, g_fV = sys.evaluate_batch("slow_potential_grad", rows(Qs), rows(QfV))
+    g_W = sys.evaluate_batch("fast_potential_grad", rows(QfW))
+    return g_s.reshape(Qs.shape), g_fV.reshape(QfV.shape), g_W.reshape(QfW.shape)
+
+
+def kernel_momenta(kern, q0, q1, fast, sys):
+    """Discrete momenta ``(p_s_minus, p_s_plus, p_f_minus, p_f_plus)`` of
+    the intervals (q0, q1, fast), leading axes kept: :func:`full_momenta`
+    of the gradients at the kernel's quadrature points."""
+    return full_momenta(kern, q0, q1, fast, sys, *term_gradients(kern, q0, q1, fast, sys))
+
+
+def oracle_record(kern, q0, q1, fast, sys):
+    """``(p_fast, p_slow, grads)``: the momenta of the step record of the
+    interval (q0, q1, fast) in the order of ``MacroStep``, the left values
+    at nodes 0..p-1 and the right ones at the end node, by
+    :func:`full_momenta` from the gradients ``grads`` at the kernel's
+    quadrature points."""
+    grads = term_gradients(kern, q0, q1, fast, sys)
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = full_momenta(kern, q0, q1, fast, sys, *grads)
+    return np.concatenate([p_f_minus, p_f_plus[-1:]]), np.stack([p_s_minus, p_s_plus]), grads
+
+
+def pq_running_sums(sys, grid, F, absolute=False):
+    """T F of the p/q maps for a vector F laid out as the stacked unknowns,
+    or |T| F with ``absolute``: the slow row ``-dT M_s^-1 F_s`` and fast
+    row m ``-dt M_f^-1 (F_f[0] + ... + F_f[m])``, as running sums."""
+    n_s, shape = sys.n_slow, (grid.micro_per_macro, sys.n_fast)
+    T_s, T_f = -grid.dT * sys.mass_slow_inv, -grid.dt * sys.mass_fast_inv
+    if absolute:
+        T_s, T_f = np.abs(T_s), np.abs(T_f)
+    fast = np.cumsum(F[n_s:].reshape(shape), axis=0) @ T_f.T
+    return np.concatenate([T_s @ F[:n_s], fast.ravel()])
 
 
 def fancy_index_ring(cfg):

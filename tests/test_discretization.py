@@ -15,7 +15,7 @@ from multirate import (
     initial_step,
     interval_momenta,
 )
-from multirate.discretization import _check_finite, interval_kernel
+from multirate.discretization import _check_finite, _StepForm, interval_kernel
 from multirate.solver import _HeldMatrix
 
 from _oracles import (
@@ -26,8 +26,8 @@ from _oracles import (
     discrete_lagrangian,
     discrete_lagrangian_micro,
     discrete_slow_potential,
-    full_momenta,
     hessian_blocks_dense,
+    kernel_momenta,
 )
 from conftest import make_fast_only, make_slow_only
 from test_solver import QUADRATURES, QUADRATURE_IDS, with_full_masses
@@ -46,12 +46,13 @@ def scalar_system(V=None, gradV=None, W=None, gradW=None):
 
 
 def lagrangian_gradient(s0, s1, fast, sys, quad, grid):
-    """Partial derivatives ``(g_s0, g_s1, g_f)`` of L_d from the kernel's
+    """Partial derivatives ``(g_s0, g_s1, g_f)`` of L_d from the library's
     momenta, the discrete Legendre transforms read backwards: ``-p_minus``
     at the left end of each (macro or micro) interval, ``p_plus`` at the
     right end."""
-    p_s_minus, p_s_plus, p_f_minus, p_f_plus = interval_kernel(quad, grid).momenta(
-        s0, s1, fast, sys)
+    mom = interval_momenta(s0, s1, fast, sys, quad, grid)
+    p_s_minus, p_s_plus, p_f_minus, p_f_plus = (mom.p_s_minus, mom.p_s_plus, mom.p_f_minus,
+                                                mom.p_f_plus)
     g_f = np.zeros((grid.micro_per_macro + 1, sys.n_fast))
     g_f[:-1] -= p_f_minus
     g_f[1:] += p_f_plus
@@ -279,40 +280,66 @@ class TestDiscreteMomenta:
             assert np.max(np.abs(mom.p_f_plus[m - 1] - fd)) < 1e-10
 
 
-class TestMomentaWithoutZeroTerms:
-    """``momenta_from`` gives the bits of the full four-product formula
-    (``_oracles.full_momenta``), and a momentum whose weights are all zero
-    is the kinetic momentum."""
+def full_masses(sys: MultirateSystem, seed: int = 1) -> MultirateSystem:
+    """The same potentials with non-diagonal mass matrices, of any n_slow
+    and n_fast."""
+    rng = np.random.default_rng(seed)
 
-    RULES = QUADRATURES + [
-        QuadratureSpec.explicit(0.3, 0.8),
-        # gamma_W = 0: slow potential at the end node only, W right-rectangle
-        QuadratureSpec(0.0, 1.0, 1.0, 0.0, SlowPlacement.MACRO_NODES_ONLY),
-    ]
+    def spd(n):
+        A = rng.standard_normal((n, n))
+        return A @ A.T + 3.0 * np.eye(n)
 
+    return dataclasses.replace(sys, mass_slow=spd(sys.n_slow), mass_fast=spd(sys.n_fast))
+
+
+# every family of QUADRATURES, macro-node rules with a slow term at either
+# end and at the end alone, and a rule whose V and W evaluate at different
+# points
+FORM_RULES = QUADRATURES + [
+    QuadratureSpec.explicit(0.5, 0.5),
+    # gamma_W = 0: slow potential at the end node only, W right-rectangle
+    QuadratureSpec(0.0, 1.0, 1.0, 0.0, SlowPlacement.MACRO_NODES_ONLY),
+    QuadratureSpec(0.5, 0.5, 0.5, 1.0),
+]
+FORM_IDS = QUADRATURE_IDS + ["explicit-half", "gamma0", "midpoint-trapezoidal"]
+
+FORM_SYSTEMS = {"fpu": lambda: build_fpu()[0], "fast-only": lambda: make_fast_only()[0],
+                "slow-only": lambda: make_slow_only()[0]}
+
+MAPS = ("points", "start", "forces", "momenta", "record", "T", "abs_T")
+
+
+class TestMomentaMap:
+    """The discrete momenta through the step's maps, dense and by terms,
+    against the full four-product formula from the gradients at the
+    kernel's quadrature points (``_oracles.kernel_momenta``) to rounding;
+    a momentum whose weights are all zero is the kinetic momentum."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "terms"])
     @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
     @pytest.mark.parametrize("p", [1, 4])
-    @pytest.mark.parametrize("quad", RULES, ids=QUADRATURE_IDS + ["explicit-0.3-0.8", "gamma0"])
-    def test_equal_to_full_formula(self, fpu, quad, p, batch):
+    @pytest.mark.parametrize("quad", FORM_RULES, ids=FORM_IDS)
+    def test_equal_to_full_formula(self, fpu, quad, p, batch, dense):
         # full mass matrices: the kinetic products sum several terms
         sys = with_full_masses(fpu[0])
         kern = interval_kernel(quad, build_time_grid(0.3, p, 1))
         rng = np.random.default_rng(p)
         n = sys.n_slow
-        q0, q1 = rng.normal(size=(2,) + batch + (n,))
-        fast = rng.normal(size=batch + (p + 1, n))
-        grads = (rng.normal(size=batch + (kern.V.m.size, n)),
-                 rng.normal(size=batch + (kern.V.m.size, n)),
-                 rng.normal(size=batch + (kern.W.m.size, n)))
-        got = kern.momenta_from(q0, q1, fast, sys, *grads)
-        want = full_momenta(kern, q0, q1, fast, sys, *grads)
+        q0, q1 = 0.1 * rng.normal(size=(2,) + batch + (n,))
+        fast = 0.1 * rng.normal(size=batch + (p + 1, n))
+        got = _StepForm(kern, sys, dense).interval_momenta(q0, q1, fast)
+        want = kernel_momenta(kern, q0, q1, fast, sys)
+        # a few roundings of the largest momentum terms
+        scale = max(float(np.max(np.abs(a))) for a in want)
         for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 8.0 * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "terms"])
     @pytest.mark.parametrize("p", [1, 4])
-    def test_explicit_rule_zero_weights_give_the_kinetic_momenta(self, fpu, p):
+    def test_explicit_rule_zero_weights_give_the_kinetic_momenta(self, fpu, p, dense):
         # the explicit rule weights left nodes only: the right momenta take
-        # all-zero weights and are the kinetic momenta bit for bit
+        # all-zero weights and are the kinetic momenta
         sys = with_full_masses(fpu[0])
         kern = interval_kernel(QuadratureSpec.explicit(), build_time_grid(0.3, p, 1))
         assert not (kern.w_c1.any() or kern.V.right.any() or kern.W.right.any())
@@ -320,12 +347,50 @@ class TestMomentaWithoutZeroTerms:
         n = sys.n_slow
         q0, q1 = rng.normal(size=(2, n))
         fast = rng.normal(size=(p + 1, n))
-        grads = (rng.normal(size=(kern.V.m.size, n)), rng.normal(size=(kern.V.m.size, n)),
-                 rng.normal(size=(kern.W.m.size, n)))
-        _, p_s_plus, _, p_f_plus = kern.momenta_from(q0, q1, fast, sys, *grads)
-        Mv_s, Mv_f = kern.kinetic_momenta(q0, q1, fast, sys)
-        assert p_s_plus.tobytes() == Mv_s.tobytes()
-        assert p_f_plus.tobytes() == Mv_f.tobytes()
+        _, p_s_plus, _, p_f_plus = _StepForm(kern, sys, dense).interval_momenta(q0, q1, fast)
+        for got, d, M, h in ((p_s_plus, q1 - q0, sys.mass_slow, kern.dT),
+                             (p_f_plus, fast[1:] - fast[:-1], sys.mass_fast, kern.dt)):
+            assert np.all(np.abs(got - (d / h) @ M.T)
+                          <= 4.0 * np.finfo(float).eps * (np.abs(d) / h) @ np.abs(M).T)
+
+
+class TestTermsAgainstDense:
+    """Each of the step's maps applied term by term equals its ``np.kron``
+    materialization to a few roundings of its terms, and every point of a
+    batch gets the bits it gets alone, by terms and dense."""
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 2)], ids=["single", "batched", "batched-2d"])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("system", sorted(FORM_SYSTEMS))
+    @pytest.mark.parametrize("quad", FORM_RULES, ids=FORM_IDS)
+    def test_terms_equal_dense(self, quad, system, p, batch):
+        sys = full_masses(FORM_SYSTEMS[system]())
+        kern = interval_kernel(quad, build_time_grid(0.3, p, 1))
+        terms, dense = _StepForm(kern, sys, False), _StepForm(kern, sys, True)
+        rng = np.random.default_rng(p)
+        for name in MAPS:
+            by_terms, matrix = getattr(terms, name), getattr(dense, name).matrix
+            assert matrix.shape == by_terms.shape
+            x = rng.standard_normal(batch + matrix.shape[1:])
+            got, want = by_terms.apply(x), getattr(dense, name).apply(x)
+            assert got.shape == want.shape == batch + matrix.shape[:1]
+            # the sum of the magnitudes of each entry's terms
+            floor = np.abs(x) @ np.abs(matrix).T
+            assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * floor), name
+            for form, y in ((terms, got), (dense, want)):
+                for x_1, y_1 in zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])):
+                    assert np.array_equal(getattr(form, name).apply(x_1), y_1), name
+        # no array of a map's shape is made on the term path
+        assert not any("matrix" in vars(getattr(terms, name)) for name in MAPS)
+
+    def test_slow_point_of_a_start_node_term_is_all_zero_in_points(self, fpu):
+        # macro-node slow placement: V's term at the start node takes its
+        # slow point from q0 alone, a zero row block of points
+        kern = interval_kernel(QuadratureSpec.explicit(0.5, 0.5), build_time_grid(0.3, 3, 1))
+        form = _StepForm(kern, fpu[0], True)
+        n_s = fpu[0].n_slow
+        assert not form.points.matrix[:n_s].any() and form.start.matrix[:n_s].any()
+        assert form.points.matrix[n_s:2 * n_s].any()
 
 
 class TestEvaluationErrors:

@@ -4,8 +4,9 @@
 residual in one call.  Every column must equal the one-column-at-a-time
 forward difference of ``_oracles.fd_jacobian_loop`` bit for bit, for the DEL
 residual and the p/q residual T F of the three closed-form maps
-(``_oracles.pq_residual``) of systems without Hessians, and a non-finite
-value met by one perturbed column must be reported as the loop reports it.
+(``_oracles.pq_residual``) of systems without Hessians, with the step's
+maps dense and applied term by term, and a non-finite value met by one
+perturbed column must be reported as the loop reports it.
 """
 
 import dataclasses
@@ -82,11 +83,18 @@ def chunking(request, monkeypatch):
     return lambda n: None
 
 
+# the step's maps dense, as below the size rule, or applied term by term
+@pytest.fixture(params=["dense", "terms"])
+def size(request, monkeypatch):
+    if request.param == "terms":
+        monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("quad", QUADRATURES, ids=QUADRATURE_IDS)
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_del_residual(self, system, quad, p, chunking):
+    def test_del_residual(self, system, quad, p, chunking, size):
         sys, q0 = SYSTEMS[system]()
         grid = build_time_grid(0.05, p, 1)
         residual = solver._step_residual(q0, sys, quad, grid)
@@ -97,7 +105,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("quad", PQ_QUADRATURES, ids=PQ_IDS)
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_pq_maps(self, system, quad, p, chunking):
+    def test_pq_maps(self, system, quad, p, chunking, size):
         sys, q0 = SYSTEMS[system]()
         grid = build_time_grid(0.05, p, 1)
         evaluate = pq_residual(quad, q0, sys, grid)

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+from sys import executable
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from multirate import (
     verify_trajectory,
 )
 from multirate import discretization, schemes, solver, systems
-from multirate.discretization import _IntervalKernel, _Workspace, interval_kernel
+from multirate.discretization import _Workspace, interval_kernel
 from multirate.systems import FpuConfig
 
 from multirate.solver import (
@@ -48,6 +51,8 @@ from _oracles import (
     full_grad_potential,
     implicit_midpoint_trajectory,
     momentum_mismatch_residual,
+    oracle_record,
+    pq_running_sums,
     symplectic_euler_momentum_first,
 )
 from conftest import count_points, make_coupled_toy, toy_state
@@ -184,12 +189,13 @@ class TestResidualOracle:
             # a few roundings of the largest momentum terms apart
             assert np.max(np.abs(F - F_ref)) <= 4.0 * np.finfo(float).eps * scale
 
-    def test_one_del_step_builds_the_momenta_once(self, monkeypatch):
+    @pytest.mark.parametrize("p", [10, 50], ids=["dense", "terms"])
+    def test_one_del_step_builds_the_momenta_once(self, p, monkeypatch):
         sys, q0 = build_fpu(FpuConfig(l=3))
-        grid = build_time_grid(0.3, 10, 2)
+        grid = build_time_grid(0.3, p, 2)
         cfg = SolverConfig(newton_tol=1e-9)
         first, _ = initial_step(q0, sys, MIDMID, grid, cfg)
-        calls = {"momenta": 0, "record": 0, "residual": 0}
+        calls = {"record": 0, "residual": 0}
         points = {"slow": [], "fast": []}
 
         def slow(qs, qf):
@@ -200,12 +206,7 @@ class TestResidualOracle:
             points["fast"].append(qf)
             return sys.fast_potential_grad(qf)
 
-        momenta_from = _IntervalKernel.momenta_from
-        record_momenta = discretization._DenseStep.record_momenta
-
-        def counted_momenta(*args):
-            calls["momenta"] += 1
-            return momenta_from(*args)
+        record_momenta = discretization._StepForm.record_momenta
 
         def counted_record(*args):
             calls["record"] += 1
@@ -221,15 +222,15 @@ class TestResidualOracle:
                 return residual(x)
             return counted
 
-        monkeypatch.setattr(_IntervalKernel, "momenta_from", counted_momenta)
-        monkeypatch.setattr(discretization._DenseStep, "record_momenta", counted_record)
+        monkeypatch.setattr(discretization._StepForm, "record_momenta", counted_record)
         monkeypatch.setattr(solver, "_step_residual", counted_step_residual)
         counted_sys = dataclasses.replace(sys, slow_potential_grad=slow, fast_potential_grad=fast)
         step, stats = macro_step(first, counted_sys, MIDMID, grid, cfg)
-        # 33 unknowns, below the size rule: the record's momenta are one
-        # product of the accepted residual's stacked vector
-        assert solver._small(sys, grid)
-        assert (calls["record"], calls["momenta"]) == (1, 0)
+        # 33 unknowns below the size rule, 153 from it on: at either size
+        # the record's momenta are the record map of the accepted
+        # residual's stacked vector, applied once
+        assert solver._small(sys, grid) == (p == 10)
+        assert calls["record"] == 1
         assert calls["residual"] == stats.newton_iters + 1
         assert len(points["slow"]) == len(points["fast"]) == calls["residual"]
         # midpoint-midpoint: the fast callback gets the slow callback's points
@@ -256,24 +257,29 @@ def explicit_rule(rule) -> QuadratureSpec:
     return QuadratureSpec(alpha_v, 1.0, alpha_w, gamma_w, SlowPlacement.MACRO_NODES_ONLY)
 
 
-def kernel_record(step, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
-    """The record of ``step`` with the kernel's momenta from the gradients
-    at its quadrature points, and those gradients."""
-    kern = interval_kernel(quad, grid)
-    q0, q1, fast = step.q_slow_start, step.q_slow_end, step.fast
-    grads = kern.gradients(kern.points(q0, q1, fast), sys)
-    return solver._interval_record(step.index, q0, q1, fast,
-                                   kern.momenta_from(q0, q1, fast, sys, *grads)), grads
+def step_oracle_record(step, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
+    """``_oracles.oracle_record`` of the interval of ``step``."""
+    return oracle_record(interval_kernel(quad, grid), step.q_slow_start, step.q_slow_end,
+                         step.fast, sys)
+
+
+def record_floor(record, G):
+    """The rounding floor of each entry of ``record G``: its terms'
+    magnitudes, the kinetic momentum of one node difference and the
+    weighted gradients, from the record map made dense here."""
+    return np.abs(discretization._Map(record.shape, record.terms, True).matrix).dot(np.abs(G))
 
 
 class TestFixedMaps:
-    """Below ``_STRUCTURED_MIN_UNKNOWNS`` unknowns a step is a few fixed
-    linear maps around the callbacks (``discretization._DenseStep``): F
-    against the momentum differences, the Newton matrix against the
-    structured path's blocks, the record's momenta against the kernel's and
-    the p/q maps' T against its running sums, each to rounding, and every
-    point of a batch bit for bit as alone.  These maps are made once per
-    ``integrate`` call, and no small step builds its record by the kernel."""
+    """A step is a few fixed linear maps around the callbacks
+    (``discretization._StepForm``), dense matrices below
+    ``_STRUCTURED_MIN_UNKNOWNS`` unknowns: F against the momentum
+    differences, the Newton matrix against the structured path's blocks,
+    the record's momenta against the oracle's full formula and the p/q
+    maps' T against its running sums, each to rounding, and every point of
+    a batch bit for bit as alone.  These maps are made once per
+    ``integrate`` call, and every step records by one application of the
+    record map."""
 
     @staticmethod
     def points(request, system, quad, p):
@@ -321,142 +327,129 @@ class TestFixedMaps:
     @pytest.mark.parametrize("p", [1, 4, 10])
     @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
-    def test_record_matches_momenta_from(self, request, system, quad, p):
+    def test_record_matches_full_momenta(self, request, system, quad, p):
         # the record's momenta as one product of the residual's stacked
-        # vector G, against the kernel's momenta from the gradients at x
+        # vector G, against the oracle's momenta from the gradients at x
         sys, q0, grid, X = self.points(request, system, quad, p)
         held = solver._HeldMatrix()
         residual = solver._step_residual(q0, sys, quad, grid, held)
-        dense = held.bind(sys, quad, grid).dense
+        form = held.bind(sys, quad, grid).form
+        assert form.record.dense
         kern = interval_kernel(quad, grid)
         for x in X:
             G = residual(x)[1]
-            p_fast, p_slow = dense.record_momenta(G)
+            p_fast, p_slow = form.record_momenta(G)
             q1, fast = solver._step_nodes(q0, x, sys, p)
-            grads = kern.gradients(kern.points(q0.q_slow, q1, fast), sys)
-            ref = solver._interval_record(0, q0.q_slow, q1, fast, kern.momenta_from(
-                q0.q_slow, q1, fast, sys, *grads))
-            # the rounding floor of each entry: its terms' magnitudes, the
-            # kinetic momentum of one node difference and the weighted gradients
-            floor = np.abs(dense.momenta).dot(np.abs(G))
+            ref_fast, ref_slow, _ = oracle_record(kern, q0.q_slow, q1, fast, sys)
             got = np.concatenate([p_slow.ravel(), p_fast.ravel()])
-            want = np.concatenate([ref.p_slow.ravel(), ref.p_fast.ravel()])
-            assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
+            want = np.concatenate([ref_slow.ravel(), ref_fast.ravel()])
+            assert np.all(np.abs(got - want)
+                          <= RECORD_ROUNDINGS * np.finfo(float).eps * record_floor(form.record, G))
 
     @pytest.mark.parametrize("p", [1, 4, 10])
     @EXPLICIT_RULES
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
-    def test_explicit_record_matches_momenta_from(self, request, system, rule, p):
+    def test_explicit_record_matches_full_momenta(self, request, system, rule, p):
         # the explicit step's record as one product of its stacked vector G,
-        # against the kernel's momenta from the gradients at the step's nodes
+        # against the oracle's momenta from the gradients at the step's nodes
         sys, q0, grid, _ = self.points(request, system, MIDMID, p)
         quad, held = explicit_rule(rule), solver._HeldMatrix()
         step = solver._explicit_step(0, q0, sys, quad, grid, held)
         bound = held.step
-        ref, grads = kernel_record(step, sys, quad, grid)
+        ref_fast, ref_slow, grads = step_oracle_record(step, sys, quad, grid)
         # G holds each term's gradient, gathered by its node where needed
         for got, want in zip(bound.grads, grads):
             assert np.array_equal(got, want)
-        floor = np.abs(bound.record.momenta).dot(np.abs(bound.G))
+        floor = record_floor(bound.form.record, bound.G)
         got = np.concatenate([step.p_slow.ravel(), step.p_fast.ravel()])
-        want = np.concatenate([ref.p_slow.ravel(), ref.p_fast.ravel()])
+        want = np.concatenate([ref_slow.ravel(), ref_fast.ravel()])
         assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
 
     @EXPLICIT_RULES
-    def test_large_explicit_steps_keep_the_kernel_path(self, spring_ring, rule, monkeypatch):
-        # 189 unknowns: the record is the kernel's momenta of the term
-        # gradients, bit for bit, and the positions are those of the small
-        # path's recurrence
+    def test_large_explicit_steps_record_by_the_terms(self, spring_ring, rule, monkeypatch):
+        # 189 unknowns: the record map is applied term by term and never
+        # made dense, its momenta are the oracle's from the term gradients
+        # to rounding, and the positions are those of the small path's
+        # recurrence
         sys, q0 = spring_ring
         quad, grid = explicit_rule(rule), build_time_grid(0.01, 20, 5)
         assert not solver._small(sys, grid)
-        calls, records = [], []
-        momenta_from = _IntervalKernel.momenta_from
-
-        def counted(*args):
-            calls.append(args)
-            return momenta_from(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(_IntervalKernel, "momenta_from", counted)
-            integrate(q0, sys, quad, grid, SolverConfig(), IntegratorMode.EXPLICIT,
-                      store=records.append)
-        assert len(calls) == len(records) == grid.n_macro
-        for step in records:
-            ref, _ = kernel_record(step, sys, quad, grid)
-            assert np.array_equal(step.p_fast, ref.p_fast)
-            assert np.array_equal(step.p_slow, ref.p_slow)
+        held, records = solver._HeldMatrix(), []
+        for k in range(grid.n_macro):
+            step = solver._explicit_step(k, records[-1].end_state() if records else q0, sys,
+                                         quad, grid, held)
+            record = held.step.form.record
+            assert not record.dense and "matrix" not in vars(record)
+            ref_fast, ref_slow, _ = step_oracle_record(step, sys, quad, grid)
+            got = np.concatenate([step.p_slow.ravel(), step.p_fast.ravel()])
+            want = np.concatenate([ref_slow.ravel(), ref_fast.ravel()])
+            floor = record_floor(record, held.step.G)
+            assert np.all(np.abs(got - want) <= RECORD_ROUNDINGS * np.finfo(float).eps * floor)
+            records.append(step)
         monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", math.inf)
         small = solver._explicit_step(0, q0, sys, quad, grid)
         assert np.array_equal(small.q_slow_end, records[0].q_slow_end)
         assert np.array_equal(small.fast, records[0].fast)
 
+    @pytest.mark.parametrize("size", ["dense", "terms"])
     @pytest.mark.parametrize("p", [1, 4, 10])
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
-    def test_dense_transform_matches_running_sums(self, request, system, p):
-        # T and |T| of the p/q maps as dense maps, against the running sums
+    def test_transform_matches_running_sums(self, request, system, p, size, monkeypatch):
+        # T and |T| of the p/q maps, dense below the size rule and as terms
+        # from it on, against the oracle's running sums
         sys, q0, grid, _ = self.points(request, system, MIDMID, p)
-        dense = solver._HeldMatrix().bind(sys, MIDMID, grid).dense
-        running = solver._pq_transform(sys, grid)
-        F = np.random.default_rng(p).standard_normal((3, dense.T.shape[0]))
+        if size == "terms":
+            monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+        form = solver._HeldMatrix().bind(sys, MIDMID, grid).form
+        assert form.T.dense == (size == "dense")
+        F = np.random.default_rng(p).standard_normal((3, form.N))
         for absolute in (False, True):
             for f in F:
-                got = dense.transform(f, absolute)
+                got = form.transform(f, absolute)
                 # a sum of at most p + n_fast products per entry, in another order
                 n_terms = p + sys.n_fast
-                bound = n_terms * np.finfo(float).eps * dense.abs_T.dot(np.abs(f))
-                assert np.all(np.abs(got - running(f, absolute)) <= bound)
+                bound = n_terms * np.finfo(float).eps * pq_running_sums(sys, grid, np.abs(f), True)
+                assert np.all(np.abs(got - pq_running_sums(sys, grid, f, absolute)) <= bound)
 
-    @pytest.mark.parametrize("p", [10, 50], ids=["dense", "structured"])
-    def test_pq_integrate_builds_its_transform_once(self, fpu, p, monkeypatch):
-        # T and |T| are made with the holder's fixed maps below the size
-        # rule, as running sums above it, once per integrate call
+    @pytest.mark.parametrize("p", [10, 50], ids=["dense", "terms"])
+    def test_pq_integrate_builds_its_maps_once(self, fpu, p, monkeypatch):
+        # T and |T| are among the holder's fixed maps, made once per
+        # integrate call at either size, dense below the size rule
         sys, q0 = fpu
         grid = build_time_grid(0.3, p, 4)
-        builds = {"dense": 0, "running": 0}
-        DenseStep, pq_transform = discretization._DenseStep, solver._pq_transform
+        forms, StepForm = [], discretization._StepForm
 
-        class CountedDenseStep(DenseStep):
+        class CountedStepForm(StepForm):
             def __init__(self, *args):
-                builds["dense"] += 1
                 super().__init__(*args)
+                forms.append(self)
 
-        def counted_transform(*args):
-            builds["running"] += 1
-            return pq_transform(*args)
-
-        monkeypatch.setattr(solver, "_DenseStep", CountedDenseStep)
-        monkeypatch.setattr(solver, "_pq_transform", counted_transform)
+        monkeypatch.setattr(solver, "_StepForm", CountedStepForm)
         for _ in range(2):
             _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9),
                                  IntegratorMode.CLOSED_FORM_PQ)
             assert stats.n_steps == grid.n_macro
-        assert builds == ({"dense": 2, "running": 0} if solver._small(sys, grid)
-                          else {"dense": 0, "running": 2})
+        assert [form.T.dense for form in forms] == [solver._small(sys, grid)] * 2
 
+    @pytest.mark.parametrize("p", [10, 50], ids=["dense", "terms"])
     @pytest.mark.parametrize("mode,quad", [
         (IntegratorMode.IMPLICIT_DEL, MIDMID), (IntegratorMode.CLOSED_FORM_PQ, MIDMID),
         (IntegratorMode.EXPLICIT, QuadratureSpec.explicit()),
     ], ids=["del", "pq", "explicit"])
-    def test_small_steps_record_without_the_kernel(self, fpu, mode, quad, monkeypatch):
+    def test_every_step_records_by_the_record_map(self, fpu, mode, quad, p, monkeypatch):
+        # one application of the record map per step, at either size
         sys, q0 = fpu
-        grid = build_time_grid(0.3, 10, 4)
-        calls = []
+        grid = build_time_grid(0.3, p, 4)
+        calls, record_momenta = [], discretization._StepForm.record_momenta
 
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
+        def counted(form, G):
+            calls.append(form.record.dense)
+            return record_momenta(form, G)
 
-        for name in ("momenta_from", "kinetic_momenta"):
-            monkeypatch.setattr(_IntervalKernel, name,
-                                counted(name, getattr(_IntervalKernel, name)))
-        monkeypatch.setattr(solver, "_interval_record",
-                            counted("_interval_record", solver._interval_record))
+        monkeypatch.setattr(discretization._StepForm, "record_momenta", counted)
         _, stats = integrate(q0, sys, quad, grid, SolverConfig(newton_tol=1e-9), mode)
-        assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
-        assert calls == []
+        assert stats.n_steps == grid.n_macro
+        assert calls == [solver._small(sys, grid)] * grid.n_macro
 
 
 def with_nan_gradient(sys: MultirateSystem, which: str, m: int, k: int) -> MultirateSystem:
@@ -482,6 +475,39 @@ def with_nan_gradient(sys: MultirateSystem, which: str, m: int, k: int) -> Multi
     return dataclasses.replace(sys, **{name: grad})
 
 
+# tracemalloc peak of binding an FPU l=30, p=50 step (1,530 unknowns) and
+# taking one initial and one macro step, by the run below: 9.1 MB with the
+# kernel's products of the former large-step path and 9.6 MB by terms, on
+# numpy 2.4.  A dense points map alone would take 56 MB (4,590 x 1,530),
+# forces 75 MB.
+LARGE_STEP_PEAK_BYTES = 16_000_000
+
+
+def test_large_step_makes_no_dense_map():
+    # in a fresh interpreter: the step's maps are applied term by term,
+    # and nothing imports scipy
+    code = "\n".join([
+        "import sys, tracemalloc",
+        "import multirate",
+        "from multirate import solver, systems",
+        "sysm, q0 = systems.build_fpu(systems.FpuConfig(l=30))",
+        "grid = multirate.build_time_grid(0.3, 50, 2)",
+        "quad, cfg = multirate.QuadratureSpec.midpoint_midpoint(), solver.SolverConfig()",
+        "tracemalloc.start()",
+        "held = solver._HeldMatrix()",
+        "held.bind(sysm, quad, grid)",
+        "first, _ = solver.initial_step(q0, sysm, quad, grid, cfg, held)",
+        "solver.macro_step(first, sysm, quad, grid, cfg, held)",
+        "print(tracemalloc.get_traced_memory()[1], 'scipy' in sys.modules, held.step.linear.name)",
+    ])
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True).stdout.split()
+    assert out[1:] == ["False", "structured"]
+    assert int(out[0]) < LARGE_STEP_PEAK_BYTES
+
+
 class TestBoundStep:
     """A holder binds the machinery of its steps once (``_HeldMatrix.bind``):
     a small step's fixed maps are resolved once per ``integrate`` call, a
@@ -495,19 +521,19 @@ class TestBoundStep:
         sys, q0 = fpu
         grid = build_time_grid(0.3, 10, 6)
         lookups, builds = [], []
-        kernel, DenseStep = solver.interval_kernel, discretization._DenseStep
+        kernel, StepForm = solver.interval_kernel, discretization._StepForm
 
         def counted_kernel(*args):
             lookups.append(args)
             return kernel(*args)
 
-        class CountedDenseStep(DenseStep):
+        class CountedStepForm(StepForm):
             def __init__(self, *args):
                 builds.append(args)
                 super().__init__(*args)
 
         monkeypatch.setattr(solver, "interval_kernel", counted_kernel)
-        monkeypatch.setattr(solver, "_DenseStep", CountedDenseStep)
+        monkeypatch.setattr(solver, "_StepForm", CountedStepForm)
         _, stats = integrate(q0, sys, MIDMID, grid, SolverConfig(newton_tol=1e-9), mode)
         assert solver._small(sys, grid) and stats.n_steps == grid.n_macro
         # not once or more per step: the residual, each matrix build, the
@@ -517,9 +543,8 @@ class TestBoundStep:
     @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
                              ids=["del", "pq"])
     def test_hessian_free_small_step_makes_no_scatter(self, fpu, mode, monkeypatch):
-        # its Newton matrix is differenced: neither the maps' Hessian scatter
-        # nor the dense step's is made, and the trajectory is the one with
-        # both made
+        # its Newton matrix is differenced: the maps' Hessian scatter is not
+        # made, and the trajectory is the one with it made
         sys, q0 = fpu
         sys = without_hessians(sys)
         grid = build_time_grid(0.3, 10, 6)     # FPU l=3: 33 unknowns
@@ -532,30 +557,29 @@ class TestBoundStep:
             raise AssertionError(f"{type(self).__name__}.scatter made")
 
         with monkeypatch.context() as m:
-            for cls in (discretization._StepMaps, discretization._DenseStep):
-                m.setattr(cls, "scatter", property(unmade))
+            m.setattr(discretization._StepForm, "scatter", property(unmade))
             traj = run()
-        DenseStep = discretization._DenseStep
+        StepForm = discretization._StepForm
 
-        class EagerDenseStep(DenseStep):
+        class EagerStepForm(StepForm):
             def __init__(self, *args):
                 super().__init__(*args)
                 assert len(self.scatter[0]) > 0
 
-        monkeypatch.setattr(solver, "_DenseStep", EagerDenseStep)
+        monkeypatch.setattr(solver, "_StepForm", EagerStepForm)
         eager = run()
         for name in ("slow_q", "slow_p", "fast_q", "fast_p"):
             assert getattr(traj, name).tobytes() == getattr(eager, name).tobytes(), name
 
     @pytest.mark.parametrize("p", [10, 20], ids=["small", "large"])
     def test_explicit_integrate_binds_its_step_once(self, spring_ring, p, monkeypatch):
-        # the kernel, the constants, G and, below the size rule, the record
-        # map are made once per integrate call, not once per step
+        # the kernel, the constants, G and the step's maps are made once per
+        # integrate call, not once per step
         sys, q0 = spring_ring
         grid = build_time_grid(0.01, p, 6)
-        made = {"kernel": 0, "step": 0, "record": 0}
-        kernel, ExplicitStep, StepRecord = (solver.interval_kernel, solver._ExplicitStep,
-                                            solver._StepRecord)
+        made = {"kernel": 0, "step": 0, "form": 0}
+        kernel, ExplicitStep, StepForm = (solver.interval_kernel, solver._ExplicitStep,
+                                          solver._StepForm)
 
         def counted_kernel(*args):
             made["kernel"] += 1
@@ -566,21 +590,20 @@ class TestBoundStep:
                 made["step"] += 1
                 super().__init__(*args)
 
-        class CountedRecord(StepRecord):
+        class CountedStepForm(StepForm):
             def __init__(self, *args):
-                made["record"] += 1
+                made["form"] += 1
                 super().__init__(*args)
 
         monkeypatch.setattr(solver, "interval_kernel", counted_kernel)
         monkeypatch.setattr(solver, "_ExplicitStep", CountedStep)
-        monkeypatch.setattr(solver, "_StepRecord", CountedRecord)
+        monkeypatch.setattr(solver, "_StepForm", CountedStepForm)
         for _ in range(2):
             _, stats = integrate(q0, sys, QuadratureSpec.explicit(), grid, SolverConfig(),
                                  IntegratorMode.EXPLICIT)
             assert stats.n_steps == grid.n_macro
-        small = solver._small(sys, grid)
-        assert small == (p == 10)
-        assert made == {"kernel": 2, "step": 2, "record": 2 if small else 0}
+        assert solver._small(sys, grid) == (p == 10)
+        assert made == {"kernel": 2, "step": 2, "form": 2}
 
     @pytest.mark.parametrize("step_fn", ["del", "pq"])
     @pytest.mark.parametrize("change", ["grid", "quadrature", "system"])
@@ -614,14 +637,18 @@ class TestBoundStep:
                          (got.p_fast, want.p_fast), (got.p_slow, want.p_slow)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size", ["dense", "terms"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
     @pytest.mark.parametrize("quad", FIXED_MAP_RULES, ids=FIXED_MAP_IDS)
     @pytest.mark.parametrize("system", ["fpu", "spring_ring"])
-    def test_one_point_is_its_row_of_a_batch(self, request, system, quad, batched):
+    def test_one_point_is_its_row_of_a_batch(self, request, system, quad, batched, size,
+                                             monkeypatch):
         sys, q0 = request.getfixturevalue(system)
         sys = dataclasses.replace(sys, batched=batched)
         grid = build_time_grid(0.05, 4, 1)
-        assert solver._small(sys, grid)
+        if size == "terms":
+            monkeypatch.setattr(solver, "_STRUCTURED_MIN_UNKNOWNS", 0)
+        assert solver._small(sys, grid) == (size == "dense")
         x0 = solver._drift_guess(q0, sys, grid)
         X = x0 + 1e-2 * np.random.default_rng(3).standard_normal((2, 3, x0.size))
         residual = solver._step_residual(q0, sys, quad, grid)
