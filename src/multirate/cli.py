@@ -286,42 +286,68 @@ def _format17(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv_layout(blank: np.ndarray):
+class _CsvLayout:
+    """The layout of CSV rows whose empty fields a (rows, fields) mask
+    marks, bound once for every block of such rows (:func:`_csv_layout`),
+    with the text buffer of its blocks."""
+
+    def __init__(self, kept, seps, row, at):
+        self.kept, self.seps, self.row, self.at = kept, seps, row, at
+        self.text = None if row is None else row[None].copy()
+
+    def place(self, words: np.ndarray) -> np.ndarray:
+        """The text of a block of n groups whose fields' slots are the
+        (n, slots * 4) ``words``: the first n rows of the reused buffer,
+        grown to n rows where it has fewer, with ``words`` placed."""
+        if self.row is None:
+            return words
+        if len(self.text) < len(words):
+            self.text = np.tile(self.row, (len(words), 1))
+        text = self.text[:len(words)]
+        text[:, self.at] = words
+        return text
+
+
+def _csv_layout(blank: np.ndarray) -> _CsvLayout:
     """How :func:`_csv_rows` lays out rows whose empty fields the (rows,
-    fields) mask ``blank`` marks: the flat indices of the other fields,
-    their separator words, and the runs of a group of rows, each a slice of
-    the fields' 32-byte slots or the separators of consecutive empty fields."""
+    fields) mask ``blank`` marks: the flat indices ``kept`` of the other
+    fields and their separator words ``seps``; where fields are empty, one
+    group of rows as 64-bit words, ``row``, with the separators of each
+    run of empty fields written in once, NUL-padded to whole words, and
+    ``at``, the words of the other fields' 32-byte slots.  A block's text
+    is a reused buffer of such rows, one per group, in which it places only
+    its slots (:meth:`_CsvLayout.place`): every word of a row it uses is
+    rewritten or an empty field's, so nothing of an earlier block stays."""
     blank, f = blank.ravel(), blank.shape[1]
     last = np.arange(blank.size) % f == f - 1
     kept = np.flatnonzero(~blank)
-    runs, slot, ends = [], 0, [*(np.flatnonzero(np.diff(blank)) + 1), blank.size]
-    for a, b in zip([0, *ends], ends):
-        if blank[a]:
-            runs.append(b"".join(b"\r\n" if e else b"," for e in last[a:b]))
-        else:
-            runs.append(slice(32 * slot, 32 * (slot + b - a)))
-            slot += b - a
     # a field's separator goes in bytes 29-30 of its _format17 slot
     seps = np.where(last[kept], ord("\r") << 40 | ord("\n") << 48, ord(",") << 40)
-    return kept, seps.astype(np.uint64), runs
+    if not blank.any():
+        return _CsvLayout(kept, seps.astype(np.uint64), None, None)
+    row, at, words = [], [], 0
+    ends = [*(np.flatnonzero(np.diff(blank)) + 1), blank.size]
+    for a, b in zip([0, *ends], ends):
+        if blank[a]:
+            run = b"".join(b"\r\n" if e else b"," for e in last[a:b])
+            row.append(np.frombuffer(run.ljust(-(-len(run) // 8) * 8, b"\0"), "<u8"))
+        else:
+            row.append(np.zeros(4 * (b - a), "<u8"))
+            at.append(np.arange(words, words + 4 * (b - a)))
+        words += len(row[-1])
+    return _CsvLayout(kept, seps.astype(np.uint64), np.concatenate(row), np.concatenate(at))
 
 
-def _csv_rows(values: np.ndarray, layout) -> bytes:
+def _csv_rows(values: np.ndarray, layout: _CsvLayout) -> bytes:
     """The CSV lines of ``values`` (groups, rows, fields), each ended by
     CRLF: every field is ``"%.17g"`` of its value, or empty where the
     (rows, fields) mask of the :func:`_csv_layout` ``layout`` is set, in
-    every group alike."""
+    every group alike.  Only the other fields are read and formatted; where
+    some are empty, the text is made in the layout's buffer."""
     n, r, f = values.shape
-    kept, seps, runs = layout
-    words = _format17(values.reshape(n, r * f)[:, kept]).reshape(n, kept.size, 4)
-    words[:, :, 3] |= seps
-    text = words.view(np.uint8).reshape(n, -1)
-    if len(runs) > 1:
-        empty = {run: np.broadcast_to(np.frombuffer(run, np.uint8), (n, len(run)))
-                 for run in runs if isinstance(run, bytes)}
-        text = np.concatenate([text[:, run] if isinstance(run, slice) else empty[run]
-                               for run in runs], axis=1)
-    return text.tobytes().translate(None, b"\0")
+    words = _format17(values.reshape(n, r * f)[:, layout.kept]).reshape(n, -1)
+    words[:, 3::4] |= layout.seps
+    return layout.place(words).tobytes().translate(None, b"\0")
 
 
 # rows of trajectory.csv formatted at a time
@@ -340,8 +366,15 @@ class _Outputs:
     intervals, one every ``_VERIFY_CHUNK - 1``) plus one interval, whose end
     momenta wait for the next step: it becomes the next chunk's first.  Times
     are the whole grid's; the files open, in binary, once the steps have
-    started.  A chunk's rows go out ``_CSV_CHUNK_ROWS`` at a time, as the
-    bytes of :func:`_csv_rows`, which are hashed and written once."""
+    started, and close on leaving the ``with`` block, on every path.
+
+    A chunk's rows go out ``_CSV_CHUNK_ROWS`` at a time, as the bytes of
+    :func:`_csv_rows`, which are hashed and written once.  What does not
+    change from block to block is made once per run: the layouts of the
+    rows, the end row and the energies with their text buffers, and one
+    block array of whole intervals whose ``m`` column and micro times
+    ``m dt`` are filled in here; a block writes its times as
+    ``(t0 + k dT) + m dt``."""
 
     def __init__(self, out: Path, sys, q0: State, quad: QuadratureSpec, grid: TimeGrid):
         p = grid.micro_per_macro
@@ -357,6 +390,9 @@ class _Outputs:
             (0, n_s), (n_s, n_f), (n_s + n_f, n_s), (2 * n_s + n_f, n_f))]
         blank = np.zeros((p, 3 + 2 * n_s + 2 * n_f), bool)
         blank[1:, self.cols[0]] = blank[1:, self.cols[2]] = True
+        self.block = np.empty((max(1, _CSV_CHUNK_ROWS // p),) + blank.shape)
+        self.block[:, :, 2] = np.arange(p)
+        self.micro_times = np.arange(p) * grid.dt
         self.layouts = {"rows": _csv_layout(blank), "end": _csv_layout(blank[:1]),
                         "energy": _csv_layout(np.zeros(
                             (1, 5 + (n_f + 1 if sys.oscillatory_energy else 0)), bool))}
@@ -377,14 +413,19 @@ class _Outputs:
                 a[self.n * stride + 1:] = 0.0
             self.n = min(buf.n_macro, self.grid.n_macro - self.k0)
 
-    def close(self) -> dict:
+    def finish(self) -> dict:
         """Write the last chunk and its end node; the manifest's outputs."""
         self._flush(final=True)
         N, p = self.grid.n_macro, self.grid.micro_per_macro
-        for fh, _ in self.files.values():
-            fh.close()
         return {name: {"sha256": sha.hexdigest(), "rows": rows}
                 for (name, (_, sha)), rows in zip(self.files.items(), (N * p + 1, N + 1))}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for fh, _ in (self.files or {}).values():
+            fh.close()
 
     def _write(self, name: str, data: bytes):
         """Write ``data`` to output ``name``, hashing it as written."""
@@ -407,15 +448,15 @@ class _Outputs:
             self._write("energy.csv", ",".join(energy).encode() + b"\r\n")
         n, layouts = (self.n if final else self.n - 1), self.layouts
         q_s, q_f, p_s, p_f = self.cols
-        per_chunk = max(1, _CSV_CHUNK_ROWS // p)
-        for a in range(0, n, per_chunk):
-            b = min(a + per_chunk, n)
+        per_block = len(self.block)
+        for a in range(0, n, per_block):
+            b = min(a + per_block, n)
             k = np.arange(k0 + a, k0 + b)[:, None]
-            rows = np.empty((b - a, p, p_f.stop))
-            rows[:, :, 0] = (grid.t0 + k * grid.dT) + np.arange(p) * grid.dt
+            # the block's first b - a intervals; micro rows leave q_s, p_s unread
+            rows = self.block[:b - a]
+            np.add(grid.t0 + k * grid.dT, self.micro_times, out=rows[:, :, 0])
             rows[:, :, 1] = k
-            rows[:, :, 2] = np.arange(p)
-            rows[:, :, q_s], rows[:, :, p_s] = buf.slow_q[a:b, None], buf.slow_p[a:b, None]
+            rows[:, 0, q_s], rows[:, 0, p_s] = buf.slow_q[a:b], buf.slow_p[a:b]
             rows[:, :, q_f] = buf.fast_q[a * p:b * p].reshape(b - a, p, n_f)
             rows[:, :, p_f] = buf.fast_p[a * p:b * p].reshape(b - a, p, n_f)
             self._write("trajectory.csv", _csv_rows(rows, layouts["rows"]))
@@ -460,14 +501,14 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     status, partial, stats = "ok", False, None
-    outputs = _Outputs(out, sysm, q0, quad, grid)
-    try:
-        _, stats = integrate(q0, sysm, quad, grid, config, mode, store=outputs.store)
-    except IntegrationError as exc:
-        status = f"diverged at macro step {exc.step_index}: {exc.cause}"
-        partial = True
-        outputs.pad()
-    written = outputs.close()
+    with _Outputs(out, sysm, q0, quad, grid) as outputs:
+        try:
+            _, stats = integrate(q0, sysm, quad, grid, config, mode, store=outputs.store)
+        except IntegrationError as exc:
+            status = f"diverged at macro step {exc.step_index}: {exc.cause}"
+            partial = True
+            outputs.pad()
+        written = outputs.finish()
     _write_manifest(out, {
         "command": "simulate",
         "params": _resolved_params(args, {"n_macro": n_macro, "newton_tol": config.newton_tol}),

@@ -882,7 +882,14 @@ class _ExplicitStep:
     form (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
     VIII.5): u = fast[m+1] - fast[m] takes ``u -= K @ g_m``.  The node
     gradients go into G, or one gather takes the terms' from them; the
-    record is the record map applied to G."""
+    record is the record map applied to G.
+
+    What a step looks up is bound here once: the callbacks, the products
+    with K and the inverse masses, the step sizes and kick weights, the rows
+    of G the micro steps write, and the record.  Every product keeps its
+    association: the first increment is ``dt * (M_f^-1 p)`` and the slow
+    drift ``dT * (M_s^-1 p_s)``, not a product with dt M_f^-1 or dT M_s^-1,
+    which would round differently wherever a mass is not a power of two."""
 
     def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         if not quad.explicit_solvable:
@@ -900,56 +907,66 @@ class _ExplicitStep:
                            and np.array_equal(kern.W.node, np.arange(p)))
         self.form = form = _StepForm(kern, sys, _small(sys, grid))
         a, b = k_V * n_s, k_V * (n_s + n_f)
-        self.n_grads = c = form.kinetic_cols.start
+        c = form.kinetic_cols.start
         # the record map's columns of p_s0 and p_f0 are zero: so are these
         self.G = np.zeros(form.record.shape[1])
         self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
                       self.G[b:c].reshape(k_W, n_f))
+        self.node_grads = self.G[:c]
         self.d = self.G[c:c + n_s], self.G[c + n_s:form.kinetic_cols.stop].reshape(p, n_f)
         self.at_nodes = self.grads if self.node_terms else (
             np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
+        # ndarray.dot makes matmul's BLAS call at about half its overhead on
+        # a small matrix
+        self.K_dot, self.M_f_inv_dot = self.K.dot, sys.mass_fast_inv.dot
+        self.M_s_inv_dot = sys.mass_slow_inv.dot
+        self.fast_grad, self.slow_grad = sys.fast_potential_grad, sys.slow_potential_grad
+        self.dt, self.dT, self.fast_shape = kern.dt, kern.dT, (p + 1, n_f)
+        self.micro_grads = list(self.at_nodes[2][1:p])
+        self.record_momenta = form.record_momenta
 
     def __call__(self, index: int, start: State) -> MacroStep:
         """The step from ``start``."""
-        kern, sys, K, p, dt = self.kern, self.sys, self.K, self.kern.p, self.kern.dt
         q0, f0 = start.q_slow, start.q_fast
-        fast_grad = sys.fast_potential_grad
+        fast_grad, K_dot = self.fast_grad, self.K_dot
         slow_s, slow_f, g_W_node = self.at_nodes
 
         # the slow gradient at the start enters through its kicks and the slow
         # term at node 0, both there exactly where alpha_V != 0
         p_s, p_f = start.p_slow, start.p_fast
         if self.kick_V:
-            slow_s[0], slow_f[0] = sys.slow_potential_grad(q0, f0)
+            slow_s[0], slow_f[0] = self.slow_grad(q0, f0)
             p_s, p_f = p_s - self.kick_V * slow_s[0], p_f - self.kick_V * slow_f[0]
         g_W_node[0] = fast_grad(f0)
-        fast = np.empty((p + 1, sys.n_fast))
+        fast = np.empty(self.fast_shape)
         fast[0] = f0
-        u = dt * sys.mass_fast_inv.dot(p_f - self.kick_W * g_W_node[0])
+        u = self.dt * self.M_f_inv_dot(p_f - self.kick_W * g_W_node[0])
         np.add(f0, u, out=fast[1])
-        # three numpy calls per micro step; ndarray.dot makes matmul's BLAS call
-        # at about half its overhead on a small matrix
-        for f, f_next, g in zip(fast[1:p], fast[2:], g_W_node[1:p]):
+        # three numpy calls per micro step
+        for f, f_next, g in zip(fast[1:-1], fast[2:], self.micro_grads):
             g[:] = fast_grad(f)
-            u -= K.dot(g)
+            u -= K_dot(g)
             np.add(f, u, out=f_next)
-        q1 = q0 + kern.dT * sys.mass_slow_inv.dot(p_s)
+        q1 = q0 + self.dT * self.M_s_inv_dot(p_s)
 
-        g_s, g_fV, g_W = self.grads
         if not self.node_terms:
             # each term's gradient by its node: a row no term uses is never read
+            kern = self.kern
+            p = kern.p
             if kern.V.at_end:
-                slow_s[p], slow_f[p] = sys.slow_potential_grad(q1, fast[p])
+                slow_s[p], slow_f[p] = self.slow_grad(q1, fast[p])
             if kern.W.at_end:
                 g_W_node[p] = fast_grad(fast[p])
             for rows, terms, out in zip(self.at_nodes, (kern.V, kern.V, kern.W), self.grads):
                 np.take(rows, terms.node, axis=0, out=out)
-        if not _finite(self.G[:self.n_grads]):
-            _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
-            _check_finite((g_W,), kern.W.m, "fast-potential gradient")
-        np.subtract(q1, q0, out=self.d[0])
-        np.subtract(fast[1:], fast[:-1], out=self.d[1])
-        return MacroStep(index, q0, q1, fast, *self.form.record_momenta(self.G))
+        if not _finite(self.node_grads):
+            g_s, g_fV, g_W = self.grads
+            _check_finite((g_s, g_fV), self.kern.V.m, "slow-potential gradient")
+            _check_finite((g_W,), self.kern.W.m, "fast-potential gradient")
+        d_s, d_f = self.d
+        np.subtract(q1, q0, out=d_s)
+        np.subtract(fast[1:], fast[:-1], out=d_f)
+        return MacroStep(index, q0, q1, fast, *self.record_momenta(self.G))
 
 
 def _explicit_step(index: int, start: State, sys: MultirateSystem, quad: QuadratureSpec,

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
-from multirate.discretization import interval_kernel
-from multirate.solver import MacroStep, _HeldMatrix, _step_residual
+from multirate.discretization import (_check_finite, _finite, _left_weight, _StepForm,
+                                     interval_kernel)
+from multirate.solver import MacroStep, _HeldMatrix, _small, _step_residual
 
 
 def central_diff(f, x, h):
@@ -310,6 +311,82 @@ def explicit_step_position_form(index, start, sys, quad, grid, held=None):
                                                             g_sV, g_fV, g_W)
     return MacroStep(index, q0, q1, fast, np.concatenate([p_f_minus, p_f_plus[-1:]]),
                      np.stack([p_s_minus, p_s_plus]))
+
+
+class _ExplicitStepReference:
+    """The explicit step's arithmetic as written before its per-step
+    lookups were bound once: every product in the same order and with the
+    same association, so that the library's step must give the same bits
+    (:func:`explicit_step_reference`)."""
+
+    def __init__(self, sys, quad, grid):
+        self.sys, self.quad, self.grid = sys, quad, grid
+        self.kern = kern = interval_kernel(quad, grid)
+        p, n_s, n_f, k_V, k_W = kern.p, sys.n_slow, sys.n_fast, kern.V.m.size, kern.W.m.size
+        self.K = (kern.dt * kern.dt) * sys.mass_fast_inv
+        self.kick_V = kern.dT * quad.alpha_V
+        self.kick_W = kern.dt * _left_weight(quad.alpha_W, quad.gamma_W)
+        self.node_terms = (np.array_equal(kern.V.node, [0])
+                           and np.array_equal(kern.W.node, np.arange(p)))
+        self.form = form = _StepForm(kern, sys, _small(sys, grid))
+        a, b = k_V * n_s, k_V * (n_s + n_f)
+        self.n_grads = c = form.kinetic_cols.start
+        self.G = np.zeros(form.record.shape[1])
+        self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
+                      self.G[b:c].reshape(k_W, n_f))
+        self.d = self.G[c:c + n_s], self.G[c + n_s:form.kinetic_cols.stop].reshape(p, n_f)
+        self.at_nodes = self.grads if self.node_terms else (
+            np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
+
+    def __call__(self, index, start):
+        kern, sys, K, p, dt = self.kern, self.sys, self.K, self.kern.p, self.kern.dt
+        q0, f0 = start.q_slow, start.q_fast
+        fast_grad = sys.fast_potential_grad
+        slow_s, slow_f, g_W_node = self.at_nodes
+
+        p_s, p_f = start.p_slow, start.p_fast
+        if self.kick_V:
+            slow_s[0], slow_f[0] = sys.slow_potential_grad(q0, f0)
+            p_s, p_f = p_s - self.kick_V * slow_s[0], p_f - self.kick_V * slow_f[0]
+        g_W_node[0] = fast_grad(f0)
+        fast = np.empty((p + 1, sys.n_fast))
+        fast[0] = f0
+        u = dt * sys.mass_fast_inv.dot(p_f - self.kick_W * g_W_node[0])
+        np.add(f0, u, out=fast[1])
+        for f, f_next, g in zip(fast[1:p], fast[2:], g_W_node[1:p]):
+            g[:] = fast_grad(f)
+            u -= K.dot(g)
+            np.add(f, u, out=f_next)
+        q1 = q0 + kern.dT * sys.mass_slow_inv.dot(p_s)
+
+        g_s, g_fV, g_W = self.grads
+        if not self.node_terms:
+            if kern.V.at_end:
+                slow_s[p], slow_f[p] = sys.slow_potential_grad(q1, fast[p])
+            if kern.W.at_end:
+                g_W_node[p] = fast_grad(fast[p])
+            for rows, terms, out in zip(self.at_nodes, (kern.V, kern.V, kern.W), self.grads):
+                np.take(rows, terms.node, axis=0, out=out)
+        if not _finite(self.G[:self.n_grads]):
+            _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
+            _check_finite((g_W,), kern.W.m, "fast-potential gradient")
+        np.subtract(q1, q0, out=self.d[0])
+        np.subtract(fast[1:], fast[:-1], out=self.d[1])
+        return MacroStep(index, q0, q1, fast, *self.form.record_momenta(self.G))
+
+
+def explicit_step_reference(index, start, sys, quad, grid, held=None):
+    """Macro step ``index`` from ``start`` by the explicit step's reference
+    arithmetic, with the signature of ``solver._explicit_step``: the
+    reference step is bound once per holder ``held`` (kept beside the
+    library's bound step, which it does not read) and system, quadrature
+    and grid."""
+    step = getattr(held, "reference", None)
+    if not (step is not None and step.sys is sys and step.quad is quad and step.grid is grid):
+        step = _ExplicitStepReference(sys, quad, grid)
+        if held is not None:
+            held.reference = step
+    return step(index, start)
 
 
 def full_momenta(kern, q0, q1, fast, sys, g_s, g_fV, g_W):

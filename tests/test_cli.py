@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +230,28 @@ class TestStreamedOutputs:
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 1)
         self.check(tmp_path, RING + ("--dT", "0.01", "--p", "10", "--t-end", "3.0"))
 
+    def test_write_error_closes_the_files(self, tmp_path, monkeypatch):
+        # an OSError from a write mid-run, in the first chunk's energies of
+        # five: exit code 4, and no file of the run is left open
+        write, calls = cli._Outputs._write, []
+
+        def failing(self, name, data):
+            calls.append(name)
+            if len(calls) == 40:
+                raise OSError("planted write failure")
+            return write(self, name, data)
+
+        monkeypatch.setattr(cli._Outputs, "_write", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("simulate", *RING, "--dT", "0.01", "--p", "10", "--t-end", "20",
+                       "--out", str(tmp_path / "run"))
+            gc.collect()
+        assert code == 4
+        assert calls[-1] == "energy.csv" and len(calls) == 40
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     # formatter blocks (_CSV_CHUNK_ROWS) of one interval, of one row less
     # (still one interval) and of two intervals: 63 intervals a chunk, so the
     # last end mid-chunk
@@ -334,9 +358,51 @@ class TestFormat17:
     def test_csv_rows_leave_blank_fields_empty(self):
         values = np.random.default_rng(1).standard_normal((3, 2, 4)) * 1e3
         blank = np.array([[False, True, True, False], [True, False, False, True]])
-        lines = "".join(",".join("" if b else "%.17g" % v for v, b in zip(row, blank[i])) + "\r\n"
-                        for group in values for i, row in enumerate(group))
-        assert _csv_rows(values, _csv_layout(blank)) == lines.encode()
+        assert _csv_rows(values, _csv_layout(blank)) == percent_rows(values, blank)
+
+
+def percent_rows(values, blank):
+    """The CSV lines of ``values`` (groups, rows, fields) by Python's ``%``:
+    empty fields where the (rows, fields) mask ``blank`` is set."""
+    return "".join(",".join("" if b else "%.17g" % v for v, b in zip(row, blank[i])) + "\r\n"
+                   for group in values for i, row in enumerate(group)).encode()
+
+
+class TestBoundLayout:
+    """A layout is made once per run and formats every block of its rows
+    in one reused buffer: each block's text must be its own rows alone,
+    whatever larger block came before it."""
+
+    @staticmethod
+    def values(rng, shape):
+        # lengths from 1 to 24 characters, so that a leftover byte would show
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-7, 20, shape)
+        v[rng.random(shape) < 0.1] = 0.0
+        return np.where(rng.random(shape) < 0.1, np.round(v), v)
+
+    # simulate's ring rows at p = 10 (slow fields empty on micro rows); a
+    # mask whose empty runs cross the end of a row and fill one
+    MASKS = {
+        "ring-p10": np.isin(np.arange(39), [*range(3, 12), *range(21, 30)])[None]
+        & (np.arange(10) > 0)[:, None],
+        "across-rows": np.array([[False, False, True, True], [True, True, True, True],
+                                 [True, False, False, False]]),
+    }
+
+    @pytest.mark.parametrize("blank", MASKS.values(), ids=MASKS.keys())
+    def test_blocks_of_12_3_1_and_12_groups(self, blank):
+        rng, layout = np.random.default_rng(3), _csv_layout(blank)
+        for n in (12, 3, 1, 12):
+            values = self.values(rng, (n,) + blank.shape)
+            assert _csv_rows(values, layout) == percent_rows(values, blank), n
+
+    @pytest.mark.parametrize("fields", [5, 5 + 4], ids=["no-stiff", "stiff-3"])
+    def test_energy_layout_over_node_counts(self, fields):
+        rng, blank = np.random.default_rng(4), np.zeros((1, fields), bool)
+        layout = _csv_layout(blank)
+        for nodes in (442, 7, 1, 442, 64):
+            values = self.values(rng, (nodes, 1, fields))
+            assert _csv_rows(values, layout) == percent_rows(values, blank), nodes
 
 
 class TestManifestHash:

@@ -33,7 +33,7 @@ from multirate import (
 )
 from multirate import discretization, schemes, solver, systems
 from multirate.discretization import _Workspace, interval_kernel
-from multirate.systems import FpuConfig
+from multirate.systems import FpuConfig, SpringRingConfig
 
 from multirate.solver import (
     _VERIFY_CHUNK,
@@ -48,6 +48,7 @@ from multirate.solver import (
 from _oracles import (
     block_mass_inv,
     explicit_step_position_form,
+    explicit_step_reference,
     full_grad_potential,
     implicit_midpoint_trajectory,
     momentum_mismatch_residual,
@@ -1288,6 +1289,48 @@ class TestIncrementForm:
         first, again = self.run(sys, q0, quad), self.run(sys, q0, quad)
         for name in ("slow_q", "fast_q", "slow_p", "fast_p"):
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
+
+
+class TestExplicitStepBits:
+    """The explicit step against ``_oracles.explicit_step_reference``, its
+    arithmetic before the step's lookups were bound once: 200-step
+    trajectories are equal bit for bit.  The masses are not powers of two,
+    so that a product whose association changed, such as dt M_f^-1 made
+    once, would show."""
+
+    SYSTEMS = {
+        "fpu": lambda: systems.build_fpu(FpuConfig(masses=[1.3, 0.7, 2.9, 1.1, 0.35, 1.7])),
+        "spring_ring": lambda: systems.build_spring_ring(
+            SpringRingConfig(masses=[1.3, 2.7, 0.9, 3.1, 1.7, 2.3])),
+    }
+
+    # p = 1 has no micro step in the loop; the ring at p = 20 (189
+    # unknowns) records by the terms of its map, the others with a dense one
+    @TestIncrementForm.RULES
+    @pytest.mark.parametrize("p", [1, 2, 10, 20])
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_trajectory_equals_reference(self, monkeypatch, system, p, rule):
+        sys, q0 = self.SYSTEMS[system]()
+        assert not np.all(np.log2(np.diag(sys.mass_fast)) % 1 == 0)
+        alpha_v, alpha_w, gamma_w = rule
+        quad = QuadratureSpec(alpha_v, 1.0, alpha_w, gamma_w, SlowPlacement.MACRO_NODES_ONLY)
+        grid = build_time_grid(1e-3 * p, p, 200)
+
+        def run():
+            return integrate(q0, sys, quad, grid, SolverConfig(), IntegratorMode.EXPLICIT)[0]
+
+        traj = run()
+        monkeypatch.setattr(solver, "_explicit_step", explicit_step_reference)
+        ref = run()
+        assert solver._small(sys, grid) == (system == "fpu" or p < 20)
+        assert np.isfinite(ref.fast_p).all()
+        for name in ("slow_q", "fast_q", "slow_p", "fast_p"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+    def test_default_rule_is_covered(self):
+        # QuadratureSpec.explicit() is the rule 1-1-1 of the cases above
+        assert QuadratureSpec.explicit() == QuadratureSpec(1.0, 1.0, 1.0, 1.0,
+                                                           SlowPlacement.MACRO_NODES_ONLY)
 
 
 class TestIntegrate:
