@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlignmentError, IntegrationError
-from .model import MultirateSystem, QuadratureSpec, State, TimeGrid, Trajectory
+from .model import MultirateSystem, QuadratureSpec, State, TimeGrid, Trajectory, _macro_steps
 from .solver import IntegratorMode, SolverConfig, integrate
 
 __all__ = [
@@ -219,9 +219,9 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
     If no reference trajectory is supplied, one is computed at ``ref_dT``
     with one micro step per macro step using the same quadrature.  Sweep rows
     run one after another; failures are recorded per row instead of aborting
-    the study.  A ``p_ratio``, ``t_end``, ``ref_dT`` or
-    ``dT_list`` that no time grid can hold raises ValueError before any
-    integration.
+    the study.  A ``p_ratio``, ``t_end``, ``ref_dT`` or ``dT_list`` that no
+    time grid can hold, or a ``ref_dT`` that does not divide ``t_end``,
+    raises ValueError before any integration.
     """
     if int(p_ratio) != p_ratio or p_ratio < 1:
         raise ValueError(f"p_ratio must be a positive integer, got {p_ratio}")
@@ -237,7 +237,7 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
     if reference is None:
         if ref_dT is None:
             raise ValueError("either a reference trajectory or ref_dT is required")
-        n_ref = int(round(t_end / ref_dT))
+        n_ref = _macro_steps(t_end, ref_dT, "ref_dT")
         ref_grid = TimeGrid(dT=ref_dT, micro_per_macro=1, n_macro=n_ref, t0=0.0)
         reference, _ = integrate(q0, sys, quad, ref_grid, config)
 
@@ -246,10 +246,8 @@ def convergence_study(sys: MultirateSystem, quad: QuadratureSpec, q0: State, p_r
 
     for i, dT in enumerate(dT_values):
         try:
-            n_macro = round(t_end / dT)
-            if abs(n_macro * dT - t_end) > 1e-9 * max(1.0, t_end):
-                raise ValueError(f"dT={dT} does not divide t_end={t_end}")
-            grid = TimeGrid(dT=dT, micro_per_macro=p_ratio, n_macro=int(n_macro), t0=0.0)
+            n_macro = _macro_steps(t_end, dT)
+            grid = TimeGrid(dT=dT, micro_per_macro=p_ratio, n_macro=n_macro, t0=0.0)
             traj, _ = integrate(q0, sys, quad, grid, config, mode)
             en = error_norms(traj, reference, include_micro=include_micro)
         except (IntegrationError, AlignmentError, ValueError) as exc:

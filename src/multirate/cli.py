@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, systems
 from .errors import ConfigurationError, IntegrationError, MultirateError
-from .model import QuadratureSpec, State, TimeGrid, Trajectory, validate_system
+from .model import QuadratureSpec, State, TimeGrid, Trajectory, _macro_steps, validate_system
 from .solver import (_VERIFY_CHUNK, IntegratorMode, SolverConfig, TrajectoryCertificate,
                      _empty_trajectory, _store_step, integrate, verify_trajectory)
 
@@ -493,9 +493,7 @@ def cmd_simulate(args) -> int:
     mode = _resolve_mode(args)
     config = _solver_config(args)
     _check_run_options(args.t_end, [("dT", args.dT)], [args.p])
-    n_macro = int(round(args.t_end / args.dT)) if args.t_end > 0 else 0
-    if n_macro and abs(n_macro * args.dT - args.t_end) > 1e-9 * max(1.0, args.t_end):
-        raise ConfigurationError(f"t_end={args.t_end} is not a multiple of dT={args.dT}")
+    n_macro = _macro_steps(args.t_end, args.dT)
     grid = TimeGrid(dT=args.dT, micro_per_macro=args.p, n_macro=n_macro, t0=0.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -630,13 +628,16 @@ def cmd_bench(args) -> int:
     p_list = _parse_int_list(args.p_list, "p")
     _check_run_options(args.t_end, [("dt", args.dt)], p_list)
     dt = args.dt
+    # every row runs to t_end, a positive whole number of its macro steps
+    steps = [_macro_steps(args.t_end, p * dt, f"p={p}: dT") for p in p_list]
+    if 0 in steps:
+        raise ConfigurationError(f"t_end must be positive, got {args.t_end}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for p in p_list:
+    for p, n_macro in zip(p_list, steps):
         dT = p * dt
-        n_macro = int(round(args.t_end / dT))
         grid = TimeGrid(dT=dT, micro_per_macro=p, n_macro=n_macro, t0=0.0)
         try:
             t0 = time.perf_counter()

@@ -26,9 +26,10 @@ C ⊗ B of a small weight matrix C and an identity or mass block B
 is materialized with ``np.kron`` and is one product; from it on its terms
 are applied one at a time.  The DEL residual, the step records, the p/q
 maps, ``verify_trajectory`` and :func:`interval_momenta` all run through
-these maps.  The Newton matrix adds the Hessians at the same points, into
-fixed positions of a dense matrix (:meth:`_StepForm.matrix`) or summed per
-micro interval into blocks (:meth:`_IntervalKernel.hessian_blocks`).
+these maps.  Both Newton matrices take the Hessians at their points
+(:meth:`_StepForm.hessians`), into fixed positions of a dense matrix
+(:meth:`_StepForm.matrix`) or summed per micro interval into blocks
+(:meth:`_IntervalKernel.hessian_sums`).
 """
 from __future__ import annotations
 
@@ -85,7 +86,7 @@ def _finite(*arrays: np.ndarray) -> bool:
     the sum of the squares of a contiguous array's entries (one dot product,
     a third of the cost of ``ndarray.sum`` on a few dozen entries), or of
     the entries of another array, inf or NaN.  False may also mean overflow,
-    so the caller then looks into the entries (:func:`_check_finite`)."""
+    so the caller then looks into the entries (:meth:`_StepForm.check_finite`)."""
     total = 0.0
     for a in arrays:
         if a.flags.c_contiguous:
@@ -94,24 +95,6 @@ def _finite(*arrays: np.ndarray) -> bool:
         else:
             total += np.add.reduce(a, axis=None)
     return math.isfinite(total)
-
-
-def _check_finite(values, intervals: np.ndarray, what: str):
-    """Raise naming the micro interval of the first point with a non-finite value.
-
-    ``values`` hold one row per point, points ordered batch-major over a
-    trailing term axis of length ``intervals.size``; ``intervals[t]`` is the
-    micro interval of term t.
-    """
-    # one that overflowed is looked into and passes
-    if _finite(*values):
-        return
-    bad = np.zeros(values[0].shape[0], dtype=bool)
-    for a in values:
-        bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    if bad.any():
-        m = int(intervals[int(np.argmax(bad)) % intervals.size])
-        raise EvaluationError(f"non-finite {what} at micro interval {m}", node_index=m)
 
 
 class _Workspace:
@@ -219,10 +202,8 @@ class _IntervalKernel:
     The slow potential V is evaluated at the terms of ``V`` with slow point
     ``c0 * q_s_k + c1 * q_s_next`` (``c0``, ``c1`` as (k, 1) columns), the
     fast potential W at the terms of ``W``.  Their weights write the step's
-    fixed maps (:class:`_StepForm`); the kernel itself computes the points
-    and the Hessian sums of the block Newton matrix, with each potential's
-    Hessians requested once per batch of points through
-    :meth:`MultirateSystem.evaluate_batch`.
+    fixed maps (:class:`_StepForm`), which make the points, and the block
+    Newton matrix's sums of the Hessians there (:meth:`hessian_sums`).
 
     ``shared`` tells whether V and W evaluate at the same fast points with
     the same weights, as the midpoint-midpoint rule does.  Then the points
@@ -265,45 +246,25 @@ class _IntervalKernel:
         self.shared = (np.array_equal(self.V.gather, self.W.gather)
                        and np.array_equal(self.V.equations, self.W.equations))
 
-    def points(self, q0, q1, fast):
-        """Slow and fast quadrature points ``(Qs, QfV, QfW)``; arguments may
-        carry leading batch axes.  QfW is QfV itself where ``shared``."""
-        Qs = self.c0 * q0[..., None, :] + self.c1 * q1[..., None, :]
-        QfV = self.V.gather @ fast
-        return Qs, QfV, QfV if self.shared else self.W.gather @ fast
-
-    def hessian_blocks(self, q0, q1, fast, sys: MultirateSystem, ws: _Workspace | None = None):
-        """Potential second-derivative sums of one interval, for the Newton Jacobian.
+    def hessian_sums(self, H_ss, H_sf, H_ff, H_W, ws: _Workspace):
+        """Sums of the Hessians at the terms' points (:meth:`_StepForm.hessians`,
+        only read) for the block Newton matrix.
 
         Returns ``(ss, border, ff)``: ``ss`` = sum of w*c0*c1*H_ss;
         ``border[0, j-1]`` (n_slow, n_fast) couples the slow equation to fast
         node j = 1..p, ``border[1, i]`` the equation of fast node i = 0..p-1
-        to the next slow node (to be transposed); ``ff`` (3, p, n_fast,
-        n_fast) holds the left-left, left-right and right-right blocks of
+        to the next slow node (to be transposed); ``ff`` holds the
+        left-left, left-right and right-right (p, n_fast, n_fast) blocks of
         each micro interval.  Every block is a sum over the terms of one
         micro interval (:meth:`_Terms.interval_sums`), computed once per
-        distinct weight row; ``ff`` hands out repeated rows from that one
-        sum, as a read-only view where the three rows are one.  A fast
-        node's border block adds the sums of the two intervals it bounds.
-        A non-finite Hessian raises
-        :class:`~multirate.errors.EvaluationError` naming its micro interval.
-
-        The results are written into arrays of the workspace ``ws`` (a new
-        one by default), which the next call with it overwrites; the arrays
-        that the Hessian callbacks return are only read.
+        distinct weight row; ``ff`` is a list of views of those sums, a
+        repeated row repeating its view.  A fast node's border block adds
+        the sums of the two intervals it bounds.  The blocks are written
+        into arrays of the workspace ``ws``, which the next call with it
+        overwrites.
         """
-        ws = _Workspace() if ws is None else ws
-        Qs, QfV, QfW = self.points(q0, q1, fast)
-        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
-        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
         k = H_ss.shape[0]
-        # the terms' H_ss side by side, for one vector-matrix product
-        H = ws("H_ss", H_ss.shape)
-        H[...] = H_ss
-        if not _finite(H, H_sf, H_ff, H_W):
-            _check_finite((H_ss, H_sf, H_ff), self.V.m, "slow-potential Hessian")
-            _check_finite((H_W,), self.W.m, "fast-potential Hessian")
-        ss = (self.w_c0c1 @ H.reshape(k, -1)).reshape(H_ss.shape[1:])
+        ss = (self.w_c0c1 @ H_ss.reshape(k, -1)).reshape(H_ss.shape[1:])
         sums = self.V.interval_sums(self.border, H_sf, ws, "border sums")
         s0, s1, s2, s3 = (sums[j] for j in self.border_rows)
         border = ws("border", (2,) + sums.shape[1:])
@@ -313,9 +274,7 @@ class _IntervalKernel:
         np.add(s1[1:], s3[:-1], out=border[1, 1:])
         ff = self.V.interval_sums(self.ff_V, H_ff, ws, "ff")
         ff += self.W.interval_sums(self.ff_W, H_W, ws, "ff W")
-        if len(ff) == 1:
-            return ss, border, np.broadcast_to(ff, (3,) + ff.shape[1:])
-        return ss, border, ff if len(ff) == 3 else ff[self.ff_rows]
+        return ss, border, [ff[j] for j in self.ff_rows]
 
 
 class _Map:
@@ -423,12 +382,13 @@ class _StepForm:
         p, V, W, n_s, n_f = kern.p, kern.V, kern.W, sys.n_slow, sys.n_fast
         self.n_s, self.n_f, self.k_V, self.k_W = n_s, n_f, V.m.size, W.m.size
         self.N = N = n_s + p * n_f
-        n_0, at_fV, at_gW = n_s + n_f, self.k_V * n_s, self.k_V * (n_s + n_f)
-        self.bounds = a, b, M = tuple(itertools.accumulate(
-            (at_fV, self.k_V * n_f, 0 if kern.shared else self.k_W * n_f)))
-        # the columns of d in G, W's gradients having their own in any case
-        self.kinetic_cols = slice(at_gW + self.k_W * n_f, at_gW + self.k_W * n_f + N)
-        d, n_G = self.kinetic_cols.start, self.kinetic_cols.stop + n_0
+        n_0 = n_s + n_f
+        # where G's g_s, g_fV, g_W, d_s and d_f end (W's gradients having
+        # their own columns in any case), and where z's Qs, QfV and QfW end
+        self.G_ends = at_fV, at_gW, d, _, _ = tuple(itertools.accumulate(
+            (self.k_V * n_s, self.k_V * n_f, self.k_W * n_f, n_s, N - n_s)))
+        self.bounds = _, _, M = at_fV, at_gW, at_gW if kern.shared else d
+        n_G = d + N + n_0
         # V's fast points and gradients sit right before W's: one term for both
         gather = V.gather if kern.shared else np.vstack([V.gather, W.gather])
         self.points = _Map((M + N + n_0, N), [
@@ -460,8 +420,8 @@ class _StepForm:
              (n_s, n_s, np.tri(p), -kern.dt * sys.mass_fast_inv)]
         self.T = _Map((N, N), T, dense)
         self.abs_T = _Map((N, N), [(r, c, np.abs(C), np.abs(B)) for r, c, C, B in T], dense)
-        # (start, x, z) of the last residual of one point, whose Hessian
-        # points a Newton matrix built at the same iterate reads
+        # (start, x, z) of the last residual of one point, whose points a
+        # Newton matrix built at the same iterate reads
         self.last = None
 
     def shift(self, start: State) -> np.ndarray:
@@ -473,7 +433,7 @@ class _StepForm:
         """G of z (..., rows of ``points``): the gradients at the quadrature
         points of every z of the batch from one call of each batch callable
         (``slow``, ``fast``), then z's tail.  A non-finite gradient raises
-        naming its micro interval, slow before fast (:func:`_check_finite`)."""
+        naming its micro interval, slow before fast (:meth:`check_finite`)."""
         (a, b, M), lead = self.bounds, z.shape[:-1]
         n = math.prod(lead)
         QfV = z[..., a:b].reshape(n * self.k_V, self.n_f)
@@ -484,9 +444,53 @@ class _StepForm:
                             axis=-1))
         # a non-finite gradient makes G non-finite
         if not _finite(G):
-            _check_finite((g_s, g_fV), self.kern.V.m, "slow-potential gradient")
-            _check_finite((g_W,), self.kern.W.m, "fast-potential gradient")
+            self.check_finite((g_s, g_fV), (g_W,), "gradient")
         return G
+
+    def check_finite(self, slow, fast, what: str):
+        """Raise naming the micro interval of the first point with a
+        non-finite ``what`` (gradient or Hessian) of the slow potential among
+        the arrays ``slow``, then of the fast one among ``fast``: a row per
+        point, points batch-major over the terms of V, resp. W."""
+        for values, terms, name in ((slow, self.kern.V, "slow"), (fast, self.kern.W, "fast")):
+            # one that overflowed is looked into and passes
+            if _finite(*values):
+                continue
+            bad = np.zeros(values[0].shape[0], dtype=bool)
+            for a in values:
+                bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+            if bad.any():
+                m = int(terms.m[int(np.argmax(bad)) % terms.m.size])
+                raise EvaluationError(f"non-finite {name}-potential {what} at micro interval {m}",
+                                      node_index=m)
+
+    def views(self, G: np.ndarray) -> tuple:
+        """Views ``(g_s, g_fV, g_W, d_s, d_f)`` of G, a row per term or fast node."""
+        g_s, g_fV, g_W, d_s, d_f, _ = np.split(G, self.G_ends)
+        return (g_s.reshape(self.k_V, self.n_s), g_fV.reshape(self.k_V, self.n_f),
+                g_W.reshape(self.k_W, self.n_f), d_s, d_f.reshape(self.kern.p, self.n_f))
+
+    def hessians(self, start: State, x: np.ndarray, out=(), tested=()) -> list:
+        """``[H_ss, H_sf, H_ff, H_W]`` at the points of the step from ``start``
+        at x (the last residual's z where that was at x), a row per term, from
+        one call of each callback; the first ``len(out)`` copied into the
+        arrays ``out``, the rest only to be read.  One finiteness test reads
+        the arrays ``tested`` that hold them all, or else the four."""
+        last_start, last_x, z = self.last or (None, None, None)
+        if last_start is not start or last_x is not x:
+            z = self.points.apply(x) + self.shift(start)
+        a, b, M = self.bounds
+        QfV = z[a:b].reshape(self.k_V, self.n_f)
+        H = [*self.sys.evaluate_batch("slow_potential_hessian",
+                                      z[:a].reshape(self.k_V, self.n_s), QfV),
+             self.sys.evaluate_batch("fast_potential_hessian", QfV if self.kern.shared
+                                     else z[b:M].reshape(self.k_W, self.n_f))]
+        for i, into in enumerate(out):
+            into[...] = H[i]
+            H[i] = into
+        if not _finite(*(tested or H)):
+            self.check_finite(H[:3], H[3:], "Hessian")
+        return H
 
     def residual(self, start: State):
         """``residual(x) -> (F, G)`` of the step from ``start``
@@ -537,7 +541,7 @@ class _StepForm:
         entries, which come first.  A term adds at most (n_slow + 2
         n_fast)^2 entries, at its interval's equations and unknowns."""
         n_s, n_f, k_V, k_W, N = self.n_s, self.n_f, self.k_V, self.k_W, self.N
-        n_0, at_fV, at_gW = n_s + n_f, k_V * n_s, k_V * (n_s + n_f)
+        n_0, (at_fV, at_gW, at_k) = n_s + n_f, self.G_ends[:3]
         at_fW = at_fV if self.kern.shared else at_gW
         forces, points = self.forces.matrix, self.points.matrix
         shapes = [(k_V, n_s, n_s), (k_V, n_s, n_f), (k_V, n_f, n_f), (k_W, n_f, n_f)]
@@ -550,7 +554,7 @@ class _StepForm:
         # A is forces' kinetic columns times points' node-difference rows:
         # one or two products of +-1 and an entry of M/dt per position, exact
         at_d = self.bounds[2]
-        A = forces[:, self.kinetic_cols] @ points[at_d:at_d + N]
+        A = forces[:, at_k:at_k + N] @ points[at_d:at_d + N]
         at_A = np.flatnonzero(A)
         src, dest, coef = [np.full(at_A.size, h_at[-1])], [at_A], [A.reshape(-1)[at_A]]
 
@@ -580,23 +584,8 @@ class _StepForm:
         """The Newton matrix at x of a dense step: one ``np.bincount`` of the
         entries into their flat positions, which adds each position's
         entries in order, the kinetic one first."""
-        if self.last is not None and self.last[0] is start and self.last[1] is x:
-            z = self.last[2]
-        else:
-            z = self.points.apply(x) + self.shift(start)
-        a, b, M = self.bounds
-        QfV = z[a:b].reshape(self.k_V, self.n_f)
-        H_ss, H_sf, H_ff = self.sys.evaluate_batch(
-            "slow_potential_hessian", z[:a].reshape(self.k_V, self.n_s), QfV)
-        H_W = self.sys.evaluate_batch(
-            "fast_potential_hessian",
-            QfV if self.kern.shared else z[b:M].reshape(self.k_W, self.n_f))
         src, dest, coef, h, h_blocks = self.scatter
-        for block, H in zip(h_blocks, (H_ss, H_sf, H_ff, H_W)):
-            block[...] = H
-        if not _finite(h):
-            _check_finite((H_ss, H_sf, H_ff), self.kern.V.m, "slow-potential Hessian")
-            _check_finite((H_W,), self.kern.W.m, "fast-potential Hessian")
+        self.hessians(start, x, h_blocks, (h,))
         return np.bincount(dest, h.take(src) * coef, self.N ** 2).reshape(self.N, self.N)
 
 

@@ -217,6 +217,15 @@ def build_time_grid(dT: float, micro_per_macro: int, n_macro: int, t0: float = 0
     return TimeGrid(dT=dT, micro_per_macro=micro_per_macro, n_macro=n_macro, t0=t0)
 
 
+def _macro_steps(t_end: float, dT: float, name: str = "dT") -> int:
+    """The number of steps of ``dT`` from 0 to ``t_end``; ValueError, naming
+    dT ``name``, where no whole number of them ends within 1e-9 max(1, t_end)."""
+    n = round(t_end / dT)
+    if abs(n * dT - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"{name}={dT} does not divide t_end={t_end}")
+    return n
+
+
 @dataclass
 class State:
     """Configuration and conjugate momentum at a single node."""
@@ -239,9 +248,6 @@ class State:
         state = cls.__new__(cls)
         state.q_slow, state.q_fast, state.p_slow, state.p_fast = q_slow, q_fast, p_slow, p_fast
         return state
-
-    def copy(self) -> "State":
-        return State(self.q_slow.copy(), self.q_fast.copy(), self.p_slow.copy(), self.p_fast.copy())
 
     @property
     def finite(self) -> bool:
@@ -353,9 +359,6 @@ class MultirateSystem:
     @property
     def has_hessians(self) -> bool:
         return self.slow_potential_hessian is not None and self.fast_potential_hessian is not None
-
-    def potential(self, q_slow: np.ndarray, q_fast: np.ndarray) -> float:
-        return float(self.slow_potential(q_slow, q_fast)) + float(self.fast_potential(q_fast))
 
     def evaluate_batch(self, name: str, *points: np.ndarray):
         """Callable ``name`` at k points stacked along axis 0.

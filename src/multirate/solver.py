@@ -9,8 +9,9 @@ with two sub-diagonals (the equation of fast node i couples the unknown
 nodes i-1, i and i+1).  Large systems with analytic Jacobians solve it by
 block elimination, the others with a dense inverse (:class:`_BoundStep`).
 At every size the residual, the record and the p/q maps' transform are the
-fixed maps of :class:`~multirate.discretization._StepForm`; the size rule
-decides only whether they are dense matrices and which Newton matrix runs.
+fixed maps of :class:`~multirate.discretization._StepForm`, which gives
+both Newton matrices their Hessians; the size rule decides only whether
+the maps are dense matrices and which Newton matrix runs.
 
 Newton is simplified Newton with a contraction monitor (Hairer & Wanner,
 *Solving ODEs II*, IV.8).  Each linear solver splits into ``factor(J)``,
@@ -51,8 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import (_check_finite, _finite, _left_weight, _StepForm, _Workspace,
-                             interval_kernel)
+from .discretization import _finite, _left_weight, _StepForm, _Workspace, interval_kernel
 # no step calls it, but the benchmark's traced mode wraps it here by name
 from .discretization import interval_momenta  # noqa: F401
 from .errors import (
@@ -277,20 +277,6 @@ class MacroStep:
 # residual and Jacobian
 
 
-def _step_nodes(start: State, x: np.ndarray, sys: MultirateSystem, p: int):
-    """Next slow node (..., n_slow) and fast nodes 0..p (..., p+1, n_fast)
-    from the stacked unknowns ``x`` (..., n_slow + p*n_fast), whose layout
-    this defines: ``[q_slow_next; fast node 1; ...; fast node p]``.  Fast
-    node 0 is the start's; leading axes index independent points."""
-    n_s, n_f = sys.n_slow, sys.n_fast
-    fast = np.empty(x.shape[:-1] + (p + 1, n_f))
-    # the nodes of each point side by side: a view, as fast is contiguous
-    nodes = fast.reshape(x.shape[:-1] + ((p + 1) * n_f,))
-    nodes[..., :n_f] = start.q_fast
-    nodes[..., n_f:] = x[..., n_s:]
-    return x[..., :n_s], fast
-
-
 def _small(sys: MultirateSystem, grid: TimeGrid) -> bool:
     """Whether a step has fewer than ``_STRUCTURED_MIN_UNKNOWNS`` unknowns."""
     return sys.n_slow + grid.micro_per_macro * sys.n_fast < _STRUCTURED_MIN_UNKNOWNS
@@ -339,7 +325,8 @@ class _BoundStep:
     differences of ``residual`` where the system lacks a Hessian
     (:func:`_fd_jacobian`, dense); else analytic, below the size rule
     ``form``'s one bincount, from it on kept as blocks (``"structured"``)
-    in the :class:`~multirate.discretization._Workspace` ``ws``."""
+    in the :class:`~multirate.discretization._Workspace` ``ws``.  A
+    profiler files the Hessian calls under the frame named ``jacobian``."""
 
     def __init__(self, sys: MultirateSystem, quad: QuadratureSpec, grid: TimeGrid):
         self.sys, self.quad, self.grid = sys, quad, grid
@@ -357,15 +344,15 @@ class _BoundStep:
             self.linear = _STRUCTURED
 
             def jacobian(start, residual, x, F, ws):
-                return _jacobian_blocks(start.q_slow, *_step_nodes(start, x, sys, kern.p), sys,
-                                        quad, grid, ws)
+                return _jacobian_blocks(form, start, x, ws)
         self.jacobian = jacobian
 
     def record(self, index: int, start: State, x: np.ndarray, G: np.ndarray) -> MacroStep:
         """Record of the step from ``start`` at the accepted iterate x, G
-        being what the residual returned there."""
-        q_slow_next, fast = _step_nodes(start, x, self.sys, self.form.kern.p)
-        return MacroStep(index, start.q_slow, q_slow_next, fast, *self.form.record_momenta(G))
+        being what the residual returned there: x is ``[q1; f_1; ...; f_p]``."""
+        n_s, shape = self.sys.n_slow, (self.form.kern.p + 1, self.sys.n_fast)
+        fast = np.concatenate((start.q_fast, x[n_s:])).reshape(shape)
+        return MacroStep(index, start.q_slow, x[:n_s], fast, *self.form.record_momenta(G))
 
 
 @dataclass
@@ -393,21 +380,20 @@ class _JacobianBlocks:
     ws: _Workspace
 
 
-def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: QuadratureSpec,
-                     grid: TimeGrid, ws: _Workspace | None = None) -> _JacobianBlocks:
-    """Blocks of the analytic Jacobian of the stacked residual, written into
-    the arrays of the workspace ``ws`` (a new one by default).
+def _jacobian_blocks(form: _StepForm, start: State, x: np.ndarray,
+                     ws: _Workspace) -> _JacobianBlocks:
+    """Blocks of the analytic Jacobian at x of the step from ``start`` with
+    the maps ``form``, written into the arrays of the workspace ``ws``.
 
     The kinetic energy contributes the constant blocks -M_s/dT, 2 M_f/dt
-    and -M_f/dt; the potentials their second-derivative sums from
-    :meth:`~multirate.discretization._IntervalKernel.hessian_blocks`.
+    and -M_f/dt; the potentials the kernel's sums of ``form``'s Hessians
+    (:meth:`~multirate.discretization._IntervalKernel.hessian_sums`), H_ss
+    copied contiguous for one vector-matrix product.
     """
-    ws = _Workspace() if ws is None else ws
-    p = grid.micro_per_macro
-    n_s, n_f = sys.n_slow, sys.n_fast
-    ss, (row, col), (ll, lr, rr) = interval_kernel(quad, grid).hessian_blocks(
-        q_slow_k, q_slow_next, fast, sys, ws)
-    M_dt = sys.mass_fast / grid.dt
+    kern, sys, p, n_s, n_f = form.kern, form.sys, form.kern.p, form.n_s, form.n_f
+    H = form.hessians(start, x, [ws("H_ss", (form.k_V, n_s, n_s))])
+    ss, (row, col), (ll, lr, rr) = kern.hessian_sums(*H, ws)
+    M_dt = sys.mass_fast / kern.dt
     band = ws("band", (2 * p - 1, n_f, n_f))
     D, E = band[:p], band[p:]
     np.subtract(-M_dt, lr, out=D)
@@ -416,7 +402,7 @@ def _jacobian_blocks(q_slow_k, q_slow_next, fast, sys: MultirateSystem, quad: Qu
     J_row, J_col = ws("row", (n_s, p * n_f)), ws("col", (p * n_f, n_s))
     np.negative(row.transpose(1, 0, 2), out=J_row.reshape(n_s, p, n_f))
     np.negative(col.transpose(0, 2, 1), out=J_col.reshape(p, n_f, n_s))
-    return _JacobianBlocks(p, -sys.mass_slow / grid.dT - ss, J_row, J_col, band, ws)
+    return _JacobianBlocks(p, -sys.mass_slow / kern.dT - ss, J_row, J_col, band, ws)
 
 
 def _assemble_jacobian(J: _JacobianBlocks) -> np.ndarray:
@@ -898,7 +884,7 @@ class _ExplicitStep:
                 "trapezoidal-family fast quadrature (gamma_W in {0, 1})")
         self.sys, self.quad, self.grid = sys, quad, grid
         self.kern = kern = interval_kernel(quad, grid)
-        p, n_s, n_f, k_V, k_W = kern.p, sys.n_slow, sys.n_fast, kern.V.m.size, kern.W.m.size
+        p, n_s, n_f = kern.p, sys.n_slow, sys.n_fast
         self.K = (kern.dt * kern.dt) * sys.mass_fast_inv
         # the kick weights of the gradients at node 0; whether V's term is node 0, W's t node t
         self.kick_V = kern.dT * quad.alpha_V
@@ -906,14 +892,10 @@ class _ExplicitStep:
         self.node_terms = (np.array_equal(kern.V.node, [0])
                            and np.array_equal(kern.W.node, np.arange(p)))
         self.form = form = _StepForm(kern, sys, _small(sys, grid))
-        a, b = k_V * n_s, k_V * (n_s + n_f)
-        c = form.kinetic_cols.start
         # the record map's columns of p_s0 and p_f0 are zero: so are these
         self.G = np.zeros(form.record.shape[1])
-        self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
-                      self.G[b:c].reshape(k_W, n_f))
-        self.node_grads = self.G[:c]
-        self.d = self.G[c:c + n_s], self.G[c + n_s:form.kinetic_cols.stop].reshape(p, n_f)
+        views = form.views(self.G)
+        self.grads, self.d, self.node_grads = views[:3], views[3:], self.G[:form.G_ends[2]]
         self.at_nodes = self.grads if self.node_terms else (
             np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
         # ndarray.dot makes matmul's BLAS call at about half its overhead on
@@ -960,9 +942,7 @@ class _ExplicitStep:
             for rows, terms, out in zip(self.at_nodes, (kern.V, kern.V, kern.W), self.grads):
                 np.take(rows, terms.node, axis=0, out=out)
         if not _finite(self.node_grads):
-            g_s, g_fV, g_W = self.grads
-            _check_finite((g_s, g_fV), self.kern.V.m, "slow-potential gradient")
-            _check_finite((g_W,), self.kern.W.m, "fast-potential gradient")
+            self.form.check_finite(self.grads[:2], self.grads[2:], "gradient")
         d_s, d_f = self.d
         np.subtract(q1, q0, out=d_s)
         np.subtract(fast[1:], fast[:-1], out=d_f)

@@ -12,8 +12,7 @@ import numpy as np
 import scipy.optimize
 
 from multirate import MultirateSystem, QuadratureSpec, TimeGrid
-from multirate.discretization import (_check_finite, _finite, _left_weight, _StepForm,
-                                     interval_kernel)
+from multirate.discretization import _finite, _left_weight, _StepForm, interval_kernel
 from multirate.solver import MacroStep, _HeldMatrix, _small, _step_residual
 
 
@@ -120,18 +119,32 @@ def fd_jacobian_loop(residual, x0, r0, step):
     return J
 
 
+def term_points(kern, q0, q1, fast):
+    """Slow and fast quadrature points ``(Qs, QfV, QfW)`` of the kernel's
+    terms on the intervals (q0, q1, fast), leading axes kept, from the term
+    geometry alone: term t evaluates the slow point ``c0[t] q0 + c1[t] q1``
+    and the fast point ``gather[t] @ fast``."""
+    Qs = kern.c0 * q0[..., None, :] + kern.c1 * q1[..., None, :]
+    return Qs, kern.V.gather @ fast, kern.W.gather @ fast
+
+
+def term_hessians(kern, q0, q1, fast, sys):
+    """``(H_ss, H_sf, H_ff, H_W)`` at the :func:`term_points` of one interval."""
+    Qs, QfV, QfW = term_points(kern, q0, q1, fast)
+    return (*sys.evaluate_batch("slow_potential_hessian", Qs, QfV),
+            sys.evaluate_batch("fast_potential_hessian", QfW))
+
+
 def hessian_blocks_dense(kern, q0, q1, fast, sys):
-    """``(ss, border, ff)`` of ``_IntervalKernel.hessian_blocks``, contracting
-    all k term Hessians against dense (3p, k) and (2p, k) weight matrices.
+    """``(ss, border, ff)`` of ``_IntervalKernel.hessian_sums`` of the
+    :func:`term_hessians`, contracting all k term Hessians against dense
+    (3p, k) and (2p, k) weight matrices.
 
     The weights come from the kernel's term geometry: term t sits on micro
-    interval ``m[t]`` with weight ``w[t]``, evaluates the fast point
-    ``gather[t] @ fast`` and the slow point ``c0[t] q0 + c1[t] q1``.
+    interval ``m[t]`` with weight ``w[t]``.
     """
     p = kern.p
-    Qs, QfV, QfW = kern.points(q0, q1, fast)
-    H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
-    H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+    H_ss, H_sf, H_ff, H_W = term_hessians(kern, q0, q1, fast, sys)
 
     def contract(C, H):
         k = H.shape[0]
@@ -330,11 +343,11 @@ class _ExplicitStepReference:
                            and np.array_equal(kern.W.node, np.arange(p)))
         self.form = form = _StepForm(kern, sys, _small(sys, grid))
         a, b = k_V * n_s, k_V * (n_s + n_f)
-        self.n_grads = c = form.kinetic_cols.start
+        self.n_grads = c = form.G_ends[2]
         self.G = np.zeros(form.record.shape[1])
         self.grads = (self.G[:a].reshape(k_V, n_s), self.G[a:b].reshape(k_V, n_f),
                       self.G[b:c].reshape(k_W, n_f))
-        self.d = self.G[c:c + n_s], self.G[c + n_s:form.kinetic_cols.stop].reshape(p, n_f)
+        self.d = self.G[c:c + n_s], self.G[c + n_s:c + form.N].reshape(p, n_f)
         self.at_nodes = self.grads if self.node_terms else (
             np.empty((p + 1, n_s)), np.empty((p + 1, n_f)), np.empty((p + 1, n_f)))
 
@@ -368,8 +381,7 @@ class _ExplicitStepReference:
             for rows, terms, out in zip(self.at_nodes, (kern.V, kern.V, kern.W), self.grads):
                 np.take(rows, terms.node, axis=0, out=out)
         if not _finite(self.G[:self.n_grads]):
-            _check_finite((g_s, g_fV), kern.V.m, "slow-potential gradient")
-            _check_finite((g_W,), kern.W.m, "fast-potential gradient")
+            self.form.check_finite((g_s, g_fV), (g_W,), "gradient")
         np.subtract(q1, q0, out=self.d[0])
         np.subtract(fast[1:], fast[:-1], out=self.d[1])
         return MacroStep(index, q0, q1, fast, *self.form.record_momenta(self.G))
@@ -407,7 +419,7 @@ def term_gradients(kern, q0, q1, fast, sys):
     points of the interval kernel ``kern`` on the intervals (q0, q1, fast),
     of shape (..., k, n) with the terms of V resp. W on axis -2: the
     callbacks on the points of all intervals stacked."""
-    Qs, QfV, QfW = kern.points(q0, q1, fast)
+    Qs, QfV, QfW = term_points(kern, q0, q1, fast)
 
     def rows(a):
         return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
@@ -596,7 +608,7 @@ def discrete_kinetic(q_slow_k, q_slow_next, fast_nodes, sys: MultirateSystem,
 def _slow_potential_terms(q_slow_k, q_slow_next, fast_nodes, sys, quad, grid):
     """(micro interval, weighted value) of every slow-potential term."""
     kern = interval_kernel(quad, grid)
-    Qs, QfV, _ = kern.points(np.asarray(q_slow_k, dtype=float),
+    Qs, QfV, _ = term_points(kern, np.asarray(q_slow_k, dtype=float),
                              np.asarray(q_slow_next, dtype=float),
                              np.asarray(fast_nodes, dtype=float))
     return [(m, w * float(sys.slow_potential(qs, qf)))

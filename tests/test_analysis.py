@@ -292,6 +292,18 @@ class TestConvergenceStudy:
             convergence_study(sys, MIDMID, q0, 5, args["dT_list"], args["t_end"], SolverConfig(),
                               ref_dT=args["ref_dT"])
 
+    def test_reference_step_that_does_not_divide_the_horizon_is_rejected(self, fpu,
+                                                                        monkeypatch):
+        # three steps of 0.3 end at 0.9: the reference used to stop there,
+        # and every row then failed to align with it
+        def no_integration(*args, **kw):
+            raise AssertionError("integrated although ref_dT does not divide t_end")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        sys, q0 = fpu
+        with pytest.raises(ValueError, match="ref_dT=0.3 does not divide t_end=1"):
+            convergence_study(sys, MIDMID, q0, 2, [0.5, 0.25], 1.0, SolverConfig(), ref_dT=0.3)
+
 
 class TestStability:
     def test_trapezoidal_bounds(self):

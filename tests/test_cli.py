@@ -117,6 +117,15 @@ class TestSimulate:
         assert code == 2
         assert not (out / "manifest.json").exists()
 
+    def test_horizon_below_one_macro_step_is_config_error(self, tmp_path):
+        # no whole number of steps of 0.3 ends at 0.1: this used to run no
+        # step, write outputs and exit 0
+        out = tmp_path / "short"
+        code = run("simulate", "--system", "fpu", "--dT", "0.3", "--p", "2",
+                   "--t-end", "0.1", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_zero_macro_step_is_config_error(self, tmp_path):
         out = tmp_path / "dT0"
         code = run("simulate", "--system", "fpu", "--dT", "0", "--p", "2",
@@ -486,6 +495,21 @@ class TestConverge:
         assert code == 2
         assert not out.exists()
 
+    def test_reference_step_that_does_not_divide_the_horizon_is_config_error(
+            self, tmp_path, monkeypatch, capsys):
+        # the reference used to stop at 0.9, every row then failed to align
+        # with it, and the command exited 0 with a table of NaNs
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated although ref-dT does not divide t-end")
+
+        monkeypatch.setattr(analysis, "integrate", no_integration)
+        out = tmp_path / "ref"
+        code = run("converge", "--system", "fpu", "--p", "2", "--t-end", "1",
+                   "--dT-list", "0.5,0.25", "--ref-dT", "0.3", "--out", str(out))
+        assert code == 2
+        assert "ref_dT=0.3 does not divide t_end=1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSchemes:
     @pytest.mark.parametrize("scheme,quad", [
@@ -606,6 +630,25 @@ class TestBench:
     def test_bad_horizon_step_or_ratio_is_config_error(self, tmp_path, args):
         out = tmp_path / "bench"
         assert run("bench", "--system", "fpu", *args, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt,t_end,p_list,bad", [
+        ("0.03", "0.1", "2", "p=2: dT=0.06"), ("0.01", "0.001", "2", "p=2: dT=0.02"),
+        ("0.01", "0.1", "1,3", "p=3: dT=0.03"), ("0.01", "0", "1", "t_end must be positive")])
+    def test_horizon_not_a_whole_number_of_macro_steps_is_config_error(
+            self, tmp_path, monkeypatch, capsys, dt, t_end, p_list, bad):
+        # two steps of 0.06 used to run to t = 0.12, and a horizon below one
+        # step to write a row of zero steps, both exiting 0; every p is
+        # checked before the first row runs
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated although t-end is no whole number of steps")
+
+        monkeypatch.setattr(cli, "integrate", no_integration)
+        out = tmp_path / "bench"
+        code = run("bench", "--system", "fpu", "--dt", dt, "--t-end", t_end,
+                   "--p-list", p_list, "--out", str(out))
+        assert code == 2
+        assert bad in capsys.readouterr().err
         assert not out.exists()
 
 

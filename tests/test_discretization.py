@@ -15,7 +15,7 @@ from multirate import (
     initial_step,
     interval_momenta,
 )
-from multirate.discretization import _check_finite, _StepForm, interval_kernel
+from multirate.discretization import _StepForm, _Workspace, interval_kernel
 from multirate.solver import _HeldMatrix
 
 from _oracles import (
@@ -28,6 +28,7 @@ from _oracles import (
     discrete_slow_potential,
     hessian_blocks_dense,
     kernel_momenta,
+    term_hessians,
 )
 from conftest import make_fast_only, make_slow_only
 from test_solver import QUADRATURES, QUADRATURE_IDS, with_full_masses
@@ -425,11 +426,15 @@ class TestEvaluationErrors:
     def test_finite_values_whose_sum_overflows_pass(self):
         # the check sums each array first; a sum that overflowed is looked
         # into entry by entry
-        _check_finite((np.full((4, 2), 1e308),), np.arange(4), "gradient")
+        sys, _ = build_fpu()
+        form = _StepForm(interval_kernel(QuadratureSpec.midpoint_midpoint(),
+                                         build_time_grid(0.3, 4, 1)), sys, False)
+        assert list(form.kern.V.m) == [0, 1, 2, 3]
+        form.check_finite((np.full((4, 2), 1e308),), (), "gradient")
         bad = np.full((4, 2), 1e308)
         bad[3, 1] = np.inf
         with pytest.raises(EvaluationError) as info:
-            _check_finite((bad,), np.arange(4), "gradient")
+            form.check_finite((bad,), (), "gradient")
         assert info.value.node_index == 3
 
 
@@ -503,10 +508,10 @@ class TestHessianBlocks:
         rng = np.random.default_rng(p)
         q1 = q0.q_slow + rng.uniform(-0.1, 0.1, sys.n_slow)
         fast = q0.q_fast + rng.uniform(-0.1, 0.1, (p + 1, sys.n_fast))
-        got = kern.hessian_blocks(q0.q_slow, q1, fast, sys)
+        got = kern.hessian_sums(*term_hessians(kern, q0.q_slow, q1, fast, sys), _Workspace())
         want = hessian_blocks_dense(kern, q0.q_slow, q1, fast, sys)
         for a, b in zip(got, want):
-            assert a.shape == b.shape
+            assert np.shape(a) == b.shape
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * np.max(np.abs(b), initial=0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -520,11 +525,8 @@ class TestHessianBlocks:
         rng = np.random.default_rng(p)
         q1 = q0.q_slow + rng.uniform(-0.1, 0.1, sys.n_slow)
         fast = q0.q_fast + rng.uniform(-0.1, 0.1, (p + 1, sys.n_fast))
-        ss, border, ff = kern.hessian_blocks(q0.q_slow, q1, fast, sys)
-
-        Qs, QfV, QfW = kern.points(q0.q_slow, q1, fast)
-        H_ss, H_sf, H_ff = sys.evaluate_batch("slow_potential_hessian", Qs, QfV)
-        H_W = sys.evaluate_batch("fast_potential_hessian", QfW)
+        H_ss, H_sf, H_ff, H_W = term_hessians(kern, q0.q_slow, q1, fast, sys)
+        ss, border, ff = kern.hessian_sums(H_ss, H_sf, H_ff, H_W, _Workspace())
 
         def left(terms):
             return terms.gather[np.arange(terms.m.size), terms.m]

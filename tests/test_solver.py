@@ -32,7 +32,7 @@ from multirate import (
     verify_trajectory,
 )
 from multirate import discretization, schemes, solver, systems
-from multirate.discretization import _Workspace, interval_kernel
+from multirate.discretization import _StepForm, _Workspace, interval_kernel
 from multirate.systems import FpuConfig, SpringRingConfig
 
 from multirate.solver import (
@@ -78,8 +78,15 @@ QUADRATURE_IDS = ["midpoint", "trapezoidal-midpoint", "trapezoidal-trapezoidal",
 
 def stacked(q_slow_next, fast_nodes):
     """Stacked unknowns of a step from its next slow node and fast nodes
-    1..p (the layout of ``solver._step_nodes``)."""
+    1..p (the layout of ``_StepForm``'s x)."""
     return np.concatenate([q_slow_next, np.ravel(fast_nodes)])
+
+
+def block_jacobian(start, x, sys, quad, grid):
+    """The Newton matrix of the step from ``start`` at x as blocks, at any
+    size (``solver._jacobian_blocks``)."""
+    return _jacobian_blocks(_StepForm(interval_kernel(quad, grid), sys, False), start, x,
+                            _Workspace())
 
 
 def step_jacobian(start, x, sys, quad, grid):
@@ -317,8 +324,7 @@ class TestFixedMaps:
         assert linear is solver._DENSE
         for x in X:
             J = jacobian(q0, residual, x, residual(x)[0], _Workspace())
-            J_ref = _assemble_jacobian(_jacobian_blocks(
-                q0.q_slow, *solver._step_nodes(q0, x, sys, p), sys, quad, grid))
+            J_ref = _assemble_jacobian(_jacobian_blocks(step.form, q0, x, _Workspace()))
             # the kinetic part, which the blocks also hold exactly
             kinetic = np.abs(step_jacobian(q0, x, potential_free(sys), quad, grid))
             assert np.array_equal(J == 0.0, J_ref == 0.0)
@@ -340,7 +346,7 @@ class TestFixedMaps:
         for x in X:
             G = residual(x)[1]
             p_fast, p_slow = form.record_momenta(G)
-            q1, fast = solver._step_nodes(q0, x, sys, p)
+            q1, fast = x[:sys.n_slow], np.vstack([q0.q_fast, x[sys.n_slow:].reshape(p, -1)])
             ref_fast, ref_slow, _ = oracle_record(kern, q0.q_slow, q1, fast, sys)
             got = np.concatenate([p_slow.ravel(), p_fast.ravel()])
             want = np.concatenate([ref_slow.ravel(), ref_fast.ravel()])
@@ -507,6 +513,91 @@ def test_large_step_makes_no_dense_map():
                          check=True).stdout.split()
     assert out[1:] == ["False", "structured"]
     assert int(out[0]) < LARGE_STEP_PEAK_BYTES
+
+
+def logging_callbacks(sys: MultirateSystem, log: list) -> MultirateSystem:
+    """``sys`` whose gradient and Hessian callbacks append ``(name, inputs)``
+    to ``log`` on every call."""
+    def logged(name):
+        fn = getattr(sys, name)
+
+        def call(*points):
+            log.append((name, [np.array(a) for a in points]))
+            return fn(*points)
+
+        return call
+
+    return dataclasses.replace(sys, **{name: logged(name) for name in (
+        "slow_potential_grad", "fast_potential_grad", "slow_potential_hessian",
+        "fast_potential_hessian")})
+
+
+def same_bits(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+HESSIAN_POINT_RULES = pytest.mark.parametrize(
+    "quad", [MIDMID, QuadratureSpec.trapezoidal_midpoint(1.0)],
+    ids=["midpoint", "trapezoidal-midpoint"])
+
+
+class TestHessianPoints:
+    """Both Newton matrices take the Hessians from the step's fixed maps
+    (``_StepForm.hessians``): a build calls each Hessian callback once, on
+    the point rows of the residual's z at the build's iterate, bit for bit,
+    V's and W's fast points one array where they share them."""
+
+    @HESSIAN_POINT_RULES
+    @pytest.mark.parametrize("p,linear", [(10, "dense"), (50, "structured")])
+    def test_one_build_reads_the_point_rows_of_z(self, fpu, quad, p, linear):
+        log = []
+        sys, q0 = fpu
+        sys = logging_callbacks(sys, log)
+        grid = build_time_grid(0.3, p, 1)
+        held = solver._HeldMatrix()
+        step = held.bind(sys, quad, grid)
+        assert step.linear.name == linear
+        residual = solver._step_residual(q0, sys, quad, grid, held)
+        x = solver._drift_guess(q0, sys, grid)
+        F = residual(x)[0]
+        form = step.form
+        z = form.last[2]
+        a, b, M = form.bounds
+        QfV = z[a:b].reshape(-1, sys.n_fast)
+        QfW = QfV if form.kern.shared else z[b:M].reshape(-1, sys.n_fast)
+        del log[:]
+        step.jacobian(q0, residual, x, F, held.ws)
+        assert [name for name, _ in log] == ["slow_potential_hessian", "fast_potential_hessian"]
+        assert same_bits(log[0][1], [z[:a].reshape(-1, sys.n_slow), QfV])
+        assert same_bits(log[1][1], [QfW])
+        # an iterate that is not the last residual's makes the same z
+        del log[:]
+        form.hessians(q0, x.copy())
+        assert same_bits(log[0][1], [z[:a].reshape(-1, sys.n_slow), QfV])
+        assert same_bits(log[1][1], [QfW])
+
+    @HESSIAN_POINT_RULES
+    @pytest.mark.parametrize("mode", [IntegratorMode.IMPLICIT_DEL, IntegratorMode.CLOSED_FORM_PQ],
+                             ids=["del", "pq"])
+    @pytest.mark.parametrize("p,linear", [(10, "dense"), (50, "structured")])
+    def test_every_build_reads_its_residual_points(self, fpu, quad, mode, p, linear):
+        # each build follows the residual at its iterate, whose gradient
+        # callbacks got the same points
+        log = []
+        sys, q0 = fpu
+        sys = logging_callbacks(sys, log)
+        grid = build_time_grid(0.3, p, 3)
+        _, stats = integrate(q0, sys, quad, grid, SolverConfig(newton_tol=1e-9), mode)
+        assert stats.linear_solver == linear and stats.matrix_builds_total > 0
+        builds = [i for i, (name, _) in enumerate(log) if name == "slow_potential_hessian"]
+        assert len(builds) == stats.matrix_builds_total
+        assert sum(name == "fast_potential_hessian" for name, _ in log) == len(builds)
+        for i in builds:
+            (g_s, at_s), (g_f, at_f), (h_s, at_hs), (h_f, at_hf) = log[i - 2:i + 2]
+            assert (g_s, g_f, h_f) == ("slow_potential_grad", "fast_potential_grad",
+                                       "fast_potential_hessian")
+            assert same_bits(at_hs, at_s) and same_bits(at_hf, at_f)
 
 
 class TestBoundStep:
@@ -761,8 +852,7 @@ class TestLinearSolver:
         rng = np.random.default_rng(5)
         q1 = step.q_slow_end + rng.uniform(-0.01, 0.01, sys.n_slow)
         fast = step.fast[1:] + rng.uniform(-0.005, 0.005, (p, sys.n_fast))
-        blocks = _jacobian_blocks(step.q_slow_end, q1, np.vstack([step.fast[-1:], fast]),
-                                  sys, quad, grid)
+        blocks = block_jacobian(step.end_state(), stacked(q1, fast), sys, quad, grid)
         # the dense path's own matrix agrees with the blocks to rounding
         # (TestFixedMaps)
         J = _assemble_jacobian(blocks)
@@ -784,8 +874,8 @@ class TestLinearSolver:
         sys, q0 = fpu
         p = 4
         grid = build_time_grid(0.3, p, 1)
-        blocks = _jacobian_blocks(q0.q_slow, q0.q_slow + 0.1, np.tile(q0.q_fast, (p + 1, 1)),
-                                  sys, MIDMID, grid)
+        blocks = block_jacobian(q0, stacked(q0.q_slow + 0.1, np.tile(q0.q_fast, (p, 1))), sys,
+                                MIDMID, grid)
         blocks.band[1][:, 0] *= scale
         J = _assemble_jacobian(blocks)
         assert np.linalg.cond(J) < 1e8
